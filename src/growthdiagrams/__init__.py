@@ -10,6 +10,8 @@ from .compositions import (
     binword_deletion_positions,
     composition_to_word,
     compositions_of,
+    is_binword_cover,
+    is_lifted_cover,
     lifted_covers,
     word_to_composition,
 )
@@ -60,6 +62,8 @@ from .ribbons import (
 from .trees import (
     bst_insert,
     delete_rightmost,
+    is_lattice_cover,
+    is_reflected_bracket_cover,
     lattice_covers,
     reflected_bracket_covers,
     tree_to_bracketed_expression,

@@ -182,7 +182,7 @@ def _verify_duality(args, lines: list[str]) -> bool:
 
 def _verify_equivalence(args, lines: list[str]) -> bool:
     for n in range(args.max_n + 1):
-        for p in all_permutations(n):
+        for count, p in enumerate(all_permutations(n), 1):
             direct = (
                 hypoplactic_insert(p)
                 if args.family == "composition"
@@ -191,7 +191,6 @@ def _verify_equivalence(args, lines: list[str]) -> bool:
             if growth_insert(p, args.family) != direct:
                 lines.append(f"MISMATCH at permutation {p} (family {args.family})")
                 return False
-        count = len(list(all_permutations(n)))
         lines.append(f"n={n}: {count}/{count} PASS")
     lines.append(f"growth diagrams match direct {args.family} insertion for all n <= {args.max_n}")
     return True
@@ -199,11 +198,10 @@ def _verify_equivalence(args, lines: list[str]) -> bool:
 
 def _verify_shadow(args, lines: list[str]) -> bool:
     for n in range(args.max_n + 1):
-        for p in all_permutations(n):
+        for count, p in enumerate(all_permutations(n), 1):
             if shadow_lines(p) != hypoplactic_insert(p):
                 lines.append(f"MISMATCH at permutation {p}")
                 return False
-        count = len(list(all_permutations(n)))
         lines.append(f"n={n}: {count}/{count} PASS")
     lines.append(f"shadow lines match hypoplactic insertion for all n <= {args.max_n}")
     return True
@@ -232,6 +230,18 @@ def cmd_verify(args) -> int:
 
 # -- parser -------------------------------------------------------------------
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for sizes and ranks: a negative bound would make the
+    commands succeed vacuously."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="growthdiag",
@@ -259,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_graph = sub.add_parser("graph", help="export one of the four graded graphs")
     p_graph.add_argument("name", choices=graphs.GRAPH_NAMES)
-    p_graph.add_argument("--max-rank", type=int, default=4)
+    p_graph.add_argument("--max-rank", type=_non_negative_int, default=4)
     p_graph.add_argument("--format", choices=("dot", "json"), default="dot")
     p_graph.add_argument("--out", default=None)
     p_graph.set_defaults(func=cmd_graph)
@@ -268,9 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("mode", choices=("duality", "equivalence", "shadow", "paths"))
     p_verify.add_argument("--pair", choices=tuple(graphs.DUAL_PAIRS), default="compositions")
     p_verify.add_argument("--family", choices=("composition", "tree"), default="composition")
-    p_verify.add_argument("--max-rank", type=int, default=8)
-    p_verify.add_argument("--max-n", type=int, default=5)
-    p_verify.add_argument("--n", type=int, default=5)
+    p_verify.add_argument("--max-rank", type=_non_negative_int, default=8)
+    p_verify.add_argument("--max-n", type=_non_negative_int, default=5)
+    p_verify.add_argument("--n", type=_non_negative_int, default=5)
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
 

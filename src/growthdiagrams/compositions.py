@@ -126,6 +126,58 @@ def binword_covers(c: Composition) -> frozenset[Composition]:
     return frozenset(word_to_composition(v) for v in words)
 
 
+def is_lifted_cover(c: Composition, d: Composition) -> bool:
+    """
+    Whether d covers c in the lifted binary tree, i.e. ``d in
+    lifted_covers(c)``: deleting the last letter of word(d) gives word(c).
+    """
+    if not d:
+        return False
+    if d[-1] == 1:
+        return d[:-1] == c
+    return len(d) == len(c) and d[-1] == c[-1] + 1 and d[:-1] == c[:-1]
+
+
+class _WordBits(dict):
+    """
+    Memo of word(c) read as a binary number; its bit length is the rank of
+    c.  A growth fill tests each vertex against several neighbours.  At
+    small ranks even an lru_cache call costs about as much as the test
+    itself, so lookups are plain dict subscripts.
+    """
+
+    def __missing__(self, c: Composition) -> int:
+        bits = 0
+        for part in c:
+            bits = (bits << part) | (1 << (part - 1))
+        self[c] = bits
+        return bits
+
+
+_word_bits = _WordBits()
+
+
+def is_binword_cover(c: Composition, d: Composition) -> bool:
+    """
+    Whether d covers c in Binword, i.e. ``d in binword_covers(c)``.  Read
+    as binary numbers, word(d) must have one letter more than word(c), and
+    deleting from word(d) the first letter at which its prefix departs
+    from word(c) must give word(c).  (Inserting a 1 in front of a word that
+    starts with 1 gives the same word as inserting it second, so the
+    excluded front position needs no separate test.)
+
+    >>> is_binword_cover((3,), (1, 3)), is_binword_cover((3,), (1, 2))
+    (True, False)
+    """
+    u, v = _word_bits[c], _word_bits[d]
+    prefix = v >> 1  # word(d) without its last letter
+    departed = prefix ^ u  # top bit: where word(d) departs from word(c)
+    mismatch = v ^ u
+    # prefix and u share their top bit (word(d) is one letter longer), and
+    # the lowest bit where v and u differ lies above the departure point
+    return departed <= prefix & u and mismatch & -mismatch > departed
+
+
 def binword_deletion_positions(u: BinaryWord, v: BinaryWord) -> frozenset[int]:
     """
     All 1-based positions q >= 2 such that deleting letter q from v gives

@@ -17,12 +17,20 @@ computes z from (t, x, y, alpha):
   (c) x = t != y: z = y;   (d) y = t != x: z = x;
   (e) x = y != t: take the other common cover of x (append a part 1; push
       the rightmost node down-left under a new node);
-  (f) x != y: z is the unique common upper neighbour, found by searching
-      the covers of one side; duality guarantees exactly one hit, and a
-      miss is reported as an internal invariant breach.
+  (f) x != y: z is the unique common upper neighbour, given in closed
+      form.  On compositions, x appended one letter to the word of t, and z
+      is y with that letter appended: y + (1,) when x = t + (1,), else y
+      with its last part + 1.  On trees, x inserted a new rightmost node at
+      right-spine depth k = right_spine_length(x) - 1, and z is y with a
+      new rightmost node inserted at the same depth k, taking the displaced
+      right-spine suffix as its left subtree.  The completion is unique
+      because the graphs are dual with r=1: for x != y, the number of z
+      covering both equals the number of vertices both cover, and that is
+      one, since t is the only down-neighbour of x in the vertical graph.
 
 The rules are validated on entry (the given edges must be covers) and on
-exit (z must cover x and y in the right graphs).
+exit (z must cover x and y in the right graphs); the checks are O(size)
+cover predicates, and a failed exit check is an internal invariant breach.
 """
 from __future__ import annotations
 
@@ -32,11 +40,11 @@ from typing import Callable, Literal
 
 from .compositions import (
     Composition,
-    binword_covers,
     binword_deletion_positions,
     composition_to_word,
     increment_last,
-    lifted_covers,
+    is_binword_cover,
+    is_lifted_cover,
 )
 from .permutations import Permutation, permutation_matrix, validate_permutation
 from .ribbons import (
@@ -47,13 +55,13 @@ from .ribbons import (
 from .trees import (
     LabeledTree,
     Tree,
-    delete_rightmost,
     extend_right_spine,
+    insert_rightmost,
+    is_lattice_cover,
+    is_reflected_bracket_cover,
     labeled_tree_to_json_obj,
-    lattice_covers,
     node_count,
     push_down_rightmost,
-    reflected_bracket_covers,
     right_spine_length,
     shape,
     tree_to_text,
@@ -71,15 +79,25 @@ class GrowthRuleError(RuntimeError):
     """
 
 
-def _check_square_input(t, x, y, alpha, vertical_covers, horizontal_covers):
+def _check_square_input(t, x, y, alpha, is_vertical_cover, is_horizontal_cover):
     if alpha not in (0, 1):
         raise ValueError(f"alpha must be 0 or 1, got {alpha!r}")
     if alpha == 1 and not (t == x == y):
         raise ValueError("alpha=1 requires t = x = y")
-    if x != t and x not in vertical_covers(t):
+    if x != t and not is_vertical_cover(t, x):
         raise ValueError(f"{x!r} is not a vertical cover of {t!r}")
-    if y != t and y not in horizontal_covers(t):
+    if y != t and not is_horizontal_cover(t, y):
         raise ValueError(f"{y!r} is not a horizontal cover of {t!r}")
+
+
+def _join_composition(t: Composition, x: Composition, y: Composition) -> Composition:
+    """Case (f): y with the last word letter of x appended."""
+    return y + (1,) if len(x) > len(t) else increment_last(y)
+
+
+def _join_tree(t: Tree, x: Tree, y: Tree) -> Tree:
+    """Case (f): y with a new rightmost node where x has its own."""
+    return insert_rightmost(y, right_spine_length(x) - 1)
 
 
 def local_rule_composition(t: Composition, x: Composition, y: Composition, alpha: int) -> Composition:
@@ -92,7 +110,7 @@ def local_rule_composition(t: Composition, x: Composition, y: Composition, alpha
     >>> local_rule_composition((2, 2), (2, 2), (2, 2), 1)
     (2, 3)
     """
-    _check_square_input(t, x, y, alpha, lifted_covers, binword_covers)
+    _check_square_input(t, x, y, alpha, is_lifted_cover, is_binword_cover)
     if alpha == 1:
         z = increment_last(t)
     elif x == t and y == t:
@@ -104,13 +122,8 @@ def local_rule_composition(t: Composition, x: Composition, y: Composition, alpha
     elif x == y:
         z = x + (1,)
     else:
-        matches = [c for c in lifted_covers(y) if c in binword_covers(x)]
-        if len(matches) != 1:
-            raise GrowthRuleError(
-                f"expected one common cover of x={x!r}, y={y!r}, found {len(matches)}"
-            )
-        z = matches[0]
-    if z not in binword_covers(x) or z not in lifted_covers(y):
+        z = _join_composition(t, x, y)
+    if not (is_binword_cover(x, z) and is_lifted_cover(y, z)):
         raise GrowthRuleError(f"z={z!r} does not cover x={x!r} and y={y!r}")
     return z
 
@@ -123,7 +136,7 @@ def local_rule_tree(t: Tree, x: Tree, y: Tree, alpha: int) -> Tree:
     >>> local_rule_tree(None, None, None, 1)
     (None, None)
     """
-    _check_square_input(t, x, y, alpha, reflected_bracket_covers, lattice_covers)
+    _check_square_input(t, x, y, alpha, is_reflected_bracket_cover, is_lattice_cover)
     if alpha == 1:
         z = extend_right_spine(t)
     elif x == t and y == t:
@@ -135,13 +148,8 @@ def local_rule_tree(t: Tree, x: Tree, y: Tree, alpha: int) -> Tree:
     elif x == y:
         z = push_down_rightmost(y)
     else:
-        matches = [c for c in lattice_covers(x) if delete_rightmost(c) == y]
-        if len(matches) != 1:
-            raise GrowthRuleError(
-                f"expected one common cover of x={x!r}, y={y!r}, found {len(matches)}"
-            )
-        z = matches[0]
-    if z not in lattice_covers(x) or delete_rightmost(z) != y:
+        z = _join_tree(t, x, y)
+    if not (is_lattice_cover(x, z) and is_reflected_bracket_cover(y, z)):
         raise GrowthRuleError(f"z={z!r} does not cover x={x!r} and y={y!r}")
     return z
 
@@ -233,20 +241,17 @@ def build_growth_diagram(p: Permutation, family: Family, *, order: str = "antidi
     n = len(p)
     grid: list[list] = [[empty] * (n + 1) for _ in range(n + 1)]
 
-    def fill(i: int, j: int) -> None:
-        alpha = 1 if p[j - 1] == i else 0
-        grid[i][j] = rule(grid[i - 1][j - 1], grid[i][j - 1], grid[i - 1][j], alpha)
-
     if order == "antidiagonal":
-        for s in range(2, 2 * n + 1):
-            for i in range(max(1, s - n), min(n, s - 1) + 1):
-                fill(i, s - i)
+        cells = (
+            (i, s - i) for s in range(2, 2 * n + 1) for i in range(max(1, s - n), min(n, s - 1) + 1)
+        )
     elif order == "row-major":
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                fill(i, j)
+        cells = ((i, j) for i in range(1, n + 1) for j in range(1, n + 1))
     else:
         raise ValueError(f"unknown fill order {order!r}")
+    for i, j in cells:
+        below, row = grid[i - 1], grid[i]
+        row[j] = rule(below[j - 1], row[j - 1], below[j], 1 if p[j - 1] == i else 0)
     return GrowthGrid(
         n=n,
         family=family,

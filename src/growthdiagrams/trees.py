@@ -91,6 +91,30 @@ def right_spine_length(t: Tree) -> int:
     return k
 
 
+def insert_rightmost(t: Tree, depth: int) -> Tree:
+    """
+    Insert a new rightmost node at right-spine depth ``depth`` (0 = the
+    root); it takes the right-spine suffix it displaces as its left
+    subtree.  Inverse of :func:`delete_rightmost` for every depth from 0 to
+    ``right_spine_length(t)``.
+
+    >>> insert_rightmost((None, None), 0)
+    ((None, None), None)
+    >>> insert_rightmost((None, None), 1)
+    (None, (None, None))
+    """
+    lefts = []
+    for _ in range(depth):
+        if t is None:
+            raise ValueError(f"right spine is shorter than depth {depth}")
+        lefts.append(t[0])
+        t = t[1]
+    z: Tree = (t, None)
+    for left in reversed(lefts):
+        z = (left, z)
+    return z
+
+
 @lru_cache(maxsize=None)
 def reflected_bracket_covers(t: Tree) -> frozenset[Tree]:
     """
@@ -119,12 +143,41 @@ def reflected_bracket_covers(t: Tree) -> frozenset[Tree]:
     return frozenset(covers)
 
 
+def is_lattice_cover(t: Tree, u: Tree) -> bool:
+    """
+    Whether u covers t in the lattice of binary trees, i.e. ``u in
+    lattice_covers(t)``, walking the one path on which they differ.
+    Subtrees are compared by identity first, because trees built from one
+    another share them.
+    """
+    while t is not None:
+        if u is None:
+            return False
+        (t_left, t_right), (u_left, u_right) = t, u
+        if t_left is u_left or (t_right is not u_right and t_left == u_left):
+            t, u = t_right, u_right
+        elif t_right is u_right or t_right == u_right:
+            t, u = t_left, u_left
+        else:
+            return False
+    return u == (None, None)
+
+
+def is_reflected_bracket_cover(t: Tree, u: Tree) -> bool:
+    """
+    Whether u covers t in the reflected bracket tree, i.e. deleting the
+    rightmost node of u gives t, walking the right spine of u once.
+    """
+    while u is not None and u[1] is not None:
+        if t is None or (t[0] is not u[0] and t[0] != u[0]):
+            return False
+        t, u = t[1], u[1]
+    return u is not None and (t is u[0] or t == u[0])
+
+
 def extend_right_spine(t: Tree) -> Tree:
     """Add one node as the right child of the rightmost node (None -> leaf)."""
-    if t is None:
-        return (None, None)
-    left, right = t
-    return (left, extend_right_spine(right)) if right is not None else (left, (None, None))
+    return insert_rightmost(t, right_spine_length(t))
 
 
 def push_down_rightmost(t: Tree) -> Tree:
@@ -136,10 +189,7 @@ def push_down_rightmost(t: Tree) -> Tree:
     """
     if t is None:
         raise ValueError("the empty tree has no rightmost node")
-    left, right = t
-    if right is None:
-        return (t, None)
-    return (left, push_down_rightmost(right))
+    return insert_rightmost(t, right_spine_length(t) - 1)
 
 
 # -- text and JSON forms ---------------------------------------------------

@@ -168,3 +168,31 @@ def test_usage_error_exit_2(capsys):
         main(["insert", "plactic", "123"])
     capsys.readouterr()
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "equivalence", "--max-n", "-1"],
+        ["verify", "shadow", "--max-n", "-2"],
+        ["verify", "duality", "--max-rank", "-1"],
+        ["verify", "paths", "--n", "-1"],
+        ["graph", "binword", "--max-rank", "-3"],
+    ],
+)
+def test_negative_bound_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert out == ""
+    assert "must be >= 0" in err
+
+
+def test_verify_counts_every_permutation(capsys):
+    code, out, _ = run(capsys, "verify", "shadow", "--max-n", "3")
+    assert code == 0
+    assert out.splitlines()[:4] == ["n=0: 1/1 PASS", "n=1: 1/1 PASS", "n=2: 2/2 PASS", "n=3: 6/6 PASS"]
+    code, out, _ = run(capsys, "verify", "equivalence", "--max-n", "0")
+    assert code == 0
+    assert out.splitlines()[0] == "n=0: 1/1 PASS"

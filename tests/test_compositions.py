@@ -11,6 +11,8 @@ from growthdiagrams.compositions import (
     composition_to_word,
     compositions_of,
     increment_last,
+    is_binword_cover,
+    is_lifted_cover,
     lifted_covers,
     word_to_composition,
 )
@@ -143,3 +145,16 @@ def test_same_run_lemma():
                 by_result.setdefault(v[: q - 1] + v[q:], []).append(v[q - 1])
             for letters in by_result.values():
                 assert len(set(letters)) == 1
+
+
+@pytest.mark.parametrize(
+    "is_cover, covers", [(is_lifted_cover, lifted_covers), (is_binword_cover, binword_covers)]
+)
+def test_cover_predicates_match_cover_sets(is_cover, covers):
+    for n in range(8):
+        for c in compositions_of(n):
+            for d in compositions_of(n + 1):
+                assert is_cover(c, d) == (d in covers(c)), (c, d)
+            # same-rank and two-rank pairs are never covers
+            assert not any(is_cover(c, d) for d in compositions_of(n))
+            assert not any(is_cover(c, d) for d in compositions_of(n + 2))

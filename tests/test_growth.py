@@ -1,7 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from growthdiagrams import growth
+from growthdiagrams.compositions import binword_covers, increment_last, lifted_covers
 from growthdiagrams.growth import (
     GrowthRuleError,
     build_growth_diagram,
@@ -19,7 +23,16 @@ from growthdiagrams.permutations import (
     restrict_values,
 )
 from growthdiagrams.ribbons import hypoplactic_insert
-from growthdiagrams.trees import bst_insert, shape
+from growthdiagrams.trees import (
+    bst_insert,
+    delete_rightmost,
+    extend_right_spine,
+    insert_rightmost,
+    lattice_covers,
+    push_down_rightmost,
+    reflected_bracket_covers,
+    shape,
+)
 
 B1 = (None, None)
 L2 = (B1, None)
@@ -265,3 +278,118 @@ def test_grid_json_schema():
     tree_obj = build_growth_diagram((2, 1), "tree").to_json_obj()
     assert tree_obj["grid"][2][2] == "((-,-),-)"
     assert tree_obj["P"]["label"] == 2
+
+
+# -- the search-based local rules, kept as an oracle for the closed forms -----
+
+def search_rule_composition(t, x, y, alpha):
+    """Square completion with case (f) found by searching the cover sets."""
+    assert x == t or x in lifted_covers(t)
+    assert y == t or y in binword_covers(t)
+    if alpha == 1:
+        return increment_last(t)
+    if x == t:
+        return y
+    if y == t:
+        return x
+    if x == y:
+        return x + (1,)
+    matches = [c for c in lifted_covers(y) if c in binword_covers(x)]
+    assert len(matches) == 1, (t, x, y, matches)
+    return matches[0]
+
+
+def search_rule_tree(t, x, y, alpha):
+    """Square completion with case (f) found by searching the cover sets."""
+    assert x == t or x in reflected_bracket_covers(t)
+    assert y == t or y in lattice_covers(t)
+    if alpha == 1:
+        return extend_right_spine(t)
+    if x == t:
+        return y
+    if y == t:
+        return x
+    if x == y:
+        return push_down_rightmost(y)
+    matches = [c for c in lattice_covers(x) if delete_rightmost(c) == y]
+    assert len(matches) == 1, (t, x, y, matches)
+    return matches[0]
+
+
+SEARCH_RULES = {"composition": search_rule_composition, "tree": search_rule_tree}
+
+
+def assert_squares_match_search(p, family):
+    """Every square of the closed-form grid is the search rule's completion."""
+    v = build_growth_diagram(p, family).vertices
+    rule = SEARCH_RULES[family]
+    for i in range(1, len(p) + 1):
+        for j in range(1, len(p) + 1):
+            alpha = 1 if p[j - 1] == i else 0
+            assert v[i][j] == rule(v[i - 1][j - 1], v[i][j - 1], v[i - 1][j], alpha), (p, i, j)
+
+
+def random_avoid231(n, rng):
+    """A random 231-avoiding permutation: n splits it into smaller values
+    before and larger values after, each part again 231-avoiding."""
+    if n == 0:
+        return ()
+    k = rng.randrange(n)
+    before = random_avoid231(k, rng)
+    after = random_avoid231(n - 1 - k, rng)
+    return before + (n,) + tuple(k + a for a in after)
+
+
+@pytest.mark.parametrize("family", ["composition", "tree"])
+def test_closed_form_matches_search_exhaustive(family):
+    for n in range(8):
+        for p in all_permutations(n):
+            assert_squares_match_search(p, family)
+
+
+@pytest.mark.parametrize("family", ["composition", "tree"])
+@pytest.mark.parametrize("kind", ["random", "identity", "reverse", "avoid231"])
+def test_closed_form_matches_search_seeded(family, kind):
+    n = 60
+    rng = random.Random(f"{family}-{kind}")
+    p = {
+        "random": lambda: tuple(rng.sample(range(1, n + 1), n)),
+        "identity": lambda: tuple(range(1, n + 1)),
+        "reverse": lambda: tuple(range(n, 0, -1)),
+        "avoid231": lambda: random_avoid231(n, rng),
+    }[kind]()
+    assert sorted(p) == list(range(1, n + 1))
+    assert_squares_match_search(p, family)
+
+
+def test_random_avoid231_avoids_231():
+    rng = random.Random(0)
+    for n in range(8):
+        for _ in range(20):
+            p = random_avoid231(n, rng)
+            assert not any(
+                p[k] < p[i] < p[j] for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)
+            )
+
+
+def test_exit_check_catches_a_wrong_composition_join(monkeypatch):
+    t, x, y = (2, 2), (2, 3), (2, 1, 2)
+    assert local_rule_composition(t, x, y, 0) == (2, 1, 3)
+    # append the other letter: z still covers y in the lifted binary tree,
+    # but no longer covers x in Binword
+    monkeypatch.setattr(
+        growth, "_join_composition",
+        lambda t, x, y: y + (1,) if len(x) == len(t) else increment_last(y),
+    )
+    with pytest.raises(GrowthRuleError):
+        local_rule_composition(t, x, y, 0)
+
+
+def test_exit_check_catches_a_wrong_tree_join(monkeypatch):
+    t, x, y = B1, R2, L2
+    assert local_rule_tree(t, x, y, 0) == B3
+    # insert at the root instead: z still covers y in the reflected bracket
+    # tree, but no longer covers x in the lattice
+    monkeypatch.setattr(growth, "_join_tree", lambda t, x, y: insert_rightmost(y, 0))
+    with pytest.raises(GrowthRuleError):
+        local_rule_tree(t, x, y, 0)

@@ -9,8 +9,11 @@ from growthdiagrams.trees import (
     bst_insert,
     delete_rightmost,
     extend_right_spine,
+    insert_rightmost,
     is_decreasing_tree,
     is_increasing_tree,
+    is_lattice_cover,
+    is_reflected_bracket_cover,
     is_search_tree,
     labeled_tree_from_json_obj,
     labeled_tree_to_json_obj,
@@ -19,6 +22,7 @@ from growthdiagrams.trees import (
     node_count,
     push_down_rightmost,
     reflected_bracket_covers,
+    right_spine_length,
     shape,
     tree_from_text,
     tree_to_bracketed_expression,
@@ -160,6 +164,36 @@ def test_spine_helpers():
     assert push_down_rightmost(chain3) == (chain3, None)
     with pytest.raises(ValueError):
         push_down_rightmost(None)
+
+
+def test_insert_rightmost():
+    assert insert_rightmost(None, 0) == B1
+    assert insert_rightmost(R2, 0) == (R2, None)
+    assert insert_rightmost(R2, 1) == (None, L2)
+    assert insert_rightmost(R2, 2) == (None, R2)
+    with pytest.raises(ValueError):
+        insert_rightmost(B1, 2)
+    for n in range(6):
+        for t in trees_of(n):
+            for k in range(right_spine_length(t) + 1):
+                assert delete_rightmost(insert_rightmost(t, k)) == t
+
+
+@pytest.mark.parametrize(
+    "is_cover, covers",
+    [(is_lattice_cover, lattice_covers), (is_reflected_bracket_cover, reflected_bracket_covers)],
+)
+def test_cover_predicates_match_cover_sets(is_cover, covers):
+    for n in range(7):
+        for t in trees_of(n):
+            expected = covers(t)
+            for u in trees_of(n + 1):
+                # a rebuilt copy shares no subtree with t, so every
+                # comparison runs by value, not by identity
+                rebuilt = tree_from_text(tree_to_text(u))
+                assert is_cover(t, u) == is_cover(t, rebuilt) == (u in expected), (t, u)
+            assert not any(is_cover(t, u) for u in trees_of(n))
+        assert not any(is_cover(t, u) for t in trees_of(n) for u in trees_of(n + 2))
 
 
 def test_bracketed_expression_examples():
