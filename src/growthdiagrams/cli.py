@@ -3,8 +3,9 @@ Command-line front end: run insertions, build and render growth diagrams,
 export the four graded graphs, and re-run the library's verification
 suites from the shell.
 
-Exit codes: 0 success, 1 verification failure or mismatch, 2 usage and
-parse errors.  Identical invocations produce byte-identical output.
+Exit codes: 0 success, 1 verification failure, mismatch or a broken
+internal invariant, 2 usage, parse and output errors.  Identical
+invocations produce byte-identical output.
 """
 from __future__ import annotations
 
@@ -38,12 +39,19 @@ from .trees import (
 _ALGORITHMS = ("hypoplactic", "bst-left", "bst-right", "sylvester")
 
 
+class OutputError(Exception):
+    """The --out file cannot be written."""
+
+
 def _emit(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -292,12 +300,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GrowthRuleError as exc:
-        print(f"invariant violated: {exc}", file=sys.stderr)
-        return 1
-    except (PermutationParseError, WordEncodingError, graphs.RankGuardError, ValueError) as exc:
+    except (PermutationParseError, WordEncodingError, graphs.RankGuardError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (GrowthRuleError, ValueError) as exc:
+        # every input error above is raised as its own type; any other
+        # ValueError comes from a library check on a computed result
+        print(f"invariant violated: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -294,9 +294,10 @@ def path_count_identity(g1: GradedGraph, g2: GradedGraph, n: int) -> tuple[int, 
     >>> path_count_identity(make_graph(pair[0]), make_graph(pair[1]), 3)
     (6, 6)
     """
+    top = g1.vertices_at(n)  # raises RankGuardError before any counting
     e1 = chain_counts(g1, n)
     e2 = chain_counts(g2, n)
-    lhs = sum(e1.get(v, 0) * e2.get(v, 0) for v in g1.vertices_at(n))
+    lhs = sum(e1.get(v, 0) * e2.get(v, 0) for v in top)
     return lhs, math.factorial(n)
 
 

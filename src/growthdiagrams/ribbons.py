@@ -7,16 +7,20 @@ lengths alone and only the labels are stored.  Rows increase strictly left
 to right in both kinds; in the shared overlap column a quasi-ribbon
 increases downwards and a ribbon increases upwards.
 
-Hypoplactic insertion reads a word of distinct letters left to right.  To
-insert a, compare it with the last letter z of the last row: if a > z it
-is appended there; otherwise a new cell labeled a is placed just right of
-the last entry y <= a in reading order (or in front of everything when no
-such entry exists) and the remainder of the tableau is shifted below the
-new cell.  The recording tableau places the step number at the reading
-position the new cell occupied.
+Hypoplactic insertion reads a word of distinct letters left to right.
+Rows increase and the overlap column of a quasi-ribbon tableau increases
+downwards, so the reading word of the insertion tableau P is always the
+sorted list of the letters read so far (Krob-Thibon, Novelli), and P is
+that word cut at the cells where a row ends.  To insert a, place it in
+its sorted position, just after y, the last entry <= a; then a row ends
+right after a and no row ends between y and a.  When a exceeds every
+entry this appends a to the last row; when no entry is <= a, a becomes a
+one-cell first row above the rest.  The recording tableau Q puts the step
+number at the reading position a took.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -92,6 +96,28 @@ class RibbonTableau(RibbonShapedTableau):
     increases_down_columns = False
 
 
+def _insert_step(reading: list[int], ends: list[bool], a: int) -> int:
+    """
+    One hypoplactic step (the rule in the module docstring) on a tableau
+    given as its increasing reading word and, cell by cell, whether a row
+    ends there.  Both lists are updated in place; the return value is a's
+    0-based reading position.
+    """
+    k = bisect_right(reading, a)
+    if k and reading[k - 1] == a:
+        raise ValueError(f"letter {a} already present")
+    reading.insert(k, a)
+    ends.insert(k, True)
+    if k:
+        ends[k - 1] = False
+    return k
+
+
+def _shape(ends: Sequence[bool]) -> Composition:
+    cuts = [i for i, end in enumerate(ends, 1) if end]
+    return tuple(b - a for a, b in zip([0] + cuts, cuts))
+
+
 def insert_letter(t: QuasiRibbonTableau, a: int) -> tuple[QuasiRibbonTableau, int]:
     """
     Hypoplactic insertion of one letter.  Returns the new tableau and the
@@ -103,29 +129,10 @@ def insert_letter(t: QuasiRibbonTableau, a: int) -> tuple[QuasiRibbonTableau, in
     >>> insert_letter(QuasiRibbonTableau(((2, 3),)), 1)[0].rows
     ((1,), (2, 3))
     """
-    rows = t.rows
-    if a in t.reading():
-        raise ValueError(f"letter {a} already present")
-    if not rows:
-        return QuasiRibbonTableau(((a,),)), 1
-    if a > rows[-1][-1]:
-        return QuasiRibbonTableau(rows[:-1] + (rows[-1] + (a,),)), t.n + 1
-    last_le = None  # (row, column, reading index) of the last entry <= a
-    idx = 0
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v <= a:
-                last_le = (i, j, idx)
-            idx += 1
-    if last_le is None:
-        # a precedes everything: it becomes a new first cell and the whole
-        # tableau shifts below it
-        return QuasiRibbonTableau(((a,),) + rows), 1
-    i, j, idx = last_le
-    head = rows[i][: j + 1] + (a,)
-    tail = rows[i][j + 1 :]
-    new_rows = rows[:i] + (head,) + ((tail,) if tail else ()) + rows[i + 1 :]
-    return QuasiRibbonTableau(new_rows), idx + 2
+    reading = list(t.reading())
+    ends = [j == len(row) - 1 for row in t.rows for j in range(len(row))]
+    k = _insert_step(reading, ends, a)
+    return QuasiRibbonTableau(rows_from_reading(reading, _shape(ends))), k + 1
 
 
 def hypoplactic_insert(word: Sequence[int]) -> tuple[QuasiRibbonTableau, RibbonTableau]:
@@ -143,15 +150,19 @@ def hypoplactic_insert(word: Sequence[int]) -> tuple[QuasiRibbonTableau, RibbonT
     word = tuple(word)
     if len(set(word)) != len(word):
         raise ValueError("letters must be distinct")
-    p = QuasiRibbonTableau(())
+    for a in word:  # before any comparison, with validate's message
+        if not isinstance(a, int) or a < 1:
+            raise ValueError(f"labels must be positive integers, got {a!r}")
+    reading: list[int] = []
+    ends: list[bool] = []
     q_reading: list[int] = []
     for step, a in enumerate(word, 1):
-        p, pos = insert_letter(p, a)
-        q_reading.insert(pos - 1, step)
+        q_reading.insert(_insert_step(reading, ends, a), step)
+    shape = _shape(ends)
     rank = {v: i for i, v in enumerate(sorted(word), 1)}
-    p_canonical = QuasiRibbonTableau(tuple(tuple(rank[v] for v in row) for row in p.rows))
-    q = RibbonTableau(rows_from_reading(q_reading, p.shape))
-    return p_canonical, q
+    p = QuasiRibbonTableau(rows_from_reading([rank[v] for v in reading], shape))
+    q = RibbonTableau(rows_from_reading(q_reading, shape))
+    return p, q
 
 
 def rows_from_reading(reading: Sequence[int], shape: Composition) -> tuple[tuple[int, ...], ...]:

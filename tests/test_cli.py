@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from growthdiagrams import cli, graphs, growth, ribbons
 from growthdiagrams.cli import main
 
 
@@ -196,3 +197,46 @@ def test_verify_counts_every_permutation(capsys):
     code, out, _ = run(capsys, "verify", "equivalence", "--max-n", "0")
     assert code == 0
     assert out.splitlines()[0] == "n=0: 1/1 PASS"
+
+
+@pytest.mark.parametrize("pair, n", [("trees", "12"), ("compositions", "30")])
+def test_verify_paths_rank_guard_before_counting(monkeypatch, capsys, pair, n):
+    def no_counting(g, rank):
+        raise AssertionError("chains were counted past the rank guard")
+
+    monkeypatch.setattr(graphs, "chain_counts", no_counting)
+    code, out, err = run(capsys, "verify", "paths", "--pair", pair, "--n", n)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: rank ") and "exceeds the supported maximum" in err
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "x" if where == "missing-dir" else tmp_path
+    code, out, err = run(capsys, "insert", "hypoplactic", "312", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write --out {target}: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_failed_chain_conversion_is_an_invariant_breach(monkeypatch, capsys):
+    def broken_convert(chains, family):
+        return growth.chain_to_quasi_ribbon([(), (2,)]), None
+
+    monkeypatch.setattr(cli, "convert_chains", broken_convert)
+    code, out, err = run(capsys, "growth", "composition", "312")
+    assert code == 1
+    assert out == ""
+    assert err == "invariant violated: chain [(), (2,)] is not saturated in the lifted binary tree\n"
+
+
+def test_failed_insertion_validation_is_an_invariant_breach(monkeypatch, capsys):
+    # a step that appends every letter leaves P's reading word unsorted,
+    # which only the validation of the final P can notice
+    monkeypatch.setattr(ribbons, "bisect_right", lambda reading, a: len(reading))
+    code, out, err = run(capsys, "insert", "hypoplactic", "312")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("invariant violated: row ")

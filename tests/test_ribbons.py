@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_growth import random_avoid231
 
 from growthdiagrams.permutations import all_permutations, recoils_composition
 from growthdiagrams.ribbons import (
@@ -9,6 +12,7 @@ from growthdiagrams.ribbons import (
     hypoplactic_insert,
     insert_letter,
     render_tableau,
+    rows_from_reading,
     shadow_lines,
 )
 
@@ -149,3 +153,136 @@ def test_layout_and_json():
     assert t.to_json_obj() == {"shape": [2, 1, 3], "rows": [[1, 2], [3], [4, 5, 6]]}
     assert render_tableau(t) == "1 2\n  3\n  4 5 6"
     assert render_tableau(QuasiRibbonTableau(())) == "(empty)"
+
+
+# -- the scan-based step, kept as the oracle for the bisection step ----------
+
+def scan_insert_rows(rows, a):
+    """
+    Hypoplactic insertion of one letter into raw rows, found by scanning
+    the whole tableau: compare a with the last letter of the last row,
+    otherwise put a just right of the last entry <= a in reading order and
+    shift the rest of that row below it.  Returns the new rows and the
+    1-based reading position of a.
+    """
+    if any(a in row for row in rows):
+        raise ValueError(f"letter {a} already present")
+    if not rows:
+        return ((a,),), 1
+    if a > rows[-1][-1]:
+        return rows[:-1] + (rows[-1] + (a,),), sum(map(len, rows)) + 1
+    last_le = None  # (row, column, reading index) of the last entry <= a
+    idx = 0
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if v <= a:
+                last_le = (i, j, idx)
+            idx += 1
+    if last_le is None:
+        return ((a,),) + rows, 1
+    i, j, idx = last_le
+    head = rows[i][: j + 1] + (a,)
+    tail = rows[i][j + 1 :]
+    return rows[:i] + (head,) + ((tail,) if tail else ()) + rows[i + 1 :], idx + 2
+
+
+def scan_insert_letter(t, a):
+    rows, pos = scan_insert_rows(t.rows, a)
+    return QuasiRibbonTableau(rows), pos
+
+
+def scan_hypoplactic_insert(word):
+    """Fold of the scan step with the canonical relabeling of P."""
+    rows = ()
+    q_reading = []
+    for step, a in enumerate(word, 1):
+        rows, pos = scan_insert_rows(rows, a)
+        q_reading.insert(pos - 1, step)
+    rank = {v: i for i, v in enumerate(sorted(word), 1)}
+    shape = tuple(len(row) for row in rows)
+    return (
+        QuasiRibbonTableau(tuple(tuple(rank[v] for v in row) for row in rows)),
+        RibbonTableau(rows_from_reading(q_reading, shape)),
+    )
+
+
+def assert_steps_match_scan(word):
+    t = QuasiRibbonTableau(())
+    for a in word:
+        expected = scan_insert_letter(t, a)
+        t, pos = insert_letter(t, a)
+        assert (t, pos) == expected
+    assert hypoplactic_insert(word) == scan_hypoplactic_insert(word)
+
+
+def test_step_matches_scan_exhaustive():
+    for n in range(8):
+        for p in all_permutations(n):
+            assert_steps_match_scan(p)
+
+
+@pytest.mark.parametrize("kind", ["identity", "reverse", "avoid231", "random"])
+def test_insertion_matches_scan_seeded(kind):
+    n = 2000
+    rng = random.Random(f"hypoplactic-{kind}")
+    word = {
+        "identity": lambda: tuple(range(1, n + 1)),
+        "reverse": lambda: tuple(range(n, 0, -1)),
+        "avoid231": lambda: random_avoid231(n, rng),
+        "random": lambda: tuple(rng.sample(range(1, n + 1), n)),
+    }[kind]()
+    assert sorted(word) == list(range(1, n + 1))
+    assert hypoplactic_insert(word) == scan_hypoplactic_insert(word)
+
+
+def test_insertion_matches_scan_on_words_with_gaps():
+    rng = random.Random("gaps")
+    for n in (1, 2, 5, 17, 60, 400, 2000):
+        word = rng.sample(range(1, 3 * n), n)
+        assert hypoplactic_insert(word) == scan_hypoplactic_insert(word)
+        if n <= 60:
+            assert_steps_match_scan(word)
+
+
+# the messages the scan-based step with per-step validation raised
+@pytest.mark.parametrize(
+    "word, message",
+    [
+        ((1, 1), "letters must be distinct"),
+        ((2, 5, 2), "letters must be distinct"),
+        ((0,), "labels must be positive integers, got 0"),
+        ((2, 0), "labels must be positive integers, got 0"),
+        ((3, -1), "labels must be positive integers, got -1"),
+        ((1.5,), "labels must be positive integers, got 1.5"),
+        ((1, 1.5), "labels must be positive integers, got 1.5"),
+        ((2, 1.5), "labels must be positive integers, got 1.5"),
+        ((1.5, 0), "labels must be positive integers, got 1.5"),
+        (("a",), "labels must be positive integers, got 'a'"),
+        # the scan-based step raised TypeError here, comparing "a" with 1
+        ((1, "a"), "labels must be positive integers, got 'a'"),
+    ],
+)
+def test_hypoplactic_insert_letter_errors(word, message):
+    with pytest.raises(ValueError) as excinfo:
+        hypoplactic_insert(word)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "rows, a, message",
+    [
+        (((1, 3),), 3, "letter 3 already present"),
+        (((1,), (2, 4)), 4, "letter 4 already present"),
+        ((), 0, "labels must be positive integers, got 0"),
+        (((1, 3),), 0, "labels must be positive integers, got 0"),
+        (((1, 3),), 1.5, "labels must be positive integers, got 1.5"),
+        (((1, 3),), 4.5, "labels must be positive integers, got 4.5"),
+        ((), "a", "labels must be positive integers, got 'a'"),
+    ],
+)
+def test_insert_letter_errors_match_scan(rows, a, message):
+    t = QuasiRibbonTableau(rows)
+    for insert in (insert_letter, scan_insert_letter):
+        with pytest.raises(ValueError) as excinfo:
+            insert(t, a)
+        assert str(excinfo.value) == message
