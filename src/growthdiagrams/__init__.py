@@ -25,7 +25,6 @@ from .graphs import (
     export_json,
     make_graph,
     path_count_identity,
-    up_matrix,
 )
 from .growth import (
     BoundaryChains,

@@ -43,15 +43,19 @@ class OutputError(Exception):
     """The --out file cannot be written."""
 
 
+def _write_out(path: str, mode: str, text: str) -> None:
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write --out {path}: {exc.strerror or exc}") from None
+
+
 def _emit(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise OutputError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
+        _write_out(args.out, "w", text)
     else:
         sys.stdout.write(text)
 
@@ -188,8 +192,16 @@ def _verify_duality(args, lines: list[str]) -> bool:
     return False
 
 
+def _exhaustive_sizes(max_n: int) -> range:
+    if max_n > graphs.MAX_N:
+        raise graphs.RankGuardError(
+            f"--max-n {max_n} exceeds the supported maximum {graphs.MAX_N} for exhaustive checks"
+        )
+    return range(max_n + 1)
+
+
 def _verify_equivalence(args, lines: list[str]) -> bool:
-    for n in range(args.max_n + 1):
+    for n in _exhaustive_sizes(args.max_n):
         for count, p in enumerate(all_permutations(n), 1):
             direct = (
                 hypoplactic_insert(p)
@@ -205,7 +217,7 @@ def _verify_equivalence(args, lines: list[str]) -> bool:
 
 
 def _verify_shadow(args, lines: list[str]) -> bool:
-    for n in range(args.max_n + 1):
+    for n in _exhaustive_sizes(args.max_n):
         for count, p in enumerate(all_permutations(n), 1):
             if shadow_lines(p) != hypoplactic_insert(p):
                 lines.append(f"MISMATCH at permutation {p}")
@@ -299,6 +311,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            # fail before any work; appending nothing leaves an existing file as it is
+            _write_out(args.out, "a", "")
         return args.func(args)
     except (PermutationParseError, WordEncodingError, graphs.RankGuardError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,13 +1,15 @@
 """
-Generic graded-graph machinery: per-rank vertex enumeration, up/down
-operators as exact integer matrices, the duality check DU - UD = rI,
-saturated-chain counting, and deterministic DOT/JSON export.
+Generic graded-graph machinery: per-rank vertex enumeration, the duality
+check DU - UD = rI, saturated-chain counting, and deterministic DOT/JSON
+export.
 
 The four concrete graphs all share the empty object as their single
-rank-0 vertex and have unit edge weights; the operator matrices carry
-integer weights anyway so that r- and r_n-duality can be checked in the
-same way.  All arithmetic is exact (Python integers, sparse dicts); a
-verdict never depends on a tolerance.
+rank-0 vertex and have unit edge weights.  So entry (y, x) of DU - UD is
+the number of common neighbours of x and y one rank up minus the number
+one rank down, and the duality check counts these vertex by vertex
+instead of multiplying operator matrices; any r_n is checked the same
+way.  All arithmetic is exact (Python integers); a verdict never depends
+on a tolerance.
 """
 from __future__ import annotations
 
@@ -27,6 +29,10 @@ class RankGuardError(ValueError):
 
 # dense per-rank vertex lists stay small below these ranks
 MAX_RANK = {"composition": 12, "tree": 10}
+
+# exhaustive checks over all n! permutations of each size n up to this
+# bound finish within minutes; one size more takes ten times as long
+MAX_N = 9
 
 
 def vertex_label(family: str, v) -> str:
@@ -110,85 +116,6 @@ def make_graph(name: str) -> GradedGraph:
     return GradedGraph(name=name, family=family, cover_fn=cover_fn)
 
 
-# -- operator matrices -------------------------------------------------------
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """
-    Integer matrix of a rank-restricted operator.  Rows and columns are
-    vertex tuples in canonical order; entries is a sparse {(i, j): weight}
-    with absent entries zero.
-    """
-
-    rank: int
-    row_vertices: tuple
-    col_vertices: tuple
-    entries: dict
-
-    def transpose(self) -> "OperatorMatrix":
-        return OperatorMatrix(
-            rank=self.rank,
-            row_vertices=self.col_vertices,
-            col_vertices=self.row_vertices,
-            entries={(j, i): w for (i, j), w in self.entries.items()},
-        )
-
-    def to_dense(self) -> list[list[int]]:
-        dense = [[0] * len(self.col_vertices) for _ in self.row_vertices]
-        for (i, j), w in self.entries.items():
-            dense[i][j] = w
-        return dense
-
-
-def up_matrix(g: GradedGraph, n: int) -> OperatorMatrix:
-    """
-    U_n: columns are the rank-n vertices, rows the rank-(n+1) vertices,
-    entry (y, x) the weight of the up edge x -> y.
-
-    >>> up_matrix(make_graph("lifted-binary-tree"), 0).to_dense()
-    [[1]]
-    """
-    cols = g.vertices_at(n)
-    rows_index = _index_at(g.family, n + 1)
-    entries = {}
-    for j, v in enumerate(cols):
-        for u, w in g.up_covers(v):
-            entries[(rows_index[u], j)] = w
-    return OperatorMatrix(
-        rank=n,
-        row_vertices=g.vertices_at(n + 1),
-        col_vertices=cols,
-        entries=entries,
-    )
-
-
-def down_matrix(g: GradedGraph, n: int) -> OperatorMatrix:
-    """D_n maps rank n to rank n-1; it is the transpose of U_{n-1}."""
-    if n < 1:
-        raise ValueError("down_matrix is defined for n >= 1")
-    return up_matrix(g, n - 1).transpose()
-
-
-def matmul(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """Sparse exact-integer product a @ b."""
-    if a.col_vertices != b.row_vertices:
-        raise ValueError("matrix shapes do not compose")
-    by_row: dict[int, list[tuple[int, int]]] = {}
-    for (k, j), w in b.entries.items():
-        by_row.setdefault(k, []).append((j, w))
-    out: dict[tuple[int, int], int] = {}
-    for (i, k), aw in a.entries.items():
-        for j, bw in by_row.get(k, ()):
-            key = (i, j)
-            out[key] = out.get(key, 0) + aw * bw
-    return OperatorMatrix(
-        rank=b.rank,
-        row_vertices=a.row_vertices,
-        col_vertices=b.col_vertices,
-        entries={k: w for k, w in out.items() if w},
-    )
-
-
 # -- duality -----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -226,6 +153,15 @@ def check_duality(
     max_rank, with U taken from g1 (edges read upwards) and D from g2
     (edges read downwards).  Default r_n = 1 for all n.
 
+    Every edge has weight 1, so entry (y, x) of D_{n+1} U_n counts the
+    rank-(n+1) vertices z with x -> z in g1 and y -> z in g2, and entry
+    (y, x) of U_{n-1} D_n counts the rank-(n-1) vertices w with w -> x in
+    g2 and w -> y in g1.  Both are counted column by column: for each x,
+    up in g1 then down in g2 adds 1 to y, down in g2 then up in g1
+    subtracts 1, and x itself starts at -r_n.  An entry left non-zero
+    breaks the identity.  The counterexample is the first such entry in
+    canonical (row, column) order.
+
     >>> check_duality(make_graph("lifted-binary-tree"), make_graph("binword"), 4).is_dual
     True
     """
@@ -240,27 +176,39 @@ def check_duality(
             )
     verdicts = []
     counterexample = None
+    # vertices are canonical indices within their rank from here on
+    up1_below: list[list[int]] = []  # g1 up-neighbours of each rank-(n-1) vertex
+    down2: list[list[int]] = [[]]  # g2 down-neighbours of each rank-n vertex
     for n in range(max_rank + 1):
-        lhs = matmul(down_matrix(g2, n + 1), up_matrix(g1, n))
-        diff = dict(lhs.entries)
-        if n >= 1:
-            rhs = matmul(up_matrix(g1, n - 1), down_matrix(g2, n))
-            for key, w in rhs.entries.items():
-                diff[key] = diff.get(key, 0) - w
-        for i in range(len(lhs.row_vertices)):
-            diff[(i, i)] = diff.get((i, i), 0) - r_sequence[n]
-        bad = sorted(key for key, w in diff.items() if w)
+        vertices = g1.vertices_at(n)
+        index_above = _index_at(g1.family, n + 1)
+        up1 = [[index_above[z] for z in g1.cover_fn(x)] for x in vertices]
+        down2_above: list[list[int]] = [[] for _ in index_above]
+        for j, x in enumerate(vertices):
+            for z in g2.cover_fn(x):
+                down2_above[index_above[z]].append(j)
+        bad = []
+        for j in range(len(vertices)):
+            diff = {j: -r_sequence[n]}
+            for z in up1[j]:
+                for i in down2_above[z]:
+                    diff[i] = diff.get(i, 0) + 1
+            for w in down2[j]:
+                for i in up1_below[w]:
+                    diff[i] = diff.get(i, 0) - 1
+            bad.extend((i, j, d) for i, d in diff.items() if d)
         verdicts.append(not bad)
         if bad and counterexample is None:
-            i, j = bad[0]
+            i, j, d = min(bad)
             expected = r_sequence[n] if i == j else 0
             counterexample = DualityCounterexample(
                 rank=n,
-                row_label=g1.label(lhs.row_vertices[i]),
-                col_label=g1.label(lhs.col_vertices[j]),
-                got=diff[(i, j)] + expected,
+                row_label=g1.label(vertices[i]),
+                col_label=g1.label(vertices[j]),
+                got=d + expected,
                 expected=expected,
             )
+        up1_below, down2 = up1, down2_above
     return DualityReport(
         pair=f"({g1.name}, {g2.name})",
         max_rank=max_rank,

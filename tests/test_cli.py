@@ -240,3 +240,67 @@ def test_failed_insertion_validation_is_an_invariant_breach(monkeypatch, capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("invariant violated: row ")
+
+
+def _fail_if_reached(*args, **kwargs):
+    raise AssertionError("the command computed before checking its bounds")
+
+
+@pytest.mark.parametrize(
+    "argv, owner, name",
+    [
+        (["verify", "shadow", "--max-n", "7"], cli, "all_permutations"),
+        (["verify", "equivalence", "--family", "tree", "--max-n", "7"], cli, "all_permutations"),
+        (["verify", "duality", "--pair", "trees", "--max-rank", "9"], graphs, "check_duality"),
+        (["verify", "paths", "--pair", "trees", "--n", "9"], graphs, "path_count_identity"),
+        (["graph", "binword", "--max-rank", "8"], graphs, "export_graph"),
+        (["insert", "hypoplactic", "312"], cli, "parse_permutation"),
+        (["growth", "tree", "312"], cli, "parse_permutation"),
+    ],
+)
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_is_reported_before_any_work(monkeypatch, tmp_path, capsys, argv, owner, name, where):
+    monkeypatch.setattr(owner, name, _fail_if_reached)
+    target = tmp_path / "missing" / "x" if where == "missing-dir" else tmp_path
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write --out {target}: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_out_is_left_alone_when_the_command_fails(tmp_path, capsys):
+    existing = tmp_path / "existing.txt"
+    existing.write_text("earlier output\n")
+    code, _, _ = run(capsys, "insert", "hypoplactic", "1,1", "--out", str(existing))
+    assert code == 2
+    assert existing.read_text() == "earlier output\n"
+    # a file that did not exist is created by the up-front check and stays empty
+    fresh = tmp_path / "fresh.txt"
+    code, _, _ = run(capsys, "insert", "hypoplactic", "1,1", "--out", str(fresh))
+    assert code == 2
+    assert fresh.read_text() == ""
+    code, _, _ = run(capsys, "insert", "hypoplactic", "312", "--out", str(existing))
+    assert code == 0
+    assert existing.read_text() == "P (quasi-ribbon):\n1 2\n  3\nQ (ribbon):\n2 3\n  1\n"
+
+
+@pytest.mark.parametrize("mode", ["equivalence", "shadow"])
+@pytest.mark.parametrize("max_n", [graphs.MAX_N + 1, 12])
+def test_exhaustive_max_n_guard(monkeypatch, capsys, mode, max_n):
+    monkeypatch.setattr(cli, "all_permutations", _fail_if_reached)
+    code, out, err = run(capsys, "verify", mode, "--max-n", str(max_n))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: --max-n {max_n} exceeds the supported maximum {graphs.MAX_N} for exhaustive checks\n"
+    )
+
+
+@pytest.mark.parametrize("mode", ["equivalence", "shadow"])
+def test_exhaustive_max_n_guard_admits_its_bound(monkeypatch, capsys, mode):
+    # one permutation per size keeps the run short; the guard sees only --max-n
+    monkeypatch.setattr(cli, "all_permutations", lambda n: iter([tuple(range(1, n + 1))]))
+    code, out, _ = run(capsys, "verify", mode, "--max-n", str(graphs.MAX_N))
+    assert code == 0
+    assert f"n={graphs.MAX_N}: 1/1 PASS" in out

@@ -1,21 +1,24 @@
+import itertools
 import json
 import math
+from dataclasses import dataclass
 
 import pytest
 
 from growthdiagrams.graphs import (
     DUAL_PAIRS,
+    GRAPH_NAMES,
+    DualityCounterexample,
+    DualityReport,
+    GradedGraph,
     RankGuardError,
     chain_counts,
     check_duality,
-    down_matrix,
     export_dot,
     export_graph,
     export_json,
     make_graph,
-    matmul,
     path_count_identity,
-    up_matrix,
 )
 
 # edge sets of the two composition graphs up to rank 4, straight from the
@@ -68,6 +71,106 @@ def test_graph_edges_match_the_drawings():
     assert edge_set("binword", 4) == BINWORD_EDGES_4
 
 
+# -- oracle: the duality check through exact integer operator matrices -------
+
+@dataclass(frozen=True)
+class OperatorMatrix:
+    """Sparse integer matrix {(i, j): weight}; rows and columns are vertex
+    tuples in canonical order."""
+
+    row_vertices: tuple
+    col_vertices: tuple
+    entries: dict
+
+    def transpose(self):
+        return OperatorMatrix(
+            row_vertices=self.col_vertices,
+            col_vertices=self.row_vertices,
+            entries={(j, i): w for (i, j), w in self.entries.items()},
+        )
+
+    def to_dense(self):
+        dense = [[0] * len(self.col_vertices) for _ in self.row_vertices]
+        for (i, j), w in self.entries.items():
+            dense[i][j] = w
+        return dense
+
+
+def up_matrix(g, n):
+    """U_n: entry (y, x) is the weight of the up edge x -> y."""
+    cols = g.vertices_at(n)
+    rows = g.vertices_at(n + 1)
+    rows_index = {v: i for i, v in enumerate(rows)}
+    entries = {}
+    for j, v in enumerate(cols):
+        for u, w in g.up_covers(v):
+            entries[(rows_index[u], j)] = w
+    return OperatorMatrix(row_vertices=rows, col_vertices=cols, entries=entries)
+
+
+def down_matrix(g, n):
+    """D_n, the transpose of U_{n-1}."""
+    if n < 1:
+        raise ValueError("down_matrix is defined for n >= 1")
+    return up_matrix(g, n - 1).transpose()
+
+
+def matmul(a, b):
+    if a.col_vertices != b.row_vertices:
+        raise ValueError("matrix shapes do not compose")
+    by_row = {}
+    for (k, j), w in b.entries.items():
+        by_row.setdefault(k, []).append((j, w))
+    out = {}
+    for (i, k), aw in a.entries.items():
+        for j, bw in by_row.get(k, ()):
+            out[(i, j)] = out.get((i, j), 0) + aw * bw
+    return OperatorMatrix(
+        row_vertices=a.row_vertices,
+        col_vertices=b.col_vertices,
+        entries={k: w for k, w in out.items() if w},
+    )
+
+
+def oracle_check_duality(g1, g2, max_rank, r_sequence=None):
+    """D_{n+1} U_n - U_{n-1} D_n - r_n I_n, multiplied out rank by rank."""
+    if r_sequence is None:
+        r_sequence = (1,) * (max_rank + 1)
+    for n in range(max_rank + 2):
+        if g1.vertices_at(n) != g2.vertices_at(n):
+            raise ValueError(f"{g1.name} and {g2.name} do not share the rank-{n} vertex set")
+    verdicts = []
+    counterexample = None
+    for n in range(max_rank + 1):
+        lhs = matmul(down_matrix(g2, n + 1), up_matrix(g1, n))
+        diff = dict(lhs.entries)
+        if n >= 1:
+            rhs = matmul(up_matrix(g1, n - 1), down_matrix(g2, n))
+            for key, w in rhs.entries.items():
+                diff[key] = diff.get(key, 0) - w
+        for i in range(len(lhs.row_vertices)):
+            diff[(i, i)] = diff.get((i, i), 0) - r_sequence[n]
+        bad = sorted(key for key, w in diff.items() if w)
+        verdicts.append(not bad)
+        if bad and counterexample is None:
+            i, j = bad[0]
+            expected = r_sequence[n] if i == j else 0
+            counterexample = DualityCounterexample(
+                rank=n,
+                row_label=g1.label(lhs.row_vertices[i]),
+                col_label=g1.label(lhs.col_vertices[j]),
+                got=diff[(i, j)] + expected,
+                expected=expected,
+            )
+    return DualityReport(
+        pair=f"({g1.name}, {g2.name})",
+        max_rank=max_rank,
+        r_sequence=tuple(r_sequence[: max_rank + 1]),
+        rank_verdicts=tuple(verdicts),
+        counterexample=counterexample,
+    )
+
+
 def test_up_matrix_examples():
     lifted = make_graph("lifted-binary-tree")
     assert up_matrix(lifted, 0).to_dense() == [[1]]
@@ -80,26 +183,62 @@ def test_up_matrix_examples():
     # row sums count how many rank-2 vertices each rank-3 vertex covers
     in_degrees = [sum(row) for row in u2.to_dense()]
     assert in_degrees == [
-        sum(1 for c in binword.vertices_at(2) if v in {u for u, _ in binword.up_covers(c)})
+        sum(1 for c in binword.vertices_at(2) if v in binword.cover_fn(c))
         for v in binword.vertices_at(3)
     ]
+    # every graph has unit weights, and up_edges lists each column of U_n
+    for name in GRAPH_NAMES:
+        g = make_graph(name)
+        for n in range(5):
+            u = up_matrix(g, n)
+            for j, v in enumerate(g.vertices_at(n)):
+                column = [(u.row_vertices[i], w) for (i, jj), w in sorted(u.entries.items()) if jj == j]
+                assert list(g.up_edges(v)) == column
+                assert {x for x, _ in column} == g.cover_fn(v)
+                assert all(w == 1 for _, w in column)
 
 
 def test_down_matrix_is_transpose_of_up():
-    g = make_graph("binword")
-    for n in range(4):
-        assert down_matrix(g, n + 1).to_dense() == [
-            list(col)
-            for col in zip(*up_matrix(g, n).to_dense())
-        ]
+    for name in GRAPH_NAMES:
+        g = make_graph(name)
+        for n in range(4):
+            down = down_matrix(g, n + 1)
+            assert down.to_dense() == [list(col) for col in zip(*up_matrix(g, n).to_dense())]
+            # row x of D_{n+1} holds the rank-(n+1) vertices that cover x
+            for i, x in enumerate(g.vertices_at(n)):
+                above = {down.col_vertices[j] for (ii, j) in down.entries if ii == i}
+                assert above == set(g.cover_fn(x))
     with pytest.raises(ValueError):
-        down_matrix(g, 0)
+        down_matrix(make_graph("binword"), 0)
 
 
 def test_matmul_rejects_mismatched_shapes():
     lifted = make_graph("lifted-binary-tree")
     with pytest.raises(ValueError):
         matmul(up_matrix(lifted, 3), up_matrix(lifted, 1))
+
+
+def _r_sequences(max_rank):
+    one_zero = [1] * (max_rank + 1)
+    one_zero[max_rank // 2] = 0
+    return [None, (1,) * (max_rank + 1), (2,) * (max_rank + 1), tuple(one_zero)]
+
+
+@pytest.mark.parametrize(
+    "family, top_rank", [("composition", 8), ("tree", 7)]
+)
+def test_duality_matches_matrix_oracle(family, top_rank):
+    names = [name for name in GRAPH_NAMES if make_graph(name).family == family]
+    seen_failures = 0
+    for name1, name2 in itertools.product(names, repeat=2):
+        g1, g2 = make_graph(name1), make_graph(name2)
+        for max_rank in range(top_rank + 1):
+            for r_sequence in _r_sequences(max_rank):
+                report = check_duality(g1, g2, max_rank, r_sequence)
+                assert report == oracle_check_duality(g1, g2, max_rank, r_sequence)
+                seen_failures += report.counterexample is not None
+    # the comparison covers failing reports, not just passing ones
+    assert seen_failures > 0
 
 
 def test_duality_composition_pair():
@@ -145,6 +284,25 @@ def test_wrong_r_fails():
 def test_duality_rejects_mismatched_vertex_sets():
     with pytest.raises(ValueError):
         check_duality(make_graph("lifted-binary-tree"), make_graph("tree-lattice"), 2)
+
+
+def test_duality_checks_vertex_sets_before_any_work():
+    def counted(g, calls):
+        def cover_fn(v):
+            calls.append(v)
+            return g.cover_fn(v)
+        return GradedGraph(name=g.name, family=g.family, cover_fn=cover_fn)
+
+    calls = []
+    lattice, bracket = (counted(make_graph(name), calls) for name in DUAL_PAIRS["trees"])
+    with pytest.raises(RankGuardError):
+        check_duality(lattice, bracket, 10)
+    lifted = counted(make_graph("lifted-binary-tree"), calls)
+    with pytest.raises(ValueError, match="do not share the rank-0 vertex set"):
+        check_duality(lifted, lattice, 2)
+    assert calls == []
+    assert check_duality(lattice, bracket, 3).is_dual
+    assert calls
 
 
 def test_chain_counts_and_paths():
