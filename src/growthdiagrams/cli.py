@@ -10,13 +10,12 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from functools import partial
 from typing import Optional
 
 from . import graphs
 from .compositions import WordEncodingError
-from .graphs import vertex_label
 from .growth import (
     GrowthGrid,
     GrowthRuleError,
@@ -24,6 +23,7 @@ from .growth import (
     convert_chains,
     growth_insert,
 )
+from .jsontext import dumps
 from .permutations import (
     PermutationParseError,
     all_permutations,
@@ -73,7 +73,7 @@ def cmd_insert(args) -> int:
                 "P": tab_p.to_json_obj(),
                 "Q": tab_q.to_json_obj(),
             }
-            _emit(args, json.dumps(payload, indent=2))
+            _emit(args, dumps(payload))
         else:
             _emit(
                 args,
@@ -91,7 +91,7 @@ def cmd_insert(args) -> int:
             "P": labeled_tree_to_json_obj(tree_p),
             "Q": labeled_tree_to_json_obj(tree_q),
         }
-        _emit(args, json.dumps(payload, indent=2))
+        _emit(args, dumps(payload))
     else:
         q_kind = "increasing tree" if reading == "left-to-right" else "decreasing tree"
         _emit(
@@ -104,13 +104,13 @@ def cmd_insert(args) -> int:
 
 # -- growth -------------------------------------------------------------------
 
-def _render_grid(grid: GrowthGrid) -> str:
+def _render_grid(grid: GrowthGrid, labels: list[list[str]]) -> str:
     n = grid.n
     size = 2 * n + 1
     cells = [["" for _ in range(size)] for _ in range(size)]
     for i in range(n + 1):
         for j in range(n + 1):
-            cells[2 * (n - i)][2 * j] = vertex_label(grid.family, grid.vertices[i][j])
+            cells[2 * (n - i)][2 * j] = labels[i][j]
     for col, row in grid.marks:
         cells[2 * (n - row) + 1][2 * col - 1] = "x"
     widths = [max(len(r[c]) for r in cells) for c in range(size)]
@@ -136,8 +136,7 @@ def _render_pair(family: str, p, q) -> str:
 def cmd_growth(args) -> int:
     p = parse_permutation(args.permutation)
     grid = build_growth_diagram(p, args.family)
-    chains = grid.boundary_chains()
-    pair = convert_chains(chains, args.family)
+    pair = convert_chains(grid.boundary_chains(), args.family)
     matched = None
     if args.check:
         direct = (
@@ -147,17 +146,17 @@ def cmd_growth(args) -> int:
         )
         matched = pair == direct
     if args.format == "json":
-        payload = grid.to_json_obj()
+        payload = grid.to_json_obj(pair)
         if matched is not None:
             payload["check"] = "MATCH" if matched else "MISMATCH"
-        _emit(args, json.dumps(payload, indent=2))
+        _emit(args, dumps(payload))
     else:
-        label = lambda v: vertex_label(args.family, v)
+        labels = grid.render_rows(partial(graphs.vertex_labels, args.family))
         parts = [
-            _render_grid(grid),
+            _render_grid(grid, labels),
             "",
-            "top chain:   " + " -> ".join(label(v) for v in chains.top),
-            "right chain: " + " -> ".join(label(v) for v in chains.right),
+            "top chain:   " + " -> ".join(labels[grid.n]),
+            "right chain: " + " -> ".join(row[grid.n] for row in labels),
             _render_pair(args.family, *pair),
         ]
         if matched is not None:

@@ -24,14 +24,6 @@ class WordEncodingError(ValueError):
     """Raised for strings over {0,1} that encode no composition."""
 
 
-def validate_composition(c) -> Composition:
-    c = tuple(c)
-    for part in c:
-        if not isinstance(part, int) or part < 1:
-            raise ValueError(f"composition parts must be positive integers, got {part!r}")
-    return c
-
-
 @lru_cache(maxsize=None)
 def composition_to_word(c: Composition) -> BinaryWord:
     """

@@ -13,14 +13,14 @@ on a tolerance.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Optional
 
 from . import compositions as comp
 from . import trees as tr
+from .jsontext import dumps
 
 
 class RankGuardError(ValueError):
@@ -35,11 +35,26 @@ MAX_RANK = {"composition": 12, "tree": 10}
 MAX_N = 9
 
 
+def _composition_label(c) -> str:
+    return ",".join(map(str, c)) if c else "e"
+
+
 def vertex_label(family: str, v) -> str:
     """Canonical print name: comma-joined parts or tree text, "e"/"-" empty."""
     if family == "composition":
-        return ",".join(str(part) for part in v) if v else "e"
+        return _composition_label(v)
     return tr.tree_to_text(v)
+
+
+def vertex_labels(family: str, vertices) -> list[str]:
+    """
+    The :func:`vertex_label` of each vertex, rendering each distinct
+    vertex once: equal compositions share one label, and tree nodes shared
+    between vertices one text.
+    """
+    if family == "composition":
+        return list(map(cache(_composition_label), vertices))
+    return tr.trees_to_text(vertices)
 
 
 @lru_cache(maxsize=None)
@@ -285,7 +300,7 @@ def export_json(g: GradedGraph, max_rank: int) -> str:
                 "edges": edges,
             }
         )
-    return json.dumps({"name": g.name, "max_rank": max_rank, "ranks": ranks}, indent=2) + "\n"
+    return dumps({"name": g.name, "max_rank": max_rank, "ranks": ranks}) + "\n"
 
 
 def export_graph(g: GradedGraph, max_rank: int, fmt: str) -> str:

@@ -34,8 +34,8 @@ cover predicates, and a failed exit check is an internal invariant breach.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Literal
 
 from .compositions import (
@@ -46,6 +46,7 @@ from .compositions import (
     is_binword_cover,
     is_lifted_cover,
 )
+from .jsontext import dumps
 from .permutations import Permutation, permutation_matrix, validate_permutation
 from .ribbons import (
     QuasiRibbonTableau,
@@ -64,7 +65,7 @@ from .trees import (
     push_down_rightmost,
     right_spine_length,
     shape,
-    tree_to_text,
+    trees_to_text,
 )
 
 Family = Literal["composition", "tree"]
@@ -206,24 +207,38 @@ class GrowthGrid:
                 if z != self.vertices[i][j]:
                     raise ValueError(f"square ({j}, {i}) disagrees with the local rule")
 
-    def to_json_obj(self) -> dict:
-        serialize = list if self.family == "composition" else tree_to_text
-        p, q = convert_chains(self.boundary_chains(), self.family)
+    def render_rows(self, render: Callable[[list], list]) -> list[list]:
+        """Apply ``render`` to all vertices at once, bottom row first, and
+        split its results back into rows."""
+        k = self.n + 1
+        flat = render([v for row in self.vertices for v in row])
+        return [flat[i : i + k] for i in range(0, len(flat), k)]
+
+    def to_json_obj(self, pair=None) -> dict:
+        """
+        The JSON form of the grid and of its (P, Q) pair; ``pair`` is the
+        result of :func:`convert_chains` when the caller already has it.
+        Each distinct vertex is rendered once: equal compositions share
+        one list, and tree nodes shared between vertices one text.
+        """
+        p, q = convert_chains(self.boundary_chains(), self.family) if pair is None else pair
         if self.family == "composition":
+            grid = self.render_rows(lambda vertices: list(map(cache(list), vertices)))
             p_obj, q_obj = p.to_json_obj(), q.to_json_obj()
         else:
+            grid = self.render_rows(trees_to_text)
             p_obj, q_obj = labeled_tree_to_json_obj(p), labeled_tree_to_json_obj(q)
         return {
             "n": self.n,
             "family": self.family,
-            "grid": [[serialize(v) for v in row] for row in self.vertices],
+            "grid": grid,
             "marks": [list(cell) for cell in sorted(self.marks)],
             "P": p_obj,
             "Q": q_obj,
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
+        return dumps(self.to_json_obj())
 
 
 def build_growth_diagram(p: Permutation, family: Family, *, order: str = "antidiagonal") -> GrowthGrid:

@@ -14,7 +14,7 @@ the single down-edge of the reflected bracket tree.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 Tree = Optional[tuple]          # None | (Tree, Tree)
 LabeledTree = Optional[tuple]   # None | (int, Tree, Tree)
@@ -201,9 +201,38 @@ def tree_to_text(t: Tree) -> str:
     >>> tree_to_text(((None, None), None))
     '((-,-),-)'
     """
-    if t is None:
-        return "-"
-    return f"({tree_to_text(t[0])},{tree_to_text(t[1])})"
+    return trees_to_text((t,))[0]
+
+
+def trees_to_text(trees: Iterable[Tree]) -> list[str]:
+    """
+    The :func:`tree_to_text` of each tree, built bottom up without
+    recursion.  Trees built from one another share subtrees, so the text
+    of each node object is built once and reused wherever it recurs.
+
+    >>> leaf = (None, None)
+    >>> trees_to_text([None, leaf, (leaf, leaf)])
+    ['-', '(-,-)', '((-,-),(-,-))']
+    """
+    trees = list(trees)  # keeps every node alive while its id keys the memo
+    memo = {id(None): "-"}
+    for t in trees:
+        # a node is pushed only while its text is missing, and a stack is
+        # one root-to-node path, so no node is on it twice
+        stack = [] if id(t) in memo else [t]
+        while stack:
+            left, right = node = stack[-1]
+            left_text = memo.get(id(left))
+            if left_text is None:
+                stack.append(left)
+                continue
+            right_text = memo.get(id(right))
+            if right_text is None:
+                stack.append(right)
+                continue
+            stack.pop()
+            memo[id(node)] = f"({left_text},{right_text})"
+    return [memo[id(t)] for t in trees]
 
 
 def tree_from_text(s: str) -> Tree:
@@ -248,14 +277,26 @@ def labeled_tree_to_text(t: LabeledTree) -> str:
 
 
 def labeled_tree_to_json_obj(t: LabeledTree):
+    """
+    Nested {"label", "left", "right"} dicts, None for the empty tree; built
+    top down without recursion.
+
+    >>> labeled_tree_to_json_obj((2, (1, None, None), None))
+    {'label': 2, 'left': {'label': 1, 'left': None, 'right': None}, 'right': None}
+    """
     if t is None:
         return None
-    label, left, right = t
-    return {
-        "label": label,
-        "left": labeled_tree_to_json_obj(left),
-        "right": labeled_tree_to_json_obj(right),
-    }
+    root = {"label": t[0], "left": t[1], "right": t[2]}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        # obj still holds its children as tuples; replace them by dicts
+        for side in ("left", "right"):
+            node = obj[side]
+            if node is not None:
+                obj[side] = child = {"label": node[0], "left": node[1], "right": node[2]}
+                stack.append(child)
+    return root
 
 
 def labeled_tree_from_json_obj(obj) -> LabeledTree:

@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from growthdiagrams import cli, graphs, growth, ribbons
+from growthdiagrams import cli, graphs, growth, ribbons, trees
 from growthdiagrams.cli import main
 
 
@@ -304,3 +305,203 @@ def test_exhaustive_max_n_guard_admits_its_bound(monkeypatch, capsys, mode):
     code, out, _ = run(capsys, "verify", mode, "--max-n", str(graphs.MAX_N))
     assert code == 0
     assert f"n={graphs.MAX_N}: 1/1 PASS" in out
+
+
+# -- output bytes against json.dumps and the recursive renderers --------------
+
+def _oracle_tree_text(t):
+    return "-" if t is None else f"({_oracle_tree_text(t[0])},{_oracle_tree_text(t[1])})"
+
+
+def _oracle_labeled_json(t):
+    if t is None:
+        return None
+    return {"label": t[0], "left": _oracle_labeled_json(t[1]), "right": _oracle_labeled_json(t[2])}
+
+
+def _oracle_label(family, v):
+    if family == "composition":
+        return ",".join(str(part) for part in v) if v else "e"
+    return _oracle_tree_text(v)
+
+
+def _oracle_render_grid(grid):
+    """The grid renderer as it was before vertex labels were memoized."""
+    n = grid.n
+    size = 2 * n + 1
+    cells = [["" for _ in range(size)] for _ in range(size)]
+    for i in range(n + 1):
+        for j in range(n + 1):
+            cells[2 * (n - i)][2 * j] = _oracle_label(grid.family, grid.vertices[i][j])
+    for col, row in grid.marks:
+        cells[2 * (n - row) + 1][2 * col - 1] = "x"
+    widths = [max(len(r[c]) for r in cells) for c in range(size)]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in cells)
+
+
+def _assert_output(result, expected_out):
+    """Compare (code, stdout, stderr) with (0, expected_out, ""), reporting
+    the first differing character instead of a diff of megabytes of text."""
+    code, out, err = result
+    assert (code, err) == (0, "")
+    if out != expected_out:
+        i = next((k for k, (a, b) in enumerate(zip(out, expected_out)) if a != b), min(len(out), len(expected_out)))
+        pytest.fail(
+            f"stdout differs from character {i} on: {out[i : i + 60]!r} instead of {expected_out[i : i + 60]!r}"
+        )
+
+
+def _avoid231(n, rng):
+    """A random 231-avoiding permutation: 1..n pushed in order through a
+    stack and popped at random times gives a 312-avoiding sequence, whose
+    inverse avoids 231."""
+    stack, popped = [], []
+    for v in range(1, n + 1):
+        stack.append(v)
+        while stack and rng.random() < 0.5:
+            popped.append(stack.pop())
+    popped += reversed(stack)
+    inverse = [0] * n
+    for position, v in enumerate(popped, 1):
+        inverse[v - 1] = position
+    return tuple(inverse)
+
+
+def _inputs(n, seed):
+    rng = random.Random(seed)
+    shuffled = list(range(1, n + 1))
+    rng.shuffle(shuffled)
+    return {
+        "identity": tuple(range(1, n + 1)),
+        "reverse": tuple(range(n, 0, -1)),
+        "random": tuple(shuffled),
+        "avoid231": _avoid231(n, rng),
+    }
+
+
+def test_avoid231_helper_avoids_231():
+    for n in range(8):
+        for seed in range(20):
+            p = _avoid231(n, random.Random(seed))
+            assert sorted(p) == list(range(1, n + 1))
+            assert not any(
+                p[k] < p[i] < p[j] for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)
+            )
+
+
+GROWTH_INPUTS = _inputs(100, 7)
+
+
+@pytest.mark.parametrize("family", ["composition", "tree"])
+@pytest.mark.parametrize("klass", sorted(GROWTH_INPUTS))
+def test_growth_output_bytes(capsys, family, klass):
+    p = GROWTH_INPUTS[klass]
+    text = ",".join(map(str, p))
+    grid = growth.build_growth_diagram(p, family)
+    chains = grid.boundary_chains()
+    pair = growth.convert_chains(chains, family)
+    if family == "composition":
+        serialize, to_json = list, lambda tableau: tableau.to_json_obj()
+    else:
+        serialize, to_json = _oracle_tree_text, _oracle_labeled_json
+    payload = {
+        "n": grid.n,
+        "family": family,
+        "grid": [[serialize(v) for v in row] for row in grid.vertices],
+        "marks": [list(cell) for cell in sorted(grid.marks)],
+        "P": to_json(pair[0]),
+        "Q": to_json(pair[1]),
+        "check": "MATCH",
+    }
+    _assert_output(
+        run(capsys, "growth", family, text, "--check", "--format", "json"),
+        json.dumps(payload, indent=2) + "\n",
+    )
+    ascii_text = "\n".join([
+        _oracle_render_grid(grid),
+        "",
+        "top chain:   " + " -> ".join(_oracle_label(family, v) for v in chains.top),
+        "right chain: " + " -> ".join(_oracle_label(family, v) for v in chains.right),
+        cli._render_pair(family, *pair),
+        "check against direct insertion: MATCH",
+    ])
+    _assert_output(run(capsys, "growth", family, text, "--check"), ascii_text + "\n")
+
+
+INSERT_INPUTS = _inputs(2000, 11)
+
+
+@pytest.mark.parametrize(
+    "algorithm, klass",
+    [("hypoplactic", klass) for klass in sorted(INSERT_INPUTS)]
+    # deep BSTs still overflow the recursive insertion, so BST inputs are random
+    + [(algorithm, "random") for algorithm in ("bst-left", "bst-right", "sylvester")],
+)
+def test_insert_json_bytes(capsys, algorithm, klass):
+    p = INSERT_INPUTS[klass]
+    if algorithm == "hypoplactic":
+        tab_p, tab_q = ribbons.hypoplactic_insert(p)
+        objs = tab_p.to_json_obj(), tab_q.to_json_obj()
+    else:
+        reading = "left-to-right" if algorithm == "bst-left" else "right-to-left"
+        objs = tuple(map(_oracle_labeled_json, trees.bst_insert(p, reading)))
+    payload = {
+        "algorithm": "bst-right" if algorithm == "sylvester" else algorithm,
+        "permutation": list(p),
+        "P": objs[0],
+        "Q": objs[1],
+    }
+    argv = ("insert", algorithm, ",".join(map(str, p)), "--format", "json")
+    _assert_output(run(capsys, *argv), json.dumps(payload, indent=2) + "\n")
+
+
+@pytest.mark.parametrize("name", graphs.GRAPH_NAMES)
+def test_graph_json_bytes(capsys, name):
+    g = graphs.make_graph(name)
+    serialize = list if g.family == "composition" else _oracle_tree_text
+    max_rank = 6
+    ranks = [
+        {
+            "n": n,
+            "vertices": [serialize(v) for v in g.vertices_at(n)],
+            "edges": [
+                [serialize(v), serialize(u)]
+                for v in g.vertices_at(n)
+                for u, _ in (g.up_edges(v) if n < max_rank else ())
+            ],
+        }
+        for n in range(max_rank + 1)
+    ]
+    payload = {"name": name, "max_rank": max_rank, "ranks": ranks}
+    argv = ("graph", name, "--max-rank", str(max_rank), "--format", "json")
+    _assert_output(run(capsys, *argv), json.dumps(payload, indent=2) + "\n")
+
+
+def test_no_output_goes_through_json_dumps(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps reached")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    for argv in (
+        ("insert", "hypoplactic", "2413", "--format", "json"),
+        ("insert", "bst-left", "2413", "--format", "json"),
+        ("growth", "tree", "2413", "--format", "json"),
+        ("graph", "binword", "--max-rank", "3", "--format", "json"),
+    ):
+        assert run(capsys, *argv)[0] == 0
+    growth.build_growth_diagram((2, 1), "composition").to_json()
+
+
+@pytest.mark.parametrize("fmt", ["json", "ascii"])
+def test_growth_converts_the_chains_once(monkeypatch, capsys, fmt):
+    calls = []
+    real = growth.convert_chains
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "convert_chains", counted)
+    monkeypatch.setattr(growth, "convert_chains", counted)
+    assert run(capsys, "growth", "tree", "2413", "--check", "--format", fmt)[0] == 0
+    assert len(calls) == 1

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from growthdiagrams import graphs
 from growthdiagrams.graphs import (
     DUAL_PAIRS,
     GRAPH_NAMES,
@@ -19,6 +20,7 @@ from growthdiagrams.graphs import (
     export_json,
     make_graph,
     path_count_identity,
+    vertex_labels,
 )
 
 # edge sets of the two composition graphs up to rank 4, straight from the
@@ -367,3 +369,18 @@ def test_rank_guard():
     # the guard caps the duality check as well
     with pytest.raises(RankGuardError):
         check_duality(make_graph("tree-lattice"), make_graph("reflected-bracket-tree"), 10)
+
+
+def _recursive_label(family, v):
+    if family == "composition":
+        return ",".join(map(str, v)) if v else "e"
+    if v is None:
+        return "-"
+    return f"({_recursive_label(family, v[0])},{_recursive_label(family, v[1])})"
+
+
+@pytest.mark.parametrize("family", ["composition", "tree"])
+def test_vertex_labels_render_each_vertex(family):
+    vertices = [v for n in range(7) for v in graphs._vertices_at(family, n)]
+    vertices += vertices[::-1]
+    assert vertex_labels(family, vertices) == [_recursive_label(family, v) for v in vertices]

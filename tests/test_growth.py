@@ -280,6 +280,20 @@ def test_grid_json_schema():
     assert tree_obj["P"]["label"] == 2
 
 
+@pytest.mark.parametrize("family", ["composition", "tree"])
+def test_grid_json_takes_the_converted_pair(family):
+    grid = build_growth_diagram((3, 1, 4, 2), family)
+    pair = growth.convert_chains(grid.boundary_chains(), family)
+    assert grid.to_json_obj(pair) == grid.to_json_obj()
+
+
+def test_grid_json_shares_one_list_per_distinct_composition():
+    p = list(range(1, 31))
+    random.Random(5).shuffle(p)
+    cells = [v for row in build_growth_diagram(p, "composition").to_json_obj()["grid"] for v in row]
+    assert len({id(c) for c in cells}) == len({tuple(c) for c in cells}) < len(cells)
+
+
 # -- the search-based local rules, kept as an oracle for the closed forms -----
 
 def search_rule_composition(t, x, y, alpha):

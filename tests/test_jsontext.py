@@ -1,0 +1,100 @@
+import json
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from growthdiagrams.jsontext import dumps
+from growthdiagrams.trees import labeled_tree_to_json_obj, tree_to_text, trees_to_text
+
+# every code point but lone surrogates, so control characters and
+# non-ASCII text come up in both keys and values
+texts = st.text(st.characters(blacklist_categories=("Cs",)))
+scalars = st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | texts
+# flat lists exercise the one-join path; bools mixed into ints must not
+flat_lists = st.lists(st.integers()) | st.lists(texts) | st.lists(st.integers() | st.booleans())
+values = st.recursive(
+    scalars | flat_lists,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(texts, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values)
+def test_dumps_equals_json_dumps_indent_2(value):
+    assert dumps(value) == json.dumps(value, indent=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values, flat_lists)
+def test_a_list_shared_at_two_depths_is_indented_for_each(value, shared):
+    payload = [shared, [value, [shared]], {"again": shared}, shared]
+    assert dumps(payload) == json.dumps(payload, indent=2)
+
+
+def test_empty_containers_and_scalars():
+    for value in ([], {}, (), [[]], {"a": {}}, [(), [[], {}]], None, True, False, 0, -1, "", "\x00é"):
+        assert dumps(value) == json.dumps(value, indent=2)
+
+
+def test_unsupported_values_raise_type_error():
+    for value in (1.5, [1, 2.0], {"a": {1, 2}}, {1: "a"}, {"a": {None: 1}}):
+        with pytest.raises(TypeError):
+            dumps(value)
+
+
+def test_circular_reference_is_rejected():
+    loop: list = [1]
+    loop.append([loop])
+    with pytest.raises(ValueError, match="Circular reference"):
+        dumps(loop)
+
+
+DEPTH = 3000
+
+
+def _same_text(got: str, expected: str) -> None:
+    # no pytest diff: it takes minutes on texts this long
+    if got != expected:
+        i = next((k for k, (a, b) in enumerate(zip(got, expected)) if a != b), min(len(got), len(expected)))
+        pytest.fail(f"text differs from character {i} on: {got[i : i + 60]!r} instead of {expected[i : i + 60]!r}")
+
+
+def _comb(depth: int):
+    """A labeled right comb: node k holds label k and node k+1 on its right."""
+    t = None
+    for label in range(depth, 0, -1):
+        t = (label, None, t)
+    return t
+
+
+def test_deep_labeled_comb_renders_without_recursion():
+    assert DEPTH > sys.getrecursionlimit()
+    obj = labeled_tree_to_json_obj(_comb(DEPTH))
+    with pytest.raises(RecursionError):
+        json.dumps(obj, indent=2)
+    pad = lambda d: "  " * d  # noqa: E731
+    expected = (
+        "".join(
+            f'{{\n{pad(d + 1)}"label": {d + 1},\n{pad(d + 1)}"left": null,\n{pad(d + 1)}"right": '
+            for d in range(DEPTH)
+        )
+        + "null"
+        + "".join(f"\n{pad(d)}}}" for d in reversed(range(DEPTH)))
+    )
+    _same_text(dumps(obj), expected)
+
+
+def test_deep_tree_text_without_recursion():
+    left_comb = right_comb = None
+    for _ in range(DEPTH):
+        left_comb, right_comb = (left_comb, None), (None, right_comb)
+    _same_text(tree_to_text(left_comb), "(" * DEPTH + "-" + ",-)" * DEPTH)
+    _same_text(tree_to_text(right_comb), "(-," * DEPTH + "-" + ")" * DEPTH)
+    texts = trees_to_text([right_comb, right_comb[1], None])
+    for got, k in zip(texts, (DEPTH, DEPTH - 1, 0), strict=True):
+        _same_text(got, "(-," * k + "-" + ")" * k)

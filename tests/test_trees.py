@@ -28,6 +28,7 @@ from growthdiagrams.trees import (
     tree_to_bracketed_expression,
     tree_to_text,
     trees_of,
+    trees_to_text,
 )
 
 B1 = (None, None)
@@ -231,6 +232,19 @@ def test_text_round_trip():
         tree_from_text("((-,-)")
     with pytest.raises(ValueError):
         tree_from_text("-x")
+
+
+def _recursive_text(t):
+    return "-" if t is None else f"({_recursive_text(t[0])},{_recursive_text(t[1])})"
+
+
+def test_trees_to_text_matches_the_recursive_form():
+    all_trees = [t for n in range(7) for t in trees_of(n)]
+    # trees_of shares subtrees between trees; parsed copies share none
+    copies = [tree_from_text(_recursive_text(t)) for t in all_trees]
+    expected = [_recursive_text(t) for t in all_trees]
+    assert trees_to_text(all_trees + copies + all_trees) == expected * 3
+    assert [tree_to_text(t) for t in copies] == expected
 
 
 def test_labeled_text_and_json():
