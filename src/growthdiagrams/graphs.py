@@ -97,9 +97,6 @@ class GradedGraph:
     def label(self, v) -> str:
         return vertex_label(self.family, v)
 
-    def serialize(self, v):
-        return list(v) if self.family == "composition" else tr.tree_to_text(v)
-
 
 _GRAPHS = {
     "lifted-binary-tree": ("composition", comp.lifted_covers),
@@ -266,40 +263,48 @@ def path_count_identity(g1: GradedGraph, g2: GradedGraph, n: int) -> tuple[int, 
 
 # -- export ------------------------------------------------------------------
 
+def _rendered_ranks(g: GradedGraph, max_rank: int, render) -> list[tuple[list, list]]:
+    """
+    Per rank up to max_rank: ``render`` of the vertices in canonical order,
+    and the up-edges to the next rank as (v, u, weight) triples of rendered
+    vertices, in canonical order.  Each vertex is rendered once.
+    """
+    rendered = [render(g.vertices_at(n)) for n in range(max_rank + 1)]
+    ranks = []
+    for n, names in enumerate(rendered):
+        edges = []
+        if n < max_rank:
+            above = _index_at(g.family, n + 1)
+            for v, name in zip(g.vertices_at(n), names):
+                edges.extend((name, rendered[n + 1][above[u]], w) for u, w in g.up_edges(v))
+        ranks.append((names, edges))
+    return ranks
+
+
 def export_dot(g: GradedGraph, max_rank: int) -> str:
     """
     Deterministic DOT text: one rank=same cluster per level, vertices and
     edges in canonical order, edges directed upwards.
     """
     lines = [f'digraph "{g.name}" {{', "  rankdir=BT;", "  node [shape=box];"]
-    for n in range(max_rank + 1):
-        names = " ".join(f'"{g.label(v)}";' for v in g.vertices_at(n))
-        lines.append(f"  {{ rank=same; {names} }}")
-    for n in range(max_rank):
-        for v in g.vertices_at(n):
-            for u, w in g.up_edges(v):
-                attr = "" if w == 1 else f' [label="{w}"]'
-                lines.append(f'  "{g.label(v)}" -> "{g.label(u)}"{attr};')
+    ranks = _rendered_ranks(g, max_rank, lambda vs: [f'"{label}"' for label in vertex_labels(g.family, vs)])
+    for names, _ in ranks:
+        lines.append(f"  {{ rank=same; {' '.join(name + ';' for name in names)} }}")
+    for _, edges in ranks:
+        for v, u, w in edges:
+            attr = "" if w == 1 else f' [label="{w}"]'
+            lines.append(f"  {v} -> {u}{attr};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def export_json(g: GradedGraph, max_rank: int) -> str:
     """Rank-by-rank JSON: vertices plus the edges to the next rank."""
-    ranks = []
-    for n in range(max_rank + 1):
-        edges = []
-        if n < max_rank:
-            for v in g.vertices_at(n):
-                for u, _ in g.up_edges(v):
-                    edges.append([g.serialize(v), g.serialize(u)])
-        ranks.append(
-            {
-                "n": n,
-                "vertices": [g.serialize(v) for v in g.vertices_at(n)],
-                "edges": edges,
-            }
-        )
+    render = (lambda vs: [list(v) for v in vs]) if g.family == "composition" else tr.trees_to_text
+    ranks = [
+        {"n": n, "vertices": vertices, "edges": [[v, u] for v, u, _ in edges]}
+        for n, (vertices, edges) in enumerate(_rendered_ranks(g, max_rank, render))
+    ]
     return dumps({"name": g.name, "max_rank": max_rank, "ranks": ranks}) + "\n"
 
 

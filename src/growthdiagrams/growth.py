@@ -28,9 +28,41 @@ computes z from (t, x, y, alpha):
       covering both equals the number of vertices both cover, and that is
       one, since t is the only down-neighbour of x in the vertical graph.
 
-The rules are validated on entry (the given edges must be covers) and on
-exit (z must cover x and y in the right graphs); the checks are O(size)
-cover predicates, and a failed exit check is an internal invariant breach.
+The same rule runs on edge labels, which say how an edge's upper vertex
+grows from its lower one (Fomin states the local rules on edges):
+
+  * a lifted-binary-tree edge: the letter a appended to the word, 0 or 1;
+  * a Binword edge: h = 2q + b, for the letter b inserted at the first
+    position q where the longer word departs from the shorter;
+  * a reflected-bracket edge: the right-spine depth k of the new
+    rightmost node;
+  * a lattice edge: the 0-based in-order slot s of the new leaf.
+
+A degenerate edge, whose ends are equal, has no label.  In cases (b)-(d)
+the labels pass up or across unchanged, and so they do in case (f) of
+both families and case (e) of trees.  Case (e) of compositions is the
+square where h = 2(rank(t) + 1) + a; it gives letter 1 and
+h = 2(rank(t) + 2) + 1.  A marked square gives letter 0 and
+h = 2(rank(t) + 1), or letter 1 and h = 3 when t is empty, on
+compositions, and (k, s) = (spine(t), rank(t)) on trees.  So the only
+per-vertex state is the rank, plus the right-spine length for trees, and
+a square costs O(1).
+
+Where each check lives:
+
+  * ``local_rule_*`` check their input squares (the given edges must be
+    covers) and their output (z must cover x and y); ``GrowthGrid.validate``
+    replays every square through them.  They are the reference the label
+    rule is tested against.
+  * The label fill checks that each label it makes fits the vertex it
+    applies to (a letter 0 needs a non-empty word, q and k and s must
+    exist), so a broken rule raises GrowthRuleError.
+  * :func:`build_growth_diagram` builds each vertex z from the vertex y
+    below it and the label of y -> z, and checks that z covers x.
+  * :func:`growth_insert` builds no vertex: it converts the labels of the
+    two boundary chains straight into (P, Q).  The public ``chain_to_*``
+    read the labels off a vertex chain, checking that it is saturated,
+    and run the same conversions.
 """
 from __future__ import annotations
 
@@ -40,14 +72,14 @@ from typing import Callable, Literal
 
 from .compositions import (
     Composition,
-    binword_deletion_positions,
     composition_to_word,
     increment_last,
     is_binword_cover,
     is_lifted_cover,
+    word_to_composition,
 )
 from .jsontext import dumps
-from .permutations import Permutation, permutation_matrix, validate_permutation
+from .permutations import Permutation, inverse, permutation_matrix, validate_permutation
 from .ribbons import (
     QuasiRibbonTableau,
     RibbonTableau,
@@ -61,10 +93,8 @@ from .trees import (
     is_lattice_cover,
     is_reflected_bracket_cover,
     labeled_tree_to_json_obj,
-    node_count,
     push_down_rightmost,
     right_spine_length,
-    shape,
     trees_to_text,
 )
 
@@ -241,41 +271,227 @@ class GrowthGrid:
         return dumps(self.to_json_obj())
 
 
-def build_growth_diagram(p: Permutation, family: Family, *, order: str = "antidiagonal") -> GrowthGrid:
+# -- edge labels ---------------------------------------------------------------
+#
+# A label says how an edge's upper vertex grows from its lower one; None
+# marks a degenerate edge whose ends are equal.  Each rule below takes the
+# labels of t -> x and t -> y (cases (e) and (f)) or the state of t (a
+# marked square) and returns the labels of y -> z and x -> z.
+
+def _mark_labels_composition(rank: int, spine: int) -> tuple[int, int]:
+    """Case (a): the last part of t grows, or t = () becomes (1,)."""
+    return (0, 2 * rank + 2) if rank else (1, 3)
+
+
+def _join_labels_composition(a: int, h: int, rank: int) -> tuple[int, int]:
+    """Cases (e) and (f); rank is rank(t)."""
+    if h == 2 * rank + 2 + a:  # y inserted x's letter at the end, so x = y
+        return 1, 2 * rank + 5
+    return a, h
+
+
+def _labels_fit_composition(a: int, h: int, rank: int, spine: int) -> bool:
+    """Whether letter a can be appended to, and (q, b) = divmod(h, 2)
+    inserted into, a composition of this rank."""
+    return (a == 1 or a == 0 < rank) and (h == 3 if rank == 0 else 4 <= h <= 2 * rank + 3)
+
+
+def _mark_labels_tree(rank: int, spine: int) -> tuple[int, int]:
+    """Case (a): a new node below the rightmost one, in the last slot."""
+    return spine, rank
+
+
+def _join_labels_tree(k: int, s: int, rank: int) -> tuple[int, int]:
+    """Cases (e) and (f)."""
+    return k, s
+
+
+def _labels_fit_tree(k: int, s: int, rank: int, spine: int) -> bool:
+    """Whether spine depth k and in-order slot s exist in a tree of this
+    rank and right-spine length."""
+    return 0 <= k <= spine and 0 <= s <= rank
+
+
+_LABEL_RULES = {
+    "composition": (_mark_labels_composition, _join_labels_composition, _labels_fit_composition),
+    "tree": (_mark_labels_tree, _join_labels_tree, _labels_fit_tree),
+}
+
+
+def _label_rows(p: Permutation, family: Family):
+    """
+    Fill the diagram of a valid permutation on edge labels, row by row.
+    Yield, for each height i = 1..n, the column c of the mark in row i,
+    the labels of the vertical edges from row i - 1 up to row i, and those
+    of the horizontal edges within row i; entry j is the edge into column
+    j, and entry 0 is None.
+    """
+    mark, join, fits = _LABEL_RULES[family]
+    n = len(p)
+    below = [None] * (n + 1)  # horizontal labels of row i - 1
+    spines = [0] * (n + 1)  # right-spine lengths of row i - 1 (trees)
+    for i, c in enumerate(inverse(p), 1):
+        # x = t left of the mark: z = y, and horizontal labels pass up
+        row = below[:]
+        vertical = [None] * (n + 1)
+        rank = c - 1 - below[1:c].count(None)  # rank(t) = marks below and left
+        a, h = mark(rank, spines[c - 1])
+        if not fits(a, h, rank, spines[c - 1]):
+            raise GrowthRuleError(f"labels ({a!r}, {h!r}) do not fit square ({c}, {i})")
+        vertical[c], row[c] = a, h
+        # square c + 1 has the same rank(t): the mark of column c is in row i
+        for j in range(c + 1, n + 1):
+            h = below[j]
+            if h is not None:  # otherwise case (d): z = x, and a passes up
+                a, h = join(a, h, rank)
+                rank += 1  # now rank(x) = rank(y)
+                if not fits(a, h, rank, spines[j]):
+                    raise GrowthRuleError(f"labels ({a!r}, {h!r}) do not fit square ({j}, {i})")
+                row[j] = h
+            vertical[j] = a
+        if family == "tree":
+            spines[c:] = [k + 1 for k in vertical[c:]]
+        yield c, vertical, row
+        below = row
+
+
+def _grow_composition(c: Composition, a: int) -> Composition:
+    return c + (1,) if a else increment_last(c)
+
+
+_VERTEX_STEPS = {
+    "composition": (_grow_composition, is_binword_cover),
+    "tree": (insert_rightmost, is_lattice_cover),
+}
+
+
+def build_growth_diagram(p: Permutation, family: Family) -> GrowthGrid:
     """
     Fill the growth diagram of a permutation.  The boundaries are empty
-    and each square is completed by the family's local rule, with alpha=1
-    exactly at the cells of the permutation matrix.  Any topological fill
-    order gives the same grid; both the anti-diagonal sweep and a
-    row-major sweep are provided.
+    and alpha=1 exactly at the cells of the permutation matrix.  The fill
+    runs on edge labels; each vertex z is then built from the vertex y
+    below it and the label of y -> z, or is x or y itself when an edge
+    into it is degenerate, and every vertex built is checked to cover x.
     """
     p = validate_permutation(p)
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    empty, rule = _FAMILY_RULES[family]
+    empty, _ = _FAMILY_RULES[family]
+    grow, is_horizontal_cover = _VERTEX_STEPS[family]
     n = len(p)
-    grid: list[list] = [[empty] * (n + 1) for _ in range(n + 1)]
-
-    if order == "antidiagonal":
-        cells = (
-            (i, s - i) for s in range(2, 2 * n + 1) for i in range(max(1, s - n), min(n, s - 1) + 1)
-        )
-    elif order == "row-major":
-        cells = ((i, j) for i in range(1, n + 1) for j in range(1, n + 1))
-    else:
-        raise ValueError(f"unknown fill order {order!r}")
-    for i, j in cells:
-        below, row = grid[i - 1], grid[i]
-        row[j] = rule(below[j - 1], row[j - 1], below[j], 1 if p[j - 1] == i else 0)
+    row = [empty] * (n + 1)
+    rows = [tuple(row)]
+    for c, vertical, horizontal in _label_rows(p, family):
+        below, row = row, row[:]  # left of the mark, case (b) or (c): z = y
+        for j in range(c, n + 1):
+            x = row[j - 1]
+            if horizontal[j] is None:  # case (d)
+                row[j] = x
+                continue
+            z = grow(below[j], vertical[j])
+            if not is_horizontal_cover(x, z):
+                raise GrowthRuleError(f"z={z!r} does not cover x={x!r}")
+            row[j] = z
+        rows.append(tuple(row))
     return GrowthGrid(
         n=n,
         family=family,
-        vertices=tuple(tuple(row) for row in grid),
+        vertices=tuple(rows),
         marks=permutation_matrix(p),
     )
 
 
+# -- conversions from labels ---------------------------------------------------
+
+def _quasi_ribbon_from_letters(letters) -> QuasiRibbonTableau:
+    """Cell k opens a new row for letter 1 and ends the last row for 0."""
+    rows: list[list[int]] = []
+    for k, a in enumerate(letters, 1):
+        if a:
+            rows.append([k])
+        else:
+            rows[-1].append(k)
+    return QuasiRibbonTableau(tuple(map(tuple, rows)))
+
+
+def _ribbon_from_labels(labels) -> RibbonTableau:
+    """
+    Step k inserts letter b at position q of the word, h = 2q + b, and
+    puts k into the reading order: for a 0 at q - 1, the end of the run of
+    0s it joins; for a 1 in front of the cell where its run of 1s starts
+    (past the first cell), shifting that suffix down.
+    """
+    word = bytearray()  # b"0" and b"1" letters
+    reading: list[int] = []
+    for k, h in enumerate(labels, 1):
+        q, b = divmod(h, 2)
+        word.insert(q - 1, 48 + b)
+        if b:
+            start = word.rfind(b"0", 0, q - 1) + 1  # 0-based start of the run
+            reading.insert(max(start, 1) - 1, k)
+        else:
+            reading.insert(q - 1, k)
+    return RibbonTableau(rows_from_reading(reading, word_to_composition(word.decode())))
+
+
+def _labeled_tree(root: int, left: list[int], right: list[int]) -> LabeledTree:
+    """Nested (label, left, right) triples from child tables in which 0 is
+    the empty tree, built bottom up without recursion."""
+    postorder = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        if v:
+            postorder.append(v)
+            stack += (left[v], right[v])
+    nodes: list[LabeledTree] = [None] * len(left)
+    for v in reversed(postorder):
+        nodes[v] = (v, nodes[left[v]], nodes[right[v]])
+    return nodes[root]
+
+
+def _bst_from_depths(depths) -> LabeledTree:
+    """Node i becomes the rightmost node at right-spine depth depths[i-1],
+    taking the spine suffix it displaces as its left subtree."""
+    left = [0] * (len(depths) + 1)
+    right = left[:]
+    spine: list[int] = []  # node labels, root first
+    for i, k in enumerate(depths, 1):
+        if k < len(spine):
+            left[i] = spine[k]
+        if k:
+            right[spine[k - 1]] = i
+        del spine[k:]
+        spine.append(i)
+    return _labeled_tree(spine[0] if spine else 0, left, right)
+
+
+def _increasing_tree_from_slots(slots) -> LabeledTree:
+    """Node k hangs as a leaf in empty slot slots[k-1], counted in order.
+    Between two nodes adjacent in order, the slot is the right child of
+    the first when that is empty, and else the left child of the second."""
+    left = [0] * (len(slots) + 1)
+    right = left[:]
+    inorder: list[int] = []
+    for k, s in enumerate(slots, 1):
+        if s and not right[inorder[s - 1]]:
+            right[inorder[s - 1]] = k
+        elif inorder:
+            left[inorder[s]] = k
+        inorder.insert(s, k)
+    return _labeled_tree(1 if slots else 0, left, right)
+
+
+_FROM_LABELS = {
+    "composition": lambda right, top: (_quasi_ribbon_from_letters(right), _ribbon_from_labels(top)),
+    "tree": lambda right, top: (_bst_from_depths(right), _increasing_tree_from_slots(top)),
+}
+
+
 # -- chain conversions -------------------------------------------------------
+#
+# Each reads the labels of a saturated vertex chain off consecutive
+# vertices, in time linear in their size, and converts them as above.
 
 def _require(condition: bool, chain, graph_name: str):
     if not condition:
@@ -293,78 +509,75 @@ def chain_to_quasi_ribbon(chain) -> QuasiRibbonTableau:
     """
     chain = [tuple(c) for c in chain]
     _require(bool(chain) and chain[0] == (), chain, "lifted binary tree")
-    rows: list[list[int]] = []
-    for k, (prev, cur) in enumerate(zip(chain, chain[1:]), 1):
+    letters = []
+    for prev, cur in zip(chain, chain[1:]):
         if prev and cur == increment_last(prev):
-            rows[-1].append(k)
-        elif cur == prev + (1,):
-            rows.append([k])
+            letters.append(0)
         else:
-            _require(False, chain, "lifted binary tree")
-    return QuasiRibbonTableau(tuple(tuple(row) for row in rows))
+            _require(cur == prev + (1,), chain, "lifted binary tree")
+            letters.append(1)
+    return _quasi_ribbon_from_letters(letters)
 
 
 def chain_to_ribbon(chain) -> RibbonTableau:
     """
     Convert a saturated Binword chain to a ribbon tableau.  At step k the
-    words of the two compositions differ by one inserted letter; when that
-    letter is a 0 the new cell enters the reading order at the largest
-    deletable position (appended to its row, lower rows shifting right),
-    when it is a 1 the cell enters just before the smallest deletable
-    position and the displaced suffix shifts down.
+    words of the two compositions differ by one inserted letter, at the
+    first position q where the longer word departs from the shorter; when
+    that letter is a 0 the new cell enters the reading order at q - 1
+    (appended to its row, lower rows shifting right), when it is a 1 the
+    cell enters just before the smallest position where deleting a letter
+    gives the shorter word, and the displaced suffix shifts down.
 
     >>> chain_to_ribbon([(), (1,), (2,), (3,), (2, 2)]).rows
     ((1, 4), (2, 3))
     """
     chain = [tuple(c) for c in chain]
     _require(bool(chain) and chain[0] == (), chain, "Binword")
-    reading: list[int] = []
-    for k, (prev, cur) in enumerate(zip(chain, chain[1:]), 1):
-        if k == 1:
-            _require(cur == (1,), chain, "Binword")
-            reading = [1]
-            continue
-        w, w2 = composition_to_word(prev), composition_to_word(cur)
-        _require(len(w2) == len(w) + 1, chain, "Binword")
-        positions = binword_deletion_positions(w, w2)
-        _require(bool(positions), chain, "Binword")
-        letters = {w2[q - 1] for q in positions}
-        if len(letters) != 1:
-            # deletable positions always form one run of equal letters
-            raise GrowthRuleError(f"deletion positions {sorted(positions)} span different letters")
-        if letters == {"0"}:
-            reading.insert(max(positions) - 1, k)
+    labels = []
+    for prev, cur in zip(chain, chain[1:]):
+        u, v = composition_to_word(prev), composition_to_word(cur)
+        q = next((q for q, (a, b) in enumerate(zip(u, v), 1) if a != b), len(u) + 1)
+        _require(len(v) == len(u) + 1 and v[: q - 1] + v[q:] == u, chain, "Binword")
+        labels.append(2 * q + int(v[q - 1]))
+    return _ribbon_from_labels(labels)
+
+
+def _preorder_bits(t: Tree) -> bytes:
+    """1 for each node and 0 for each empty subtree, in preorder; the 0s
+    come in the in-order order of the empty slots."""
+    bits = bytearray()
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if t is None:
+            bits.append(0)
         else:
-            reading.insert(min(positions) - 2, k)
-    return RibbonTableau(rows_from_reading(reading, chain[-1]))
+            bits.append(1)
+            stack += (t[1], t[0])
+    return bytes(bits)
 
 
 def chain_to_increasing_tree(chain) -> LabeledTree:
     """
     Label a saturated chain in the lattice of binary trees by the order in
-    which the nodes appear.
+    which the nodes appear: the tree at step k hangs a leaf k in one empty
+    slot of the tree before it.
+
+    >>> chain_to_increasing_tree([None, (None, None), ((None, None), None)])
+    (1, (2, None, None), None)
     """
     chain = list(chain)
     _require(bool(chain) and chain[0] is None, chain, "lattice of binary trees")
-    labeled: LabeledTree = None
-    for k, cur in enumerate(chain[1:], 1):
-        _require(node_count(cur) == k, chain, "lattice of binary trees")
-        labeled = _add_new_node(labeled, cur, k, chain)
-    return labeled
-
-
-def _add_new_node(labeled: LabeledTree, target: Tree, k: int, chain) -> LabeledTree:
-    if labeled is None:
-        _require(target == (None, None), chain, "lattice of binary trees")
-        return (k, None, None)
-    _require(target is not None, chain, "lattice of binary trees")
-    label, left, right = labeled
-    t_left, t_right = target
-    if shape(left) != t_left:
-        _require(shape(right) == t_right, chain, "lattice of binary trees")
-        return (label, _add_new_node(left, t_left, k, chain), right)
-    _require(shape(right) != t_right, chain, "lattice of binary trees")
-    return (label, left, _add_new_node(right, t_right, k, chain))
+    slots = []
+    u = _preorder_bits(None)
+    for cur in chain[1:]:
+        t, u = u, _preorder_bits(cur)
+        # u is t with one 0 (an empty slot) replaced by 100 (a leaf)
+        m = next((m for m, (a, b) in enumerate(zip(t, u)) if a != b), len(t))
+        _require(u == t[:m] + b"\1\0\0" + t[m + 1 :], chain, "lattice of binary trees")
+        slots.append(t.count(0, 0, m))
+    return _increasing_tree_from_slots(slots)
 
 
 def chain_to_bst(chain) -> LabeledTree:
@@ -376,20 +589,11 @@ def chain_to_bst(chain) -> LabeledTree:
     """
     chain = list(chain)
     _require(bool(chain) and chain[0] is None, chain, "reflected bracket tree")
-    labeled: LabeledTree = None
-    for i, cur in enumerate(chain[1:], 1):
-        depth = right_spine_length(cur) - 1
-        labeled = _splice_new_rightmost(labeled, depth, i, chain)
-        _require(shape(labeled) == cur, chain, "reflected bracket tree")
-    return labeled
-
-
-def _splice_new_rightmost(labeled: LabeledTree, depth: int, i: int, chain) -> LabeledTree:
-    if depth == 0:
-        return (i, labeled, None)
-    _require(labeled is not None, chain, "reflected bracket tree")
-    label, left, right = labeled
-    return (label, left, _splice_new_rightmost(right, depth - 1, i, chain))
+    depths = []
+    for prev, cur in zip(chain, chain[1:]):
+        _require(is_reflected_bracket_cover(prev, cur), chain, "reflected bracket tree")
+        depths.append(right_spine_length(cur) - 1)
+    return _bst_from_depths(depths)
 
 
 def convert_chains(chains: BoundaryChains, family: Family):
@@ -403,14 +607,20 @@ def convert_chains(chains: BoundaryChains, family: Family):
 
 def growth_insert(p: Permutation, family: Family):
     """
-    Run the growth diagram of p and convert its boundary chains.  The
-    result equals the direct insertion of the family: hypoplactic
-    insertion for compositions, left-to-right binary search tree insertion
-    for trees.
+    Fill the growth diagram of p on edge labels and convert the labels of
+    its two boundary chains; no vertex is built.  The result equals the
+    direct insertion of the family: hypoplactic insertion for
+    compositions, left-to-right binary search tree insertion for trees.
 
     >>> p_tab, q_tab = growth_insert((4, 1, 5, 3, 6, 2), "composition")
     >>> p_tab.rows, q_tab.rows
     (((1, 2), (3,), (4, 5, 6)), ((2, 6), (4,), (1, 3, 5)))
     """
-    grid = build_growth_diagram(p, family)
-    return convert_chains(grid.boundary_chains(), family)
+    p = validate_permutation(p)
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    right = []  # vertical labels of column n, bottom to top
+    top = [None]  # horizontal labels of the last row filled
+    for _, vertical, top in _label_rows(p, family):
+        right.append(vertical[-1])
+    return _FROM_LABELS[family](right, top[1:])

@@ -475,6 +475,18 @@ def test_graph_json_bytes(capsys, name):
     payload = {"name": name, "max_rank": max_rank, "ranks": ranks}
     argv = ("graph", name, "--max-rank", str(max_rank), "--format", "json")
     _assert_output(run(capsys, *argv), json.dumps(payload, indent=2) + "\n")
+    # the dot text as it was before each vertex was labeled once
+    label = lambda v: _oracle_label(g.family, v)
+    lines = [f'digraph "{name}" {{', "  rankdir=BT;", "  node [shape=box];"]
+    for n in range(max_rank + 1):
+        names = " ".join(f'"{label(v)}";' for v in g.vertices_at(n))
+        lines.append(f"  {{ rank=same; {names} }}")
+    for n in range(max_rank):
+        for v in g.vertices_at(n):
+            lines += [f'  "{label(v)}" -> "{label(u)}";' for u, _ in g.up_edges(v)]
+    lines.append("}")
+    argv = ("graph", name, "--max-rank", str(max_rank), "--format", "dot")
+    _assert_output(run(capsys, *argv), "\n".join(lines) + "\n")
 
 
 def test_no_output_goes_through_json_dumps(monkeypatch, capsys):

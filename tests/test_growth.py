@@ -19,6 +19,7 @@ from growthdiagrams.growth import (
 )
 from growthdiagrams.permutations import (
     all_permutations,
+    inverse,
     restrict_prefix,
     restrict_values,
 )
@@ -134,17 +135,53 @@ def test_growth_grid_351426():
     grid.validate()
 
 
+def random_avoid231(n, rng):
+    """A random 231-avoiding permutation: 1..n pushed in order through a
+    stack and popped at random times gives a 312-avoiding sequence, whose
+    inverse avoids 231."""
+    stack, popped = [], []
+    for v in range(1, n + 1):
+        stack.append(v)
+        while stack and rng.random() < 0.5:
+            popped.append(stack.pop())
+    popped += reversed(stack)
+    return inverse(tuple(popped))
+
+
+def vertex_fill(p, family, order):
+    """The growth diagram filled square by square through the public vertex
+    rules, in anti-diagonal or row-major order."""
+    empty, rule = {"composition": ((), local_rule_composition), "tree": (None, local_rule_tree)}[family]
+    n = len(p)
+    grid = [[empty] * (n + 1) for _ in range(n + 1)]
+    if order == "antidiagonal":
+        cells = [(i, s - i) for s in range(2, 2 * n + 1) for i in range(max(1, s - n), min(n, s - 1) + 1)]
+    else:
+        cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    for i, j in cells:
+        grid[i][j] = rule(grid[i - 1][j - 1], grid[i][j - 1], grid[i - 1][j], 1 if p[j - 1] == i else 0)
+    return tuple(map(tuple, grid))
+
+
+def seeded_inputs(n, seed):
+    rng = random.Random(seed)
+    return {
+        "random": tuple(rng.sample(range(1, n + 1), n)),
+        "identity": tuple(range(1, n + 1)),
+        "reverse": tuple(range(n, 0, -1)),
+        "avoid231": random_avoid231(n, rng),
+    }
+
+
 def test_fill_orders_agree():
-    for n in range(5):
-        for p in all_permutations(n):
-            assert build_growth_diagram(p, "composition") == build_growth_diagram(
-                p, "composition", order="row-major"
-            )
-            assert build_growth_diagram(p, "tree") == build_growth_diagram(
-                p, "tree", order="row-major"
-            )
-    with pytest.raises(ValueError):
-        build_growth_diagram((1,), "composition", order="diagonal")
+    # the label fill against the vertex rules, in two fill orders
+    perms = [p for n in range(8) for p in all_permutations(n)]
+    perms += seeded_inputs(150, "fill-orders").values()
+    for family in ("composition", "tree"):
+        for p in perms:
+            vertices = build_growth_diagram(p, family).vertices
+            assert vertices == vertex_fill(p, family, "antidiagonal"), (family, p)
+            assert vertices == vertex_fill(p, family, "row-major"), (family, p)
     with pytest.raises(ValueError):
         build_growth_diagram((1,), "matrix")
 
@@ -236,6 +273,90 @@ def test_boundary_shape_laws():
                 assert right_c[k] == hypoplactic_insert(restrict_values(p, k))[0].shape
                 assert top_t[k] == shape(bst_insert(restrict_prefix(p, k))[0])
                 assert right_t[k] == shape(bst_insert(restrict_values(p, k))[0])
+
+
+def test_interior_vertices_are_insertion_shapes():
+    # vertex (i, j) is the shape of the letters <= i among the first j
+    for n in range(7):
+        for p in all_permutations(n):
+            comp_grid = build_growth_diagram(p, "composition").vertices
+            tree_grid = build_growth_diagram(p, "tree").vertices
+            for i in range(n + 1):
+                for j in range(n + 1):
+                    word = tuple(v for v in p[:j] if v <= i)
+                    assert comp_grid[i][j] == hypoplactic_insert(word)[0].shape, (p, i, j)
+                    assert tree_grid[i][j] == shape(bst_insert(word)[0]), (p, i, j)
+
+
+def preorder(t):
+    """Labels of a labeled tree in preorder, None for each empty subtree:
+    a flat encoding, compared without recursing into the tree."""
+    out, stack = [], [t]
+    while stack:
+        t = stack.pop()
+        out.append(None if t is None else t[0])
+        if t is not None:
+            stack += (t[2], t[1])
+    return out
+
+
+def flat_bst_insert(p):
+    """Left-to-right binary search tree insertion on child tables; returns
+    the preorder encodings of the insertion and recording trees."""
+    left, right, position = {}, {}, {}
+    for k, a in enumerate(p, 1):
+        position[a] = k
+        cur = p[0]
+        while cur != a:
+            side = right if a > cur else left
+            cur = side.setdefault(cur, a)
+    insertion, recording = [], []
+    stack = [p[0]] if p else [None]
+    while stack:
+        v = stack.pop()
+        insertion.append(v)
+        recording.append(None if v is None else position[v])
+        if v is not None:
+            stack += (right.get(v), left.get(v))
+    return insertion, recording
+
+
+LARGE_INPUTS = [
+    ("identity", tuple(range(1, 2001))),
+    ("reverse", tuple(range(2000, 0, -1))),
+    *((kind, p) for kind, p in seeded_inputs(1000, "large").items() if kind in ("random", "avoid231")),
+]
+
+
+@pytest.mark.parametrize("family", ["composition", "tree"])
+@pytest.mark.parametrize("kind, p", LARGE_INPUTS, ids=[kind for kind, _ in LARGE_INPUTS])
+def test_growth_insert_large_n(family, kind, p):
+    result = growth_insert(p, family)
+    if family == "composition":
+        assert result == hypoplactic_insert(p)
+    else:
+        assert list(map(preorder, result)) == list(flat_bst_insert(p))
+
+
+def test_flat_bst_insert_matches_bst_insert():
+    for n in range(7):
+        for p in all_permutations(n):
+            assert flat_bst_insert(p) == tuple(map(preorder, bst_insert(p)))
+
+
+def test_chain_conversions_of_deep_combs():
+    # right combs grow at the end of the right spine and in the last slot,
+    # left combs at the root and in the first slot
+    n = 1000
+    right_combs, left_combs = [None], [None]
+    for k in range(n):
+        right_combs.append(insert_rightmost(right_combs[-1], k))
+        left_combs.append(insert_rightmost(left_combs[-1], 0))
+    identity, reverse = flat_bst_insert(tuple(range(1, n + 1))), flat_bst_insert(tuple(range(n, 0, -1)))
+    assert preorder(chain_to_bst(right_combs)) == identity[0]
+    assert preorder(chain_to_increasing_tree(right_combs)) == identity[1]
+    assert preorder(chain_to_bst(left_combs)) == reverse[0]
+    assert preorder(chain_to_increasing_tree(left_combs)) == reverse[1]
 
 
 def test_injectivity():
@@ -343,17 +464,6 @@ def assert_squares_match_search(p, family):
             assert v[i][j] == rule(v[i - 1][j - 1], v[i][j - 1], v[i - 1][j], alpha), (p, i, j)
 
 
-def random_avoid231(n, rng):
-    """A random 231-avoiding permutation: n splits it into smaller values
-    before and larger values after, each part again 231-avoiding."""
-    if n == 0:
-        return ()
-    k = rng.randrange(n)
-    before = random_avoid231(k, rng)
-    after = random_avoid231(n - 1 - k, rng)
-    return before + (n,) + tuple(k + a for a in after)
-
-
 @pytest.mark.parametrize("family", ["composition", "tree"])
 def test_closed_form_matches_search_exhaustive(family):
     for n in range(8):
@@ -365,13 +475,7 @@ def test_closed_form_matches_search_exhaustive(family):
 @pytest.mark.parametrize("kind", ["random", "identity", "reverse", "avoid231"])
 def test_closed_form_matches_search_seeded(family, kind):
     n = 60
-    rng = random.Random(f"{family}-{kind}")
-    p = {
-        "random": lambda: tuple(rng.sample(range(1, n + 1), n)),
-        "identity": lambda: tuple(range(1, n + 1)),
-        "reverse": lambda: tuple(range(n, 0, -1)),
-        "avoid231": lambda: random_avoid231(n, rng),
-    }[kind]()
+    p = seeded_inputs(n, f"{family}-{kind}")[kind]
     assert sorted(p) == list(range(1, n + 1))
     assert_squares_match_search(p, family)
 
@@ -407,3 +511,50 @@ def test_exit_check_catches_a_wrong_tree_join(monkeypatch):
     monkeypatch.setattr(growth, "_join_tree", lambda t, x, y: insert_rightmost(y, 0))
     with pytest.raises(GrowthRuleError):
         local_rule_tree(t, x, y, 0)
+
+
+def test_a_wrong_composition_label_rule_is_caught(monkeypatch):
+    p = (4, 1, 5, 3, 6, 2)
+    assert build_growth_diagram(p, "composition").vertices == GRID_415362
+    # case (f) appends the other letter: z still covers y in the lifted
+    # binary tree, but no longer covers x in Binword
+    mark, join, fits = growth._LABEL_RULES["composition"]
+
+    def wrong_join(a, h, rank):
+        labels = join(a, h, rank)
+        return labels if labels != (a, h) else (1 - a, h)
+
+    monkeypatch.setitem(growth._LABEL_RULES, "composition", (mark, wrong_join, fits))
+    with pytest.raises(GrowthRuleError):
+        build_growth_diagram(p, "composition")
+    # a marked square appending a 0 to the empty word: growth_insert builds
+    # no vertex, and the label fill rejects the label
+    wrong_mark = lambda rank, spine: (0, 2 * rank + 2)
+    monkeypatch.setitem(growth._LABEL_RULES, "composition", (wrong_mark, join, fits))
+    with pytest.raises(GrowthRuleError):
+        growth_insert(p, "composition")
+    # case (f) inserting a letter past the end of x's word
+    wrong_join = lambda a, h, rank: (a, 2 * rank + 6)
+    monkeypatch.setitem(growth._LABEL_RULES, "composition", (mark, wrong_join, fits))
+    with pytest.raises(GrowthRuleError):
+        growth_insert(p, "composition")
+
+
+def test_a_wrong_tree_label_rule_is_caught(monkeypatch):
+    p = (3, 5, 1, 4, 2, 6)
+    assert build_growth_diagram(p, "tree").vertices == GRID_351426
+    # cases (e) and (f) insert at the root instead: z still covers y in the
+    # reflected bracket tree, but no longer covers x in the lattice
+    mark, join, fits = growth._LABEL_RULES["tree"]
+    monkeypatch.setitem(growth._LABEL_RULES, "tree", (mark, lambda k, s, rank: (0, s), fits))
+    with pytest.raises(GrowthRuleError):
+        build_growth_diagram(p, "tree")
+    # a marked square one level below the right spine
+    wrong_mark = lambda rank, spine: (spine + 1, rank)
+    monkeypatch.setitem(growth._LABEL_RULES, "tree", (wrong_mark, join, fits))
+    with pytest.raises(GrowthRuleError):
+        growth_insert(p, "tree")
+    # cases (e) and (f) hanging a leaf past the last slot of x
+    monkeypatch.setitem(growth._LABEL_RULES, "tree", (mark, lambda k, s, rank: (k, rank + 2), fits))
+    with pytest.raises(GrowthRuleError):
+        growth_insert(p, "tree")
