@@ -3,70 +3,63 @@ Insertion correspondences and growth diagrams on two dual graded graph
 pairs: compositions (lifted binary tree / Binword) carrying the
 hypoplactic insertion, and binary trees (lattice of binary trees /
 reflected bracket tree) carrying binary search tree insertion.
-"""
 
-from .compositions import (
-    binword_covers,
-    binword_deletion_positions,
-    composition_to_word,
-    compositions_of,
-    is_binword_cover,
-    is_lifted_cover,
-    lifted_covers,
-    word_to_composition,
-)
-from .graphs import (
-    DUAL_PAIRS,
-    GRAPH_NAMES,
-    DualityReport,
-    GradedGraph,
-    check_duality,
-    export_dot,
-    export_json,
-    make_graph,
-    path_count_identity,
-)
-from .growth import (
-    BoundaryChains,
-    GrowthGrid,
-    GrowthRuleError,
-    build_growth_diagram,
-    chain_to_bst,
-    chain_to_increasing_tree,
-    chain_to_quasi_ribbon,
-    chain_to_ribbon,
-    growth_insert,
-    local_rule_composition,
-    local_rule_tree,
-)
-from .permutations import (
-    Permutation,
-    PermutationParseError,
-    all_permutations,
-    descent_composition,
-    inverse,
-    parse_permutation,
-    permutation_matrix,
-    recoils_composition,
-    restrict_prefix,
-    restrict_values,
-)
-from .ribbons import (
-    QuasiRibbonTableau,
-    RibbonTableau,
-    hypoplactic_insert,
-    insert_letter,
-    shadow_lines,
-)
-from .trees import (
-    bst_insert,
-    delete_rightmost,
-    is_lattice_cover,
-    is_reflected_bracket_cover,
-    lattice_covers,
-    reflected_bracket_covers,
-    tree_to_bracketed_expression,
-    trees_of,
-)
+Importing the package loads none of its modules: each name below, and
+each submodule, is imported on first access (PEP 562), so a command
+line tool pays only for the modules it runs.
+"""
+# each submodule and the public names it defines
+_MODULE_EXPORTS = {
+    "compositions": (
+        "binword_covers", "composition_to_word", "compositions_of", "is_binword_cover",
+        "is_lifted_cover", "lifted_covers", "word_to_composition",
+    ),
+    "graphs": (
+        "DUAL_PAIRS", "GRAPH_NAMES", "DualityReport", "GradedGraph", "GrowthRuleError",
+        "check_duality", "export_dot", "export_json", "make_graph", "path_count_identity",
+    ),
+    "growth": (
+        "BoundaryChains", "GrowthGrid", "build_growth_diagram", "chain_to_bst",
+        "chain_to_increasing_tree", "chain_to_quasi_ribbon", "chain_to_ribbon",
+        "growth_insert", "local_rule_composition", "local_rule_tree",
+    ),
+    "permutations": (
+        "Permutation", "PermutationParseError", "all_permutations", "descent_composition",
+        "inverse", "parse_permutation", "permutation_matrix", "recoils_composition",
+        "restrict_prefix", "restrict_values",
+    ),
+    "ribbons": (
+        "QuasiRibbonTableau", "RibbonTableau", "hypoplactic_insert", "insert_letter",
+        "shadow_lines",
+    ),
+    "trees": (
+        "bst_insert", "delete_rightmost", "is_lattice_cover", "is_reflected_bracket_cover",
+        "lattice_covers", "reflected_bracket_covers", "tree_to_bracketed_expression",
+        "trees_of",
+    ),
+}
+_EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}
+
+_MODULES = frozenset(("jsontext", *_MODULE_EXPORTS))
+
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def _submodule(name: str):
+    # the import statement's own path, unlike importlib.import_module,
+    # is the one that -X importtime reports
+    __import__(f"{__name__}.{name}")
+    return globals()[name]
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return _submodule(name)
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(_submodule(module), name)
+    return value

@@ -6,23 +6,21 @@ suites from the shell.
 Exit codes: 0 success, 1 verification failure, mismatch or a broken
 internal invariant, 2 usage, parse and output errors.  Identical
 invocations produce byte-identical output.
+
+Each process runs one command, so start-up is part of every command's
+cost.  The growth module is imported only by the two commands that run
+it, ``growth`` and ``verify equivalence``; every other module is imported
+here.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 from functools import partial
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import graphs
 from .compositions import WordEncodingError
-from .growth import (
-    GrowthGrid,
-    GrowthRuleError,
-    build_growth_diagram,
-    convert_chains,
-    growth_insert,
-)
 from .jsontext import dumps
 from .permutations import (
     PermutationParseError,
@@ -35,6 +33,9 @@ from .trees import (
     labeled_tree_to_json_obj,
     labeled_tree_to_text,
 )
+
+if TYPE_CHECKING:
+    from .growth import GrowthGrid
 
 _ALGORITHMS = ("hypoplactic", "bst-left", "bst-right", "sylvester")
 
@@ -134,9 +135,11 @@ def _render_pair(family: str, p, q) -> str:
 
 
 def cmd_growth(args) -> int:
+    from . import growth
+
     p = parse_permutation(args.permutation)
-    grid = build_growth_diagram(p, args.family)
-    pair = convert_chains(grid.boundary_chains(), args.family)
+    grid = growth.build_growth_diagram(p, args.family)
+    pair = growth.convert_chains(grid.boundary_chains(), args.family)
     matched = None
     if args.check:
         direct = (
@@ -199,31 +202,42 @@ def _exhaustive_sizes(max_n: int) -> range:
     return range(max_n + 1)
 
 
-def _verify_equivalence(args, lines: list[str]) -> bool:
+def _verify_routes(args, lines: list[str], first, second, where: str, claim: str) -> bool:
+    """
+    Compare two routes to the same (P, Q) pair on every permutation of
+    each size up to --max-n, guarded before any enumeration.  ``where``
+    ends a mismatch line and ``claim`` states what the check showed.
+    """
     for n in _exhaustive_sizes(args.max_n):
         for count, p in enumerate(all_permutations(n), 1):
-            direct = (
-                hypoplactic_insert(p)
-                if args.family == "composition"
-                else bst_insert(p, "left-to-right")
-            )
-            if growth_insert(p, args.family) != direct:
-                lines.append(f"MISMATCH at permutation {p} (family {args.family})")
+            if first(p) != second(p):
+                lines.append(f"MISMATCH at permutation {p}{where}")
                 return False
         lines.append(f"n={n}: {count}/{count} PASS")
-    lines.append(f"growth diagrams match direct {args.family} insertion for all n <= {args.max_n}")
+    lines.append(f"{claim} for all n <= {args.max_n}")
     return True
+
+
+def _verify_equivalence(args, lines: list[str]) -> bool:
+    from . import growth
+
+    family = args.family
+    direct = (
+        hypoplactic_insert
+        if family == "composition"
+        else partial(bst_insert, reading="left-to-right")
+    )
+    return _verify_routes(
+        args, lines, direct, partial(growth.growth_insert, family=family),
+        f" (family {family})", f"growth diagrams match direct {family} insertion",
+    )
 
 
 def _verify_shadow(args, lines: list[str]) -> bool:
-    for n in _exhaustive_sizes(args.max_n):
-        for count, p in enumerate(all_permutations(n), 1):
-            if shadow_lines(p) != hypoplactic_insert(p):
-                lines.append(f"MISMATCH at permutation {p}")
-                return False
-        lines.append(f"n={n}: {count}/{count} PASS")
-    lines.append(f"shadow lines match hypoplactic insertion for all n <= {args.max_n}")
-    return True
+    return _verify_routes(
+        args, lines, shadow_lines, hypoplactic_insert,
+        "", "shadow lines match hypoplactic insertion",
+    )
 
 
 def _verify_paths(args, lines: list[str]) -> bool:
@@ -317,7 +331,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (PermutationParseError, WordEncodingError, graphs.RankGuardError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GrowthRuleError, ValueError) as exc:
+    except (graphs.GrowthRuleError, ValueError) as exc:
         # every input error above is raised as its own type; any other
         # ValueError comes from a library check on a computed result
         print(f"invariant violated: {exc}", file=sys.stderr)

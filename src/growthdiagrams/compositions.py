@@ -169,17 +169,3 @@ def is_binword_cover(c: Composition, d: Composition) -> bool:
     # the lowest bit where v and u differ lies above the departure point
     return departed <= prefix & u and mismatch & -mismatch > departed
 
-
-def binword_deletion_positions(u: BinaryWord, v: BinaryWord) -> frozenset[int]:
-    """
-    All 1-based positions q >= 2 such that deleting letter q from v gives
-    u.  Empty when (u, v) is not a Binword cover.
-
-    >>> sorted(binword_deletion_positions("10100", "101100"))
-    [3, 4]
-    >>> sorted(binword_deletion_positions("1010", "10100"))
-    [4, 5]
-    """
-    if len(v) != len(u) + 1:
-        raise ValueError(f"lengths differ by {len(v) - len(u)}, expected 1")
-    return frozenset(q for q in range(2, len(v) + 1) if v[: q - 1] + v[q:] == u)

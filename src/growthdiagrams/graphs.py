@@ -14,9 +14,8 @@ on a tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import compositions as comp
 from . import trees as tr
@@ -25,6 +24,14 @@ from .jsontext import dumps
 
 class RankGuardError(ValueError):
     """Raised when an enumeration would exceed the supported rank."""
+
+
+class GrowthRuleError(RuntimeError):
+    """An internal invariant of the growth rules failed.
+
+    This cannot happen while the two graph pairs are dual; it is the
+    channel through which a falsified duality would surface at runtime.
+    """
 
 
 # dense per-rank vertex lists stay small below these ranks
@@ -71,8 +78,7 @@ def _index_at(family: str, n: int) -> dict:
     return {v: i for i, v in enumerate(_vertices_at(family, n))}
 
 
-@dataclass(frozen=True)
-class GradedGraph:
+class GradedGraph(NamedTuple):
     """A graded graph given by its name, vertex family and cover map."""
 
     name: str
@@ -130,8 +136,7 @@ def make_graph(name: str) -> GradedGraph:
 
 # -- duality -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DualityCounterexample:
+class DualityCounterexample(NamedTuple):
     rank: int
     row_label: str
     col_label: str
@@ -139,8 +144,7 @@ class DualityCounterexample:
     expected: int
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     """Outcome of the commutation check D_{n+1} U_n - U_{n-1} D_n = r_n I_n."""
 
     pair: str

@@ -66,9 +66,8 @@ Where each check lives:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Literal
+from typing import Callable, Literal, NamedTuple
 
 from .compositions import (
     Composition,
@@ -78,6 +77,7 @@ from .compositions import (
     is_lifted_cover,
     word_to_composition,
 )
+from .graphs import GrowthRuleError
 from .jsontext import dumps
 from .permutations import Permutation, inverse, permutation_matrix, validate_permutation
 from .ribbons import (
@@ -100,14 +100,6 @@ from .trees import (
 
 Family = Literal["composition", "tree"]
 FAMILIES = ("composition", "tree")
-
-
-class GrowthRuleError(RuntimeError):
-    """An internal invariant of the growth rules failed.
-
-    This cannot happen while the two graph pairs are dual; it is the
-    channel through which a falsified duality would surface at runtime.
-    """
 
 
 def _check_square_input(t, x, y, alpha, is_vertical_cover, is_horizontal_cover):
@@ -191,16 +183,14 @@ _FAMILY_RULES: dict[str, tuple[object, Callable]] = {
 }
 
 
-@dataclass(frozen=True)
-class BoundaryChains:
+class BoundaryChains(NamedTuple):
     """Saturated boundary chains of a growth diagram, sharing the corner."""
 
     top: tuple    # left to right, in Binword / the tree lattice
     right: tuple  # bottom to top, in the lifted binary tree / reflected bracket tree
 
 
-@dataclass(frozen=True)
-class GrowthGrid:
+class GrowthGrid(NamedTuple):
     """
     The (n+1) x (n+1) array of graph vertices over a permutation matrix.
     vertices[i][j] is the corner at height i (0 = bottom) and offset j

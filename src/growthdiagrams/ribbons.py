@@ -21,7 +21,6 @@ number at the reading position a took.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Sequence
 
 from .permutations import Permutation, inverse, validate_permutation
@@ -29,18 +28,42 @@ from .permutations import Permutation, inverse, validate_permutation
 Composition = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class RibbonShapedTableau:
-    """Common layout and checks; use the two concrete subclasses."""
+    """
+    Common layout and checks; use the two concrete subclasses.  A tableau
+    is an immutable value: its rows are stored as tuples and validated on
+    construction, and two tableaux are equal when they are of the same
+    kind and have the same rows.
+    """
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
     #: True when the overlap column must increase downwards (quasi-ribbon).
     increases_down_columns = True
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
+    def __init__(self, rows: Sequence[Sequence[int]]):
+        object.__setattr__(self, "rows", tuple(tuple(row) for row in rows))
         self.validate()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.rows)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(rows={self.rows!r})"
+
+    def __reduce__(self):
+        return type(self), (self.rows,)
 
     @property
     def shape(self) -> Composition:
@@ -89,10 +112,12 @@ class RibbonShapedTableau:
 
 
 class QuasiRibbonTableau(RibbonShapedTableau):
+    __slots__ = ()
     increases_down_columns = True
 
 
 class RibbonTableau(RibbonShapedTableau):
+    __slots__ = ()
     increases_down_columns = False
 
 

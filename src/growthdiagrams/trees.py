@@ -309,14 +309,6 @@ def labeled_tree_from_json_obj(obj) -> LabeledTree:
     )
 
 
-def shape(t: LabeledTree) -> Tree:
-    """Forget the labels."""
-    if t is None:
-        return None
-    _, left, right = t
-    return (shape(left), shape(right))
-
-
 # -- insertion -------------------------------------------------------------
 
 def bst_insert(word: Sequence[int], reading: str = "left-to-right") -> tuple[LabeledTree, LabeledTree]:

@@ -226,7 +226,7 @@ def test_failed_chain_conversion_is_an_invariant_breach(monkeypatch, capsys):
     def broken_convert(chains, family):
         return growth.chain_to_quasi_ribbon([(), (2,)]), None
 
-    monkeypatch.setattr(cli, "convert_chains", broken_convert)
+    monkeypatch.setattr(growth, "convert_chains", broken_convert)
     code, out, err = run(capsys, "growth", "composition", "312")
     assert code == 1
     assert out == ""
@@ -305,6 +305,23 @@ def test_exhaustive_max_n_guard_admits_its_bound(monkeypatch, capsys, mode):
     code, out, _ = run(capsys, "verify", mode, "--max-n", str(graphs.MAX_N))
     assert code == 0
     assert f"n={graphs.MAX_N}: 1/1 PASS" in out
+
+
+@pytest.mark.parametrize(
+    "argv, owner, name, where",
+    [
+        (("verify", "shadow"), cli, "shadow_lines", ""),
+        (("verify", "equivalence", "--family", "tree"), growth, "growth_insert", " (family tree)"),
+    ],
+    ids=["shadow", "equivalence"],
+)
+def test_exhaustive_mismatch_is_reported(monkeypatch, capsys, argv, owner, name, where):
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda p, *args, **kwargs: None if p == (2, 1) else real(p, *args, **kwargs))
+    code, out, err = run(capsys, *argv, "--max-n", "3")
+    assert code == 1
+    assert out == f"n=0: 1/1 PASS\nn=1: 1/1 PASS\nMISMATCH at permutation (2, 1){where}\n"
+    assert err == ""
 
 
 # -- output bytes against json.dumps and the recursive renderers --------------
@@ -513,7 +530,6 @@ def test_growth_converts_the_chains_once(monkeypatch, capsys, fmt):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(cli, "convert_chains", counted)
     monkeypatch.setattr(growth, "convert_chains", counted)
     assert run(capsys, "growth", "tree", "2413", "--check", "--format", fmt)[0] == 0
     assert len(calls) == 1

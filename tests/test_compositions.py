@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from growthdiagrams.compositions import (
     WordEncodingError,
     binword_covers,
-    binword_deletion_positions,
     composition_to_word,
     compositions_of,
     increment_last,
@@ -24,6 +23,17 @@ def all_words(length):
     if length == 0:
         return [""]
     return ["1" + "".join(bits) for bits in itertools.product("01", repeat=length - 1)]
+
+
+def binword_deletion_positions(u, v):
+    """
+    Oracle for Binword covers at word level: all 1-based positions q >= 2
+    such that deleting letter q from v gives u.  Empty when (u, v) is not
+    a Binword cover.
+    """
+    if len(v) != len(u) + 1:
+        raise ValueError(f"lengths differ by {len(v) - len(u)}, expected 1")
+    return frozenset(q for q in range(2, len(v) + 1) if v[: q - 1] + v[q:] == u)
 
 
 def test_word_examples():

@@ -32,8 +32,8 @@ from growthdiagrams.trees import (
     lattice_covers,
     push_down_rightmost,
     reflected_bracket_covers,
-    shape,
 )
+from test_trees import shape
 
 B1 = (None, None)
 L2 = (B1, None)

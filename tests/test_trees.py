@@ -23,7 +23,6 @@ from growthdiagrams.trees import (
     push_down_rightmost,
     reflected_bracket_covers,
     right_spine_length,
-    shape,
     tree_from_text,
     tree_to_bracketed_expression,
     tree_to_text,
@@ -38,6 +37,14 @@ R2 = (None, B1)
 perms = st.integers(0, 8).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
 )
+
+
+def shape(t):
+    """Oracle: the unlabeled tree of a labeled tree."""
+    if t is None:
+        return None
+    _, left, right = t
+    return (shape(left), shape(right))
 
 
 def catalan(n):
