@@ -3,18 +3,43 @@ Generic graded-graph machinery: per-rank vertex enumeration, the duality
 check DU - UD = rI, saturated-chain counting, and deterministic DOT/JSON
 export.
 
-The four concrete graphs all share the empty object as their single
-rank-0 vertex and have unit edge weights.  So entry (y, x) of DU - UD is
-the number of common neighbours of x and y one rank up minus the number
-one rank down, and the duality check counts these vertex by vertex
-instead of multiplying operator matrices; any r_n is checked the same
-way.  All arithmetic is exact (Python integers); a verdict never depends
-on a tolerance.
+Each of the four graphs is given by per-rank up-tables on canonical
+indices: ``up_table(n)[i]`` is the sorted tuple of the indices, within
+rank n+1, of the vertices that cover vertex i of rank n, where a vertex's
+index is its position in ``vertices_at(n)``.  A table is built once per
+rank with integer arithmetic alone, from the two index encodings:
+
+* compositions: a composition of n >= 1 has index word - 2^(n-1), its
+  {0,1}-word read as a binary number (the order of ``compositions_of``).
+  Appending a letter (the lifted binary tree) maps index i to 2i and
+  2i+1; Binword inserts one bit anywhere but in front.
+* trees: ``trees_of`` lists the trees (L, R) of rank n by left size k
+  descending, then L, then R, so (L, R) has index
+  base(n, k) + index(L) * Cat(n-1-k) + index(R), with base(n, k) the
+  number of rank-n trees whose left subtree is larger than k.  The
+  lattice row of (L, R) follows from the rows of L and R; the reflected
+  bracket row is the index of (t, None), which equals that of t, followed
+  by (L, each cover of R).
+
+The duality check, the chain counts and the export read these tables
+only; no vertex is hashed or compared on those paths.  The value-level
+cover functions (``lifted_covers`` and the others) stay in their modules
+as an independent coding of the same graphs.
+
+The four graphs all share the empty object as their single rank-0 vertex
+and have unit edge weights.  So entry (y, x) of DU - UD is the number of
+common neighbours of x and y one rank up minus the number one rank down,
+and the duality check counts these vertex by vertex instead of
+multiplying operator matrices; any r_n is checked the same way.  All
+arithmetic is exact (Python integers); a verdict never depends on a
+tolerance.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import cache, lru_cache
+from operator import mul
 from typing import Callable, NamedTuple, Optional
 
 from . import compositions as comp
@@ -42,6 +67,13 @@ MAX_RANK = {"composition": 12, "tree": 10}
 MAX_N = 9
 
 
+def _check_rank(family: str, n: int) -> None:
+    if n > MAX_RANK[family]:
+        raise RankGuardError(
+            f"rank {n} exceeds the supported maximum {MAX_RANK[family]} for {family} graphs"
+        )
+
+
 def _composition_label(c) -> str:
     return ",".join(map(str, c)) if c else "e"
 
@@ -66,49 +98,159 @@ def vertex_labels(family: str, vertices) -> list[str]:
 
 @lru_cache(maxsize=None)
 def _vertices_at(family: str, n: int) -> tuple:
-    if n > MAX_RANK[family]:
-        raise RankGuardError(
-            f"rank {n} exceeds the supported maximum {MAX_RANK[family]} for {family} graphs"
-        )
+    _check_rank(family, n)
     return comp.compositions_of(n) if family == "composition" else tr.trees_of(n)
 
 
-@lru_cache(maxsize=None)
-def _index_at(family: str, n: int) -> dict:
-    return {v: i for i, v in enumerate(_vertices_at(family, n))}
+# -- canonical indices and up-tables ------------------------------------------
+
+@cache
+def _catalan(n: int) -> int:
+    return math.comb(2 * n, n) // (n + 1)
+
+
+@cache
+def _tree_bases(n: int) -> tuple[int, ...]:
+    """base(n, k) for k = 0..n-1: the rank-n trees with left size above k."""
+    bases = [0] * n
+    for k in range(n - 2, -1, -1):
+        bases[k] = bases[k + 1] + _catalan(k + 1) * _catalan(n - 2 - k)
+    return tuple(bases)
+
+
+def _vertex_index(family: str, v) -> tuple[int, int]:
+    """The rank of a vertex and its canonical index within that rank."""
+    if family == "composition":
+        n = sum(v)
+        _check_rank(family, n)
+        word = 0
+        for part in v:
+            word = (word << part) | (1 << (part - 1))
+        return n, word - (1 << (n - 1)) if n else 0
+    # post-order walk without recursion; a node's (rank, index) is ready
+    # once both children's are
+    known = {id(None): (0, 0)}
+    stack = [] if v is None else [v]
+    while stack:
+        left, right = node = stack[-1]
+        below = known.get(id(left)), known.get(id(right))
+        if below[0] is None:
+            stack.append(left)
+        elif below[1] is None:
+            stack.append(right)
+        else:
+            stack.pop()
+            (k, i_left), (m, i_right) = below
+            n = k + m + 1
+            _check_rank(family, n)
+            known[id(node)] = (n, _tree_bases(n)[k] + i_left * _catalan(m) + i_right)
+    return known[id(v)]
+
+
+@cache
+def _lifted_table(n: int) -> tuple:
+    """Lifted binary tree: append a letter, so index i is covered by 2i and 2i+1."""
+    _check_rank("composition", n + 1)
+    if n == 0:
+        return ((0,),)
+    return tuple((2 * i, 2 * i + 1) for i in range(1 << (n - 1)))
+
+
+@cache
+def _binword_table(n: int) -> tuple:
+    """Binword: insert one letter into the word anywhere but in front."""
+    _check_rank("composition", n + 1)
+    if n == 0:
+        return ((0,),)
+    top = 1 << n
+    rows = []
+    for word in range(top >> 1, top):
+        covers = set()
+        for p in range(n):  # the new letter lands above the p lowest ones
+            spread = (word >> p << (p + 1)) | (word & ((1 << p) - 1))
+            covers.add(spread - top)
+            covers.add(spread + (1 << p) - top)
+        rows.append(tuple(sorted(covers)))
+    return tuple(rows)
+
+
+@cache
+def _lattice_table(n: int) -> tuple:
+    """Lattice of binary trees: grow L, then grow R, of each (L, R)."""
+    _check_rank("tree", n + 1)
+    if n == 0:
+        return ((0,),)
+    bases = _tree_bases(n + 1)
+    rows = []
+    for k in range(n - 1, -1, -1):
+        m = n - 1 - k
+        grow_left, grow_right = bases[k + 1], bases[k]
+        stride_left, stride_right = _catalan(m), _catalan(m + 1)
+        right_rows = _lattice_table(m)
+        for i_left, left_row in enumerate(_lattice_table(k)):
+            lefts = [grow_left + a * stride_left for a in left_row]
+            at = grow_right + i_left * stride_right
+            for i_right, right_row in enumerate(right_rows):
+                rows.append(tuple([a + i_right for a in lefts] + [at + b for b in right_row]))
+    return tuple(rows)
+
+
+@cache
+def _reflected_bracket_table(n: int) -> tuple:
+    """Reflected bracket tree: (t, None), then (L, each cover of R), of t = (L, R)."""
+    _check_rank("tree", n + 1)
+    if n == 0:
+        return ((0,),)
+    bases = _tree_bases(n + 1)
+    rows = []
+    for k in range(n - 1, -1, -1):
+        m = n - 1 - k
+        right_rows = _reflected_bracket_table(m)
+        for i_left in range(_catalan(k)):
+            at = bases[k] + i_left * _catalan(m + 1)
+            for right_row in right_rows:
+                rows.append((len(rows), *[at + b for b in right_row]))
+    return tuple(rows)
 
 
 class GradedGraph(NamedTuple):
-    """A graded graph given by its name, vertex family and cover map."""
+    """A graded graph given by its name, vertex family and per-rank up-tables."""
 
     name: str
     family: str
-    cover_fn: Callable
-
-    def rank(self, v) -> int:
-        return sum(v) if self.family == "composition" else tr.node_count(v)
+    up_table: Callable
 
     def vertices_at(self, n: int) -> tuple:
         return _vertices_at(self.family, n)
 
+    def cover_fn(self, v) -> frozenset:
+        """The vertices that cover v."""
+        return frozenset(u for u, _ in self.up_edges(v))
+
     def up_covers(self, v) -> frozenset:
         """Up-neighbours with their edge weights (all four graphs use 1)."""
-        return frozenset((u, 1) for u in self.cover_fn(v))
+        return frozenset(self.up_edges(v))
 
     def up_edges(self, v) -> tuple:
-        """Up-neighbours in canonical order, as (vertex, weight) pairs."""
-        index = _index_at(self.family, self.rank(v) + 1)
-        return tuple(sorted(self.up_covers(v), key=lambda uw: index[uw[0]]))
+        """
+        Up-neighbours in canonical order, as (vertex, weight) pairs, read
+        from the up-table row of v; a vertex whose covers lie above the
+        rank guard raises RankGuardError.
+        """
+        n, i = _vertex_index(self.family, v)
+        row = self.up_table(n)[i]
+        above = self.vertices_at(n + 1)
+        return tuple((above[j], 1) for j in row)
 
     def label(self, v) -> str:
         return vertex_label(self.family, v)
 
 
 _GRAPHS = {
-    "lifted-binary-tree": ("composition", comp.lifted_covers),
-    "binword": ("composition", comp.binword_covers),
-    "tree-lattice": ("tree", tr.lattice_covers),
-    "reflected-bracket-tree": ("tree", tr.reflected_bracket_covers),
+    "lifted-binary-tree": ("composition", _lifted_table),
+    "binword": ("composition", _binword_table),
+    "tree-lattice": ("tree", _lattice_table),
+    "reflected-bracket-tree": ("tree", _reflected_bracket_table),
 }
 
 GRAPH_NAMES = tuple(_GRAPHS)
@@ -126,12 +268,14 @@ def make_graph(name: str) -> GradedGraph:
 
     >>> make_graph("lifted-binary-tree").vertices_at(3)
     ((3,), (2, 1), (1, 2), (1, 1, 1))
+    >>> make_graph("lifted-binary-tree").up_table(2)
+    ((0, 1), (2, 3))
     """
     try:
-        family, cover_fn = _GRAPHS[name]
+        family, up_table = _GRAPHS[name]
     except KeyError:
         raise ValueError(f"unknown graph {name!r}, expected one of {', '.join(_GRAPHS)}") from None
-    return GradedGraph(name=name, family=family, cover_fn=cover_fn)
+    return GradedGraph(name=name, family=family, up_table=up_table)
 
 
 # -- duality -----------------------------------------------------------------
@@ -172,11 +316,18 @@ def check_duality(
     Every edge has weight 1, so entry (y, x) of D_{n+1} U_n counts the
     rank-(n+1) vertices z with x -> z in g1 and y -> z in g2, and entry
     (y, x) of U_{n-1} D_n counts the rank-(n-1) vertices w with w -> x in
-    g2 and w -> y in g1.  Both are counted column by column: for each x,
-    up in g1 then down in g2 adds 1 to y, down in g2 then up in g1
-    subtracts 1, and x itself starts at -r_n.  An entry left non-zero
-    breaks the identity.  The counterexample is the first such entry in
-    canonical (row, column) order.
+    g2 and w -> y in g1.  Both are read column by column from the two
+    graphs' up-tables on canonical indices: for each x, the vertices y
+    reached up in g1 then down in g2 must equal, as a multiset, those
+    reached down in g2 then up in g1 plus r_n copies of x.  Where they
+    differ, an entry of DU - UD - r_n I is non-zero and breaks the
+    identity.  The counterexample is the first such entry in canonical
+    (row, column) order.
+
+    The two graphs must share their vertex sets up to rank max_rank+1,
+    because an index names a vertex only within one family's order; that
+    check runs first, and it raises the rank guard before any table is
+    built.
 
     >>> check_duality(make_graph("lifted-binary-tree"), make_graph("binword"), 4).is_dual
     True
@@ -192,31 +343,32 @@ def check_duality(
             )
     verdicts = []
     counterexample = None
-    # vertices are canonical indices within their rank from here on
-    up1_below: list[list[int]] = []  # g1 up-neighbours of each rank-(n-1) vertex
+    up1_below: tuple = ()  # g1 up-neighbours of each rank-(n-1) vertex
     down2: list[list[int]] = [[]]  # g2 down-neighbours of each rank-n vertex
     for n in range(max_rank + 1):
-        vertices = g1.vertices_at(n)
-        index_above = _index_at(g1.family, n + 1)
-        up1 = [[index_above[z] for z in g1.cover_fn(x)] for x in vertices]
-        down2_above: list[list[int]] = [[] for _ in index_above]
-        for j, x in enumerate(vertices):
-            for z in g2.cover_fn(x):
-                down2_above[index_above[z]].append(j)
+        up1 = g1.up_table(n)
+        down2_above: list[list[int]] = [[] for _ in g1.vertices_at(n + 1)]
+        for j, row in enumerate(g2.up_table(n)):
+            for z in row:
+                down2_above[z].append(j)
+        r = r_sequence[n]
         bad = []
-        for j in range(len(vertices)):
-            diff = {j: -r_sequence[n]}
-            for z in up1[j]:
-                for i in down2_above[z]:
-                    diff[i] = diff.get(i, 0) + 1
-            for w in down2[j]:
-                for i in up1_below[w]:
-                    diff[i] = diff.get(i, 0) - 1
-            bad.extend((i, j, d) for i, d in diff.items() if d)
+        for j, row in enumerate(up1):
+            # column j of D U and of U D + r I as sorted lists of row indices
+            du = [i for z in row for i in down2_above[z]]
+            ud = [i for w in down2[j] for i in up1_below[w]]
+            (ud if r >= 0 else du).extend([j] * abs(r))
+            du.sort()
+            ud.sort()
+            if du != ud:
+                diff = Counter(du)
+                diff.subtract(ud)
+                bad.extend((i, j, d) for i, d in diff.items() if d)
         verdicts.append(not bad)
         if bad and counterexample is None:
             i, j, d = min(bad)
             expected = r_sequence[n] if i == j else 0
+            vertices = g1.vertices_at(n)
             counterexample = DualityCounterexample(
                 rank=n,
                 row_label=g1.label(vertices[i]),
@@ -236,32 +388,34 @@ def check_duality(
 
 # -- chain counting ----------------------------------------------------------
 
-def chain_counts(g: GradedGraph, n: int) -> dict:
+def chain_counts(g: GradedGraph, n: int) -> list[int]:
     """Number of saturated chains from the rank-0 vertex to each rank-n
-    vertex, counted with edge-weight multiplicity."""
-    counts = {g.vertices_at(0)[0]: 1}
-    for _ in range(n):
-        nxt: dict = {}
-        for v, c in counts.items():
-            for u, w in g.up_covers(v):
-                nxt[u] = nxt.get(u, 0) + c * w
-        counts = nxt
+    vertex, by canonical index (unit edge weights)."""
+    counts = [1]
+    for m in range(n):
+        above = [0] * len(g.vertices_at(m + 1))
+        for c, row in zip(counts, g.up_table(m)):
+            for j in row:
+                above[j] += c
+        counts = above
     return counts
 
 
 def path_count_identity(g1: GradedGraph, g2: GradedGraph, n: int) -> tuple[int, int]:
     """
     Sum over rank-n vertices of (chains in g1) x (chains in g2), paired
-    with n!.  For a dual pair with r = 1 the two numbers agree.
+    with n!.  For a dual pair with r = 1 the two numbers agree.  Counts
+    are paired by canonical index, so the two graphs must share their
+    rank-n vertices.
 
     >>> pair = DUAL_PAIRS["compositions"]
     >>> path_count_identity(make_graph(pair[0]), make_graph(pair[1]), 3)
     (6, 6)
     """
     top = g1.vertices_at(n)  # raises RankGuardError before any counting
-    e1 = chain_counts(g1, n)
-    e2 = chain_counts(g2, n)
-    lhs = sum(e1.get(v, 0) * e2.get(v, 0) for v in top)
+    if g2.vertices_at(n) != top:
+        raise ValueError(f"{g1.name} and {g2.name} do not share the rank-{n} vertex set")
+    lhs = sum(map(mul, chain_counts(g1, n), chain_counts(g2, n)))
     return lhs, math.factorial(n)
 
 
@@ -270,7 +424,7 @@ def path_count_identity(g1: GradedGraph, g2: GradedGraph, n: int) -> tuple[int, 
 def _rendered_ranks(g: GradedGraph, max_rank: int, render) -> list[tuple[list, list]]:
     """
     Per rank up to max_rank: ``render`` of the vertices in canonical order,
-    and the up-edges to the next rank as (v, u, weight) triples of rendered
+    and the up-edges to the next rank as (v, u) pairs of rendered
     vertices, in canonical order.  Each vertex is rendered once.
     """
     rendered = [render(g.vertices_at(n)) for n in range(max_rank + 1)]
@@ -278,9 +432,9 @@ def _rendered_ranks(g: GradedGraph, max_rank: int, render) -> list[tuple[list, l
     for n, names in enumerate(rendered):
         edges = []
         if n < max_rank:
-            above = _index_at(g.family, n + 1)
-            for v, name in zip(g.vertices_at(n), names):
-                edges.extend((name, rendered[n + 1][above[u]], w) for u, w in g.up_edges(v))
+            above = rendered[n + 1]
+            for name, row in zip(names, g.up_table(n)):
+                edges.extend((name, above[j]) for j in row)
         ranks.append((names, edges))
     return ranks
 
@@ -295,9 +449,7 @@ def export_dot(g: GradedGraph, max_rank: int) -> str:
     for names, _ in ranks:
         lines.append(f"  {{ rank=same; {' '.join(name + ';' for name in names)} }}")
     for _, edges in ranks:
-        for v, u, w in edges:
-            attr = "" if w == 1 else f' [label="{w}"]'
-            lines.append(f"  {v} -> {u}{attr};")
+        lines.extend(f"  {v} -> {u};" for v, u in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -306,7 +458,7 @@ def export_json(g: GradedGraph, max_rank: int) -> str:
     """Rank-by-rank JSON: vertices plus the edges to the next rank."""
     render = (lambda vs: [list(v) for v in vs]) if g.family == "composition" else tr.trees_to_text
     ranks = [
-        {"n": n, "vertices": vertices, "edges": [[v, u] for v, u, _ in edges]}
+        {"n": n, "vertices": vertices, "edges": [[v, u] for v, u in edges]}
         for n, (vertices, edges) in enumerate(_rendered_ranks(g, max_rank, render))
     ]
     return dumps({"name": g.name, "max_rank": max_rank, "ranks": ranks}) + "\n"

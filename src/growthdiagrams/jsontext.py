@@ -13,8 +13,12 @@ when the same object appears again at the same depth.
 from __future__ import annotations
 
 from itertools import repeat
-from json.encoder import encode_basestring_ascii as _string
 from typing import Optional
+
+try:  # the C escaper alone, without loading the json package around it
+    from _json import encode_basestring_ascii as _string
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _string
 
 _INDENT = "  "
 

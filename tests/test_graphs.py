@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from growthdiagrams import graphs
+from growthdiagrams import compositions, graphs, trees
 from growthdiagrams.graphs import (
     DUAL_PAIRS,
     GRAPH_NAMES,
@@ -243,6 +243,69 @@ def test_duality_matches_matrix_oracle(family, top_rank):
     assert seen_failures > 0
 
 
+# -- the up-tables against the value-level cover functions -------------------
+
+VALUE_COVERS = {
+    "lifted-binary-tree": compositions.lifted_covers,
+    "binword": compositions.binword_covers,
+    "tree-lattice": trees.lattice_covers,
+    "reflected-bracket-tree": trees.reflected_bracket_covers,
+}
+
+
+@pytest.mark.parametrize("name", GRAPH_NAMES)
+def test_up_tables_match_value_level_covers(name):
+    """Every table row, up to the rank guard, holds the sorted canonical
+    indices of the covers that the value-level function computes, and the
+    index encoding gives each vertex its position in the enumeration."""
+    g = make_graph(name)
+    top = graphs.MAX_RANK[g.family]
+    for n in range(top):
+        index = {v: i for i, v in enumerate(g.vertices_at(n + 1))}
+        table = g.up_table(n)
+        assert len(table) == len(g.vertices_at(n))
+        for i, (row, v) in enumerate(zip(table, g.vertices_at(n))):
+            assert row == tuple(sorted(index[u] for u in VALUE_COVERS[name](v)))
+            assert graphs._vertex_index(g.family, v) == (n, i)
+    with pytest.raises(RankGuardError):
+        g.up_table(top)
+
+
+@pytest.mark.parametrize("name", GRAPH_NAMES)
+@pytest.mark.parametrize("wrong", ["edge-dropped", "edge-added", "edge-moved"])
+def test_one_wrong_table_entry_is_caught(monkeypatch, name, wrong):
+    family, table = graphs._GRAPHS[name]
+    rank, vertex = 3, 1
+
+    def mutated(n):
+        rows = table(n)
+        if n != rank:
+            return rows
+        row = rows[vertex]
+        stranger = next(z for z in range(len(table(n + 1))) if z not in row)
+        bad = {
+            "edge-dropped": row[:-1],
+            "edge-added": tuple(sorted(row + (stranger,))),
+            "edge-moved": tuple(sorted(row[:-1] + (stranger,))),
+        }[wrong]
+        return rows[:vertex] + (bad,) + rows[vertex + 1:]
+
+    monkeypatch.setitem(graphs._GRAPHS, name, (family, mutated))
+    pair = next(pair for pair in DUAL_PAIRS.values() if name in pair)
+    g1, g2 = (make_graph(n) for n in pair)
+    report = check_duality(g1, g2, 5)
+    assert not report.is_dual
+    assert not report.rank_verdicts[rank] and all(report.rank_verdicts[:rank])
+    assert report == oracle_check_duality(g1, g2, 5)
+    lhs, rhs = path_count_identity(g1, g2, 6)
+    # every vertex lies on a chain in both graphs, so a lost edge loses
+    # chain pairs and an extra one adds some; a moved edge may keep the sum
+    if wrong == "edge-dropped":
+        assert lhs < rhs
+    elif wrong == "edge-added":
+        assert lhs > rhs
+
+
 def test_duality_composition_pair():
     report = check_duality(make_graph("lifted-binary-tree"), make_graph("binword"), 6)
     assert report.is_dual
@@ -286,14 +349,18 @@ def test_wrong_r_fails():
 def test_duality_rejects_mismatched_vertex_sets():
     with pytest.raises(ValueError):
         check_duality(make_graph("lifted-binary-tree"), make_graph("tree-lattice"), 2)
+    # chain counts pair up by canonical index, which names a vertex only
+    # within one family; at rank 2 the two index-wise products sum to 2!
+    with pytest.raises(ValueError, match="do not share the rank-2 vertex set"):
+        path_count_identity(make_graph("lifted-binary-tree"), make_graph("tree-lattice"), 2)
 
 
 def test_duality_checks_vertex_sets_before_any_work():
     def counted(g, calls):
-        def cover_fn(v):
-            calls.append(v)
-            return g.cover_fn(v)
-        return GradedGraph(name=g.name, family=g.family, cover_fn=cover_fn)
+        def up_table(n):
+            calls.append(n)
+            return g.up_table(n)
+        return g._replace(up_table=up_table)
 
     calls = []
     lattice, bracket = (counted(make_graph(name), calls) for name in DUAL_PAIRS["trees"])
@@ -311,7 +378,7 @@ def test_chain_counts_and_paths():
     lifted = make_graph("lifted-binary-tree")
     counts = chain_counts(lifted, 3)
     # the lifted binary tree is a tree: one chain to every vertex
-    assert all(c == 1 for c in counts.values())
+    assert counts == [1] * len(lifted.vertices_at(3))
     pair = [make_graph(name) for name in DUAL_PAIRS["compositions"]]
     assert path_count_identity(*pair, 3) == (6, 6)
     assert path_count_identity(*pair, 0) == (1, 1)
@@ -366,6 +433,17 @@ def test_rank_guard():
         make_graph("lifted-binary-tree").vertices_at(13)
     with pytest.raises(RankGuardError):
         make_graph("tree-lattice").vertices_at(11)
+    # covers are read from the tables, so they stop at the guard too, even
+    # for a comb far deeper than the recursion limit
+    comb = None
+    for size in range(1, 5001):
+        comb = (comb, None)
+        if size in (10, 5000):
+            with pytest.raises(RankGuardError):
+                make_graph("tree-lattice").up_edges(comb)
+    assert len(make_graph("binword").cover_fn((11,))) == 12
+    with pytest.raises(RankGuardError):
+        make_graph("binword").cover_fn((12,))
     # the guard caps the duality check as well
     with pytest.raises(RankGuardError):
         check_duality(make_graph("tree-lattice"), make_graph("reflected-bracket-tree"), 10)

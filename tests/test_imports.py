@@ -92,6 +92,24 @@ def test_cold_start_imports(bare_interpreter, argv):
     assert ("growthdiagrams.growth" in loaded) == runs_growth
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("insert", "bst-left", "312", "--format", "json"),
+        ("growth", "composition", "312", "--format", "json"),
+        ("verify", "paths", "--n", "3"),
+        ("graph", "tree-lattice", "--max-rank", "2", "--format", "json"),
+    ],
+    ids=" ".join,
+)
+def test_json_text_loads_no_json_decoder(bare_interpreter, argv):
+    # jsontext needs only the C string escaper; the json package would
+    # load its decoder and scanner as well
+    loaded = _imported("-m", "growthdiagrams.cli", *argv) - bare_interpreter
+    assert "growthdiagrams.jsontext" in loaded
+    assert not {"json.decoder", "json.scanner"} & loaded
+
+
 def test_bare_package_import_loads_no_submodule():
     proc = _python("-c", "import growthdiagrams, sys; print(sorted(m for m in sys.modules if m.startswith('growthdiagrams.')))")
     assert proc.returncode == 0, proc.stderr

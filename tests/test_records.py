@@ -15,9 +15,9 @@ from growthdiagrams.ribbons import QuasiRibbonTableau, RibbonTableau
 RECORDS = [
     (
         GradedGraph,
-        dict(name="g", family="composition", cover_fn=len),
-        dict(name="g", family="tree", cover_fn=len),
-        "GradedGraph(name='g', family='composition', cover_fn=<built-in function len>)",
+        dict(name="g", family="composition", up_table=len),
+        dict(name="g", family="tree", up_table=len),
+        "GradedGraph(name='g', family='composition', up_table=<built-in function len>)",
     ),
     (
         DualityCounterexample,
