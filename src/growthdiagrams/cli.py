@@ -17,11 +17,11 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import partial
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from . import graphs
 from .compositions import WordEncodingError
-from .jsontext import dumps
+from .jsontext import iterdumps
 from .permutations import (
     PermutationParseError,
     all_permutations,
@@ -44,21 +44,31 @@ class OutputError(Exception):
     """The --out file cannot be written."""
 
 
-def _write_out(path: str, mode: str, text: str) -> None:
+def _write_out(path: str, mode: str, chunks: Iterable[str]) -> None:
     try:
         with open(path, mode, encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise OutputError(f"cannot write --out {path}: {exc.strerror or exc}") from None
 
 
-def _emit(args, text: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+def _ended(chunks: Iterable[str]) -> Iterator[str]:
+    """The chunks, then a newline unless their text ends with one."""
+    last = ""
+    for chunk in chunks:
+        yield chunk
+        last = chunk or last
+    if not last.endswith("\n"):
+        yield "\n"
+
+
+def _emit(args, chunks: Iterable[str]) -> None:
+    """Write a text given in chunks to --out or stdout as they come, so a
+    long text is never held whole."""
     if args.out:
-        _write_out(args.out, "w", text)
+        _write_out(args.out, "w", _ended(chunks))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(_ended(chunks))
 
 
 # -- insert -------------------------------------------------------------------
@@ -74,12 +84,14 @@ def cmd_insert(args) -> int:
                 "P": tab_p.to_json_obj(),
                 "Q": tab_q.to_json_obj(),
             }
-            _emit(args, dumps(payload))
+            _emit(args, iterdumps(payload))
         else:
             _emit(
                 args,
-                f"P (quasi-ribbon):\n{render_tableau(tab_p)}\n"
-                f"Q (ribbon):\n{render_tableau(tab_q)}",
+                (
+                    f"P (quasi-ribbon):\n{render_tableau(tab_p)}\n"
+                    f"Q (ribbon):\n{render_tableau(tab_q)}",
+                ),
             )
         return 0
     algorithm = "bst-right" if args.algorithm == "sylvester" else args.algorithm
@@ -92,13 +104,15 @@ def cmd_insert(args) -> int:
             "P": labeled_tree_to_json_obj(tree_p),
             "Q": labeled_tree_to_json_obj(tree_q),
         }
-        _emit(args, dumps(payload))
+        _emit(args, iterdumps(payload))
     else:
         q_kind = "increasing tree" if reading == "left-to-right" else "decreasing tree"
         _emit(
             args,
-            f"P (binary search tree): {labeled_tree_to_text(tree_p)}\n"
-            f"Q ({q_kind}): {labeled_tree_to_text(tree_q)}",
+            (
+                "P (binary search tree): ", labeled_tree_to_text(tree_p),
+                f"\nQ ({q_kind}): ", labeled_tree_to_text(tree_q),
+            ),
         )
     return 0
 
@@ -152,7 +166,7 @@ def cmd_growth(args) -> int:
         payload = grid.to_json_obj(pair)
         if matched is not None:
             payload["check"] = "MATCH" if matched else "MISMATCH"
-        _emit(args, dumps(payload))
+        _emit(args, iterdumps(payload))
     else:
         labels = grid.render_rows(partial(graphs.vertex_labels, args.family))
         parts = [
@@ -164,7 +178,7 @@ def cmd_growth(args) -> int:
         ]
         if matched is not None:
             parts.append("check against direct insertion: " + ("MATCH" if matched else "MISMATCH"))
-        _emit(args, "\n".join(parts))
+        _emit(args, ("\n".join(parts),))
     return 0 if matched in (None, True) else 1
 
 
@@ -172,7 +186,7 @@ def cmd_growth(args) -> int:
 
 def cmd_graph(args) -> int:
     g = graphs.make_graph(args.name)
-    _emit(args, graphs.export_graph(g, args.max_rank, args.format))
+    _emit(args, (graphs.export_graph(g, args.max_rank, args.format),))
     return 0
 
 
@@ -257,7 +271,7 @@ def cmd_verify(args) -> int:
     }
     lines: list[str] = []
     ok = runners[args.mode](args, lines)
-    _emit(args, "\n".join(lines))
+    _emit(args, ("\n".join(lines),))
     return 0 if ok else 1
 
 
@@ -326,7 +340,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.out:
             # fail before any work; appending nothing leaves an existing file as it is
-            _write_out(args.out, "a", "")
+            _write_out(args.out, "a", ())
         return args.func(args)
     except (PermutationParseError, WordEncodingError, graphs.RankGuardError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -92,6 +92,7 @@ from .trees import (
     insert_rightmost,
     is_lattice_cover,
     is_reflected_bracket_cover,
+    labeled_tree,
     labeled_tree_to_json_obj,
     push_down_rightmost,
     right_spine_length,
@@ -424,43 +425,31 @@ def _ribbon_from_labels(labels) -> RibbonTableau:
     return RibbonTableau(rows_from_reading(reading, word_to_composition(word.decode())))
 
 
-def _labeled_tree(root: int, left: list[int], right: list[int]) -> LabeledTree:
-    """Nested (label, left, right) triples from child tables in which 0 is
-    the empty tree, built bottom up without recursion."""
-    postorder = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        if v:
-            postorder.append(v)
-            stack += (left[v], right[v])
-    nodes: list[LabeledTree] = [None] * len(left)
-    for v in reversed(postorder):
-        nodes[v] = (v, nodes[left[v]], nodes[right[v]])
-    return nodes[root]
-
-
 def _bst_from_depths(depths) -> LabeledTree:
     """Node i becomes the rightmost node at right-spine depth depths[i-1],
     taking the spine suffix it displaces as its left subtree."""
     left = [0] * (len(depths) + 1)
     right = left[:]
     spine: list[int] = []  # node labels, root first
+    postorder: list[int] = []  # a displaced suffix is final, deepest node first
     for i, k in enumerate(depths, 1):
         if k < len(spine):
             left[i] = spine[k]
         if k:
             right[spine[k - 1]] = i
+        postorder += reversed(spine[k:])
         del spine[k:]
         spine.append(i)
-    return _labeled_tree(spine[0] if spine else 0, left, right)
+    postorder += reversed(spine)
+    return labeled_tree(postorder, left, right, range(len(left)))
 
 
 def _increasing_tree_from_slots(slots) -> LabeledTree:
     """Node k hangs as a leaf in empty slot slots[k-1], counted in order.
     Between two nodes adjacent in order, the slot is the right child of
     the first when that is empty, and else the left child of the second."""
-    left = [0] * (len(slots) + 1)
+    n = len(slots)
+    left = [0] * (n + 1)
     right = left[:]
     inorder: list[int] = []
     for k, s in enumerate(slots, 1):
@@ -469,7 +458,8 @@ def _increasing_tree_from_slots(slots) -> LabeledTree:
         elif inorder:
             left[inorder[s]] = k
         inorder.insert(s, k)
-    return _labeled_tree(1 if slots else 0, left, right)
+    # every node hangs below the smaller ones, so n, ..., 1 is a postorder
+    return labeled_tree(range(n, 0, -1), left, right, range(n + 1))
 
 
 _FROM_LABELS = {

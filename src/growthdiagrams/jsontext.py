@@ -13,7 +13,7 @@ when the same object appears again at the same depth.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Optional
+from typing import Iterator, Optional
 
 try:  # the C escaper alone, without loading the json package around it
     from _json import encode_basestring_ascii as _string
@@ -21,6 +21,7 @@ except ImportError:
     from json.encoder import encode_basestring_ascii as _string
 
 _INDENT = "  "
+CHUNK_SIZE = 1 << 16  # characters; iterdumps yields a piece once it has this many
 
 
 def _scalar(value) -> str:
@@ -65,7 +66,22 @@ def dumps(obj) -> str:
     >>> dumps({"a": [1, 2], "b": [[], {}], "c": None})
     '{\\n  "a": [\\n    1,\\n    2\\n  ],\\n  "b": [\\n    [],\\n    {}\\n  ],\\n  "c": null\\n}'
     """
+    return "".join(iterdumps(obj))
+
+
+def iterdumps(obj) -> Iterator[str]:
+    """
+    The text of :func:`dumps` in pieces of whole parts, each piece fewer
+    than ``CHUNK_SIZE`` characters plus one last part.  A part is one
+    indentation with a bracket, key, scalar or flat list, so the text of a
+    deep tree, which grows as the square of its depth, is never all in
+    memory at once.
+
+    >>> list(iterdumps({"a": [1, [2]]}))
+    ['{\\n  "a": [\\n    1,\\n    [\\n      2\\n    ]\\n  ]\\n}']
+    """
     parts: list[str] = []
+    size = 0  # characters in parts
     flat: dict[tuple[int, int], Optional[str]] = {}  # (id, depth) -> _flat_list text
     open_ids: set[int] = set()
     # per open container: its remaining (key prefix, value) items, its
@@ -73,6 +89,11 @@ def dumps(obj) -> str:
     stack: list[tuple] = []
     value, depth = obj, 0
     while True:
+        # one check per part added, so a piece ends at most one part late
+        if size >= CHUNK_SIZE:
+            yield "".join(parts)
+            parts.clear()
+            size = 0
         if isinstance(value, (list, tuple)):
             text = flat.get((id(value), depth))
             if text is None:
@@ -91,20 +112,32 @@ def dumps(obj) -> str:
             stack.append((items, brackets[1], depth, id(value)))
             depth += 1
             prefix, value = next(items)
-            parts.append(brackets[0] + "\n" + _INDENT * depth + prefix)
+            text = brackets[0] + "\n" + _INDENT * depth + prefix
+            parts.append(text)
+            size += len(text)
             continue
         parts.append(text)
+        size += len(text)
         # move on to the next item, closing every container that is done
         while stack:
+            if size >= CHUNK_SIZE:
+                yield "".join(parts)
+                parts.clear()
+                size = 0
             items, closing, outer, oid = stack[-1]
             item = next(items, None)
             if item is not None:
                 prefix, value = item
-                parts.append(",\n" + _INDENT * depth + prefix)
+                text = ",\n" + _INDENT * depth + prefix
+                parts.append(text)
+                size += len(text)
                 break
             stack.pop()
             open_ids.discard(oid)
             depth = outer
-            parts.append("\n" + _INDENT * depth + closing)
+            text = "\n" + _INDENT * depth + closing
+            parts.append(text)
+            size += len(text)
         else:
-            return "".join(parts)
+            yield "".join(parts)
+            return

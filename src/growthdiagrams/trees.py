@@ -265,15 +265,25 @@ def tree_from_text(s: str) -> Tree:
 
 def labeled_tree_to_text(t: LabeledTree) -> str:
     """
-    "-" for the empty tree, "(L a R)" for a node labeled a.
+    "-" for the empty tree, "(L a R)" for a node labeled a; built with an
+    explicit stack, so depth is unbounded.
 
     >>> labeled_tree_to_text((3, (1, None, None), None))
     '((- 1 -) 3 -)'
     """
-    if t is None:
-        return "-"
-    label, left, right = t
-    return f"({labeled_tree_to_text(left)} {label} {labeled_tree_to_text(right)})"
+    parts = []
+    stack = [t]  # subtrees still to render, and the text that follows them
+    while stack:
+        item = stack.pop()
+        if item is None:
+            parts.append("-")
+        elif isinstance(item, str):
+            parts.append(item)
+        else:
+            label, left, right = item
+            parts.append("(")
+            stack += (")", right, f" {label} ", left)
+    return "".join(parts)
 
 
 def labeled_tree_to_json_obj(t: LabeledTree):
@@ -311,6 +321,22 @@ def labeled_tree_from_json_obj(obj) -> LabeledTree:
 
 # -- insertion -------------------------------------------------------------
 
+def labeled_tree(postorder: Sequence[int], left: Sequence[int], right: Sequence[int], labels) -> LabeledTree:
+    """
+    Nested (label, left, right) triples from child tables: node v has
+    children left[v] and right[v], 0 standing for the empty tree, and label
+    labels[v].  ``postorder`` lists every node after both of its children,
+    so the root comes last; building in that order needs no recursion.
+
+    >>> labeled_tree([2, 1], [0, 0, 0], [0, 2, 0], "-ab")
+    ('a', None, ('b', None, None))
+    """
+    nodes: list[LabeledTree] = [None] * len(left)
+    for v in postorder:
+        nodes[v] = (labels[v], nodes[left[v]], nodes[right[v]])
+    return nodes[postorder[-1]] if postorder else None
+
+
 def bst_insert(word: Sequence[int], reading: str = "left-to-right") -> tuple[LabeledTree, LabeledTree]:
     """
     Insert the letters of a word (distinct integers) as leaves of a binary
@@ -320,6 +346,12 @@ def bst_insert(word: Sequence[int], reading: str = "left-to-right") -> tuple[Lab
     insertion created it.  Left-to-right recording trees are increasing,
     right-to-left ones decreasing.
 
+    A letter inserted later never lies above one inserted earlier, so the
+    insertion tree is the Cartesian tree of the letters in value order with
+    the insertion time as priority (Vuillemin 1980).  One stack pass over
+    the letters in value order builds it, in O(n log n) for the sort and
+    O(n) after, at any depth.
+
     >>> p, q = bst_insert((1, 2, 3))
     >>> labeled_tree_to_text(p)
     '(- 1 (- 2 (- 3 -)))'
@@ -327,39 +359,37 @@ def bst_insert(word: Sequence[int], reading: str = "left-to-right") -> tuple[Lab
     True
     """
     word = tuple(word)
-    if len(set(word)) != len(word):
+    n = len(word)
+    if len(set(word)) != n:
         raise ValueError("letters must be distinct")
+    # node v is the letter inserted v-th; positions[v] is its place in word
     if reading == "left-to-right":
-        items = list(enumerate(word, 1))
+        letters, positions = (None, *word), range(n + 1)
     elif reading == "right-to-left":
-        items = [(i, word[i - 1]) for i in range(len(word), 0, -1)]
+        letters, positions = (None, *word[::-1]), range(n + 1, 0, -1)
     else:
         raise ValueError(f"unknown reading {reading!r}")
-
-    insertion: LabeledTree = None
-    recording: LabeledTree = None
-    for pos, a in items:
-        path = []
-        cur = insertion
-        while cur is not None:
-            label, left, right = cur
-            go_right = a > label
-            path.append(go_right)
-            cur = right if go_right else left
-        insertion = _graft(insertion, path, 0, (a, None, None))
-        recording = _graft(recording, path, 0, (pos, None, None))
-    return insertion, recording
-
-
-def _graft(t: LabeledTree, path: list[bool], k: int, new: LabeledTree) -> LabeledTree:
-    if t is None:
-        if k != len(path):
-            raise ValueError("insertion path leaves the tree")
-        return new
-    label, left, right = t
-    if path[k]:
-        return (label, left, _graft(right, path, k + 1, new))
-    return (label, _graft(left, path, k + 1, new), right)
+    left = [0] * (n + 1)
+    right = left[:]
+    postorder: list[int] = []
+    # the right spine of the tree built so far, root first, under node 0,
+    # which is inserted before every node and so is never popped
+    spine = [0]
+    for v in sorted(range(1, n + 1), key=letters.__getitem__):
+        # the spine nodes inserted after v move into its left subtree,
+        # whose nodes are then all final
+        last = 0
+        while spine[-1] > v:
+            last = spine.pop()
+            postorder.append(last)
+        left[v] = last
+        right[spine[-1]] = v
+        spine.append(v)
+    postorder += reversed(spine[1:])
+    return (
+        labeled_tree(postorder, left, right, letters),
+        labeled_tree(postorder, left, right, positions),
+    )
 
 
 # -- labeled-tree invariants -----------------------------------------------

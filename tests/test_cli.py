@@ -1,10 +1,12 @@
 import json
 import random
+import sys
 
 import pytest
 
-from growthdiagrams import cli, graphs, growth, ribbons, trees
+from growthdiagrams import cli, graphs, growth, jsontext, ribbons
 from growthdiagrams.cli import main
+from test_growth import flat_bst_insert
 
 
 def run(capsys, *argv):
@@ -446,30 +448,115 @@ def test_growth_output_bytes(capsys, family, klass):
 
 
 INSERT_INPUTS = _inputs(2000, 11)
+INSERT_CASES = [(algorithm, klass) for algorithm in cli._ALGORITHMS for klass in sorted(INSERT_INPUTS)]
 
 
-@pytest.mark.parametrize(
-    "algorithm, klass",
-    [("hypoplactic", klass) for klass in sorted(INSERT_INPUTS)]
-    # deep BSTs still overflow the recursive insertion, so BST inputs are random
-    + [(algorithm, "random") for algorithm in ("bst-left", "bst-right", "sylvester")],
-)
+def _oracle_bst(p, algorithm):
+    """The preorder encodings of P and Q by path-walking insertion into
+    child tables; right to left is the left-to-right insertion of the
+    reversed word with positions k read as n + 1 - k."""
+    if algorithm == "bst-left":
+        return flat_bst_insert(p)
+    insertion, recording = flat_bst_insert(p[::-1])
+    return insertion, [None if k is None else len(p) + 1 - k for k in recording]
+
+
+def _render_preorder(preorder, empty, start, between, end):
+    """A labeled tree's text from its preorder encoding (None for an empty
+    subtree) without recursion: an empty subtree is ``empty``; a node
+    labeled a, k levels below the root, is ``start(a, k)``, its left
+    subtree, ``between(a, k)``, its right subtree and ``end(k)``."""
+    out, path = [], []  # per open node: its label and whether its left subtree is done
+    for label in preorder:
+        if label is not None:
+            out.append(start(label, len(path)))
+            path.append([label, False])
+            continue
+        out.append(empty)
+        while path:
+            node = path[-1]
+            if not node[1]:
+                node[1] = True
+                out.append(between(node[0], len(path) - 1))
+                break
+            path.pop()
+            out.append(end(len(path)))
+    return "".join(out)
+
+
+def _oracle_tree_json(preorder):
+    """The json.dumps(indent=2) text of a labeled tree one level inside the
+    insert payload; json.dumps itself recurses too deep for a comb."""
+    pad = lambda k: "  " * (k + 2)  # noqa: E731
+    return _render_preorder(
+        preorder,
+        "null",
+        lambda a, k: f'{{\n{pad(k)}"label": {a},\n{pad(k)}"left": ',
+        lambda a, k: f',\n{pad(k)}"right": ',
+        lambda k: f"\n{pad(k - 1)}}}",
+    )
+
+
+def _oracle_labeled_text(preorder):
+    return _render_preorder(preorder, "-", lambda a, k: "(", lambda a, k: f" {a} ", lambda k: ")")
+
+
+@pytest.mark.parametrize("algorithm, klass", INSERT_CASES)
 def test_insert_json_bytes(capsys, algorithm, klass):
+    p = INSERT_INPUTS[klass]
+    head = {"algorithm": "bst-right" if algorithm == "sylvester" else algorithm, "permutation": list(p)}
+    if algorithm == "hypoplactic":
+        tab_p, tab_q = ribbons.hypoplactic_insert(p)
+        expected = json.dumps({**head, "P": tab_p.to_json_obj(), "Q": tab_q.to_json_obj()}, indent=2)
+    else:
+        tree_p, tree_q = map(_oracle_tree_json, _oracle_bst(p, algorithm))
+        # the shallow head from json.dumps, the deep trees spliced in after it
+        expected = json.dumps(head, indent=2)[: -len("\n}")] + f',\n  "P": {tree_p},\n  "Q": {tree_q}\n}}'
+    argv = ("insert", algorithm, ",".join(map(str, p)), "--format", "json")
+    _assert_output(run(capsys, *argv), expected + "\n")
+
+
+@pytest.mark.parametrize("algorithm, klass", INSERT_CASES)
+def test_insert_ascii_bytes(capsys, algorithm, klass):
     p = INSERT_INPUTS[klass]
     if algorithm == "hypoplactic":
         tab_p, tab_q = ribbons.hypoplactic_insert(p)
-        objs = tab_p.to_json_obj(), tab_q.to_json_obj()
+        expected = (
+            f"P (quasi-ribbon):\n{ribbons.render_tableau(tab_p)}\n"
+            f"Q (ribbon):\n{ribbons.render_tableau(tab_q)}\n"
+        )
     else:
-        reading = "left-to-right" if algorithm == "bst-left" else "right-to-left"
-        objs = tuple(map(_oracle_labeled_json, trees.bst_insert(p, reading)))
-    payload = {
-        "algorithm": "bst-right" if algorithm == "sylvester" else algorithm,
-        "permutation": list(p),
-        "P": objs[0],
-        "Q": objs[1],
-    }
-    argv = ("insert", algorithm, ",".join(map(str, p)), "--format", "json")
-    _assert_output(run(capsys, *argv), json.dumps(payload, indent=2) + "\n")
+        tree_p, tree_q = map(_oracle_labeled_text, _oracle_bst(p, algorithm))
+        q_kind = "increasing" if algorithm == "bst-left" else "decreasing"
+        expected = f"P (binary search tree): {tree_p}\nQ ({q_kind} tree): {tree_q}\n"
+    _assert_output(run(capsys, "insert", algorithm, ",".join(map(str, p))), expected)
+
+
+class _Pieces:
+    """A stdout that keeps each piece written to it."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+
+    def writelines(self, texts):
+        for text in texts:
+            self.write(text)
+
+
+def test_insert_json_is_written_in_bounded_pieces(monkeypatch):
+    # the text of a comb is quadratic in its depth: 32 MB at n = 2000
+    p = INSERT_INPUTS["identity"]
+    out = _Pieces()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["insert", "bst-left", ",".join(map(str, p)), "--format", "json"]) == 0
+    # at most one part beyond a chunk: the deepest indentation with a key
+    deepest_part = ",\n" + "  " * (len(p) + 1) + '"right": '
+    assert max(map(len, out.pieces)) < jsontext.CHUNK_SIZE + len(deepest_part)
+    assert sum(map(len, out.pieces)) > 30_000_000
+    assert "".join(out.pieces[-2:]).endswith("\n}\n")
 
 
 @pytest.mark.parametrize("name", graphs.GRAPH_NAMES)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthdiagrams.jsontext import dumps
-from growthdiagrams.trees import labeled_tree_to_json_obj, tree_to_text, trees_to_text
+from growthdiagrams.jsontext import CHUNK_SIZE, dumps, iterdumps
+from growthdiagrams.trees import labeled_tree_to_json_obj, labeled_tree_to_text, tree_to_text, trees_to_text
 
 # every code point but lone surrogates, so control characters and
 # non-ASCII text come up in both keys and values
@@ -27,6 +27,7 @@ values = st.recursive(
 @given(values)
 def test_dumps_equals_json_dumps_indent_2(value):
     assert dumps(value) == json.dumps(value, indent=2)
+    assert "".join(iterdumps(value)) == dumps(value)
 
 
 @settings(max_examples=100, deadline=None)
@@ -87,6 +88,13 @@ def test_deep_labeled_comb_renders_without_recursion():
         + "".join(f"\n{pad(d)}}}" for d in reversed(range(DEPTH)))
     )
     _same_text(dumps(obj), expected)
+    # the text is streamed: every piece but the last has at least
+    # CHUNK_SIZE characters, and none more than one part beyond it, the
+    # longest part being the deepest indentation with its key
+    chunks = list(iterdumps(obj))
+    _same_text("".join(chunks), expected)
+    assert all(len(chunk) >= CHUNK_SIZE for chunk in chunks[:-1])
+    assert max(map(len, chunks)) < CHUNK_SIZE + len(',\n' + "  " * DEPTH + '"right": ')
 
 
 def test_deep_tree_text_without_recursion():
@@ -95,6 +103,8 @@ def test_deep_tree_text_without_recursion():
         left_comb, right_comb = (left_comb, None), (None, right_comb)
     _same_text(tree_to_text(left_comb), "(" * DEPTH + "-" + ",-)" * DEPTH)
     _same_text(tree_to_text(right_comb), "(-," * DEPTH + "-" + ")" * DEPTH)
+    labeled = "".join(f"(- {label} " for label in range(1, DEPTH + 1)) + "-" + ")" * DEPTH
+    _same_text(labeled_tree_to_text(_comb(DEPTH)), labeled)
     texts = trees_to_text([right_comb, right_comb[1], None])
     for got, k in zip(texts, (DEPTH, DEPTH - 1, 0), strict=True):
         _same_text(got, "(-," * k + "-" + ")" * k)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -49,6 +50,81 @@ def shape(t):
 
 def catalan(n):
     return math.comb(2 * n, n) // (n + 1)
+
+
+def path_copying_bst_insert(word, reading="left-to-right"):
+    """Reference: insert each letter as a leaf, copying the root-to-leaf
+    path of both trees (recursive, so only for shallow trees)."""
+    if len(set(word)) != len(word):
+        raise ValueError("letters must be distinct")
+    if reading == "left-to-right":
+        items = list(enumerate(word, 1))
+    elif reading == "right-to-left":
+        items = [(i, word[i - 1]) for i in range(len(word), 0, -1)]
+    else:
+        raise ValueError(f"unknown reading {reading!r}")
+
+    def graft(p, q, a, pos):
+        if p is None:
+            return (a, None, None), (pos, None, None)
+        if a > p[0]:
+            right_p, right_q = graft(p[2], q[2], a, pos)
+            return (p[0], p[1], right_p), (q[0], q[1], right_q)
+        left_p, left_q = graft(p[1], q[1], a, pos)
+        return (p[0], left_p, p[2]), (q[0], left_q, q[2])
+
+    insertion = recording = None
+    for pos, a in items:
+        insertion, recording = graft(insertion, recording, a, pos)
+    return insertion, recording
+
+
+READINGS = ("left-to-right", "right-to-left")
+
+
+def test_bst_insert_equals_path_copying_insertion():
+    for reading in READINGS:
+        for n in range(8):
+            for w in all_permutations(n):
+                assert bst_insert(w, reading) == path_copying_bst_insert(w, reading), (w, reading)
+    # distinct letters with gaps, negatives and any order of magnitude
+    rng = random.Random(2024)
+    for _ in range(300):
+        word = rng.sample(range(-10**6, 10**6), rng.randint(0, 60))
+        for reading in READINGS:
+            assert bst_insert(word, reading) == path_copying_bst_insert(word, reading), (word, reading)
+
+
+@pytest.mark.parametrize("reading", READINGS)
+def test_bst_insert_of_long_chains(reading):
+    n = 100_000
+    positions = range(1, n + 1) if reading == "left-to-right" else range(n, 0, -1)
+    for word in (range(1, n + 1), range(n, 0, -1)):
+        p, q = bst_insert(word, reading)
+        # letters inserted in increasing order make a right chain, in
+        # decreasing order a left one; P and Q count them off along it
+        inserted = [word[k - 1] for k in positions]
+        side = 2 if inserted[0] < inserted[1] else 1
+        letters, labels = [], []
+        while p is not None:
+            assert p[3 - side] is None and q[3 - side] is None
+            letters.append(p[0])
+            labels.append(q[0])
+            p, q = p[side], q[side]
+        assert q is None
+        assert letters == inserted
+        assert labels == list(positions)
+
+
+def test_bst_insert_errors():
+    # distinctness is checked before the reading
+    for reading in (*READINGS, "sideways"):
+        with pytest.raises(ValueError, match="letters must be distinct"):
+            bst_insert((2, 1, 2), reading)
+    with pytest.raises(ValueError, match="unknown reading 'sideways'"):
+        bst_insert((2, 1), "sideways")
+    with pytest.raises(ValueError, match="unknown reading"):
+        bst_insert((), "sideways")
 
 
 def test_bst_insert_351426():
