@@ -15,6 +15,7 @@ here.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import partial
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
@@ -341,7 +342,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.out:
             # fail before any work; appending nothing leaves an existing file as it is
             _write_out(args.out, "a", ())
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here at the latest
+        return code
+    except BrokenPipeError as exc:
+        # the reader went away: let the interpreter's last flush of the
+        # text still buffered go nowhere instead of failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return 2
     except (PermutationParseError, WordEncodingError, graphs.RankGuardError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -75,16 +75,11 @@ from .compositions import (
     increment_last,
     is_binword_cover,
     is_lifted_cover,
-    word_to_composition,
 )
 from .graphs import GrowthRuleError
 from .jsontext import dumps
 from .permutations import Permutation, inverse, permutation_matrix, validate_permutation
-from .ribbons import (
-    QuasiRibbonTableau,
-    RibbonTableau,
-    rows_from_reading,
-)
+from .ribbons import QuasiRibbonTableau, RibbonTableau
 from .trees import (
     LabeledTree,
     Tree,
@@ -395,14 +390,9 @@ def build_growth_diagram(p: Permutation, family: Family) -> GrowthGrid:
 # -- conversions from labels ---------------------------------------------------
 
 def _quasi_ribbon_from_letters(letters) -> QuasiRibbonTableau:
-    """Cell k opens a new row for letter 1 and ends the last row for 0."""
-    rows: list[list[int]] = []
-    for k, a in enumerate(letters, 1):
-        if a:
-            rows.append([k])
-        else:
-            rows[-1].append(k)
-    return QuasiRibbonTableau(tuple(map(tuple, rows)))
+    """Cell k opens a new row for letter 1 and ends the last row for 0;
+    the first letter is always 1."""
+    return QuasiRibbonTableau._from_reading(range(1, len(letters) + 1), letters[1:])
 
 
 def _ribbon_from_labels(labels) -> RibbonTableau:
@@ -410,19 +400,20 @@ def _ribbon_from_labels(labels) -> RibbonTableau:
     Step k inserts letter b at position q of the word, h = 2q + b, and
     puts k into the reading order: for a 0 at q - 1, the end of the run of
     0s it joins; for a 1 in front of the cell where its run of 1s starts
-    (past the first cell), shifting that suffix down.
+    (past the first cell), shifting that suffix down.  A row ends before
+    each cell whose letter is 1.
     """
-    word = bytearray()  # b"0" and b"1" letters
+    word = bytearray()  # letters 0 and 1
     reading: list[int] = []
     for k, h in enumerate(labels, 1):
         q, b = divmod(h, 2)
-        word.insert(q - 1, 48 + b)
+        word.insert(q - 1, b)
         if b:
-            start = word.rfind(b"0", 0, q - 1) + 1  # 0-based start of the run
+            start = word.rfind(0, 0, q - 1) + 1  # 0-based start of the run
             reading.insert(max(start, 1) - 1, k)
         else:
             reading.insert(q - 1, k)
-    return RibbonTableau(rows_from_reading(reading, word_to_composition(word.decode())))
+    return RibbonTableau._from_reading(reading, word[1:])
 
 
 def _bst_from_depths(depths) -> LabeledTree:

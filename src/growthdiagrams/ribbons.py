@@ -17,33 +17,69 @@ right after a and no row ends between y and a.  When a exceeds every
 entry this appends a to the last row; when no entry is <= a, a becomes a
 one-cell first row above the rest.  The recording tableau Q puts the step
 number at the reading position a took.
+
+So a tableau is checked in one pass over its reading word and its row
+ends (Krob-Thibon): a quasi-ribbon tableau is a strictly increasing
+reading word cut into rows, and a ribbon tableau a word of distinct
+letters that rises inside each row and falls at each row end.  Every
+tableau built here is made from its reading word and row ends, checked
+that way, and cut into rows only when they are asked for; the
+row-by-row check runs only to explain a rejection.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Sequence
+from itertools import accumulate, chain, compress, islice
+from operator import gt, lt
+from typing import Iterable, Sequence
 
 from .permutations import Permutation, inverse, validate_permutation
 
 Composition = tuple[int, ...]
 
+_INT = frozenset((int,))
+
 
 class RibbonShapedTableau:
     """
     Common layout and checks; use the two concrete subclasses.  A tableau
-    is an immutable value: its rows are stored as tuples and validated on
-    construction, and two tableaux are equal when they are of the same
-    kind and have the same rows.
+    is an immutable value, stored as its reading word and, for each cell
+    but the last, whether a row ends there, and validated on
+    construction; its rows are tuples cut from the reading word when first
+    asked for.  Two tableaux are equal when they are of the same kind and
+    have the same rows.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("_reading", "_ends", "_rows")
 
     #: True when the overlap column must increase downwards (quasi-ribbon).
     increases_down_columns = True
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in rows))
+        rows = tuple(tuple(row) for row in rows)
+        reading = tuple(chain.from_iterable(rows))
+        cuts = set(accumulate(map(len, rows)))
+        object.__setattr__(self, "_reading", reading)
+        object.__setattr__(self, "_ends", tuple(map(cuts.__contains__, range(1, len(reading)))))
+        object.__setattr__(self, "_rows", rows)
         self.validate()
+
+    @classmethod
+    def _from_reading(cls, reading: Iterable[int], ends: Iterable[bool]):
+        """
+        The tableau with this reading word, where a row ends after cell i
+        exactly when ends[i] is true, for each cell but the last.  The
+        flags are kept for equality and hashing, so each must be a bool or
+        0 or 1.  Checked like :meth:`validate`.
+        """
+        reading, ends = tuple(reading), tuple(ends)
+        t = object.__new__(cls)
+        object.__setattr__(t, "_reading", reading)
+        object.__setattr__(t, "_ends", ends)
+        object.__setattr__(t, "_rows", None)
+        if not t._accepts(reading, ends):
+            t._check_rows()
+        return t
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -52,12 +88,13 @@ class RibbonShapedTableau:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other):
+        # rows are non-empty, so equal readings cut alike are equal rows
         if other.__class__ is self.__class__:
-            return self.rows == other.rows
+            return self._reading == other._reading and self._ends == other._ends
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self._reading, self._ends))
 
     def __repr__(self):
         return f"{type(self).__name__}(rows={self.rows!r})"
@@ -66,16 +103,27 @@ class RibbonShapedTableau:
         return type(self), (self.rows,)
 
     @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The rows, top to bottom, each a tuple of labels."""
+        rows = self._rows
+        if rows is None:
+            reading = self._reading
+            cuts = [*compress(range(1, len(reading)), self._ends), len(reading)] if reading else []
+            rows = tuple(map(reading.__getitem__, map(slice, [0, *cuts], cuts)))
+            object.__setattr__(self, "_rows", rows)
+        return rows
+
+    @property
     def shape(self) -> Composition:
         return tuple(len(row) for row in self.rows)
 
     @property
     def n(self) -> int:
-        return sum(len(row) for row in self.rows)
+        return len(self._reading)
 
     def reading(self) -> tuple[int, ...]:
         """Labels left to right, top to bottom."""
-        return tuple(v for row in self.rows for v in row)
+        return self._reading
 
     def column_offsets(self) -> tuple[int, ...]:
         offsets = [0]
@@ -87,6 +135,34 @@ class RibbonShapedTableau:
         return sorted(self.reading()) == list(range(1, self.n + 1))
 
     def validate(self) -> None:
+        if not (all(self.rows) and self._accepts(self._reading, self._ends)):
+            self._check_rows()
+
+    def _accepts(self, reading: tuple, ends: tuple) -> bool:
+        """
+        Whether non-empty rows with this reading word, ending where
+        ``ends`` says, form a valid tableau, in one pass of C-level calls.
+        Labels must be positive ints.  A quasi-ribbon's reading word
+        increases strictly; a ribbon's letters are distinct, and its
+        reading word falls exactly where a row ends.  False only means
+        that :meth:`_check_rows` must look.
+        """
+        if not _INT.issuperset(map(type, reading)):
+            return False
+        rest = islice(reading, 1, None)
+        if self.increases_down_columns:
+            return all(map(lt, reading, rest)) and (not reading or reading[0] > 0)
+        n = len(reading)
+        return (
+            (not n or min(reading) > 0)
+            and len(set(reading)) == n
+            and tuple(map(gt, reading, rest)) == ends
+        )
+
+    def _check_rows(self) -> None:
+        """Raise for the first fault, row by row; some rows that
+        :meth:`_accepts` declines are valid (labels True or of an int
+        subclass), and pass."""
         seen = set()
         for row in self.rows:
             if not row:
@@ -138,11 +214,6 @@ def _insert_step(reading: list[int], ends: list[bool], a: int) -> int:
     return k
 
 
-def _shape(ends: Sequence[bool]) -> Composition:
-    cuts = [i for i, end in enumerate(ends, 1) if end]
-    return tuple(b - a for a, b in zip([0] + cuts, cuts))
-
-
 def insert_letter(t: QuasiRibbonTableau, a: int) -> tuple[QuasiRibbonTableau, int]:
     """
     Hypoplactic insertion of one letter.  Returns the new tableau and the
@@ -157,7 +228,7 @@ def insert_letter(t: QuasiRibbonTableau, a: int) -> tuple[QuasiRibbonTableau, in
     reading = list(t.reading())
     ends = [j == len(row) - 1 for row in t.rows for j in range(len(row))]
     k = _insert_step(reading, ends, a)
-    return QuasiRibbonTableau(rows_from_reading(reading, _shape(ends))), k + 1
+    return QuasiRibbonTableau._from_reading(reading, ends[:-1]), k + 1
 
 
 def hypoplactic_insert(word: Sequence[int]) -> tuple[QuasiRibbonTableau, RibbonTableau]:
@@ -175,31 +246,20 @@ def hypoplactic_insert(word: Sequence[int]) -> tuple[QuasiRibbonTableau, RibbonT
     word = tuple(word)
     if len(set(word)) != len(word):
         raise ValueError("letters must be distinct")
-    for a in word:  # before any comparison, with validate's message
-        if not isinstance(a, int) or a < 1:
-            raise ValueError(f"labels must be positive integers, got {a!r}")
+    if not (_INT.issuperset(map(type, word)) and (not word or min(word) > 0)):
+        for a in word:  # before any comparison, with validate's message
+            if not isinstance(a, int) or a < 1:
+                raise ValueError(f"labels must be positive integers, got {a!r}")
     reading: list[int] = []
     ends: list[bool] = []
     q_reading: list[int] = []
     for step, a in enumerate(word, 1):
         q_reading.insert(_insert_step(reading, ends, a), step)
-    shape = _shape(ends)
-    rank = {v: i for i, v in enumerate(sorted(word), 1)}
-    p = QuasiRibbonTableau(rows_from_reading([rank[v] for v in reading], shape))
-    q = RibbonTableau(rows_from_reading(q_reading, shape))
+    del ends[-1:]  # the last cell always ends a row
+    rank = dict(zip(sorted(word), range(1, len(word) + 1)))
+    p = QuasiRibbonTableau._from_reading(map(rank.__getitem__, reading), ends)
+    q = RibbonTableau._from_reading(q_reading, ends)
     return p, q
-
-
-def rows_from_reading(reading: Sequence[int], shape: Composition) -> tuple[tuple[int, ...], ...]:
-    """Cut a reading sequence into rows of the given lengths."""
-    if sum(shape) != len(reading):
-        raise ValueError(f"shape {shape} does not hold {len(reading)} cells")
-    rows = []
-    pos = 0
-    for part in shape:
-        rows.append(tuple(reading[pos : pos + part]))
-        pos += part
-    return tuple(rows)
 
 
 def shadow_lines(p: Permutation) -> tuple[QuasiRibbonTableau, RibbonTableau]:
@@ -216,15 +276,11 @@ def shadow_lines(p: Permutation) -> tuple[QuasiRibbonTableau, RibbonTableau]:
     """
     p = validate_permutation(p)
     inv = inverse(p)
-    lines: list[list[int]] = []
-    for v in range(1, len(p) + 1):
-        if lines and inv[v - 1] > inv[v - 2]:
-            lines[-1].append(v)
-        else:
-            lines.append([v])
-    p_rows = tuple(tuple(line) for line in lines)
-    q_rows = tuple(tuple(inv[v - 1] for v in line) for line in lines)
-    return QuasiRibbonTableau(p_rows), RibbonTableau(q_rows)
+    ends = tuple(map(gt, inv, islice(inv, 1, None)))  # v + 1 lies to the left of v
+    return (
+        QuasiRibbonTableau._from_reading(range(1, len(p) + 1), ends),
+        RibbonTableau._from_reading(inv, ends),
+    )
 
 
 def render_tableau(t: RibbonShapedTableau) -> str:

@@ -1,0 +1,107 @@
+"""
+Reference implementations kept for the tests: the row-by-row checks that
+the one-pass checks in ``growthdiagrams`` replaced, and the insertion and
+shadow-line routes built on them.  Each returns plain rows and raises
+exactly what the library raised before the one-pass checks, so a test can
+compare acceptance, result, exception type and message.
+"""
+from growthdiagrams.permutations import PermutationParseError
+
+
+def row_by_row_validate(rows, increases_down_columns):
+    """The tableau check, one row and one overlap column at a time."""
+    seen = set()
+    for row in rows:
+        if not row:
+            raise ValueError("empty row in tableau")
+        for v in row:
+            if not isinstance(v, int) or v < 1:
+                raise ValueError(f"labels must be positive integers, got {v!r}")
+            if v in seen:
+                raise ValueError(f"duplicate label {v}")
+            seen.add(v)
+        if any(a >= b for a, b in zip(row, row[1:])):
+            raise ValueError(f"row {row} is not strictly increasing")
+    for upper, lower in zip(rows, rows[1:]):
+        if increases_down_columns and not lower[0] > upper[-1]:
+            raise ValueError(f"column must increase downwards: {upper[-1]} above {lower[0]}")
+        if not increases_down_columns and not lower[0] < upper[-1]:
+            raise ValueError(f"column must increase upwards: {upper[-1]} above {lower[0]}")
+
+
+def tableau_rows(rows, increases_down_columns):
+    """The rows as tuples, after the row-by-row check."""
+    rows = tuple(tuple(row) for row in rows)
+    row_by_row_validate(rows, increases_down_columns)
+    return rows
+
+
+def loop_validate_permutation(word):
+    """The permutation check, one value at a time."""
+    word = tuple(word)
+    n = len(word)
+    seen = set()
+    for v in word:
+        if not isinstance(v, int) or v < 1 or v > n:
+            raise PermutationParseError(f"value {v!r} out of range 1..{n}")
+        if v in seen:
+            raise PermutationParseError(f"duplicate value {v}")
+        seen.add(v)
+    return word
+
+
+def _cut(reading, lengths):
+    rows, pos = [], 0
+    for length in lengths:
+        rows.append(tuple(reading[pos : pos + length]))
+        pos += length
+    return tuple(rows)
+
+
+def hypoplactic_rows(word):
+    """(P rows, Q rows) of hypoplactic insertion: each letter goes just
+    after the last entry <= it in the increasing reading word, a row ends
+    right after it, and the row end after its predecessor goes."""
+    word = tuple(word)
+    if len(set(word)) != len(word):
+        raise ValueError("letters must be distinct")
+    for a in word:
+        if not isinstance(a, int) or a < 1:
+            raise ValueError(f"labels must be positive integers, got {a!r}")
+    reading, ends, q_reading = [], [], []
+    for step, a in enumerate(word, 1):
+        k = sum(1 for v in reading if v <= a)
+        reading.insert(k, a)
+        ends.insert(k, True)
+        if k:
+            ends[k - 1] = False
+        q_reading.insert(k, step)
+    lengths, length = [], 0
+    for end in ends:
+        length += 1
+        if end:
+            lengths.append(length)
+            length = 0
+    rank = {v: i for i, v in enumerate(sorted(word), 1)}
+    return (
+        tableau_rows(_cut([rank[v] for v in reading], lengths), True),
+        tableau_rows(_cut(q_reading, lengths), False),
+    )
+
+
+def shadow_line_rows(p):
+    """(P rows, Q rows) read off the shadow lines of a permutation."""
+    p = loop_validate_permutation(p)
+    inv = [0] * len(p)
+    for i, v in enumerate(p):
+        inv[v - 1] = i + 1
+    lines = []
+    for v in range(1, len(p) + 1):
+        if lines and inv[v - 1] > inv[v - 2]:
+            lines[-1].append(v)
+        else:
+            lines.append([v])
+    return (
+        tableau_rows(lines, True),
+        tableau_rows([[inv[v - 1] for v in line] for line in lines], False),
+    )

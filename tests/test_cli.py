@@ -1,6 +1,9 @@
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -545,6 +548,9 @@ class _Pieces:
         for text in texts:
             self.write(text)
 
+    def flush(self):
+        pass
+
 
 def test_insert_json_is_written_in_bounded_pieces(monkeypatch):
     # the text of a comb is quadratic in its depth: 32 MB at n = 2000
@@ -620,3 +626,21 @@ def test_growth_converts_the_chains_once(monkeypatch, capsys, fmt):
     monkeypatch.setattr(growth, "convert_chains", counted)
     assert run(capsys, "growth", "tree", "2413", "--check", "--format", fmt)[0] == 0
     assert len(calls) == 1
+
+
+def test_closed_stdout_is_one_error_line():
+    # about 100 KB of JSON, more than a pipe holds, so the writer is
+    # still writing when the reader closes its end
+    word = ",".join(map(str, range(1, 3001)))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "growthdiagrams.cli", "insert", "hypoplactic", word, "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 2
+    assert err.startswith("error: cannot write stdout: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err and "Exception ignored" not in err

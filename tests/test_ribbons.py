@@ -12,7 +12,6 @@ from growthdiagrams.ribbons import (
     hypoplactic_insert,
     insert_letter,
     render_tableau,
-    rows_from_reading,
     shadow_lines,
 )
 
@@ -199,10 +198,13 @@ def scan_hypoplactic_insert(word):
         rows, pos = scan_insert_rows(rows, a)
         q_reading.insert(pos - 1, step)
     rank = {v: i for i, v in enumerate(sorted(word), 1)}
-    shape = tuple(len(row) for row in rows)
+    q_rows = []
+    for row in rows:  # cut Q's reading word into rows of P's lengths
+        q_rows.append(tuple(q_reading[: len(row)]))
+        del q_reading[: len(row)]
     return (
         QuasiRibbonTableau(tuple(tuple(rank[v] for v in row) for row in rows)),
-        RibbonTableau(rows_from_reading(q_reading, shape)),
+        RibbonTableau(q_rows),
     )
 
 
