@@ -14,8 +14,6 @@ from typing import Iterator, Sequence
 Permutation = tuple[int, ...]
 Composition = tuple[int, ...]
 
-_INT = frozenset((int,))
-
 
 class PermutationParseError(ValueError):
     """Raised when a string or word is not a rearrangement of 1..n."""
@@ -30,13 +28,6 @@ def validate_permutation(word: Sequence[int]) -> Permutation:
     """
     word = tuple(word)
     n = len(word)
-    # accepted in C-level calls; the loop below explains a rejection
-    if (
-        _INT.issuperset(map(type, word))
-        and len(set(word)) == n
-        and (not n or 1 <= min(word) and max(word) <= n)
-    ):
-        return word
     seen = set()
     for v in word:
         if not isinstance(v, int) or v < 1 or v > n:

@@ -226,7 +226,7 @@ def insert_letter(t: QuasiRibbonTableau, a: int) -> tuple[QuasiRibbonTableau, in
     ((1,), (2, 3))
     """
     reading = list(t.reading())
-    ends = [j == len(row) - 1 for row in t.rows for j in range(len(row))]
+    ends = [*t._ends, True] if t.n else []
     k = _insert_step(reading, ends, a)
     return QuasiRibbonTableau._from_reading(reading, ends[:-1]), k + 1
 
@@ -246,10 +246,9 @@ def hypoplactic_insert(word: Sequence[int]) -> tuple[QuasiRibbonTableau, RibbonT
     word = tuple(word)
     if len(set(word)) != len(word):
         raise ValueError("letters must be distinct")
-    if not (_INT.issuperset(map(type, word)) and (not word or min(word) > 0)):
-        for a in word:  # before any comparison, with validate's message
-            if not isinstance(a, int) or a < 1:
-                raise ValueError(f"labels must be positive integers, got {a!r}")
+    for a in word:  # before any comparison, with validate's message
+        if not isinstance(a, int) or a < 1:
+            raise ValueError(f"labels must be positive integers, got {a!r}")
     reading: list[int] = []
     ends: list[bool] = []
     q_reading: list[int] = []
