@@ -38,7 +38,17 @@ from .trees import (
 if TYPE_CHECKING:
     from .growth import GrowthGrid
 
-_ALGORITHMS = ("hypoplactic", "bst-left", "bst-right", "sylvester")
+# per algorithm, the kinds of its P and Q as the ASCII text names them
+_PAIR_KINDS = {
+    "hypoplactic": ("quasi-ribbon", "ribbon"),
+    "bst-left": ("binary search tree", "increasing tree"),
+    "bst-right": ("binary search tree", "decreasing tree"),
+    "sylvester": ("binary search tree", "decreasing tree"),
+}
+_ALGORITHMS = tuple(_PAIR_KINDS)
+
+# the direct insertion that the growth diagrams of each family reproduce
+_FAMILY_ALGORITHMS = {"composition": "hypoplactic", "tree": "bst-left"}
 
 
 class OutputError(Exception):
@@ -74,47 +84,43 @@ def _emit(args, chunks: Iterable[str]) -> None:
 
 # -- insert -------------------------------------------------------------------
 
+def _insert(algorithm: str, p):
+    """The (P, Q) pair of a direct insertion; sylvester insertion is BST
+    insertion read right to left."""
+    if algorithm == "hypoplactic":
+        return hypoplactic_insert(p)
+    return bst_insert(p, "left-to-right" if algorithm == "bst-left" else "right-to-left")
+
+
+def _pair_text(algorithm: str, p, q) -> tuple[str, ...]:
+    """The ASCII text of a (P, Q) pair, in chunks: a tableau goes below its
+    heading, a tree on the heading's line."""
+    p_kind, q_kind = _PAIR_KINDS[algorithm]
+    if algorithm == "hypoplactic":
+        render, sep = render_tableau, "\n"
+    else:
+        render, sep = labeled_tree_to_text, " "
+    return f"P ({p_kind}):{sep}", render(p), f"\nQ ({q_kind}):{sep}", render(q)
+
+
 def cmd_insert(args) -> int:
     p = parse_permutation(args.permutation)
-    if args.algorithm == "hypoplactic":
-        tab_p, tab_q = hypoplactic_insert(p)
-        if args.format == "json":
-            payload = {
-                "algorithm": args.algorithm,
-                "permutation": list(p),
-                "P": tab_p.to_json_obj(),
-                "Q": tab_q.to_json_obj(),
-            }
-            _emit(args, iterdumps(payload))
-        else:
-            _emit(
-                args,
-                (
-                    f"P (quasi-ribbon):\n{render_tableau(tab_p)}\n"
-                    f"Q (ribbon):\n{render_tableau(tab_q)}",
-                ),
-            )
+    algorithm = args.algorithm
+    pair = _insert(algorithm, p)
+    if args.format == "ascii":
+        _emit(args, _pair_text(algorithm, *pair))
         return 0
-    algorithm = "bst-right" if args.algorithm == "sylvester" else args.algorithm
-    reading = "left-to-right" if algorithm == "bst-left" else "right-to-left"
-    tree_p, tree_q = bst_insert(p, reading)
-    if args.format == "json":
-        payload = {
-            "algorithm": algorithm,
-            "permutation": list(p),
-            "P": labeled_tree_to_json_obj(tree_p),
-            "Q": labeled_tree_to_json_obj(tree_q),
-        }
-        _emit(args, iterdumps(payload))
+    if algorithm == "hypoplactic":
+        p_obj, q_obj = pair[0].to_json_obj(), pair[1].to_json_obj()
     else:
-        q_kind = "increasing tree" if reading == "left-to-right" else "decreasing tree"
-        _emit(
-            args,
-            (
-                "P (binary search tree): ", labeled_tree_to_text(tree_p),
-                f"\nQ ({q_kind}): ", labeled_tree_to_text(tree_q),
-            ),
-        )
+        p_obj, q_obj = map(labeled_tree_to_json_obj, pair)
+    payload = {
+        "algorithm": "bst-right" if algorithm == "sylvester" else algorithm,
+        "permutation": list(p),
+        "P": p_obj,
+        "Q": q_obj,
+    }
+    _emit(args, iterdumps(payload))
     return 0
 
 
@@ -137,32 +143,16 @@ def _render_grid(grid: GrowthGrid, labels: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _render_pair(family: str, p, q) -> str:
-    if family == "composition":
-        return (
-            f"P (quasi-ribbon):\n{render_tableau(p)}\n"
-            f"Q (ribbon):\n{render_tableau(q)}"
-        )
-    return (
-        f"P (binary search tree): {labeled_tree_to_text(p)}\n"
-        f"Q (increasing tree): {labeled_tree_to_text(q)}"
-    )
-
-
 def cmd_growth(args) -> int:
     from . import growth
 
     p = parse_permutation(args.permutation)
     grid = growth.build_growth_diagram(p, args.family)
     pair = growth.convert_chains(grid.boundary_chains(), args.family)
+    algorithm = _FAMILY_ALGORITHMS[args.family]
     matched = None
     if args.check:
-        direct = (
-            hypoplactic_insert(p)
-            if args.family == "composition"
-            else bst_insert(p, "left-to-right")
-        )
-        matched = pair == direct
+        matched = pair == _insert(algorithm, p)
     if args.format == "json":
         payload = grid.to_json_obj(pair)
         if matched is not None:
@@ -175,7 +165,7 @@ def cmd_growth(args) -> int:
             "",
             "top chain:   " + " -> ".join(labels[grid.n]),
             "right chain: " + " -> ".join(row[grid.n] for row in labels),
-            _render_pair(args.family, *pair),
+            "".join(_pair_text(algorithm, *pair)),
         ]
         if matched is not None:
             parts.append("check against direct insertion: " + ("MATCH" if matched else "MISMATCH"))
@@ -237,13 +227,9 @@ def _verify_equivalence(args, lines: list[str]) -> bool:
     from . import growth
 
     family = args.family
-    direct = (
-        hypoplactic_insert
-        if family == "composition"
-        else partial(bst_insert, reading="left-to-right")
-    )
     return _verify_routes(
-        args, lines, direct, partial(growth.growth_insert, family=family),
+        args, lines, partial(_insert, _FAMILY_ALGORITHMS[family]),
+        partial(growth.growth_insert, family=family),
         f" (family {family})", f"growth diagrams match direct {family} insertion",
     )
 
@@ -308,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_insert.set_defaults(func=cmd_insert)
 
     p_growth = sub.add_parser("growth", help="build and render a growth diagram")
-    p_growth.add_argument("family", choices=("composition", "tree"))
+    p_growth.add_argument("family", choices=tuple(_FAMILY_ALGORITHMS))
     p_growth.add_argument("permutation")
     p_growth.add_argument("--check", action="store_true", help="compare with the direct insertion")
     p_growth.add_argument("--format", choices=("ascii", "json"), default="ascii")
@@ -325,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("mode", choices=("duality", "equivalence", "shadow", "paths"))
     p_verify.add_argument("--pair", choices=tuple(graphs.DUAL_PAIRS), default="compositions")
-    p_verify.add_argument("--family", choices=("composition", "tree"), default="composition")
+    p_verify.add_argument("--family", choices=tuple(_FAMILY_ALGORITHMS), default="composition")
     p_verify.add_argument("--max-rank", type=_non_negative_int, default=8)
     p_verify.add_argument("--max-n", type=_non_negative_int, default=5)
     p_verify.add_argument("--n", type=_non_negative_int, default=5)

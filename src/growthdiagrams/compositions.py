@@ -24,7 +24,6 @@ class WordEncodingError(ValueError):
     """Raised for strings over {0,1} that encode no composition."""
 
 
-@lru_cache(maxsize=None)
 def composition_to_word(c: Composition) -> BinaryWord:
     """
     Encode a composition as a {0,1}-word with a 1 in each cell that starts

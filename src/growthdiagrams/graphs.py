@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from operator import mul
 from typing import Callable, NamedTuple, Optional
 
@@ -80,9 +80,7 @@ def _composition_label(c) -> str:
 
 def vertex_label(family: str, v) -> str:
     """Canonical print name: comma-joined parts or tree text, "e"/"-" empty."""
-    if family == "composition":
-        return _composition_label(v)
-    return tr.tree_to_text(v)
+    return vertex_labels(family, (v,))[0]
 
 
 def vertex_labels(family: str, vertices) -> list[str]:
@@ -93,6 +91,14 @@ def vertex_labels(family: str, vertices) -> list[str]:
     """
     if family == "composition":
         return list(map(cache(_composition_label), vertices))
+    return tr.trees_to_text(vertices)
+
+
+def vertex_json(family: str, vertices) -> list:
+    """The JSON form of each vertex, each distinct one rendered once: a
+    composition's list of parts, a tree's :func:`vertex_label`."""
+    if family == "composition":
+        return list(map(cache(list), vertices))
     return tr.trees_to_text(vertices)
 
 
@@ -222,14 +228,6 @@ class GradedGraph(NamedTuple):
 
     def vertices_at(self, n: int) -> tuple:
         return _vertices_at(self.family, n)
-
-    def cover_fn(self, v) -> frozenset:
-        """The vertices that cover v."""
-        return frozenset(u for u, _ in self.up_edges(v))
-
-    def up_covers(self, v) -> frozenset:
-        """Up-neighbours with their edge weights (all four graphs use 1)."""
-        return frozenset(self.up_edges(v))
 
     def up_edges(self, v) -> tuple:
         """
@@ -456,7 +454,7 @@ def export_dot(g: GradedGraph, max_rank: int) -> str:
 
 def export_json(g: GradedGraph, max_rank: int) -> str:
     """Rank-by-rank JSON: vertices plus the edges to the next rank."""
-    render = (lambda vs: [list(v) for v in vs]) if g.family == "composition" else tr.trees_to_text
+    render = partial(vertex_json, g.family)
     ranks = [
         {"n": n, "vertices": vertices, "edges": [[v, u] for v, u in edges]}
         for n, (vertices, edges) in enumerate(_rendered_ranks(g, max_rank, render))

@@ -63,10 +63,14 @@ Where each check lives:
     two boundary chains straight into (P, Q).  The public ``chain_to_*``
     read the labels off a vertex chain, checking that it is saturated,
     and run the same conversions.
+
+The fill, the checks and the conversions are written once.  Everything in
+which the two families differ is one :class:`DualPair` record in
+``PAIRS``, and an unknown family is rejected by the one lookup of it.
 """
 from __future__ import annotations
 
-from functools import cache
+from functools import partial
 from typing import Callable, Literal, NamedTuple
 
 from .compositions import (
@@ -76,7 +80,7 @@ from .compositions import (
     is_binword_cover,
     is_lifted_cover,
 )
-from .graphs import GrowthRuleError
+from .graphs import GrowthRuleError, vertex_json
 from .jsontext import dumps
 from .permutations import Permutation, inverse, permutation_matrix, validate_permutation
 from .ribbons import QuasiRibbonTableau, RibbonTableau
@@ -91,11 +95,28 @@ from .trees import (
     labeled_tree_to_json_obj,
     push_down_rightmost,
     right_spine_length,
-    trees_to_text,
 )
 
 Family = Literal["composition", "tree"]
-FAMILIES = ("composition", "tree")
+
+
+class DualPair(NamedTuple):
+    """Everything in which the growth diagrams of the two families differ.
+    Labels are (a, h) or (k, s); rank and spine are those of a square's t."""
+
+    empty: object  # the rank-0 vertex
+    local_rule: Callable  # (t, x, y, alpha) -> z, the reference on vertices
+    mark: Callable  # (rank, spine) -> the labels of a marked square
+    join: Callable  # (a, h, rank) -> the labels of cases (e) and (f)
+    fits: Callable  # (a, h, rank, spine) -> whether the labels exist
+    spined: bool  # whether mark and fits read the right-spine length
+    grow: Callable  # (y, vertical label of y -> z) -> z
+    is_horizontal_cover: Callable  # (x, z) -> whether z covers x
+    p_from_labels: Callable  # the right column's vertical labels -> P
+    q_from_labels: Callable  # the top row's horizontal labels -> Q
+    chain_to_p: Callable  # the right boundary chain -> P
+    chain_to_q: Callable  # the top boundary chain -> Q
+    json_obj: Callable  # P or Q -> its JSON form
 
 
 def _check_square_input(t, x, y, alpha, is_vertical_cover, is_horizontal_cover):
@@ -173,12 +194,6 @@ def local_rule_tree(t: Tree, x: Tree, y: Tree, alpha: int) -> Tree:
     return z
 
 
-_FAMILY_RULES: dict[str, tuple[object, Callable]] = {
-    "composition": ((), local_rule_composition),
-    "tree": (None, local_rule_tree),
-}
-
-
 class BoundaryChains(NamedTuple):
     """Saturated boundary chains of a growth diagram, sharing the corner."""
 
@@ -206,7 +221,8 @@ class GrowthGrid(NamedTuple):
 
     def validate(self) -> None:
         """Recheck every boundary value and every square against the rule."""
-        empty, rule = _FAMILY_RULES[self.family]
+        dual = _pair(self.family)
+        empty, rule = dual.empty, dual.local_rule
         n = self.n
         if len(self.vertices) != n + 1 or any(len(row) != n + 1 for row in self.vertices):
             raise ValueError("grid is not (n+1) x (n+1)")
@@ -234,23 +250,18 @@ class GrowthGrid(NamedTuple):
         """
         The JSON form of the grid and of its (P, Q) pair; ``pair`` is the
         result of :func:`convert_chains` when the caller already has it.
-        Each distinct vertex is rendered once: equal compositions share
-        one list, and tree nodes shared between vertices one text.
+        The vertices take the form :func:`vertex_json` gives them, each
+        distinct one rendered once.
         """
+        dual = _pair(self.family)
         p, q = convert_chains(self.boundary_chains(), self.family) if pair is None else pair
-        if self.family == "composition":
-            grid = self.render_rows(lambda vertices: list(map(cache(list), vertices)))
-            p_obj, q_obj = p.to_json_obj(), q.to_json_obj()
-        else:
-            grid = self.render_rows(trees_to_text)
-            p_obj, q_obj = labeled_tree_to_json_obj(p), labeled_tree_to_json_obj(q)
         return {
             "n": self.n,
             "family": self.family,
-            "grid": grid,
+            "grid": self.render_rows(partial(vertex_json, self.family)),
             "marks": [list(cell) for cell in sorted(self.marks)],
-            "P": p_obj,
-            "Q": q_obj,
+            "P": dual.json_obj(p),
+            "Q": dual.json_obj(q),
         }
 
     def to_json(self) -> str:
@@ -282,29 +293,7 @@ def _labels_fit_composition(a: int, h: int, rank: int, spine: int) -> bool:
     return (a == 1 or a == 0 < rank) and (h == 3 if rank == 0 else 4 <= h <= 2 * rank + 3)
 
 
-def _mark_labels_tree(rank: int, spine: int) -> tuple[int, int]:
-    """Case (a): a new node below the rightmost one, in the last slot."""
-    return spine, rank
-
-
-def _join_labels_tree(k: int, s: int, rank: int) -> tuple[int, int]:
-    """Cases (e) and (f)."""
-    return k, s
-
-
-def _labels_fit_tree(k: int, s: int, rank: int, spine: int) -> bool:
-    """Whether spine depth k and in-order slot s exist in a tree of this
-    rank and right-spine length."""
-    return 0 <= k <= spine and 0 <= s <= rank
-
-
-_LABEL_RULES = {
-    "composition": (_mark_labels_composition, _join_labels_composition, _labels_fit_composition),
-    "tree": (_mark_labels_tree, _join_labels_tree, _labels_fit_tree),
-}
-
-
-def _label_rows(p: Permutation, family: Family):
+def _label_rows(p: Permutation, dual: DualPair):
     """
     Fill the diagram of a valid permutation on edge labels, row by row.
     Yield, for each height i = 1..n, the column c of the mark in row i,
@@ -312,10 +301,10 @@ def _label_rows(p: Permutation, family: Family):
     of the horizontal edges within row i; entry j is the edge into column
     j, and entry 0 is None.
     """
-    mark, join, fits = _LABEL_RULES[family]
+    mark, join, fits, spined = dual.mark, dual.join, dual.fits, dual.spined
     n = len(p)
     below = [None] * (n + 1)  # horizontal labels of row i - 1
-    spines = [0] * (n + 1)  # right-spine lengths of row i - 1 (trees)
+    spines = [0] * (n + 1)  # right-spine lengths of row i - 1, when spined
     for i, c in enumerate(inverse(p), 1):
         # x = t left of the mark: z = y, and horizontal labels pass up
         row = below[:]
@@ -335,20 +324,10 @@ def _label_rows(p: Permutation, family: Family):
                     raise GrowthRuleError(f"labels ({a!r}, {h!r}) do not fit square ({j}, {i})")
                 row[j] = h
             vertical[j] = a
-        if family == "tree":
+        if spined:
             spines[c:] = [k + 1 for k in vertical[c:]]
         yield c, vertical, row
         below = row
-
-
-def _grow_composition(c: Composition, a: int) -> Composition:
-    return c + (1,) if a else increment_last(c)
-
-
-_VERTEX_STEPS = {
-    "composition": (_grow_composition, is_binword_cover),
-    "tree": (insert_rightmost, is_lattice_cover),
-}
 
 
 def build_growth_diagram(p: Permutation, family: Family) -> GrowthGrid:
@@ -360,14 +339,12 @@ def build_growth_diagram(p: Permutation, family: Family) -> GrowthGrid:
     into it is degenerate, and every vertex built is checked to cover x.
     """
     p = validate_permutation(p)
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    empty, _ = _FAMILY_RULES[family]
-    grow, is_horizontal_cover = _VERTEX_STEPS[family]
+    dual = _pair(family)
+    grow, is_horizontal_cover = dual.grow, dual.is_horizontal_cover
     n = len(p)
-    row = [empty] * (n + 1)
+    row = [dual.empty] * (n + 1)
     rows = [tuple(row)]
-    for c, vertical, horizontal in _label_rows(p, family):
+    for c, vertical, horizontal in _label_rows(p, dual):
         below, row = row, row[:]  # left of the mark, case (b) or (c): z = y
         for j in range(c, n + 1):
             x = row[j - 1]
@@ -453,12 +430,6 @@ def _increasing_tree_from_slots(slots) -> LabeledTree:
     return labeled_tree(range(n, 0, -1), left, right, range(n + 1))
 
 
-_FROM_LABELS = {
-    "composition": lambda right, top: (_quasi_ribbon_from_letters(right), _ribbon_from_labels(top)),
-    "tree": lambda right, top: (_bst_from_depths(right), _increasing_tree_from_slots(top)),
-}
-
-
 # -- chain conversions -------------------------------------------------------
 #
 # Each reads the labels of a saturated vertex chain off consecutive
@@ -506,11 +477,13 @@ def chain_to_ribbon(chain) -> RibbonTableau:
     chain = [tuple(c) for c in chain]
     _require(bool(chain) and chain[0] == (), chain, "Binword")
     labels = []
-    for prev, cur in zip(chain, chain[1:]):
-        u, v = composition_to_word(prev), composition_to_word(cur)
+    u = ""  # the word of the composition before cur
+    for cur in chain[1:]:
+        v = composition_to_word(cur)
         q = next((q for q, (a, b) in enumerate(zip(u, v), 1) if a != b), len(u) + 1)
         _require(len(v) == len(u) + 1 and v[: q - 1] + v[q:] == u, chain, "Binword")
         labels.append(2 * q + int(v[q - 1]))
+        u = v
     return _ribbon_from_labels(labels)
 
 
@@ -569,11 +542,8 @@ def chain_to_bst(chain) -> LabeledTree:
 
 def convert_chains(chains: BoundaryChains, family: Family):
     """The (P, Q) pair encoded by the two boundary chains."""
-    if family == "composition":
-        return chain_to_quasi_ribbon(chains.right), chain_to_ribbon(chains.top)
-    if family == "tree":
-        return chain_to_bst(chains.right), chain_to_increasing_tree(chains.top)
-    raise ValueError(f"unknown family {family!r}")
+    dual = _pair(family)
+    return dual.chain_to_p(chains.right), dual.chain_to_q(chains.top)
 
 
 def growth_insert(p: Permutation, family: Family):
@@ -588,10 +558,47 @@ def growth_insert(p: Permutation, family: Family):
     (((1, 2), (3,), (4, 5, 6)), ((2, 6), (4,), (1, 3, 5)))
     """
     p = validate_permutation(p)
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+    dual = _pair(family)
     right = []  # vertical labels of column n, bottom to top
     top = [None]  # horizontal labels of the last row filled
-    for _, vertical, top in _label_rows(p, family):
+    for _, vertical, top in _label_rows(p, dual):
         right.append(vertical[-1])
-    return _FROM_LABELS[family](right, top[1:])
+    return dual.p_from_labels(right), dual.q_from_labels(top[1:])
+
+
+# -- the two dual pairs ---------------------------------------------------------
+
+PAIRS = {
+    "composition": DualPair(
+        empty=(), local_rule=local_rule_composition,
+        mark=_mark_labels_composition, join=_join_labels_composition,
+        fits=_labels_fit_composition, spined=False,
+        grow=lambda c, a: c + (1,) if a else increment_last(c),
+        is_horizontal_cover=is_binword_cover,
+        p_from_labels=_quasi_ribbon_from_letters, q_from_labels=_ribbon_from_labels,
+        chain_to_p=chain_to_quasi_ribbon, chain_to_q=chain_to_ribbon,
+        json_obj=lambda tableau: tableau.to_json_obj(),
+    ),
+    "tree": DualPair(
+        empty=None, local_rule=local_rule_tree,
+        # case (a): a new node below the rightmost one, in the last slot;
+        # cases (e) and (f) pass both labels on; spine depth k and in-order
+        # slot s must exist in t
+        mark=lambda rank, spine: (spine, rank), join=lambda k, s, rank: (k, s),
+        fits=lambda k, s, rank, spine: 0 <= k <= spine and 0 <= s <= rank, spined=True,
+        grow=insert_rightmost, is_horizontal_cover=is_lattice_cover,
+        p_from_labels=_bst_from_depths, q_from_labels=_increasing_tree_from_slots,
+        chain_to_p=chain_to_bst, chain_to_q=chain_to_increasing_tree,
+        # the module's name is read at each call, as every other call here
+        # reads it, so a wrapper put on the name sees this call too
+        json_obj=lambda tree: labeled_tree_to_json_obj(tree),
+    ),
+}
+
+FAMILIES = tuple(PAIRS)
+
+
+def _pair(family: Family) -> DualPair:
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    return PAIRS[family]

@@ -40,8 +40,9 @@ def validate_permutation(word: Sequence[int]) -> Permutation:
 
 def parse_permutation(text: str) -> Permutation:
     """
-    Parse a permutation from a digit string (n <= 9) or a comma-separated
-    list of integers.  The empty string parses to the empty permutation.
+    Parse a permutation from a string of ASCII digits (n <= 9) or a
+    comma-separated list of ASCII-digit numbers.  The empty string parses
+    to the empty permutation.
 
     >>> parse_permutation("415362")
     (4, 1, 5, 3, 6, 2)
@@ -59,13 +60,13 @@ def parse_permutation(text: str) -> Permutation:
         for tok in tokens:
             if not tok:
                 raise PermutationParseError("empty token in comma-separated permutation")
-            try:
-                word.append(int(tok))
-            except ValueError:
-                raise PermutationParseError(f"invalid token {tok!r}") from None
+            # int() would also take signs, underscores and non-ASCII digits
+            if not (tok.isascii() and tok.isdigit()):
+                raise PermutationParseError(f"invalid token {tok!r}")
+            word.append(int(tok))
     else:
         for ch in text:
-            if not ch.isdigit():
+            if ch not in "0123456789":
                 raise PermutationParseError(f"invalid character {ch!r} (use commas for values > 9)")
         word = [int(ch) for ch in text]
     return validate_permutation(word)

@@ -235,34 +235,6 @@ def trees_to_text(trees: Iterable[Tree]) -> list[str]:
     return [memo[id(t)] for t in trees]
 
 
-def tree_from_text(s: str) -> Tree:
-    """Parse the output of :func:`tree_to_text`."""
-    pos = 0
-
-    def parse() -> Tree:
-        nonlocal pos
-        if pos < len(s) and s[pos] == "-":
-            pos += 1
-            return None
-        if pos >= len(s) or s[pos] != "(":
-            raise ValueError(f"bad tree text {s!r} at index {pos}")
-        pos += 1
-        left = parse()
-        if pos >= len(s) or s[pos] != ",":
-            raise ValueError(f"bad tree text {s!r} at index {pos}")
-        pos += 1
-        right = parse()
-        if pos >= len(s) or s[pos] != ")":
-            raise ValueError(f"bad tree text {s!r} at index {pos}")
-        pos += 1
-        return (left, right)
-
-    t = parse()
-    if pos != len(s):
-        raise ValueError(f"trailing characters in tree text {s!r}")
-    return t
-
-
 def labeled_tree_to_text(t: LabeledTree) -> str:
     """
     "-" for the empty tree, "(L a R)" for a node labeled a; built with an
@@ -307,16 +279,6 @@ def labeled_tree_to_json_obj(t: LabeledTree):
                 obj[side] = child = {"label": node[0], "left": node[1], "right": node[2]}
                 stack.append(child)
     return root
-
-
-def labeled_tree_from_json_obj(obj) -> LabeledTree:
-    if obj is None:
-        return None
-    return (
-        obj["label"],
-        labeled_tree_from_json_obj(obj["left"]),
-        labeled_tree_from_json_obj(obj["right"]),
-    )
 
 
 # -- insertion -------------------------------------------------------------
@@ -390,40 +352,6 @@ def bst_insert(word: Sequence[int], reading: str = "left-to-right") -> tuple[Lab
         labeled_tree(postorder, left, right, letters),
         labeled_tree(postorder, left, right, positions),
     )
-
-
-# -- labeled-tree invariants -----------------------------------------------
-
-def is_search_tree(t: LabeledTree, lo: float = float("-inf"), hi: float = float("inf")) -> bool:
-    """Left subtree labels < node label < right subtree labels, recursively."""
-    if t is None:
-        return True
-    label, left, right = t
-    if not lo < label < hi:
-        return False
-    return is_search_tree(left, lo, label) and is_search_tree(right, label, hi)
-
-
-def is_increasing_tree(t: LabeledTree) -> bool:
-    """Each node's label is smaller than every label in its subtrees."""
-    if t is None:
-        return True
-    label, left, right = t
-    for child in (left, right):
-        if child is not None and child[0] < label:
-            return False
-    return is_increasing_tree(left) and is_increasing_tree(right)
-
-
-def is_decreasing_tree(t: LabeledTree) -> bool:
-    """Each node's label is greater than every label in its subtrees."""
-    if t is None:
-        return True
-    label, left, right = t
-    for child in (left, right):
-        if child is not None and child[0] > label:
-            return False
-    return is_decreasing_tree(left) and is_decreasing_tree(right)
 
 
 # -- bracketed expressions -------------------------------------------------

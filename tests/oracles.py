@@ -4,6 +4,9 @@ the one-pass checks in ``growthdiagrams`` replaced, and the insertion and
 shadow-line routes built on them.  Each returns plain rows and raises
 exactly what the library raised before the one-pass checks, so a test can
 compare acceptance, result, exception type and message.
+
+Also here: recursive tree predicates and parsers that only tests call.
+They recurse once per level, so they serve small trees only.
 """
 from growthdiagrams.permutations import PermutationParseError
 
@@ -105,3 +108,76 @@ def shadow_line_rows(p):
         tableau_rows(lines, True),
         tableau_rows([[inv[v - 1] for v in line] for line in lines], False),
     )
+
+
+# -- trees ---------------------------------------------------------------------
+
+def tree_from_text(s: str):
+    """Parse the output of ``growthdiagrams.trees.tree_to_text``."""
+    pos = 0
+
+    def parse():
+        nonlocal pos
+        if pos < len(s) and s[pos] == "-":
+            pos += 1
+            return None
+        if pos >= len(s) or s[pos] != "(":
+            raise ValueError(f"bad tree text {s!r} at index {pos}")
+        pos += 1
+        left = parse()
+        if pos >= len(s) or s[pos] != ",":
+            raise ValueError(f"bad tree text {s!r} at index {pos}")
+        pos += 1
+        right = parse()
+        if pos >= len(s) or s[pos] != ")":
+            raise ValueError(f"bad tree text {s!r} at index {pos}")
+        pos += 1
+        return (left, right)
+
+    t = parse()
+    if pos != len(s):
+        raise ValueError(f"trailing characters in tree text {s!r}")
+    return t
+
+
+def labeled_tree_from_json_obj(obj):
+    """Invert ``growthdiagrams.trees.labeled_tree_to_json_obj``."""
+    if obj is None:
+        return None
+    return (
+        obj["label"],
+        labeled_tree_from_json_obj(obj["left"]),
+        labeled_tree_from_json_obj(obj["right"]),
+    )
+
+
+def is_search_tree(t, lo: float = float("-inf"), hi: float = float("inf")) -> bool:
+    """Left subtree labels < node label < right subtree labels, recursively."""
+    if t is None:
+        return True
+    label, left, right = t
+    if not lo < label < hi:
+        return False
+    return is_search_tree(left, lo, label) and is_search_tree(right, label, hi)
+
+
+def is_increasing_tree(t) -> bool:
+    """Each node's label is smaller than every label in its subtrees."""
+    if t is None:
+        return True
+    label, left, right = t
+    for child in (left, right):
+        if child is not None and child[0] < label:
+            return False
+    return is_increasing_tree(left) and is_increasing_tree(right)
+
+
+def is_decreasing_tree(t) -> bool:
+    """Each node's label is greater than every label in its subtrees."""
+    if t is None:
+        return True
+    label, left, right = t
+    for child in (left, right):
+        if child is not None and child[0] > label:
+            return False
+    return is_decreasing_tree(left) and is_decreasing_tree(right)

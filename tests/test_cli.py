@@ -178,6 +178,22 @@ def test_usage_error_exit_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("\u00b2", "invalid character '\u00b2' (use commas for values > 9)"),
+        ("\uff11\uff12", "invalid character '\uff11' (use commas for values > 9)"),
+        ("\u0661,\u0662", "invalid token '\u0661'"),
+        ("+2,1", "invalid token '+2'"),
+        ("2,1_0,3,4,5,6,7,8,9,1", "invalid token '1_0'"),
+    ],
+    ids=["superscript", "full-width", "arabic-indic", "sign", "underscore"],
+)
+def test_a_permutation_of_other_than_ascii_digits_is_a_usage_error(capsys, text, message):
+    code, out, err = run(capsys, "insert", "hypoplactic", text)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "equivalence", "--max-n", "-1"],
@@ -335,6 +351,10 @@ def _oracle_tree_text(t):
     return "-" if t is None else f"({_oracle_tree_text(t[0])},{_oracle_tree_text(t[1])})"
 
 
+def _oracle_labeled_tree_text(t):
+    return "-" if t is None else f"({_oracle_labeled_tree_text(t[1])} {t[0]} {_oracle_labeled_tree_text(t[2])})"
+
+
 def _oracle_labeled_json(t):
     if t is None:
         return None
@@ -439,12 +459,22 @@ def test_growth_output_bytes(capsys, family, klass):
         run(capsys, "growth", family, text, "--check", "--format", "json"),
         json.dumps(payload, indent=2) + "\n",
     )
+    if family == "composition":
+        pair_text = (
+            f"P (quasi-ribbon):\n{ribbons.render_tableau(pair[0])}\n"
+            f"Q (ribbon):\n{ribbons.render_tableau(pair[1])}"
+        )
+    else:
+        pair_text = (
+            f"P (binary search tree): {_oracle_labeled_tree_text(pair[0])}\n"
+            f"Q (increasing tree): {_oracle_labeled_tree_text(pair[1])}"
+        )
     ascii_text = "\n".join([
         _oracle_render_grid(grid),
         "",
         "top chain:   " + " -> ".join(_oracle_label(family, v) for v in chains.top),
         "right chain: " + " -> ".join(_oracle_label(family, v) for v in chains.right),
-        cli._render_pair(family, *pair),
+        pair_text,
         "check against direct insertion: MATCH",
     ])
     _assert_output(run(capsys, "growth", family, text, "--check"), ascii_text + "\n")

@@ -59,7 +59,7 @@ def test_make_graph_vertices():
     lattice = make_graph("tree-lattice")
     assert [len(lattice.vertices_at(n)) for n in range(5)] == [1, 1, 2, 5, 14]
     binword = make_graph("binword")
-    ups = {u for u, _ in binword.up_covers((2,))}
+    ups = {u for u, _ in binword.up_edges((2,))}
     assert ups == {(3,), (2, 1), (1, 2)}
 
 
@@ -105,7 +105,7 @@ def up_matrix(g, n):
     rows_index = {v: i for i, v in enumerate(rows)}
     entries = {}
     for j, v in enumerate(cols):
-        for u, w in g.up_covers(v):
+        for u, w in g.up_edges(v):
             entries[(rows_index[u], j)] = w
     return OperatorMatrix(row_vertices=rows, col_vertices=cols, entries=entries)
 
@@ -185,7 +185,7 @@ def test_up_matrix_examples():
     # row sums count how many rank-2 vertices each rank-3 vertex covers
     in_degrees = [sum(row) for row in u2.to_dense()]
     assert in_degrees == [
-        sum(1 for c in binword.vertices_at(2) if v in binword.cover_fn(c))
+        sum(1 for c in binword.vertices_at(2) if (v, 1) in binword.up_edges(c))
         for v in binword.vertices_at(3)
     ]
     # every graph has unit weights, and up_edges lists each column of U_n
@@ -196,7 +196,6 @@ def test_up_matrix_examples():
             for j, v in enumerate(g.vertices_at(n)):
                 column = [(u.row_vertices[i], w) for (i, jj), w in sorted(u.entries.items()) if jj == j]
                 assert list(g.up_edges(v)) == column
-                assert {x for x, _ in column} == g.cover_fn(v)
                 assert all(w == 1 for _, w in column)
 
 
@@ -209,7 +208,7 @@ def test_down_matrix_is_transpose_of_up():
             # row x of D_{n+1} holds the rank-(n+1) vertices that cover x
             for i, x in enumerate(g.vertices_at(n)):
                 above = {down.col_vertices[j] for (ii, j) in down.entries if ii == i}
-                assert above == set(g.cover_fn(x))
+                assert above == {u for u, _ in g.up_edges(x)}
     with pytest.raises(ValueError):
         down_matrix(make_graph("binword"), 0)
 
@@ -441,9 +440,9 @@ def test_rank_guard():
         if size in (10, 5000):
             with pytest.raises(RankGuardError):
                 make_graph("tree-lattice").up_edges(comb)
-    assert len(make_graph("binword").cover_fn((11,))) == 12
+    assert len(make_graph("binword").up_edges((11,))) == 12
     with pytest.raises(RankGuardError):
-        make_graph("binword").cover_fn((12,))
+        make_graph("binword").up_edges((12,))
     # the guard caps the duality check as well
     with pytest.raises(RankGuardError):
         check_duality(make_graph("tree-lattice"), make_graph("reflected-bracket-tree"), 10)

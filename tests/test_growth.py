@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 from growthdiagrams import growth
 from growthdiagrams.compositions import binword_covers, increment_last, lifted_covers
 from growthdiagrams.growth import (
+    BoundaryChains,
     GrowthRuleError,
     build_growth_diagram,
     chain_to_bst,
     chain_to_increasing_tree,
     chain_to_quasi_ribbon,
     chain_to_ribbon,
+    convert_chains,
     growth_insert,
     local_rule_composition,
     local_rule_tree,
@@ -513,29 +515,34 @@ def test_exit_check_catches_a_wrong_tree_join(monkeypatch):
         local_rule_tree(t, x, y, 0)
 
 
+def _patch_pair(monkeypatch, family, **fields):
+    """Replace fields of a family's DualPair record for one test."""
+    monkeypatch.setitem(growth.PAIRS, family, growth.PAIRS[family]._replace(**fields))
+
+
 def test_a_wrong_composition_label_rule_is_caught(monkeypatch):
     p = (4, 1, 5, 3, 6, 2)
     assert build_growth_diagram(p, "composition").vertices == GRID_415362
     # case (f) appends the other letter: z still covers y in the lifted
     # binary tree, but no longer covers x in Binword
-    mark, join, fits = growth._LABEL_RULES["composition"]
+    join = growth.PAIRS["composition"].join
 
     def wrong_join(a, h, rank):
         labels = join(a, h, rank)
         return labels if labels != (a, h) else (1 - a, h)
 
-    monkeypatch.setitem(growth._LABEL_RULES, "composition", (mark, wrong_join, fits))
+    _patch_pair(monkeypatch, "composition", join=wrong_join)
     with pytest.raises(GrowthRuleError):
         build_growth_diagram(p, "composition")
+    monkeypatch.undo()
     # a marked square appending a 0 to the empty word: growth_insert builds
     # no vertex, and the label fill rejects the label
-    wrong_mark = lambda rank, spine: (0, 2 * rank + 2)
-    monkeypatch.setitem(growth._LABEL_RULES, "composition", (wrong_mark, join, fits))
+    _patch_pair(monkeypatch, "composition", mark=lambda rank, spine: (0, 2 * rank + 2))
     with pytest.raises(GrowthRuleError):
         growth_insert(p, "composition")
+    monkeypatch.undo()
     # case (f) inserting a letter past the end of x's word
-    wrong_join = lambda a, h, rank: (a, 2 * rank + 6)
-    monkeypatch.setitem(growth._LABEL_RULES, "composition", (mark, wrong_join, fits))
+    _patch_pair(monkeypatch, "composition", join=lambda a, h, rank: (a, 2 * rank + 6))
     with pytest.raises(GrowthRuleError):
         growth_insert(p, "composition")
 
@@ -545,16 +552,32 @@ def test_a_wrong_tree_label_rule_is_caught(monkeypatch):
     assert build_growth_diagram(p, "tree").vertices == GRID_351426
     # cases (e) and (f) insert at the root instead: z still covers y in the
     # reflected bracket tree, but no longer covers x in the lattice
-    mark, join, fits = growth._LABEL_RULES["tree"]
-    monkeypatch.setitem(growth._LABEL_RULES, "tree", (mark, lambda k, s, rank: (0, s), fits))
+    _patch_pair(monkeypatch, "tree", join=lambda k, s, rank: (0, s))
     with pytest.raises(GrowthRuleError):
         build_growth_diagram(p, "tree")
+    monkeypatch.undo()
     # a marked square one level below the right spine
-    wrong_mark = lambda rank, spine: (spine + 1, rank)
-    monkeypatch.setitem(growth._LABEL_RULES, "tree", (wrong_mark, join, fits))
+    _patch_pair(monkeypatch, "tree", mark=lambda rank, spine: (spine + 1, rank))
     with pytest.raises(GrowthRuleError):
         growth_insert(p, "tree")
+    monkeypatch.undo()
     # cases (e) and (f) hanging a leaf past the last slot of x
-    monkeypatch.setitem(growth._LABEL_RULES, "tree", (mark, lambda k, s, rank: (k, rank + 2), fits))
+    _patch_pair(monkeypatch, "tree", join=lambda k, s, rank: (k, rank + 2))
     with pytest.raises(GrowthRuleError):
         growth_insert(p, "tree")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda family: build_growth_diagram((2, 1), family),
+        lambda family: growth_insert((2, 1), family),
+        lambda family: convert_chains(BoundaryChains(top=((),), right=((),)), family),
+    ],
+    ids=["build_growth_diagram", "growth_insert", "convert_chains"],
+)
+def test_an_unknown_family_is_one_value_error(call):
+    with pytest.raises(ValueError) as excinfo:
+        call("forest")
+    assert str(excinfo.value) == "unknown family 'forest'"
+    assert type(excinfo.value) is ValueError

@@ -128,7 +128,13 @@ def test_star_import_binds_every_export():
         assert namespace[name] is getattr(import_module(f"growthdiagrams.{module}"), name)
 
 
-@pytest.mark.parametrize("name", ["no_such_name", "shape", "binword_deletion_positions"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "no_such_name", "shape", "binword_deletion_positions", "is_search_tree",
+        "is_increasing_tree", "is_decreasing_tree", "tree_from_text", "labeled_tree_from_json_obj",
+    ],
+)
 def test_unknown_names_raise_attribute_error(name):
     with pytest.raises(AttributeError, match=name):
         getattr(growthdiagrams, name)

@@ -35,7 +35,11 @@ def test_parse_commas():
 
 @pytest.mark.parametrize(
     "text",
-    ["44", "13", "0", "1,,2", "1,x,3", "a", "2,3"],
+    [
+        "44", "13", "0", "1,,2", "1,x,3", "a", "2,3",
+        # int() and str.isdigit take these; only ASCII digits are accepted
+        "\u00b2", "\u0661,\u0662", "\uff11\uff12", "+2,1", "2,1_0,3,4,5,6,7,8,9,1",
+    ],
 )
 def test_parse_rejects(text):
     with pytest.raises(PermutationParseError):

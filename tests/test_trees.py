@@ -11,12 +11,8 @@ from growthdiagrams.trees import (
     delete_rightmost,
     extend_right_spine,
     insert_rightmost,
-    is_decreasing_tree,
-    is_increasing_tree,
     is_lattice_cover,
     is_reflected_bracket_cover,
-    is_search_tree,
-    labeled_tree_from_json_obj,
     labeled_tree_to_json_obj,
     labeled_tree_to_text,
     lattice_covers,
@@ -24,11 +20,17 @@ from growthdiagrams.trees import (
     push_down_rightmost,
     reflected_bracket_covers,
     right_spine_length,
-    tree_from_text,
     tree_to_bracketed_expression,
     tree_to_text,
     trees_of,
     trees_to_text,
+)
+from oracles import (
+    is_decreasing_tree,
+    is_increasing_tree,
+    is_search_tree,
+    labeled_tree_from_json_obj,
+    tree_from_text,
 )
 
 B1 = (None, None)
