@@ -26,11 +26,9 @@ _MODULE_EXPORTS = {
     "permutations": (
         "Permutation", "PermutationParseError", "all_permutations", "descent_composition",
         "inverse", "parse_permutation", "permutation_matrix", "recoils_composition",
-        "restrict_prefix", "restrict_values",
     ),
     "ribbons": (
-        "QuasiRibbonTableau", "RibbonTableau", "hypoplactic_insert", "insert_letter",
-        "shadow_lines",
+        "QuasiRibbonTableau", "RibbonTableau", "hypoplactic_insert", "shadow_lines",
     ),
     "trees": (
         "bst_insert", "delete_rightmost", "is_lattice_cover", "is_reflected_bracket_cover",

@@ -21,7 +21,6 @@ from functools import partial
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from . import graphs
-from .compositions import WordEncodingError
 from .jsontext import iterdumps
 from .permutations import (
     PermutationParseError,
@@ -339,7 +338,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.close(devnull)
         print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
         return 2
-    except (PermutationParseError, WordEncodingError, graphs.RankGuardError, OutputError) as exc:
+    except (PermutationParseError, graphs.RankGuardError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (graphs.GrowthRuleError, ValueError) as exc:

@@ -30,9 +30,8 @@ The four graphs all share the empty object as their single rank-0 vertex
 and have unit edge weights.  So entry (y, x) of DU - UD is the number of
 common neighbours of x and y one rank up minus the number one rank down,
 and the duality check counts these vertex by vertex instead of
-multiplying operator matrices; any r_n is checked the same way.  All
-arithmetic is exact (Python integers); a verdict never depends on a
-tolerance.
+multiplying operator matrices.  All arithmetic is exact (Python
+integers); a verdict never depends on a tolerance.
 """
 from __future__ import annotations
 
@@ -78,16 +77,11 @@ def _composition_label(c) -> str:
     return ",".join(map(str, c)) if c else "e"
 
 
-def vertex_label(family: str, v) -> str:
-    """Canonical print name: comma-joined parts or tree text, "e"/"-" empty."""
-    return vertex_labels(family, (v,))[0]
-
-
 def vertex_labels(family: str, vertices) -> list[str]:
     """
-    The :func:`vertex_label` of each vertex, rendering each distinct
-    vertex once: equal compositions share one label, and tree nodes shared
-    between vertices one text.
+    The print name of each vertex: comma-joined parts or tree text, "e"/"-"
+    empty.  Each distinct vertex is rendered once: equal compositions share
+    one label, and tree nodes shared between vertices one text.
     """
     if family == "composition":
         return list(map(cache(_composition_label), vertices))
@@ -96,7 +90,7 @@ def vertex_labels(family: str, vertices) -> list[str]:
 
 def vertex_json(family: str, vertices) -> list:
     """The JSON form of each vertex, each distinct one rendered once: a
-    composition's list of parts, a tree's :func:`vertex_label`."""
+    composition's list of parts, a tree's text."""
     if family == "composition":
         return list(map(cache(list), vertices))
     return tr.trees_to_text(vertices)
@@ -122,35 +116,6 @@ def _tree_bases(n: int) -> tuple[int, ...]:
     for k in range(n - 2, -1, -1):
         bases[k] = bases[k + 1] + _catalan(k + 1) * _catalan(n - 2 - k)
     return tuple(bases)
-
-
-def _vertex_index(family: str, v) -> tuple[int, int]:
-    """The rank of a vertex and its canonical index within that rank."""
-    if family == "composition":
-        n = sum(v)
-        _check_rank(family, n)
-        word = 0
-        for part in v:
-            word = (word << part) | (1 << (part - 1))
-        return n, word - (1 << (n - 1)) if n else 0
-    # post-order walk without recursion; a node's (rank, index) is ready
-    # once both children's are
-    known = {id(None): (0, 0)}
-    stack = [] if v is None else [v]
-    while stack:
-        left, right = node = stack[-1]
-        below = known.get(id(left)), known.get(id(right))
-        if below[0] is None:
-            stack.append(left)
-        elif below[1] is None:
-            stack.append(right)
-        else:
-            stack.pop()
-            (k, i_left), (m, i_right) = below
-            n = k + m + 1
-            _check_rank(family, n)
-            known[id(node)] = (n, _tree_bases(n)[k] + i_left * _catalan(m) + i_right)
-    return known[id(v)]
 
 
 @cache
@@ -229,20 +194,6 @@ class GradedGraph(NamedTuple):
     def vertices_at(self, n: int) -> tuple:
         return _vertices_at(self.family, n)
 
-    def up_edges(self, v) -> tuple:
-        """
-        Up-neighbours in canonical order, as (vertex, weight) pairs, read
-        from the up-table row of v; a vertex whose covers lie above the
-        rank guard raises RankGuardError.
-        """
-        n, i = _vertex_index(self.family, v)
-        row = self.up_table(n)[i]
-        above = self.vertices_at(n + 1)
-        return tuple((above[j], 1) for j in row)
-
-    def label(self, v) -> str:
-        return vertex_label(self.family, v)
-
 
 _GRAPHS = {
     "lifted-binary-tree": ("composition", _lifted_table),
@@ -287,11 +238,10 @@ class DualityCounterexample(NamedTuple):
 
 
 class DualityReport(NamedTuple):
-    """Outcome of the commutation check D_{n+1} U_n - U_{n-1} D_n = r_n I_n."""
+    """Outcome of the commutation check D_{n+1} U_n - U_{n-1} D_n = I_n."""
 
     pair: str
     max_rank: int
-    r_sequence: tuple[int, ...]
     rank_verdicts: tuple[bool, ...]
     counterexample: Optional[DualityCounterexample]
 
@@ -300,16 +250,11 @@ class DualityReport(NamedTuple):
         return all(self.rank_verdicts)
 
 
-def check_duality(
-    g1: GradedGraph,
-    g2: GradedGraph,
-    max_rank: int,
-    r_sequence: Optional[tuple[int, ...]] = None,
-) -> DualityReport:
+def check_duality(g1: GradedGraph, g2: GradedGraph, max_rank: int) -> DualityReport:
     """
-    Verify D_{n+1} U_n = U_{n-1} D_n + r_n I_n exactly at every rank up to
+    Verify D_{n+1} U_n = U_{n-1} D_n + I_n exactly at every rank up to
     max_rank, with U taken from g1 (edges read upwards) and D from g2
-    (edges read downwards).  Default r_n = 1 for all n.
+    (edges read downwards).
 
     Every edge has weight 1, so entry (y, x) of D_{n+1} U_n counts the
     rank-(n+1) vertices z with x -> z in g1 and y -> z in g2, and entry
@@ -317,28 +262,22 @@ def check_duality(
     g2 and w -> y in g1.  Both are read column by column from the two
     graphs' up-tables on canonical indices: for each x, the vertices y
     reached up in g1 then down in g2 must equal, as a multiset, those
-    reached down in g2 then up in g1 plus r_n copies of x.  Where they
-    differ, an entry of DU - UD - r_n I is non-zero and breaks the
-    identity.  The counterexample is the first such entry in canonical
-    (row, column) order.
+    reached down in g2 then up in g1 plus x once.  Where they differ, an
+    entry of DU - UD - I is non-zero and breaks the identity.  The
+    counterexample is the first such entry in canonical (row, column)
+    order.
 
-    The two graphs must share their vertex sets up to rank max_rank+1,
-    because an index names a vertex only within one family's order; that
-    check runs first, and it raises the rank guard before any table is
-    built.
+    An index names a vertex only within one family's order, and the graphs
+    of one family share every rank's vertices, so the two graphs must be
+    of one family; that check runs first, and the rank guard is raised
+    before any table is built.
 
     >>> check_duality(make_graph("lifted-binary-tree"), make_graph("binword"), 4).is_dual
     True
     """
-    if r_sequence is None:
-        r_sequence = (1,) * (max_rank + 1)
-    if len(r_sequence) < max_rank + 1:
-        raise ValueError(f"r_sequence must carry max_rank+1 = {max_rank + 1} values")
-    for n in range(max_rank + 2):
-        if g1.vertices_at(n) != g2.vertices_at(n):
-            raise ValueError(
-                f"{g1.name} and {g2.name} do not share the rank-{n} vertex set"
-            )
+    if g1.family != g2.family:
+        raise ValueError(f"{g1.name} and {g2.name} do not share the rank-0 vertex set")
+    g1.vertices_at(max_rank + 1)
     verdicts = []
     counterexample = None
     up1_below: tuple = ()  # g1 up-neighbours of each rank-(n-1) vertex
@@ -349,13 +288,12 @@ def check_duality(
         for j, row in enumerate(g2.up_table(n)):
             for z in row:
                 down2_above[z].append(j)
-        r = r_sequence[n]
         bad = []
         for j, row in enumerate(up1):
-            # column j of D U and of U D + r I as sorted lists of row indices
+            # column j of D U and of U D + I as sorted lists of row indices
             du = [i for z in row for i in down2_above[z]]
             ud = [i for w in down2[j] for i in up1_below[w]]
-            (ud if r >= 0 else du).extend([j] * abs(r))
+            ud.append(j)
             du.sort()
             ud.sort()
             if du != ud:
@@ -365,12 +303,13 @@ def check_duality(
         verdicts.append(not bad)
         if bad and counterexample is None:
             i, j, d = min(bad)
-            expected = r_sequence[n] if i == j else 0
+            expected = 1 if i == j else 0
             vertices = g1.vertices_at(n)
+            row_label, col_label = vertex_labels(g1.family, (vertices[i], vertices[j]))
             counterexample = DualityCounterexample(
                 rank=n,
-                row_label=g1.label(vertices[i]),
-                col_label=g1.label(vertices[j]),
+                row_label=row_label,
+                col_label=col_label,
                 got=d + expected,
                 expected=expected,
             )
@@ -378,7 +317,6 @@ def check_duality(
     return DualityReport(
         pair=f"({g1.name}, {g2.name})",
         max_rank=max_rank,
-        r_sequence=tuple(r_sequence[: max_rank + 1]),
         rank_verdicts=tuple(verdicts),
         counterexample=counterexample,
     )
@@ -402,16 +340,15 @@ def chain_counts(g: GradedGraph, n: int) -> list[int]:
 def path_count_identity(g1: GradedGraph, g2: GradedGraph, n: int) -> tuple[int, int]:
     """
     Sum over rank-n vertices of (chains in g1) x (chains in g2), paired
-    with n!.  For a dual pair with r = 1 the two numbers agree.  Counts
-    are paired by canonical index, so the two graphs must share their
-    rank-n vertices.
+    with n!.  For a dual pair the two numbers agree.  Counts are paired
+    by canonical index, so the two graphs must be of one family.
 
     >>> pair = DUAL_PAIRS["compositions"]
     >>> path_count_identity(make_graph(pair[0]), make_graph(pair[1]), 3)
     (6, 6)
     """
-    top = g1.vertices_at(n)  # raises RankGuardError before any counting
-    if g2.vertices_at(n) != top:
+    g1.vertices_at(n)  # raises RankGuardError before any counting
+    if g1.family != g2.family:
         raise ValueError(f"{g1.name} and {g2.name} do not share the rank-{n} vertex set")
     lhs = sum(map(mul, chain_counts(g1, n), chain_counts(g2, n)))
     return lhs, math.factorial(n)

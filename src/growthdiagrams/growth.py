@@ -87,13 +87,11 @@ from .ribbons import QuasiRibbonTableau, RibbonTableau
 from .trees import (
     LabeledTree,
     Tree,
-    extend_right_spine,
     insert_rightmost,
     is_lattice_cover,
     is_reflected_bracket_cover,
     labeled_tree,
     labeled_tree_to_json_obj,
-    push_down_rightmost,
     right_spine_length,
 )
 
@@ -178,7 +176,7 @@ def local_rule_tree(t: Tree, x: Tree, y: Tree, alpha: int) -> Tree:
     """
     _check_square_input(t, x, y, alpha, is_reflected_bracket_cover, is_lattice_cover)
     if alpha == 1:
-        z = extend_right_spine(t)
+        z = insert_rightmost(t, right_spine_length(t))
     elif x == t and y == t:
         return t
     elif x == t:
@@ -186,7 +184,7 @@ def local_rule_tree(t: Tree, x: Tree, y: Tree, alpha: int) -> Tree:
     elif y == t:
         return x
     elif x == y:
-        z = push_down_rightmost(y)
+        z = insert_rightmost(y, right_spine_length(y) - 1)
     else:
         z = _join_tree(t, x, y)
     if not (is_lattice_cover(x, z) and is_reflected_bracket_cover(y, z)):

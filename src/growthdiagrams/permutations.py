@@ -115,20 +115,6 @@ def recoils_composition(p: Permutation) -> Composition:
     return descent_composition(inverse(p))
 
 
-def restrict_prefix(p: Permutation, k: int) -> tuple[int, ...]:
-    """First k letters of p, as a word on distinct values (not renumbered)."""
-    if not 0 <= k <= len(p):
-        raise ValueError(f"k={k} out of range 0..{len(p)}")
-    return p[:k]
-
-
-def restrict_values(p: Permutation, k: int) -> tuple[int, ...]:
-    """Subword of the letters <= k, kept in their original order."""
-    if not 0 <= k <= len(p):
-        raise ValueError(f"k={k} out of range 0..{len(p)}")
-    return tuple(v for v in p if v <= k)
-
-
 def permutation_matrix(p: Permutation) -> frozenset[tuple[int, int]]:
     """
     Cells (column=position, row=value) of the permutation matrix, one mark

@@ -197,40 +197,6 @@ class RibbonTableau(RibbonShapedTableau):
     increases_down_columns = False
 
 
-def _insert_step(reading: list[int], ends: list[bool], a: int) -> int:
-    """
-    One hypoplactic step (the rule in the module docstring) on a tableau
-    given as its increasing reading word and, cell by cell, whether a row
-    ends there.  Both lists are updated in place; the return value is a's
-    0-based reading position.
-    """
-    k = bisect_right(reading, a)
-    if k and reading[k - 1] == a:
-        raise ValueError(f"letter {a} already present")
-    reading.insert(k, a)
-    ends.insert(k, True)
-    if k:
-        ends[k - 1] = False
-    return k
-
-
-def insert_letter(t: QuasiRibbonTableau, a: int) -> tuple[QuasiRibbonTableau, int]:
-    """
-    Hypoplactic insertion of one letter.  Returns the new tableau and the
-    1-based reading position of the cell the letter created.
-
-    >>> t, pos = insert_letter(QuasiRibbonTableau(((1, 3), (4, 5))), 6)
-    >>> t.rows, pos
-    (((1, 3), (4, 5, 6)), 5)
-    >>> insert_letter(QuasiRibbonTableau(((2, 3),)), 1)[0].rows
-    ((1,), (2, 3))
-    """
-    reading = list(t.reading())
-    ends = [*t._ends, True] if t.n else []
-    k = _insert_step(reading, ends, a)
-    return QuasiRibbonTableau._from_reading(reading, ends[:-1]), k + 1
-
-
 def hypoplactic_insert(word: Sequence[int]) -> tuple[QuasiRibbonTableau, RibbonTableau]:
     """
     Insert a word of distinct letters; return the insertion tableau P,
@@ -253,7 +219,14 @@ def hypoplactic_insert(word: Sequence[int]) -> tuple[QuasiRibbonTableau, RibbonT
     ends: list[bool] = []
     q_reading: list[int] = []
     for step, a in enumerate(word, 1):
-        q_reading.insert(_insert_step(reading, ends, a), step)
+        # the step of the module docstring on P's reading word and, cell by
+        # cell, whether a row ends there
+        k = bisect_right(reading, a)
+        reading.insert(k, a)
+        ends.insert(k, True)
+        if k:
+            ends[k - 1] = False
+        q_reading.insert(k, step)
     del ends[-1:]  # the last cell always ends a row
     rank = dict(zip(sorted(word), range(1, len(word) + 1)))
     p = QuasiRibbonTableau._from_reading(map(rank.__getitem__, reading), ends)

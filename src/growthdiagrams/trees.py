@@ -14,17 +14,11 @@ the single down-edge of the reflected bracket tree.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import count
 from typing import Iterable, Optional, Sequence
 
 Tree = Optional[tuple]          # None | (Tree, Tree)
 LabeledTree = Optional[tuple]   # None | (int, Tree, Tree)
-
-
-@lru_cache(maxsize=None)
-def node_count(t: Tree) -> int:
-    if t is None:
-        return 0
-    return 1 + node_count(t[0]) + node_count(t[1])
 
 
 @lru_cache(maxsize=None)
@@ -173,23 +167,6 @@ def is_reflected_bracket_cover(t: Tree, u: Tree) -> bool:
             return False
         t, u = t[1], u[1]
     return u is not None and (t is u[0] or t == u[0])
-
-
-def extend_right_spine(t: Tree) -> Tree:
-    """Add one node as the right child of the rightmost node (None -> leaf)."""
-    return insert_rightmost(t, right_spine_length(t))
-
-
-def push_down_rightmost(t: Tree) -> Tree:
-    """
-    Insert one node in place of the rightmost node, pushing the displaced
-    node (with its left subtree) down as the new node's left child.  This
-    is the unique common cover of t in both tree graphs other than
-    :func:`extend_right_spine`, whenever one exists.
-    """
-    if t is None:
-        raise ValueError("the empty tree has no rightmost node")
-    return insert_rightmost(t, right_spine_length(t) - 1)
 
 
 # -- text and JSON forms ---------------------------------------------------
@@ -369,7 +346,7 @@ def tree_to_bracketed_expression(t: Tree) -> str:
     >>> tree_to_bracketed_expression((None, None))
     'x1x2'
     """
-    counter = iter(range(1, node_count(t) + 2))
+    counter = count(1)
 
     def go(node: Tree) -> tuple[str, bool]:
         if node is None:

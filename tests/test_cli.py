@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from growthdiagrams import cli, graphs, growth, jsontext, ribbons
+from growthdiagrams import cli, compositions, graphs, growth, jsontext, ribbons, trees
 from growthdiagrams.cli import main
 from test_growth import flat_bst_insert
 
@@ -262,6 +262,16 @@ def test_failed_insertion_validation_is_an_invariant_breach(monkeypatch, capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("invariant violated: row ")
+
+
+def test_escaped_word_encoding_error_is_an_invariant_breach(monkeypatch, capsys):
+    # no parsed input reaches word decoding: the CLI decodes only words it
+    # builds itself, so a rejected one is a broken invariant, not a usage error
+    monkeypatch.setattr(cli, "hypoplactic_insert", lambda p: compositions.word_to_composition("01"))
+    code, out, err = run(capsys, "insert", "hypoplactic", "312")
+    assert code == 1
+    assert out == ""
+    assert err == "invariant violated: word '01' has a leading 0 and encodes no composition\n"
 
 
 def _fail_if_reached(*args, **kwargs):
@@ -595,6 +605,25 @@ def test_insert_json_is_written_in_bounded_pieces(monkeypatch):
     assert "".join(out.pieces[-2:]).endswith("\n}\n")
 
 
+VALUE_COVERS = {
+    "lifted-binary-tree": compositions.lifted_covers,
+    "binword": compositions.binword_covers,
+    "tree-lattice": trees.lattice_covers,
+    "reflected-bracket-tree": trees.reflected_bracket_covers,
+}
+
+
+def _value_level_up_edges(g, n):
+    """(v, u) for every cover u of every rank-n vertex v, from the
+    value-level cover function, in canonical order of v and then of u."""
+    position = {u: i for i, u in enumerate(g.vertices_at(n + 1))}
+    return [
+        (v, u)
+        for v in g.vertices_at(n)
+        for u in sorted(VALUE_COVERS[g.name](v), key=position.__getitem__)
+    ]
+
+
 @pytest.mark.parametrize("name", graphs.GRAPH_NAMES)
 def test_graph_json_bytes(capsys, name):
     g = graphs.make_graph(name)
@@ -606,8 +635,7 @@ def test_graph_json_bytes(capsys, name):
             "vertices": [serialize(v) for v in g.vertices_at(n)],
             "edges": [
                 [serialize(v), serialize(u)]
-                for v in g.vertices_at(n)
-                for u, _ in (g.up_edges(v) if n < max_rank else ())
+                for v, u in (_value_level_up_edges(g, n) if n < max_rank else ())
             ],
         }
         for n in range(max_rank + 1)
@@ -622,8 +650,7 @@ def test_graph_json_bytes(capsys, name):
         names = " ".join(f'"{label(v)}";' for v in g.vertices_at(n))
         lines.append(f"  {{ rank=same; {names} }}")
     for n in range(max_rank):
-        for v in g.vertices_at(n):
-            lines += [f'  "{label(v)}" -> "{label(u)}";' for u, _ in g.up_edges(v)]
+        lines += [f'  "{label(v)}" -> "{label(u)}";' for v, u in _value_level_up_edges(g, n)]
     lines.append("}")
     argv = ("graph", name, "--max-rank", str(max_rank), "--format", "dot")
     _assert_output(run(capsys, *argv), "\n".join(lines) + "\n")

@@ -1,8 +1,12 @@
 import doctest
+import re
+from pathlib import Path
 
 import pytest
 
 from growthdiagrams import compositions, graphs, growth, jsontext, permutations, ribbons, trees
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.mark.parametrize(
@@ -11,3 +15,11 @@ from growthdiagrams import compositions, graphs, growth, jsontext, permutations,
 def test_doctests(module):
     failures, _ = doctest.testmod(module)
     assert failures == 0
+
+
+def test_readme_python_block_runs():
+    # the README's library example names only exports and parameters that exist
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

@@ -44,14 +44,16 @@ BINWORD_EDGES_4 = {
 }
 
 
+def up_edges(g, n):
+    """(v, u) for each edge from rank n up to rank n+1, read from the up-table."""
+    above = g.vertices_at(n + 1)
+    return [(v, above[i]) for v, row in zip(g.vertices_at(n), g.up_table(n)) for i in row]
+
+
 def edge_set(graph_name, max_rank):
     g = make_graph(graph_name)
-    edges = set()
-    for n in range(max_rank):
-        for v in g.vertices_at(n):
-            for u, _ in g.up_edges(v):
-                edges.add((g.label(v).replace(",", ""), g.label(u).replace(",", "")))
-    return edges
+    label = lambda v: _recursive_label(g.family, v).replace(",", "")
+    return {(label(v), label(u)) for n in range(max_rank) for v, u in up_edges(g, n)}
 
 
 def test_make_graph_vertices():
@@ -59,7 +61,7 @@ def test_make_graph_vertices():
     lattice = make_graph("tree-lattice")
     assert [len(lattice.vertices_at(n)) for n in range(5)] == [1, 1, 2, 5, 14]
     binword = make_graph("binword")
-    ups = {u for u, _ in binword.up_edges((2,))}
+    ups = {u for v, u in up_edges(binword, 2) if v == (2,)}
     assert ups == {(3,), (2, 1), (1, 2)}
 
 
@@ -99,15 +101,9 @@ class OperatorMatrix:
 
 
 def up_matrix(g, n):
-    """U_n: entry (y, x) is the weight of the up edge x -> y."""
-    cols = g.vertices_at(n)
-    rows = g.vertices_at(n + 1)
-    rows_index = {v: i for i, v in enumerate(rows)}
-    entries = {}
-    for j, v in enumerate(cols):
-        for u, w in g.up_edges(v):
-            entries[(rows_index[u], j)] = w
-    return OperatorMatrix(row_vertices=rows, col_vertices=cols, entries=entries)
+    """U_n: entry (y, x) is 1 for each up edge x -> y of the up-table."""
+    entries = {(i, j): 1 for j, row in enumerate(g.up_table(n)) for i in row}
+    return OperatorMatrix(row_vertices=g.vertices_at(n + 1), col_vertices=g.vertices_at(n), entries=entries)
 
 
 def down_matrix(g, n):
@@ -134,10 +130,8 @@ def matmul(a, b):
     )
 
 
-def oracle_check_duality(g1, g2, max_rank, r_sequence=None):
-    """D_{n+1} U_n - U_{n-1} D_n - r_n I_n, multiplied out rank by rank."""
-    if r_sequence is None:
-        r_sequence = (1,) * (max_rank + 1)
+def oracle_check_duality(g1, g2, max_rank):
+    """D_{n+1} U_n - U_{n-1} D_n - I_n, multiplied out rank by rank."""
     for n in range(max_rank + 2):
         if g1.vertices_at(n) != g2.vertices_at(n):
             raise ValueError(f"{g1.name} and {g2.name} do not share the rank-{n} vertex set")
@@ -151,23 +145,22 @@ def oracle_check_duality(g1, g2, max_rank, r_sequence=None):
             for key, w in rhs.entries.items():
                 diff[key] = diff.get(key, 0) - w
         for i in range(len(lhs.row_vertices)):
-            diff[(i, i)] = diff.get((i, i), 0) - r_sequence[n]
+            diff[(i, i)] = diff.get((i, i), 0) - 1
         bad = sorted(key for key, w in diff.items() if w)
         verdicts.append(not bad)
         if bad and counterexample is None:
             i, j = bad[0]
-            expected = r_sequence[n] if i == j else 0
+            expected = 1 if i == j else 0
             counterexample = DualityCounterexample(
                 rank=n,
-                row_label=g1.label(lhs.row_vertices[i]),
-                col_label=g1.label(lhs.col_vertices[j]),
+                row_label=_recursive_label(g1.family, lhs.row_vertices[i]),
+                col_label=_recursive_label(g1.family, lhs.col_vertices[j]),
                 got=diff[(i, j)] + expected,
                 expected=expected,
             )
     return DualityReport(
         pair=f"({g1.name}, {g2.name})",
         max_rank=max_rank,
-        r_sequence=tuple(r_sequence[: max_rank + 1]),
         rank_verdicts=tuple(verdicts),
         counterexample=counterexample,
     )
@@ -185,18 +178,16 @@ def test_up_matrix_examples():
     # row sums count how many rank-2 vertices each rank-3 vertex covers
     in_degrees = [sum(row) for row in u2.to_dense()]
     assert in_degrees == [
-        sum(1 for c in binword.vertices_at(2) if (v, 1) in binword.up_edges(c))
+        sum(1 for c in binword.vertices_at(2) if v in compositions.binword_covers(c))
         for v in binword.vertices_at(3)
     ]
-    # every graph has unit weights, and up_edges lists each column of U_n
+    # column x of U_n holds the value-level covers of x
     for name in GRAPH_NAMES:
         g = make_graph(name)
         for n in range(5):
             u = up_matrix(g, n)
             for j, v in enumerate(g.vertices_at(n)):
-                column = [(u.row_vertices[i], w) for (i, jj), w in sorted(u.entries.items()) if jj == j]
-                assert list(g.up_edges(v)) == column
-                assert all(w == 1 for _, w in column)
+                assert {u.row_vertices[i] for (i, jj) in u.entries if jj == j} == VALUE_COVERS[name](v)
 
 
 def test_down_matrix_is_transpose_of_up():
@@ -208,7 +199,7 @@ def test_down_matrix_is_transpose_of_up():
             # row x of D_{n+1} holds the rank-(n+1) vertices that cover x
             for i, x in enumerate(g.vertices_at(n)):
                 above = {down.col_vertices[j] for (ii, j) in down.entries if ii == i}
-                assert above == {u for u, _ in g.up_edges(x)}
+                assert above == VALUE_COVERS[name](x)
     with pytest.raises(ValueError):
         down_matrix(make_graph("binword"), 0)
 
@@ -217,12 +208,6 @@ def test_matmul_rejects_mismatched_shapes():
     lifted = make_graph("lifted-binary-tree")
     with pytest.raises(ValueError):
         matmul(up_matrix(lifted, 3), up_matrix(lifted, 1))
-
-
-def _r_sequences(max_rank):
-    one_zero = [1] * (max_rank + 1)
-    one_zero[max_rank // 2] = 0
-    return [None, (1,) * (max_rank + 1), (2,) * (max_rank + 1), tuple(one_zero)]
 
 
 @pytest.mark.parametrize(
@@ -234,11 +219,10 @@ def test_duality_matches_matrix_oracle(family, top_rank):
     for name1, name2 in itertools.product(names, repeat=2):
         g1, g2 = make_graph(name1), make_graph(name2)
         for max_rank in range(top_rank + 1):
-            for r_sequence in _r_sequences(max_rank):
-                report = check_duality(g1, g2, max_rank, r_sequence)
-                assert report == oracle_check_duality(g1, g2, max_rank, r_sequence)
-                seen_failures += report.counterexample is not None
-    # the comparison covers failing reports, not just passing ones
+            report = check_duality(g1, g2, max_rank)
+            assert report == oracle_check_duality(g1, g2, max_rank)
+            seen_failures += report.counterexample is not None
+    # the comparison covers failing reports, from the pairs that are not dual
     assert seen_failures > 0
 
 
@@ -255,17 +239,15 @@ VALUE_COVERS = {
 @pytest.mark.parametrize("name", GRAPH_NAMES)
 def test_up_tables_match_value_level_covers(name):
     """Every table row, up to the rank guard, holds the sorted canonical
-    indices of the covers that the value-level function computes, and the
-    index encoding gives each vertex its position in the enumeration."""
+    indices of the covers that the value-level function computes."""
     g = make_graph(name)
     top = graphs.MAX_RANK[g.family]
     for n in range(top):
         index = {v: i for i, v in enumerate(g.vertices_at(n + 1))}
         table = g.up_table(n)
         assert len(table) == len(g.vertices_at(n))
-        for i, (row, v) in enumerate(zip(table, g.vertices_at(n))):
+        for row, v in zip(table, g.vertices_at(n)):
             assert row == tuple(sorted(index[u] for u in VALUE_COVERS[name](v)))
-            assert graphs._vertex_index(g.family, v) == (n, i)
     with pytest.raises(RankGuardError):
         g.up_table(top)
 
@@ -310,7 +292,6 @@ def test_duality_composition_pair():
     assert report.is_dual
     assert report.rank_verdicts == (True,) * 7
     assert report.counterexample is None
-    assert report.r_sequence == (1,) * 7
 
 
 def test_duality_tree_pair():
@@ -336,13 +317,6 @@ def test_lifted_is_not_self_dual():
     assert ce is not None
     assert ce.got != ce.expected
     assert ce.rank == 2 and ce.row_label != ce.col_label
-
-
-def test_wrong_r_fails():
-    report = check_duality(
-        make_graph("lifted-binary-tree"), make_graph("binword"), 3, r_sequence=(2, 2, 2, 2)
-    )
-    assert not report.is_dual
 
 
 def test_duality_rejects_mismatched_vertex_sets():
@@ -432,17 +406,13 @@ def test_rank_guard():
         make_graph("lifted-binary-tree").vertices_at(13)
     with pytest.raises(RankGuardError):
         make_graph("tree-lattice").vertices_at(11)
-    # covers are read from the tables, so they stop at the guard too, even
-    # for a comb far deeper than the recursion limit
-    comb = None
-    for size in range(1, 5001):
-        comb = (comb, None)
-        if size in (10, 5000):
-            with pytest.raises(RankGuardError):
-                make_graph("tree-lattice").up_edges(comb)
-    assert len(make_graph("binword").up_edges((11,))) == 12
+    # the up-tables stop at the guard too: (11,) is the first composition
+    # of 11, and its 12 covers are the last rank below the guard
+    assert len(make_graph("binword").up_table(11)[0]) == 12
     with pytest.raises(RankGuardError):
-        make_graph("binword").up_edges((12,))
+        make_graph("binword").up_table(12)
+    with pytest.raises(RankGuardError):
+        make_graph("tree-lattice").up_table(10)
     # the guard caps the duality check as well
     with pytest.raises(RankGuardError):
         check_duality(make_graph("tree-lattice"), make_graph("reflected-bracket-tree"), 10)

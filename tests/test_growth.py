@@ -19,21 +19,15 @@ from growthdiagrams.growth import (
     local_rule_composition,
     local_rule_tree,
 )
-from growthdiagrams.permutations import (
-    all_permutations,
-    inverse,
-    restrict_prefix,
-    restrict_values,
-)
+from growthdiagrams.permutations import all_permutations, inverse
 from growthdiagrams.ribbons import hypoplactic_insert
 from growthdiagrams.trees import (
     bst_insert,
     delete_rightmost,
-    extend_right_spine,
     insert_rightmost,
     lattice_covers,
-    push_down_rightmost,
     reflected_bracket_covers,
+    right_spine_length,
 )
 from test_trees import shape
 
@@ -271,10 +265,11 @@ def test_boundary_shape_laws():
             top_t = tree_grid.boundary_chains().top
             right_t = tree_grid.boundary_chains().right
             for k in range(n + 1):
-                assert top_c[k] == hypoplactic_insert(restrict_prefix(p, k))[0].shape
-                assert right_c[k] == hypoplactic_insert(restrict_values(p, k))[0].shape
-                assert top_t[k] == shape(bst_insert(restrict_prefix(p, k))[0])
-                assert right_t[k] == shape(bst_insert(restrict_values(p, k))[0])
+                prefix, values = p[:k], tuple(v for v in p if v <= k)
+                assert top_c[k] == hypoplactic_insert(prefix)[0].shape
+                assert right_c[k] == hypoplactic_insert(values)[0].shape
+                assert top_t[k] == shape(bst_insert(prefix)[0])
+                assert right_t[k] == shape(bst_insert(values)[0])
 
 
 def test_interior_vertices_are_insertion_shapes():
@@ -441,13 +436,13 @@ def search_rule_tree(t, x, y, alpha):
     assert x == t or x in reflected_bracket_covers(t)
     assert y == t or y in lattice_covers(t)
     if alpha == 1:
-        return extend_right_spine(t)
+        return insert_rightmost(t, right_spine_length(t))
     if x == t:
         return y
     if y == t:
         return x
     if x == y:
-        return push_down_rightmost(y)
+        return insert_rightmost(y, right_spine_length(y) - 1)
     matches = [c for c in lattice_covers(x) if delete_rightmost(c) == y]
     assert len(matches) == 1, (t, x, y, matches)
     return matches[0]

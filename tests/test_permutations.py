@@ -10,8 +10,6 @@ from growthdiagrams.permutations import (
     parse_permutation,
     permutation_matrix,
     recoils_composition,
-    restrict_prefix,
-    restrict_values,
     validate_permutation,
 )
 
@@ -90,26 +88,6 @@ def test_recoils_is_a_composition_of_n(p):
     c = recoils_composition(p)
     assert sum(c) == len(p)
     assert all(part >= 1 for part in c)
-
-
-def test_restrictions():
-    p = (4, 1, 5, 3, 6, 2)
-    assert restrict_prefix(p, 3) == (4, 1, 5)
-    assert restrict_prefix(p, 0) == ()
-    assert restrict_prefix(p, 6) == p
-    assert restrict_values(p, 3) == (1, 3, 2)
-    assert restrict_values(p, 6) == p
-    assert restrict_values(p, 1) == (1,)
-    with pytest.raises(ValueError):
-        restrict_prefix(p, 7)
-
-
-@given(perms, st.integers(0, 8))
-def test_restriction_lengths(p, k):
-    p = tuple(p)
-    k = min(k, len(p))
-    assert len(restrict_prefix(p, k)) == k
-    assert len(restrict_values(p, k)) == k
 
 
 def test_permutation_matrix():

@@ -27,10 +27,9 @@ RECORDS = [
     ),
     (
         DualityReport,
-        dict(pair="(a, b)", max_rank=1, r_sequence=(1, 1), rank_verdicts=(True, True), counterexample=None),
-        dict(pair="(a, b)", max_rank=1, r_sequence=(1, 1), rank_verdicts=(True, False), counterexample=None),
-        "DualityReport(pair='(a, b)', max_rank=1, r_sequence=(1, 1), rank_verdicts=(True, True),"
-        " counterexample=None)",
+        dict(pair="(a, b)", max_rank=1, rank_verdicts=(True, True), counterexample=None),
+        dict(pair="(a, b)", max_rank=1, rank_verdicts=(True, False), counterexample=None),
+        "DualityReport(pair='(a, b)', max_rank=1, rank_verdicts=(True, True), counterexample=None)",
     ),
     (
         BoundaryChains,

@@ -9,15 +9,12 @@ from growthdiagrams.permutations import all_permutations, inverse
 from growthdiagrams.trees import (
     bst_insert,
     delete_rightmost,
-    extend_right_spine,
     insert_rightmost,
     is_lattice_cover,
     is_reflected_bracket_cover,
     labeled_tree_to_json_obj,
     labeled_tree_to_text,
     lattice_covers,
-    node_count,
-    push_down_rightmost,
     reflected_bracket_covers,
     right_spine_length,
     tree_to_bracketed_expression,
@@ -48,6 +45,10 @@ def shape(t):
         return None
     _, left, right = t
     return (shape(left), shape(right))
+
+
+def node_count(t):
+    return 0 if t is None else 1 + node_count(t[0]) + node_count(t[1])
 
 
 def catalan(n):
@@ -241,15 +242,21 @@ def test_reflected_bracket_unique_parent():
 
 
 def test_spine_helpers():
-    assert extend_right_spine(None) == B1
-    assert extend_right_spine(L2) == (B1, B1)
-    assert push_down_rightmost(B1) == L2
-    assert push_down_rightmost(R2) == (None, L2)
+    # the marked square of the tree rule extends the right spine, and its
+    # case x = y pushes the rightmost node down as the new node's left child
+    def extend(t):
+        return insert_rightmost(t, right_spine_length(t))
+
+    def push_down(t):
+        return insert_rightmost(t, right_spine_length(t) - 1)
+
+    assert extend(None) == B1
+    assert extend(L2) == (B1, B1)
+    assert push_down(B1) == L2
+    assert push_down(R2) == (None, L2)
     # a left chain grows at the bottom: the pushed-down node keeps its chain
     chain3 = ((B1, None), None)
-    assert push_down_rightmost(chain3) == (chain3, None)
-    with pytest.raises(ValueError):
-        push_down_rightmost(None)
+    assert push_down(chain3) == (chain3, None)
 
 
 def test_insert_rightmost():
