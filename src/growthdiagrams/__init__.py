@@ -15,8 +15,8 @@ _MODULE_EXPORTS = {
         "is_lifted_cover", "lifted_covers", "word_to_composition",
     ),
     "graphs": (
-        "DUAL_PAIRS", "GRAPH_NAMES", "DualityReport", "GradedGraph", "GrowthRuleError",
-        "check_duality", "export_dot", "export_json", "make_graph", "path_count_identity",
+        "DualityReport", "GradedGraph", "check_duality", "export_dot", "export_json",
+        "make_graph", "path_count_identity",
     ),
     "growth": (
         "BoundaryChains", "GrowthGrid", "build_growth_diagram", "chain_to_bst",
@@ -24,8 +24,8 @@ _MODULE_EXPORTS = {
         "growth_insert", "local_rule_composition", "local_rule_tree",
     ),
     "permutations": (
-        "Permutation", "PermutationParseError", "all_permutations", "descent_composition",
-        "inverse", "parse_permutation", "permutation_matrix", "recoils_composition",
+        "DUAL_PAIRS", "GRAPH_NAMES", "GrowthRuleError", "Permutation", "PermutationParseError",
+        "all_permutations", "inverse", "parse_permutation", "permutation_matrix",
     ),
     "ribbons": (
         "QuasiRibbonTableau", "RibbonTableau", "hypoplactic_insert", "shadow_lines",

@@ -8,9 +8,12 @@ internal invariant, 2 usage, parse and output errors.  Identical
 invocations produce byte-identical output.
 
 Each process runs one command, so start-up is part of every command's
-cost.  The growth module is imported only by the two commands that run
-it, ``growth`` and ``verify equivalence``; every other module is imported
-here.
+cost, and a command imports only the modules it runs.  Here only
+``permutations`` is imported, which holds every name that the parser and
+:func:`main` need; ``insert`` then loads ``ribbons`` or ``trees``, and
+``jsontext`` for JSON; ``verify shadow`` loads ``ribbons``; ``graph``
+and ``verify duality|paths`` load ``graphs``; and ``growth`` and ``verify
+equivalence`` load ``growth``, which loads the rest.
 """
 from __future__ import annotations
 
@@ -20,18 +23,15 @@ import sys
 from functools import partial
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
-from . import graphs
-from .jsontext import iterdumps
 from .permutations import (
+    DUAL_PAIRS,
+    GRAPH_NAMES,
+    MAX_N,
+    GrowthRuleError,
     PermutationParseError,
+    RankGuardError,
     all_permutations,
     parse_permutation,
-)
-from .ribbons import hypoplactic_insert, render_tableau, shadow_lines
-from .trees import (
-    bst_insert,
-    labeled_tree_to_json_obj,
-    labeled_tree_to_text,
 )
 
 if TYPE_CHECKING:
@@ -83,12 +83,14 @@ def _emit(args, chunks: Iterable[str]) -> None:
 
 # -- insert -------------------------------------------------------------------
 
-def _insert(algorithm: str, p):
-    """The (P, Q) pair of a direct insertion; sylvester insertion is BST
-    insertion read right to left."""
+def _insertion(algorithm: str):
+    """The direct insertion p -> (P, Q) of an algorithm; sylvester
+    insertion is BST insertion read right to left."""
     if algorithm == "hypoplactic":
-        return hypoplactic_insert(p)
-    return bst_insert(p, "left-to-right" if algorithm == "bst-left" else "right-to-left")
+        from .ribbons import hypoplactic_insert
+        return hypoplactic_insert
+    from .trees import bst_insert
+    return partial(bst_insert, reading="left-to-right" if algorithm == "bst-left" else "right-to-left")
 
 
 def _pair_text(algorithm: str, p, q) -> tuple[str, ...]:
@@ -96,22 +98,26 @@ def _pair_text(algorithm: str, p, q) -> tuple[str, ...]:
     heading, a tree on the heading's line."""
     p_kind, q_kind = _PAIR_KINDS[algorithm]
     if algorithm == "hypoplactic":
-        render, sep = render_tableau, "\n"
+        from .ribbons import render_tableau as render
+        sep = "\n"
     else:
-        render, sep = labeled_tree_to_text, " "
+        from .trees import labeled_tree_to_text as render
+        sep = " "
     return f"P ({p_kind}):{sep}", render(p), f"\nQ ({q_kind}):{sep}", render(q)
 
 
 def cmd_insert(args) -> int:
     p = parse_permutation(args.permutation)
     algorithm = args.algorithm
-    pair = _insert(algorithm, p)
+    pair = _insertion(algorithm)(p)
     if args.format == "ascii":
         _emit(args, _pair_text(algorithm, *pair))
         return 0
+    from .jsontext import iterdumps
     if algorithm == "hypoplactic":
         p_obj, q_obj = pair[0].to_json_obj(), pair[1].to_json_obj()
     else:
+        from .trees import labeled_tree_to_json_obj
         p_obj, q_obj = map(labeled_tree_to_json_obj, pair)
     payload = {
         "algorithm": "bst-right" if algorithm == "sylvester" else algorithm,
@@ -151,14 +157,16 @@ def cmd_growth(args) -> int:
     algorithm = _FAMILY_ALGORITHMS[args.family]
     matched = None
     if args.check:
-        matched = pair == _insert(algorithm, p)
+        matched = pair == _insertion(algorithm)(p)
     if args.format == "json":
+        from .jsontext import iterdumps
         payload = grid.to_json_obj(pair)
         if matched is not None:
             payload["check"] = "MATCH" if matched else "MISMATCH"
         _emit(args, iterdumps(payload))
     else:
-        labels = grid.render_rows(partial(graphs.vertex_labels, args.family))
+        from .graphs import vertex_labels
+        labels = grid.render_rows(partial(vertex_labels, args.family))
         parts = [
             _render_grid(grid, labels),
             "",
@@ -175,6 +183,8 @@ def cmd_growth(args) -> int:
 # -- graph --------------------------------------------------------------------
 
 def cmd_graph(args) -> int:
+    from . import graphs
+
     g = graphs.make_graph(args.name)
     _emit(args, (graphs.export_graph(g, args.max_rank, args.format),))
     return 0
@@ -183,7 +193,9 @@ def cmd_graph(args) -> int:
 # -- verify -------------------------------------------------------------------
 
 def _verify_duality(args, lines: list[str]) -> bool:
-    g1, g2 = (graphs.make_graph(name) for name in graphs.DUAL_PAIRS[args.pair])
+    from . import graphs
+
+    g1, g2 = (graphs.make_graph(name) for name in DUAL_PAIRS[args.pair])
     report = graphs.check_duality(g1, g2, args.max_rank)
     for n, ok in enumerate(report.rank_verdicts):
         lines.append(f"rank {n}: {'PASS' if ok else 'FAIL'}")
@@ -199,10 +211,8 @@ def _verify_duality(args, lines: list[str]) -> bool:
 
 
 def _exhaustive_sizes(max_n: int) -> range:
-    if max_n > graphs.MAX_N:
-        raise graphs.RankGuardError(
-            f"--max-n {max_n} exceeds the supported maximum {graphs.MAX_N} for exhaustive checks"
-        )
+    if max_n > MAX_N:
+        raise RankGuardError(f"--max-n {max_n} exceeds the supported maximum {MAX_N} for exhaustive checks")
     return range(max_n + 1)
 
 
@@ -227,21 +237,25 @@ def _verify_equivalence(args, lines: list[str]) -> bool:
 
     family = args.family
     return _verify_routes(
-        args, lines, partial(_insert, _FAMILY_ALGORITHMS[family]),
+        args, lines, _insertion(_FAMILY_ALGORITHMS[family]),
         partial(growth.growth_insert, family=family),
         f" (family {family})", f"growth diagrams match direct {family} insertion",
     )
 
 
 def _verify_shadow(args, lines: list[str]) -> bool:
+    from . import ribbons
+
     return _verify_routes(
-        args, lines, shadow_lines, hypoplactic_insert,
+        args, lines, ribbons.shadow_lines, ribbons.hypoplactic_insert,
         "", "shadow lines match hypoplactic insertion",
     )
 
 
 def _verify_paths(args, lines: list[str]) -> bool:
-    g1, g2 = (graphs.make_graph(name) for name in graphs.DUAL_PAIRS[args.pair])
+    from . import graphs
+
+    g1, g2 = (graphs.make_graph(name) for name in DUAL_PAIRS[args.pair])
     lhs, rhs = graphs.path_count_identity(g1, g2, args.n)
     ok = lhs == rhs
     lines.append(f"n={args.n}: chain-pair count {lhs}, n! = {rhs}: {'PASS' if ok else 'FAIL'}")
@@ -301,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_growth.set_defaults(func=cmd_growth)
 
     p_graph = sub.add_parser("graph", help="export one of the four graded graphs")
-    p_graph.add_argument("name", choices=graphs.GRAPH_NAMES)
+    p_graph.add_argument("name", choices=GRAPH_NAMES)
     p_graph.add_argument("--max-rank", type=_non_negative_int, default=4)
     p_graph.add_argument("--format", choices=("dot", "json"), default="dot")
     p_graph.add_argument("--out", default=None)
@@ -309,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("mode", choices=("duality", "equivalence", "shadow", "paths"))
-    p_verify.add_argument("--pair", choices=tuple(graphs.DUAL_PAIRS), default="compositions")
+    p_verify.add_argument("--pair", choices=tuple(DUAL_PAIRS), default="compositions")
     p_verify.add_argument("--family", choices=tuple(_FAMILY_ALGORITHMS), default="composition")
     p_verify.add_argument("--max-rank", type=_non_negative_int, default=8)
     p_verify.add_argument("--max-n", type=_non_negative_int, default=5)
@@ -338,10 +352,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.close(devnull)
         print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
         return 2
-    except (PermutationParseError, graphs.RankGuardError, OutputError) as exc:
+    except (PermutationParseError, RankGuardError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (graphs.GrowthRuleError, ValueError) as exc:
+    except (GrowthRuleError, ValueError) as exc:
         # every input error above is raised as its own type; any other
         # ValueError comes from a library check on a computed result
         print(f"invariant violated: {exc}", file=sys.stderr)

@@ -44,26 +44,11 @@ from typing import Callable, NamedTuple, Optional
 from . import compositions as comp
 from . import trees as tr
 from .jsontext import dumps
-
-
-class RankGuardError(ValueError):
-    """Raised when an enumeration would exceed the supported rank."""
-
-
-class GrowthRuleError(RuntimeError):
-    """An internal invariant of the growth rules failed.
-
-    This cannot happen while the two graph pairs are dual; it is the
-    channel through which a falsified duality would surface at runtime.
-    """
-
+# defined where every command finds them, and re-exported here
+from .permutations import DUAL_PAIRS, GRAPH_NAMES, MAX_N, GrowthRuleError, RankGuardError  # noqa: F401
 
 # dense per-rank vertex lists stay small below these ranks
 MAX_RANK = {"composition": 12, "tree": 10}
-
-# exhaustive checks over all n! permutations of each size n up to this
-# bound finish within minutes; one size more takes ten times as long
-MAX_N = 9
 
 
 def _check_rank(family: str, n: int) -> None:
@@ -195,19 +180,13 @@ class GradedGraph(NamedTuple):
         return _vertices_at(self.family, n)
 
 
-_GRAPHS = {
-    "lifted-binary-tree": ("composition", _lifted_table),
-    "binword": ("composition", _binword_table),
-    "tree-lattice": ("tree", _lattice_table),
-    "reflected-bracket-tree": ("tree", _reflected_bracket_table),
-}
-
-GRAPH_NAMES = tuple(_GRAPHS)
-
-DUAL_PAIRS = {
-    "compositions": ("lifted-binary-tree", "binword"),
-    "trees": ("tree-lattice", "reflected-bracket-tree"),
-}
+# the family and up-table of each graph, in the order of GRAPH_NAMES
+_GRAPHS = dict(zip(GRAPH_NAMES, (
+    ("composition", _lifted_table),
+    ("composition", _binword_table),
+    ("tree", _lattice_table),
+    ("tree", _reflected_bracket_table),
+)))
 
 
 def make_graph(name: str) -> GradedGraph:

@@ -51,9 +51,9 @@ a square costs O(1).
 Where each check lives:
 
   * ``local_rule_*`` check their input squares (the given edges must be
-    covers) and their output (z must cover x and y); ``GrowthGrid.validate``
-    replays every square through them.  They are the reference the label
-    rule is tested against.
+    covers) and their output (z must cover x and y).  They are the
+    reference the label rule is tested against: the tests replay every
+    square of a grid through them.
   * The label fill checks that each label it makes fits the vertex it
     applies to (a letter 0 needs a non-empty word, q and k and s must
     exist), so a broken rule raises GrowthRuleError.
@@ -80,9 +80,8 @@ from .compositions import (
     is_binword_cover,
     is_lifted_cover,
 )
-from .graphs import GrowthRuleError, vertex_json
-from .jsontext import dumps
-from .permutations import Permutation, inverse, permutation_matrix, validate_permutation
+from .graphs import vertex_json
+from .permutations import GrowthRuleError, Permutation, inverse, permutation_matrix, validate_permutation
 from .ribbons import QuasiRibbonTableau, RibbonTableau
 from .trees import (
     LabeledTree,
@@ -103,7 +102,6 @@ class DualPair(NamedTuple):
     Labels are (a, h) or (k, s); rank and spine are those of a square's t."""
 
     empty: object  # the rank-0 vertex
-    local_rule: Callable  # (t, x, y, alpha) -> z, the reference on vertices
     mark: Callable  # (rank, spine) -> the labels of a marked square
     join: Callable  # (a, h, rank) -> the labels of cases (e) and (f)
     fits: Callable  # (a, h, rank, spine) -> whether the labels exist
@@ -217,26 +215,6 @@ class GrowthGrid(NamedTuple):
             right=tuple(self.vertices[i][self.n] for i in range(self.n + 1)),
         )
 
-    def validate(self) -> None:
-        """Recheck every boundary value and every square against the rule."""
-        dual = _pair(self.family)
-        empty, rule = dual.empty, dual.local_rule
-        n = self.n
-        if len(self.vertices) != n + 1 or any(len(row) != n + 1 for row in self.vertices):
-            raise ValueError("grid is not (n+1) x (n+1)")
-        if any(self.vertices[0][j] != empty for j in range(n + 1)):
-            raise ValueError("bottom boundary must be empty")
-        if any(self.vertices[i][0] != empty for i in range(n + 1)):
-            raise ValueError("left boundary must be empty")
-        if len(self.marks) != n or len({c for c, _ in self.marks}) != n or len({r for _, r in self.marks}) != n:
-            raise ValueError("marks are not a permutation matrix")
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                alpha = 1 if (j, i) in self.marks else 0
-                z = rule(self.vertices[i - 1][j - 1], self.vertices[i][j - 1], self.vertices[i - 1][j], alpha)
-                if z != self.vertices[i][j]:
-                    raise ValueError(f"square ({j}, {i}) disagrees with the local rule")
-
     def render_rows(self, render: Callable[[list], list]) -> list[list]:
         """Apply ``render`` to all vertices at once, bottom row first, and
         split its results back into rows."""
@@ -261,9 +239,6 @@ class GrowthGrid(NamedTuple):
             "P": dual.json_obj(p),
             "Q": dual.json_obj(q),
         }
-
-    def to_json(self) -> str:
-        return dumps(self.to_json_obj())
 
 
 # -- edge labels ---------------------------------------------------------------
@@ -568,7 +543,7 @@ def growth_insert(p: Permutation, family: Family):
 
 PAIRS = {
     "composition": DualPair(
-        empty=(), local_rule=local_rule_composition,
+        empty=(),
         mark=_mark_labels_composition, join=_join_labels_composition,
         fits=_labels_fit_composition, spined=False,
         grow=lambda c, a: c + (1,) if a else increment_last(c),
@@ -578,7 +553,7 @@ PAIRS = {
         json_obj=lambda tableau: tableau.to_json_obj(),
     ),
     "tree": DualPair(
-        empty=None, local_rule=local_rule_tree,
+        empty=None,
         # case (a): a new node below the rightmost one, in the last slot;
         # cases (e) and (f) pass both labels on; spine depth k and in-order
         # slot s must exist in t

@@ -5,7 +5,9 @@ None; anything else raises TypeError.
 
 ``json.dumps`` recurses once per nesting level and, whenever ``indent``
 is set, runs its pure-Python generator encoder.  This emitter walks with
-an explicit stack, so nesting depth is unbounded; renders a list whose
+an explicit stack, so nesting depth is unbounded; writes each scalar in
+the loop over its container's items, with each key's text and the
+indentation of the first 64 depths made once; renders a list whose
 items are all ints or all strs in one join, with strings escaped by the
 same C function ``json.dumps`` uses; and reuses the text of such a list
 when the same object appears again at the same depth.
@@ -25,23 +27,35 @@ CHUNK_SIZE = 1 << 16  # characters; iterdumps yields a piece once it has this ma
 
 
 def _scalar(value) -> str:
+    """The text of an instance of a subclass of str or int."""
     if isinstance(value, str):
         return _string(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
     if isinstance(value, int):
         return int.__repr__(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _key(key) -> str:
-    if isinstance(key, str):
-        return _string(key)
-    raise TypeError(f"keys must be str, not {type(key).__name__}")
+class _KeyTexts(dict):
+    """Each key's text with the ": " after it, made on first use."""
+
+    def __missing__(self, key) -> str:
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        text = self[key] = _string(key) + ": "
+        return text
+
+
+def _breaks(depth: int) -> tuple[str, str]:
+    """A newline and the indentation of ``depth``, and the same after a comma."""
+    newline = "\n" + _INDENT * depth
+    return newline, "," + newline
+
+
+# made once for the depths most texts stay within; a deeper one is made
+# each time, since keeping every depth's would take memory that grows as
+# the square of the depth
+_SHALLOW_DEPTHS = 64
+_SHALLOW = tuple(map(_breaks, range(_SHALLOW_DEPTHS)))
 
 
 def _flat_list(items, depth: int):
@@ -71,73 +85,96 @@ def dumps(obj) -> str:
 
 def iterdumps(obj) -> Iterator[str]:
     """
-    The text of :func:`dumps` in pieces of whole parts, each piece fewer
-    than ``CHUNK_SIZE`` characters plus one last part.  A part is one
-    indentation with a bracket, key, scalar or flat list, so the text of a
-    deep tree, which grows as the square of its depth, is never all in
-    memory at once.
+    The text of :func:`dumps` in pieces of whole parts: every piece but
+    the last has at least ``CHUNK_SIZE`` characters, and fewer without
+    its last part.  A part is an item (its comma, indentation and key,
+    then a scalar, a flat list or an opening bracket) or a closing
+    bracket with its indentation, so the text of a deep tree, which grows
+    as the square of its depth, is never all in memory at once.
 
     >>> list(iterdumps({"a": [1, [2]]}))
     ['{\\n  "a": [\\n    1,\\n    [\\n      2\\n    ]\\n  ]\\n}']
     """
+    limit = CHUNK_SIZE
     parts: list[str] = []
+    append = parts.append
     size = 0  # characters in parts
     flat: dict[tuple[int, int], Optional[str]] = {}  # (id, depth) -> _flat_list text
     open_ids: set[int] = set()
-    # per open container: its remaining (key prefix, value) items, its
-    # closing bracket, its depth and its id
-    stack: list[tuple] = []
-    value, depth = obj, 0
+    keys = _KeyTexts()
+    # per open container: its remaining (key text, value) items, its
+    # closing bracket and its id; the frame at the bottom holds obj alone
+    stack: list[tuple] = [(iter((("", obj),)), "", None)]
+    sep = ""  # what goes in front of the next item's key
+    comma = ",\n"  # the same after the first item
+    depth = 0  # of the items of the top frame
     while True:
-        # one check per part added, so a piece ends at most one part late
-        if size >= CHUNK_SIZE:
+        # one check per part added, here after a bracket
+        if size >= limit:
             yield "".join(parts)
             parts.clear()
             size = 0
-        if isinstance(value, (list, tuple)):
-            text = flat.get((id(value), depth))
-            if text is None:
-                text = flat[id(value), depth] = _flat_list(value, depth)
-            items, brackets = zip(repeat(""), value), "[]"
-        elif isinstance(value, dict):
-            text = None if value else "{}"
-            items, brackets = ((_key(k) + ": ", v) for k, v in value.items()), "{}"
-        else:
-            text = _scalar(value)
-        if text is None:
-            # a non-empty container: open it and descend into its first item
-            if id(value) in open_ids:
-                raise ValueError("Circular reference detected")
-            open_ids.add(id(value))
-            stack.append((items, brackets[1], depth, id(value)))
-            depth += 1
-            prefix, value = next(items)
-            text = brackets[0] + "\n" + _INDENT * depth + prefix
-            parts.append(text)
+        items, bracket, oid = stack[-1]
+        for prefix, value in items:
+            cls = value.__class__
+            if value is None:
+                text = "null"
+            elif cls is int:
+                text = int.__repr__(value)
+            elif isinstance(value, dict):
+                if value:
+                    break
+                text = "{}"
+            elif cls is str:
+                text = _string(value)
+            elif isinstance(value, (list, tuple)):
+                text = flat.get((id(value), depth))
+                if text is None:
+                    text = flat[id(value), depth] = _flat_list(value, depth)
+                    if text is None:
+                        break
+            elif value is True:
+                text = "true"
+            elif value is False:
+                text = "false"
+            else:
+                text = _scalar(value)
+            text = sep + prefix + text
+            append(text)
             size += len(text)
-            continue
-        parts.append(text)
-        size += len(text)
-        # move on to the next item, closing every container that is done
-        while stack:
-            if size >= CHUNK_SIZE:
+            sep = comma
+            if size >= limit:
                 yield "".join(parts)
                 parts.clear()
                 size = 0
-            items, closing, outer, oid = stack[-1]
-            item = next(items, None)
-            if item is not None:
-                prefix, value = item
-                text = ",\n" + _INDENT * depth + prefix
-                parts.append(text)
-                size += len(text)
-                break
-            stack.pop()
-            open_ids.discard(oid)
-            depth = outer
-            text = "\n" + _INDENT * depth + closing
-            parts.append(text)
-            size += len(text)
         else:
-            yield "".join(parts)
-            return
+            # every item is written: close the container
+            stack.pop()
+            if not stack:
+                if parts:
+                    yield "".join(parts)
+                return
+            open_ids.discard(oid)
+            depth -= 1
+            newline, comma = _SHALLOW[depth] if depth < _SHALLOW_DEPTHS else _breaks(depth)
+            text = newline + bracket
+            append(text)
+            size += len(text)
+            sep = comma
+            continue
+        # value is a non-empty container that is not a flat list: open it
+        # and go on with its items
+        oid = id(value)
+        if oid in open_ids:
+            raise ValueError("Circular reference detected")
+        open_ids.add(oid)
+        if isinstance(value, dict):
+            text = sep + prefix + "{"
+            stack.append((zip(map(keys.__getitem__, value), value.values()), "}", oid))
+        else:
+            text = sep + prefix + "["
+            stack.append((zip(repeat(""), value), "]", oid))
+        append(text)
+        size += len(text)
+        depth += 1
+        sep, comma = _SHALLOW[depth] if depth < _SHALLOW_DEPTHS else _breaks(depth)

@@ -1,10 +1,16 @@
 """
-Permutations in one-line notation, with the descent statistics the rest of
-the library is built on.
+Permutations in one-line notation: parsing, validation, the inverse, the
+permutation matrix and enumeration.
 
 A permutation of size n is a tuple rearranging the values 1..n.  The empty
 tuple is the (legal) permutation of size 0; it maps to the empty tableau,
 the empty tree and the trivial growth diagram.
+
+Every command line run loads this module, so it also holds the few names
+the command line needs before it knows which modules a command runs: the
+two error types that pick an exit code, the bound of the exhaustive
+checks, and the names of the four graphs and of their dual pairs.  The
+modules ``graphs`` and ``growth`` re-export them.
 """
 from __future__ import annotations
 
@@ -12,11 +18,34 @@ import itertools
 from typing import Iterator, Sequence
 
 Permutation = tuple[int, ...]
-Composition = tuple[int, ...]
 
 
 class PermutationParseError(ValueError):
     """Raised when a string or word is not a rearrangement of 1..n."""
+
+
+class RankGuardError(ValueError):
+    """Raised when an enumeration would exceed the supported rank."""
+
+
+class GrowthRuleError(RuntimeError):
+    """An internal invariant of the growth rules failed.
+
+    This cannot happen while the two graph pairs are dual; it is the
+    channel through which a falsified duality would surface at runtime.
+    """
+
+
+# exhaustive checks over all n! permutations of each size n up to this
+# bound finish within minutes; one size more takes ten times as long
+MAX_N = 9
+
+DUAL_PAIRS = {
+    "compositions": ("lifted-binary-tree", "binword"),
+    "trees": ("tree-lattice", "reflected-bracket-tree"),
+}
+
+GRAPH_NAMES = tuple(itertools.chain.from_iterable(DUAL_PAIRS.values()))
 
 
 def validate_permutation(word: Sequence[int]) -> Permutation:
@@ -83,36 +112,6 @@ def inverse(p: Permutation) -> Permutation:
     for i, v in enumerate(p):
         inv[v - 1] = i + 1
     return tuple(inv)
-
-
-def descent_composition(p: Permutation) -> Composition:
-    """
-    The composition of n whose partial sums are the descent positions of p,
-    i.e. the positions i with p[i] > p[i+1] (1-based).
-
-    >>> descent_composition((2, 6, 4, 1, 3, 5))
-    (2, 1, 3)
-    >>> descent_composition((1, 2, 3, 4))
-    (4,)
-    >>> descent_composition((4, 3, 2, 1))
-    (1, 1, 1, 1)
-    """
-    n = len(p)
-    if n == 0:
-        return ()
-    bounds = [0] + [i for i in range(1, n) if p[i - 1] > p[i]] + [n]
-    return tuple(b - a for a, b in zip(bounds, bounds[1:]))
-
-
-def recoils_composition(p: Permutation) -> Composition:
-    """
-    The descent composition of the inverse permutation.  This is the shape
-    of the quasi-ribbon tableau produced by hypoplactic insertion.
-
-    >>> recoils_composition((4, 1, 5, 3, 6, 2))
-    (2, 1, 3)
-    """
-    return descent_composition(inverse(p))
 
 
 def permutation_matrix(p: Permutation) -> frozenset[tuple[int, int]]:

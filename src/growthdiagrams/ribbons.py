@@ -117,10 +117,6 @@ class RibbonShapedTableau:
     def shape(self) -> Composition:
         return tuple(len(row) for row in self.rows)
 
-    @property
-    def n(self) -> int:
-        return len(self._reading)
-
     def reading(self) -> tuple[int, ...]:
         """Labels left to right, top to bottom."""
         return self._reading
@@ -130,9 +126,6 @@ class RibbonShapedTableau:
         for row in self.rows[:-1]:
             offsets.append(offsets[-1] + len(row) - 1)
         return tuple(offsets) if self.rows else ()
-
-    def is_standard(self) -> bool:
-        return sorted(self.reading()) == list(range(1, self.n + 1))
 
     def validate(self) -> None:
         if not (all(self.rows) and self._accepts(self._reading, self._ends)):

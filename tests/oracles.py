@@ -6,9 +6,13 @@ exactly what the library raised before the one-pass checks, so a test can
 compare acceptance, result, exception type and message.
 
 Also here: recursive tree predicates and parsers that only tests call.
-They recurse once per level, so they serve small trees only.
+They recurse once per level, so they serve small trees only.  And the
+descent statistics of a permutation, against which the tests check the
+shape of the hypoplactic tableaux; and the check of a whole growth
+diagram against the reference local rules on vertices.
 """
-from growthdiagrams.permutations import PermutationParseError
+from growthdiagrams.growth import local_rule_composition, local_rule_tree
+from growthdiagrams.permutations import PermutationParseError, inverse
 
 
 def row_by_row_validate(rows, increases_down_columns):
@@ -181,3 +185,42 @@ def is_decreasing_tree(t) -> bool:
         if child is not None and child[0] > label:
             return False
     return is_decreasing_tree(left) and is_decreasing_tree(right)
+
+
+def descent_composition(p):
+    """
+    The composition of n whose partial sums are the descent positions of p,
+    i.e. the positions i with p[i] > p[i+1] (1-based).
+    """
+    n = len(p)
+    if n == 0:
+        return ()
+    bounds = [0] + [i for i in range(1, n) if p[i - 1] > p[i]] + [n]
+    return tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def recoils_composition(p):
+    """The descent composition of the inverse permutation: the shape of
+    the quasi-ribbon tableau that hypoplactic insertion produces."""
+    return descent_composition(inverse(p))
+
+
+def validate_grid(grid):
+    """Recheck every boundary value of a GrowthGrid, and every square
+    against the local rule of its family on vertices."""
+    empty, rule = {"composition": ((), local_rule_composition), "tree": (None, local_rule_tree)}[grid.family]
+    n, vertices, marks = grid.n, grid.vertices, grid.marks
+    if len(vertices) != n + 1 or any(len(row) != n + 1 for row in vertices):
+        raise ValueError("grid is not (n+1) x (n+1)")
+    if any(vertices[0][j] != empty for j in range(n + 1)):
+        raise ValueError("bottom boundary must be empty")
+    if any(vertices[i][0] != empty for i in range(n + 1)):
+        raise ValueError("left boundary must be empty")
+    if len(marks) != n or len({c for c, _ in marks}) != n or len({r for _, r in marks}) != n:
+        raise ValueError("marks are not a permutation matrix")
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            alpha = 1 if (j, i) in marks else 0
+            z = rule(vertices[i - 1][j - 1], vertices[i][j - 1], vertices[i - 1][j], alpha)
+            if z != vertices[i][j]:
+                raise ValueError(f"square ({j}, {i}) disagrees with the local rule")

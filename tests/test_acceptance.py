@@ -6,6 +6,8 @@ import json
 import math
 import time
 
+from oracles import recoils_composition
+
 from growthdiagrams.cli import main
 from growthdiagrams.compositions import (
     composition_to_word,
@@ -15,7 +17,7 @@ from growthdiagrams.compositions import (
 )
 from growthdiagrams.graphs import DUAL_PAIRS, check_duality, make_graph, path_count_identity
 from growthdiagrams.growth import growth_insert
-from growthdiagrams.permutations import all_permutations, recoils_composition
+from growthdiagrams.permutations import all_permutations
 from growthdiagrams.ribbons import hypoplactic_insert, shadow_lines
 from growthdiagrams.trees import (
     bst_insert,

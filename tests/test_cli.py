@@ -267,7 +267,7 @@ def test_failed_insertion_validation_is_an_invariant_breach(monkeypatch, capsys)
 def test_escaped_word_encoding_error_is_an_invariant_breach(monkeypatch, capsys):
     # no parsed input reaches word decoding: the CLI decodes only words it
     # builds itself, so a rejected one is a broken invariant, not a usage error
-    monkeypatch.setattr(cli, "hypoplactic_insert", lambda p: compositions.word_to_composition("01"))
+    monkeypatch.setattr(ribbons, "hypoplactic_insert", lambda p: compositions.word_to_composition("01"))
     code, out, err = run(capsys, "insert", "hypoplactic", "312")
     assert code == 1
     assert out == ""
@@ -341,7 +341,7 @@ def test_exhaustive_max_n_guard_admits_its_bound(monkeypatch, capsys, mode):
 @pytest.mark.parametrize(
     "argv, owner, name, where",
     [
-        (("verify", "shadow"), cli, "shadow_lines", ""),
+        (("verify", "shadow"), ribbons, "shadow_lines", ""),
         (("verify", "equivalence", "--family", "tree"), growth, "growth_insert", " (family tree)"),
     ],
     ids=["shadow", "equivalence"],
@@ -668,7 +668,7 @@ def test_no_output_goes_through_json_dumps(monkeypatch, capsys):
         ("graph", "binword", "--max-rank", "3", "--format", "json"),
     ):
         assert run(capsys, *argv)[0] == 0
-    growth.build_growth_diagram((2, 1), "composition").to_json()
+    jsontext.dumps(growth.build_growth_diagram((2, 1), "composition").to_json_obj())
 
 
 @pytest.mark.parametrize("fmt", ["json", "ascii"])

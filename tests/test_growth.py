@@ -29,6 +29,7 @@ from growthdiagrams.trees import (
     reflected_bracket_covers,
     right_spine_length,
 )
+from oracles import validate_grid
 from test_trees import shape
 
 B1 = (None, None)
@@ -119,7 +120,7 @@ def test_growth_grid_415362():
     chains = grid.boundary_chains()
     assert chains.right == ((), (1,), (2,), (2, 1), (2, 1, 1), (2, 1, 2), (2, 1, 3))
     assert chains.top == ((), (1,), (1, 1), (1, 2), (2, 2), (2, 3), (2, 1, 3))
-    grid.validate()
+    validate_grid(grid)
 
 
 def test_growth_grid_351426():
@@ -128,7 +129,7 @@ def test_growth_grid_351426():
     chains = grid.boundary_chains()
     assert chains.right == (None, B1, R2, M3, S4, T5, P6)
     assert chains.top == (None, B1, R2, B3, T4, T5, P6)
-    grid.validate()
+    validate_grid(grid)
 
 
 def random_avoid231(n, rng):
@@ -367,7 +368,7 @@ def test_grid_well_formedness_small():
     for family in ("composition", "tree"):
         for n in range(5):
             for p in all_permutations(n):
-                build_growth_diagram(p, family).validate()
+                validate_grid(build_growth_diagram(p, family))
 
 
 def test_grid_validate_catches_corruption():
@@ -381,7 +382,7 @@ def test_grid_validate_catches_corruption():
         marks=grid.marks,
     )
     with pytest.raises(ValueError):
-        corrupted.validate()
+        validate_grid(corrupted)
 
 
 def test_grid_json_schema():

@@ -12,8 +12,8 @@ import growthdiagrams
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# every name the package exported before it resolved them lazily, by the
-# module that defines it (test-only oracles and one-line wrappers have since
+# every name the package exported before it resolved them lazily, by a
+# module that holds it (test-only oracles and one-line wrappers have since
 # left the package)
 EXPORTS = {
     "compositions": (
@@ -30,8 +30,8 @@ EXPORTS = {
         "chain_to_ribbon", "growth_insert", "local_rule_composition", "local_rule_tree",
     ),
     "permutations": (
-        "Permutation", "PermutationParseError", "all_permutations", "descent_composition",
-        "inverse", "parse_permutation", "permutation_matrix", "recoils_composition",
+        "Permutation", "PermutationParseError", "all_permutations", "inverse",
+        "parse_permutation", "permutation_matrix",
     ),
     "ribbons": (
         "QuasiRibbonTableau", "RibbonTableau", "hypoplactic_insert", "shadow_lines",
@@ -66,29 +66,33 @@ def bare_interpreter() -> set[str]:
     return _imported("-c", "pass")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("insert", "hypoplactic", "312"),
-        ("insert", "bst-left", "312", "--format", "json"),
-        ("insert", "bst-right", "312"),
-        ("insert", "sylvester", "312"),
-        ("growth", "composition", "312", "--check"),
-        ("growth", "tree", "312", "--format", "json"),
-        ("verify", "duality", "--max-rank", "3"),
-        ("verify", "equivalence", "--max-n", "3"),
-        ("verify", "shadow", "--max-n", "3"),
-        ("verify", "paths", "--n", "3"),
-        ("graph", "binword", "--max-rank", "2"),
-    ],
-    ids=" ".join,
-)
+# the package's modules that each command loads besides permutations (cli
+# itself runs as __main__)
+GRAPHS = {"graphs", "compositions", "trees", "jsontext"}
+EVERY_MODULE = {*GRAPHS, "growth", "ribbons"}
+LOADS = {
+    ("insert", "hypoplactic", "312"): {"ribbons"},
+    ("insert", "hypoplactic", "312", "--format", "json"): {"ribbons", "jsontext"},
+    ("insert", "bst-left", "312", "--format", "json"): {"trees", "jsontext"},
+    ("insert", "bst-right", "312"): {"trees"},
+    ("insert", "sylvester", "312"): {"trees"},
+    ("growth", "composition", "312", "--check"): EVERY_MODULE,
+    ("growth", "tree", "312", "--format", "json"): EVERY_MODULE,
+    ("verify", "duality", "--max-rank", "3"): GRAPHS,
+    ("verify", "equivalence", "--max-n", "3"): EVERY_MODULE,
+    ("verify", "shadow", "--max-n", "3"): {"ribbons"},
+    ("verify", "paths", "--n", "3"): GRAPHS,
+    ("graph", "binword", "--max-rank", "2"): GRAPHS,
+}
+
+
+@pytest.mark.parametrize("argv", list(LOADS), ids=" ".join)
 def test_cold_start_imports(bare_interpreter, argv):
     loaded = _imported("-m", "growthdiagrams.cli", *argv) - bare_interpreter
-    assert "growthdiagrams.ribbons" in loaded  # the report sees the package's modules
+    assert "growthdiagrams.permutations" in loaded  # the report sees the package's modules
     assert "dataclasses" not in loaded
-    runs_growth = argv[0] == "growth" or argv[:2] == ("verify", "equivalence")
-    assert ("growthdiagrams.growth" in loaded) == runs_growth
+    package = {name for name in loaded if name.startswith("growthdiagrams.")}
+    assert package == {f"growthdiagrams.{name}" for name in {"permutations", *LOADS[argv]}}
 
 
 @pytest.mark.parametrize(
@@ -118,6 +122,15 @@ def test_bare_package_import_loads_no_submodule():
 @pytest.mark.parametrize("module, name", NAMES)
 def test_exports_resolve_to_the_defining_object(module, name):
     assert getattr(growthdiagrams, name) is getattr(import_module(f"growthdiagrams.{module}"), name)
+
+
+def test_names_the_command_line_needs_are_defined_once():
+    # in permutations, which every command loads; graphs and growth re-export them
+    permutations, graphs, growth = (import_module(f"growthdiagrams.{m}") for m in ("permutations", "graphs", "growth"))
+    for name in ("RankGuardError", "GrowthRuleError", "MAX_N", "GRAPH_NAMES", "DUAL_PAIRS"):
+        assert getattr(graphs, name) is getattr(permutations, name)
+    assert growth.GrowthRuleError is permutations.GrowthRuleError
+    assert growthdiagrams.GRAPH_NAMES == ("lifted-binary-tree", "binword", "tree-lattice", "reflected-bracket-tree")
 
 
 def test_star_import_binds_every_export():

@@ -1,17 +1,20 @@
 import json
 import sys
+from itertools import accumulate
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from growthdiagrams import jsontext
 from growthdiagrams.jsontext import CHUNK_SIZE, dumps, iterdumps
 from growthdiagrams.trees import labeled_tree_to_json_obj, labeled_tree_to_text, tree_to_text, trees_to_text
 
 # every code point but lone surrogates, so control characters and
 # non-ASCII text come up in both keys and values
 texts = st.text(st.characters(blacklist_categories=("Cs",)))
-scalars = st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | texts
+scalars = st.none() | st.booleans() | st.integers() | st.integers(-(10**400), 10**400) | texts
 # flat lists exercise the one-join path; bools mixed into ints must not
 flat_lists = st.lists(st.integers()) | st.lists(texts) | st.lists(st.integers() | st.booleans())
 values = st.recursive(
@@ -46,6 +49,93 @@ def test_unsupported_values_raise_type_error():
     for value in (1.5, [1, 2.0], {"a": {1, 2}}, {1: "a"}, {"a": {None: 1}}):
         with pytest.raises(TypeError):
             dumps(value)
+
+
+# one level of nesting around a value: the container kind, a key, a sibling
+# and whether the sibling comes first
+wrappers = st.tuples(st.sampled_from(["list", "tuple", "dict"]), texts, values, st.booleans())
+
+
+def _nest(inner, levels):
+    """inner, wrapped in one container per level, innermost first."""
+    for kind, key, sibling, sibling_first in levels:
+        if kind == "dict":
+            # a sibling key equal to key would replace inner
+            items = [(key + "'", sibling), (key, inner)]
+            inner = dict(items[:: 1 if sibling_first else -1])
+        else:
+            items = [sibling, inner] if sibling_first else [inner, sibling]
+            inner = items if kind == "list" else tuple(items)
+    return inner
+
+
+deep_values = st.builds(_nest, values, st.lists(wrappers, max_size=150))
+
+
+def _parts(value) -> list[str]:
+    """The parts of the text of value as iterdumps defines them: an item
+    (its comma, indentation and key, then a scalar, a flat list or an
+    opening bracket) or a closing bracket with its indentation."""
+    parts: list[str] = []
+
+    def item(value, depth: int, head: str) -> None:
+        pad = "  " * depth
+        inner = ["\n" + pad + "  ", ",\n" + pad + "  "]
+        if isinstance(value, dict) and value:
+            parts.append(head + "{")
+            for i, (k, v) in enumerate(value.items()):
+                item(v, depth + 1, inner[i > 0] + json.dumps(k) + ": ")
+            parts.append("\n" + pad + "}")
+        elif isinstance(value, (list, tuple)) and value and set(map(type, value)) not in ({int}, {str}):
+            parts.append(head + "[")
+            for i, v in enumerate(value):
+                item(v, depth + 1, inner[i > 0])
+            parts.append("\n" + pad + "]")
+        else:
+            parts.append(head + json.dumps(value, indent=2).replace("\n", "\n" + pad))
+
+    item(value, 0, "")
+    return parts
+
+
+@settings(max_examples=150, deadline=None)
+@given(deep_values, st.integers(1, 300))
+def test_pieces_are_whole_parts_and_end_once_chunk_size_is_reached(value, chunk_size):
+    parts = _parts(value)
+    ends = dict(zip(accumulate(map(len, parts)), map(len, parts)))  # end offset -> part length
+    with mock.patch.object(jsontext, "CHUNK_SIZE", chunk_size):
+        pieces = list(iterdumps(value))
+    assert "".join(pieces) == "".join(parts) == json.dumps(value, indent=2)
+    assert all(pieces)
+    for end, piece in zip(accumulate(map(len, pieces)), pieces[:-1]):
+        assert end in ends  # a piece ends where a part ends
+        assert len(piece) >= chunk_size
+        assert len(piece) - ends[end] < chunk_size  # the piece is full only with its last part
+
+
+def _bad_key(key, first: bool):
+    items = [(key, 1), ("ok", 0)][:: 1 if first else -1]
+    return dict(items), f"keys must be str, not {type(key).__name__}"
+
+
+def _bad_value(value, first: bool):
+    items = [value, 0][:: 1 if first else -1]
+    return items, f"Object of type {type(value).__name__} is not JSON serializable"
+
+
+# a container holding a key other than str or a value of a type JSON lacks,
+# first or after a good item, and the message of the TypeError it raises
+bad_items = st.builds(_bad_key, st.none() | st.booleans() | st.integers(), st.booleans()) | st.builds(
+    _bad_value, st.floats() | st.sets(st.integers()), st.booleans()
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(wrappers, max_size=30), bad_items)
+def test_a_bad_key_or_value_raises_type_error_at_any_depth(levels, bad):
+    inner, message = bad
+    with pytest.raises(TypeError, match=message):
+        dumps(_nest(inner, levels))
 
 
 def test_circular_reference_is_rejected():

@@ -2,14 +2,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import descent_composition, recoils_composition
+
 from growthdiagrams.permutations import (
     PermutationParseError,
     all_permutations,
-    descent_composition,
     inverse,
     parse_permutation,
     permutation_matrix,
-    recoils_composition,
     validate_permutation,
 )
 

@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import recoils_composition
 from test_growth import random_avoid231
 
-from growthdiagrams.permutations import all_permutations, recoils_composition
+from growthdiagrams.permutations import all_permutations
 from growthdiagrams.ribbons import (
     QuasiRibbonTableau,
     RibbonTableau,
@@ -105,8 +106,9 @@ def test_shape_law_small():
 @given(perms)
 def test_tableaux_are_standard_and_canonical(p):
     p_tab, q_tab = hypoplactic_insert(p)
-    assert p_tab.is_standard() and q_tab.is_standard()
+    # standard: each reading word is a rearrangement of 1..n, P's in order
     assert p_tab.reading() == tuple(range(1, len(p) + 1))
+    assert sorted(q_tab.reading()) == list(p_tab.reading())
     p_tab.validate()
     q_tab.validate()
 
