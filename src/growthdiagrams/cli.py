@@ -8,9 +8,11 @@ internal invariant, 2 usage, parse and output errors.  Identical
 invocations produce byte-identical output.
 
 Each process runs one command, so start-up is part of every command's
-cost, and a command imports only the modules it runs.  Here only
+cost, and a command imports little more than the modules it runs.  Here
 ``permutations`` is imported, which holds every name that the parser and
-:func:`main` need; ``insert`` then loads ``ribbons`` or ``trees``, and
+:func:`main` need, and ``trees``, whose BST insertion most ``insert`` runs
+take; its names are bound here so that a profiler can wrap them.
+``insert`` then loads ``ribbons`` for the hypoplactic algorithm, and
 ``jsontext`` for JSON; ``verify shadow`` loads ``ribbons``; ``graph``
 and ``verify duality|paths`` load ``graphs``; and ``growth`` and ``verify
 equivalence`` load ``growth``, which loads the rest.
@@ -33,6 +35,7 @@ from .permutations import (
     all_permutations,
     parse_permutation,
 )
+from .trees import bst_insert, labeled_tree_to_json_obj, labeled_tree_to_text
 
 if TYPE_CHECKING:
     from .growth import GrowthGrid
@@ -89,7 +92,6 @@ def _insertion(algorithm: str):
     if algorithm == "hypoplactic":
         from .ribbons import hypoplactic_insert
         return hypoplactic_insert
-    from .trees import bst_insert
     return partial(bst_insert, reading="left-to-right" if algorithm == "bst-left" else "right-to-left")
 
 
@@ -101,7 +103,7 @@ def _pair_text(algorithm: str, p, q) -> tuple[str, ...]:
         from .ribbons import render_tableau as render
         sep = "\n"
     else:
-        from .trees import labeled_tree_to_text as render
+        render = labeled_tree_to_text
         sep = " "
     return f"P ({p_kind}):{sep}", render(p), f"\nQ ({q_kind}):{sep}", render(q)
 
@@ -117,7 +119,6 @@ def cmd_insert(args) -> int:
     if algorithm == "hypoplactic":
         p_obj, q_obj = pair[0].to_json_obj(), pair[1].to_json_obj()
     else:
-        from .trees import labeled_tree_to_json_obj
         p_obj, q_obj = map(labeled_tree_to_json_obj, pair)
     payload = {
         "algorithm": "bst-right" if algorithm == "sylvester" else algorithm,

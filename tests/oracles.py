@@ -11,7 +11,7 @@ descent statistics of a permutation, against which the tests check the
 shape of the hypoplactic tableaux; and the check of a whole growth
 diagram against the reference local rules on vertices.
 """
-from growthdiagrams.growth import local_rule_composition, local_rule_tree
+from growthdiagrams.growth import PAIRS, local_rule_composition, local_rule_tree
 from growthdiagrams.permutations import PermutationParseError, inverse
 
 
@@ -208,7 +208,8 @@ def recoils_composition(p):
 def validate_grid(grid):
     """Recheck every boundary value of a GrowthGrid, and every square
     against the local rule of its family on vertices."""
-    empty, rule = {"composition": ((), local_rule_composition), "tree": (None, local_rule_tree)}[grid.family]
+    empty = PAIRS[grid.family].empty
+    rule = {"composition": local_rule_composition, "tree": local_rule_tree}[grid.family]
     n, vertices, marks = grid.n, grid.vertices, grid.marks
     if len(vertices) != n + 1 or any(len(row) != n + 1 for row in vertices):
         raise ValueError("grid is not (n+1) x (n+1)")

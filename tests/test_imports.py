@@ -66,16 +66,16 @@ def bare_interpreter() -> set[str]:
     return _imported("-c", "pass")
 
 
-# the package's modules that each command loads besides permutations (cli
-# itself runs as __main__)
-GRAPHS = {"graphs", "compositions", "trees", "jsontext"}
+# the package's modules that each command loads besides permutations and
+# trees, which cli imports (cli itself runs as __main__)
+GRAPHS = {"graphs", "compositions", "jsontext"}
 EVERY_MODULE = {*GRAPHS, "growth", "ribbons"}
 LOADS = {
     ("insert", "hypoplactic", "312"): {"ribbons"},
     ("insert", "hypoplactic", "312", "--format", "json"): {"ribbons", "jsontext"},
-    ("insert", "bst-left", "312", "--format", "json"): {"trees", "jsontext"},
-    ("insert", "bst-right", "312"): {"trees"},
-    ("insert", "sylvester", "312"): {"trees"},
+    ("insert", "bst-left", "312", "--format", "json"): {"jsontext"},
+    ("insert", "bst-right", "312"): set(),
+    ("insert", "sylvester", "312"): set(),
     ("growth", "composition", "312", "--check"): EVERY_MODULE,
     ("growth", "tree", "312", "--format", "json"): EVERY_MODULE,
     ("verify", "duality", "--max-rank", "3"): GRAPHS,
@@ -92,7 +92,7 @@ def test_cold_start_imports(bare_interpreter, argv):
     assert "growthdiagrams.permutations" in loaded  # the report sees the package's modules
     assert "dataclasses" not in loaded
     package = {name for name in loaded if name.startswith("growthdiagrams.")}
-    assert package == {f"growthdiagrams.{name}" for name in {"permutations", *LOADS[argv]}}
+    assert package == {f"growthdiagrams.{name}" for name in {"permutations", "trees", *LOADS[argv]}}
 
 
 @pytest.mark.parametrize(
