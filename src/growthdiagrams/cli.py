@@ -15,7 +15,9 @@ take; its names are bound here so that a profiler can wrap them.
 ``insert`` then loads ``ribbons`` for the hypoplactic algorithm, and
 ``jsontext`` for JSON; ``verify shadow`` loads ``ribbons``; ``graph``
 and ``verify duality|paths`` load ``graphs``; and ``growth`` and ``verify
-equivalence`` load ``growth``, which loads the rest.
+equivalence`` load ``growth``, which loads ``compositions`` and
+``ribbons`` but not ``graphs``: a growth grid carries its tree vertices'
+texts, and composition vertices are named by ``compositions``.
 """
 from __future__ import annotations
 
@@ -166,8 +168,8 @@ def cmd_growth(args) -> int:
             payload["check"] = "MATCH" if matched else "MISMATCH"
         _emit(args, iterdumps(payload))
     else:
-        from .graphs import vertex_labels
-        labels = grid.render_rows(partial(vertex_labels, args.family))
+        from .compositions import composition_label
+        labels = grid.cells(composition_label)
         parts = [
             _render_grid(grid, labels),
             "",

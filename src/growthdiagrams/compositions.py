@@ -79,6 +79,17 @@ def compositions_of(n: int) -> tuple[Composition, ...]:
     return tuple(out)
 
 
+def composition_label(c: Composition) -> str:
+    """
+    The print name of a composition: its parts joined by commas, "e" for
+    the empty one.
+
+    >>> composition_label((2, 1)), composition_label(())
+    ('2,1', 'e')
+    """
+    return ",".join(map(str, c)) if c else "e"
+
+
 def increment_last(c: Composition) -> Composition:
     """Last part + 1; on the empty composition this yields (1,)."""
     return (1,) if not c else c[:-1] + (c[-1] + 1,)
@@ -129,15 +140,24 @@ def is_lifted_cover(c: Composition, d: Composition) -> bool:
     return len(d) == len(c) and d[-1] == c[-1] + 1 and d[:-1] == c[:-1]
 
 
+# entries _word_bits holds at most: several times the ~2.5k distinct
+# vertices of one n=100 fill, so a fill rarely starts over
+WORD_BITS_LIMIT = 1 << 14
+
+
 class _WordBits(dict):
     """
     Memo of word(c) read as a binary number; its bit length is the rank of
     c.  A growth fill tests each vertex against several neighbours.  At
     small ranks even an lru_cache call costs about as much as the test
-    itself, so lookups are plain dict subscripts.
+    itself, so lookups are plain dict subscripts.  A miss empties a memo
+    that has reached WORD_BITS_LIMIT, so a long-lived process that fills
+    many diagrams holds a bounded number of entries.
     """
 
     def __missing__(self, c: Composition) -> int:
+        if len(self) >= WORD_BITS_LIMIT:
+            self.clear()
         bits = 0
         for part in c:
             bits = (bits << part) | (1 << (part - 1))

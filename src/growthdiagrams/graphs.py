@@ -58,10 +58,6 @@ def _check_rank(family: str, n: int) -> None:
         )
 
 
-def _composition_label(c) -> str:
-    return ",".join(map(str, c)) if c else "e"
-
-
 def vertex_labels(family: str, vertices) -> list[str]:
     """
     The print name of each vertex: comma-joined parts or tree text, "e"/"-"
@@ -69,7 +65,7 @@ def vertex_labels(family: str, vertices) -> list[str]:
     one label, and tree nodes shared between vertices one text.
     """
     if family == "composition":
-        return list(map(cache(_composition_label), vertices))
+        return list(map(cache(comp.composition_label), vertices))
     return tr.trees_to_text(vertices)
 
 

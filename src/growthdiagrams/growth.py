@@ -64,14 +64,25 @@ Where each check lives:
     read the labels off a vertex chain, checking that it is saturated,
     and run the same conversions.
 
+Both output formats print a tree vertex as its text, "-" for the empty
+tree and "(L,R)" for a node, and :func:`build_growth_diagram` makes that
+text in the step that builds the vertex.  A grown z is
+``insert_rightmost(y, k)``, so its text is y's text with one splice at
+the spine node of depth k, whose offset y's text carries along
+(:func:`~growthdiagrams.trees.insert_rightmost_text`); a z that is x or
+y takes that vertex's text.  By induction from "-" each text equals
+``trees_to_text`` of its vertex, at the cost of one string copy per grown
+vertex instead of a walk over every node of every vertex.  Composition
+vertices are printed from their parts.
+
 The fill, the checks and the conversions are written once.  Everything in
 which the two families differ is one :class:`DualPair` record in
 ``PAIRS``, and an unknown family is rejected by the one lookup of it.
 """
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable, Literal, NamedTuple
+from functools import cache
+from typing import Callable, Literal, NamedTuple, Optional
 
 from .compositions import (
     Composition,
@@ -80,13 +91,13 @@ from .compositions import (
     is_binword_cover,
     is_lifted_cover,
 )
-from .graphs import vertex_json
 from .permutations import GrowthRuleError, Permutation, inverse, permutation_matrix, validate_permutation
 from .ribbons import QuasiRibbonTableau, RibbonTableau
 from .trees import (
     LabeledTree,
     Tree,
     insert_rightmost,
+    insert_rightmost_text,
     is_lattice_cover,
     is_reflected_bracket_cover,
     labeled_tree,
@@ -107,6 +118,9 @@ class DualPair(NamedTuple):
     fits: Callable  # (a, h, rank, spine) -> whether the labels exist
     spined: bool  # whether mark and fits read the right-spine length
     grow: Callable  # (y, vertical label of y -> z) -> z
+    # (text of y, offsets of its right-spine nodes, vertical label) -> the
+    # same of z; None for a family whose vertex text the fill does not make
+    grow_text: Optional[Callable]
     is_horizontal_cover: Callable  # (x, z) -> whether z covers x
     p_from_labels: Callable  # the right column's vertical labels -> P
     q_from_labels: Callable  # the top row's horizontal labels -> Q
@@ -202,12 +216,15 @@ class GrowthGrid(NamedTuple):
     The (n+1) x (n+1) array of graph vertices over a permutation matrix.
     vertices[i][j] is the corner at height i (0 = bottom) and offset j
     (0 = left); marks hold the (column, row) cells of the permutation.
+    texts holds each vertex's text in the same rows, when the fill makes
+    it (tree grids), and is None otherwise.
     """
 
     n: int
     family: str
     vertices: tuple[tuple, ...]
     marks: frozenset[tuple[int, int]]
+    texts: Optional[tuple[tuple[str, ...], ...]] = None
 
     def boundary_chains(self) -> BoundaryChains:
         return BoundaryChains(
@@ -215,26 +232,27 @@ class GrowthGrid(NamedTuple):
             right=tuple(self.vertices[i][self.n] for i in range(self.n + 1)),
         )
 
-    def render_rows(self, render: Callable[[list], list]) -> list[list]:
-        """Apply ``render`` to all vertices at once, bottom row first, and
-        split its results back into rows."""
-        k = self.n + 1
-        flat = render([v for row in self.vertices for v in row])
-        return [flat[i : i + k] for i in range(0, len(flat), k)]
+    def cells(self, form: Callable) -> list[list]:
+        """Each vertex's text, bottom row first, or, in a grid without
+        texts, ``form`` of it, each distinct vertex rendered once."""
+        if self.texts is not None:
+            return list(map(list, self.texts))
+        form = cache(form)
+        return [list(map(form, row)) for row in self.vertices]
 
     def to_json_obj(self, pair=None) -> dict:
         """
         The JSON form of the grid and of its (P, Q) pair; ``pair`` is the
         result of :func:`convert_chains` when the caller already has it.
-        The vertices take the form :func:`vertex_json` gives them, each
-        distinct one rendered once.
+        A vertex takes the form of its text (a tree) or of its list of
+        parts (a composition), and equal compositions share one list.
         """
         dual = _pair(self.family)
         p, q = convert_chains(self.boundary_chains(), self.family) if pair is None else pair
         return {
             "n": self.n,
             "family": self.family,
-            "grid": self.render_rows(partial(vertex_json, self.family)),
+            "grid": self.cells(list),
             "marks": [list(cell) for cell in sorted(self.marks)],
             "P": dual.json_obj(p),
             "Q": dual.json_obj(q),
@@ -310,13 +328,18 @@ def build_growth_diagram(p: Permutation, family: Family) -> GrowthGrid:
     runs on edge labels; each vertex z is then built from the vertex y
     below it and the label of y -> z, or is x or y itself when an edge
     into it is degenerate, and every vertex built is checked to cover x.
+    A tree vertex's text is spliced from y's text in the same step.
     """
     p = validate_permutation(p)
     dual = _pair(family)
-    grow, is_horizontal_cover = dual.grow, dual.is_horizontal_cover
+    grow, grow_text, is_horizontal_cover = dual.grow, dual.grow_text, dual.is_horizontal_cover
     n = len(p)
     row = [dual.empty] * (n + 1)
     rows = [tuple(row)]
+    # with grow_text: the texts of the row's vertices, and the offsets of
+    # their right-spine nodes; the empty tree's text is "-"
+    texts, offsets = ["-"] * (n + 1), [()] * (n + 1)
+    text_rows = [tuple(texts)]
     for c, vertical, horizontal in _label_rows(p, dual):
         below, row = row, row[:]  # left of the mark, case (b) or (c): z = y
         for j in range(c, n + 1):
@@ -329,11 +352,22 @@ def build_growth_diagram(p: Permutation, family: Family) -> GrowthGrid:
                 raise GrowthRuleError(f"z={z!r} does not cover x={x!r}")
             row[j] = z
         rows.append(tuple(row))
+        if grow_text:
+            # the same cases, on the texts of the same vertices
+            texts_below, texts = texts, texts[:]
+            offsets_below, offsets = offsets, offsets[:]
+            for j in range(c, n + 1):
+                if horizontal[j] is None:
+                    texts[j], offsets[j] = texts[j - 1], offsets[j - 1]
+                else:
+                    texts[j], offsets[j] = grow_text(texts_below[j], offsets_below[j], vertical[j])
+            text_rows.append(tuple(texts))
     return GrowthGrid(
         n=n,
         family=family,
         vertices=tuple(rows),
         marks=permutation_matrix(p),
+        texts=tuple(text_rows) if grow_text else None,
     )
 
 
@@ -546,7 +580,7 @@ PAIRS = {
         empty=(),
         mark=_mark_labels_composition, join=_join_labels_composition,
         fits=_labels_fit_composition, spined=False,
-        grow=lambda c, a: c + (1,) if a else increment_last(c),
+        grow=lambda c, a: c + (1,) if a else increment_last(c), grow_text=None,
         is_horizontal_cover=is_binword_cover,
         p_from_labels=_quasi_ribbon_from_letters, q_from_labels=_ribbon_from_labels,
         chain_to_p=chain_to_quasi_ribbon, chain_to_q=chain_to_ribbon,
@@ -559,7 +593,8 @@ PAIRS = {
         # slot s must exist in t
         mark=lambda rank, spine: (spine, rank), join=lambda k, s, rank: (k, s),
         fits=lambda k, s, rank, spine: 0 <= k <= spine and 0 <= s <= rank, spined=True,
-        grow=insert_rightmost, is_horizontal_cover=is_lattice_cover,
+        grow=insert_rightmost, grow_text=insert_rightmost_text,
+        is_horizontal_cover=is_lattice_cover,
         p_from_labels=_bst_from_depths, q_from_labels=_increasing_tree_from_slots,
         chain_to_p=chain_to_bst, chain_to_q=chain_to_increasing_tree,
         # the module's name is read at each call, as every other call here

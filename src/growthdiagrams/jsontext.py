@@ -9,8 +9,10 @@ an explicit stack, so nesting depth is unbounded; writes each scalar in
 the loop over its container's items, with each key's text and the
 indentation of the first 64 depths made once; renders a list whose
 items are all ints or all strs in one join, with strings escaped by the
-same C function ``json.dumps`` uses; and reuses the text of such a list
-when the same object appears again at the same depth.
+same C function ``json.dumps`` uses; reuses the text of such a list
+when the same object appears again at the same depth; and escapes each
+distinct exact str once per call, in a memo keyed by the string itself,
+so that a lookup stays a C-level subscript.
 """
 from __future__ import annotations
 
@@ -33,6 +35,14 @@ def _scalar(value) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+class _StrTexts(dict):
+    """Each exact str's text, made on first use."""
+
+    def __missing__(self, value: str) -> str:
+        text = self[value] = _string(value)
+        return text
 
 
 class _KeyTexts(dict):
@@ -58,7 +68,7 @@ _SHALLOW_DEPTHS = 64
 _SHALLOW = tuple(map(_breaks, range(_SHALLOW_DEPTHS)))
 
 
-def _flat_list(items, depth: int):
+def _flat_list(items, depth: int, strings: _StrTexts):
     """The text of a list of ints only or strs only at ``depth``, else None."""
     if not items:
         return "[]"
@@ -66,7 +76,7 @@ def _flat_list(items, depth: int):
     if kinds == {int}:
         texts = map(int.__repr__, items)
     elif kinds == {str}:
-        texts = map(_string, items)
+        texts = map(strings.__getitem__, items)
     else:
         return None
     newline = "\n" + _INDENT * (depth + 1)
@@ -102,6 +112,7 @@ def iterdumps(obj) -> Iterator[str]:
     flat: dict[tuple[int, int], Optional[str]] = {}  # (id, depth) -> _flat_list text
     open_ids: set[int] = set()
     keys = _KeyTexts()
+    strings = _StrTexts()
     # per open container: its remaining (key text, value) items, its
     # closing bracket and its id; the frame at the bottom holds obj alone
     stack: list[tuple] = [(iter((("", obj),)), "", None)]
@@ -126,11 +137,11 @@ def iterdumps(obj) -> Iterator[str]:
                     break
                 text = "{}"
             elif cls is str:
-                text = _string(value)
+                text = strings[value]
             elif isinstance(value, (list, tuple)):
                 text = flat.get((id(value), depth))
                 if text is None:
-                    text = flat[id(value), depth] = _flat_list(value, depth)
+                    text = flat[id(value), depth] = _flat_list(value, depth, strings)
                     if text is None:
                         break
             elif value is True:

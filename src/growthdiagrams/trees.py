@@ -109,6 +109,25 @@ def insert_rightmost(t: Tree, depth: int) -> Tree:
     return z
 
 
+def insert_rightmost_text(text: str, spine: tuple[int, ...], depth: int) -> tuple[str, tuple[int, ...]]:
+    """
+    The :func:`tree_to_text` of ``insert_rightmost(t, depth)`` and the
+    offsets at which its right-spine nodes start, from the same of t, in
+    one splice.  Down the right spine, t's text is "(" + left + "," + the
+    next spine node's text + ")", so the subtree at spine depth ``depth``
+    starts at ``spine[depth]`` (at the last "-" when ``depth`` is the
+    spine length) and ends ``depth`` closing brackets before the end.  The
+    new node wraps that subtree as "(" + subtree + ",-)", and the spine
+    nodes above it keep their offsets.
+
+    >>> insert_rightmost_text("(-,-)", (0,), 1)
+    ('(-,(-,-))', (0, 3))
+    """
+    end = len(text) - depth
+    start = spine[depth] if depth < len(spine) else end - 1
+    return f"{text[:start]}({text[start:end]},-){text[end:]}", spine[:depth] + (start,)
+
+
 @lru_cache(maxsize=None)
 def reflected_bracket_covers(t: Tree) -> frozenset[Tree]:
     """

@@ -1,13 +1,16 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from growthdiagrams import compositions as comp
 from growthdiagrams.compositions import (
     WordEncodingError,
     binword_covers,
     composition_to_word,
+    composition_label,
     compositions_of,
     increment_last,
     is_binword_cover,
@@ -168,3 +171,29 @@ def test_cover_predicates_match_cover_sets(is_cover, covers):
             # same-rank and two-rank pairs are never covers
             assert not any(is_cover(c, d) for d in compositions_of(n))
             assert not any(is_cover(c, d) for d in compositions_of(n + 2))
+
+
+def test_composition_label():
+    assert [composition_label(c) for c in compositions_of(3)] == ["3", "2,1", "1,2", "1,1,1"]
+    assert composition_label(()) == "e"
+    assert composition_label((12, 1)) == "12,1"
+
+
+def test_word_bits_memo_stays_bounded_over_many_fills():
+    from growthdiagrams.growth import build_growth_diagram
+
+    rng = random.Random(7)
+    perms = {tuple(rng.sample(range(1, 61), 60)) for _ in range(50)}
+    assert len(perms) == 50
+    comp._word_bits.clear()
+    grids, vertices = [], set()
+    for p in perms:
+        grids.append(build_growth_diagram(p, "composition"))
+        assert len(comp._word_bits) <= comp.WORD_BITS_LIMIT
+        vertices.update(v for row in grids[-1].vertices for v in row)
+    # the fills met more compositions than the memo may hold, so it was
+    # emptied on the way, and each grid equals one filled on an empty memo
+    assert len(vertices) > 2 * comp.WORD_BITS_LIMIT
+    for p, grid in zip(perms, grids):
+        comp._word_bits.clear()
+        assert build_growth_diagram(p, "composition") == grid

@@ -1,0 +1,152 @@
+"""
+The command line's three-outcome contract: any argv the parser's grammar
+can spell ends in a result (exit 0), or in exit 1 or 2 with one error
+line closing stderr, after argparse's usage lines if any, and never in a
+traceback.  Commands run in process, on sizes that keep each one short.
+"""
+import re
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from growthdiagrams import cli
+from growthdiagrams.graphs import MAX_RANK
+from growthdiagrams.permutations import DUAL_PAIRS, GRAPH_NAMES, MAX_N
+
+FAMILIES = ("composition", "tree")
+ALGORITHMS = ("hypoplactic", "bst-left", "bst-right", "sylvester")
+PAIR_FAMILY = {"compositions": "composition", "trees": "tree"}
+GRAPH_FAMILY = {name: PAIR_FAMILY[pair] for pair, names in DUAL_PAIRS.items() for name in names}
+# a path below a regular file, which no command can create
+UNWRITABLE = str(Path(__file__)) + "/out"
+
+ERROR_LINE = re.compile(r"(error: |invariant violated: |growthdiag( \w+)?: error: )")
+
+
+def _text(p, commas: bool) -> str:
+    return ",".join(map(str, p)) if commas or len(p) > 9 else "".join(map(str, p))
+
+
+def _edit(args) -> str:
+    """One edit of a valid permutation text at a drawn place."""
+    text, at, piece, kind = args
+    at %= len(text) + 1
+    if kind == "insert":
+        return text[:at] + piece + text[at:]
+    if kind == "replace":
+        return text[:at] + piece + text[at + 1 :]
+    if kind == "delete":
+        return text[:at] + text[at + 1 :]
+    return text[:at] + text[at:] * 2  # repeat the tail
+
+
+valid_texts = st.builds(
+    _text, st.integers(0, 30).flatmap(lambda n: st.permutations(range(1, n + 1))), st.booleans()
+)
+near_valid_texts = st.tuples(
+    valid_texts,
+    st.integers(0, 200),
+    st.sampled_from(["", "0", "1", ",", ",,", " ", "-", "+", "a", "²", "١", "１", "99", str(10**20), "_", "\n"]),
+    st.sampled_from(["insert", "replace", "delete", "repeat"]),
+).map(_edit)
+permutations = valid_texts | near_valid_texts
+
+
+def _bounds(low: int, high: int):
+    """Small values, values at and past a guard, and texts that are no
+    non-negative int."""
+    return (
+        st.integers(0, 3).map(str)
+        | st.integers(low, high).map(str)
+        | st.sampled_from(["-1", "x", "", "1.5", str(10**20)])
+    )
+
+
+def _option(name: str, values):
+    return st.just([]) | values.map(lambda value: [name, value])
+
+
+formats = st.sampled_from(["ascii", "json", "dot", "xml"])
+outputs = _option("--out", st.just(UNWRITABLE))
+
+insert = st.tuples(
+    st.just(["insert"]),
+    st.sampled_from([*ALGORITHMS, "plactic"]).map(lambda a: [a]),
+    permutations.map(lambda p: [p]),
+    _option("--format", formats),
+    outputs,
+)
+growth = st.tuples(
+    st.just(["growth"]),
+    st.sampled_from([*FAMILIES, "forest"]).map(lambda f: [f]),
+    permutations.map(lambda p: [p]),
+    st.sampled_from([[], ["--check"]]),
+    _option("--format", formats),
+    outputs,
+)
+graph = st.sampled_from(GRAPH_NAMES).flatmap(
+    lambda name: st.tuples(
+        st.just(["graph", name]),
+        _option("--max-rank", _bounds(MAX_RANK[GRAPH_FAMILY[name]] - 1, MAX_RANK[GRAPH_FAMILY[name]] + 2)),
+        _option("--format", formats),
+        outputs,
+    )
+)
+# duality reads one rank past --max-rank, paths reads rank --n
+duality = st.sampled_from(tuple(DUAL_PAIRS)).flatmap(
+    lambda pair: st.tuples(
+        st.just(["verify", "duality", "--pair", pair]),
+        _option("--max-rank", _bounds(MAX_RANK[PAIR_FAMILY[pair]] - 2, MAX_RANK[PAIR_FAMILY[pair]] + 1)),
+    )
+)
+paths = st.sampled_from(tuple(DUAL_PAIRS)).flatmap(
+    lambda pair: st.tuples(
+        st.just(["verify", "paths", "--pair", pair]),
+        _option("--n", _bounds(MAX_RANK[PAIR_FAMILY[pair]] - 1, MAX_RANK[PAIR_FAMILY[pair]] + 2)),
+    )
+)
+# exhaustive checks up to 5, or past the guard, which refuses before any work
+max_n = st.integers(0, 5).map(str) | st.integers(MAX_N + 1, MAX_N + 3).map(str) | st.sampled_from(["-1", "x", str(10**20)])
+exhaustive = st.tuples(
+    st.sampled_from([["verify", "equivalence"], ["verify", "shadow"]]),
+    _option("--family", st.sampled_from([*FAMILIES, "forest"])),
+    _option("--max-n", max_n),
+    outputs,
+)
+# arguments missing, left over or unknown
+malformed = st.sampled_from(
+    [[], ["insert"], ["growth", "tree"], ["graph"], ["verify"], ["verify", "proof"], ["insert", "bst-left", "1", "2"],
+     ["growth", "tree", "1", "--bogus"], ["graph", "binword", "--max-rank"]]
+)
+argvs = st.one_of(insert, growth, graph, duality, paths, exhaustive).map(lambda parts: sum(parts, [])) | malformed
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects argv
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs)
+def test_every_argv_ends_in_one_of_three_outcomes(argv):
+    code, out, err = _run(argv)
+    event(f"exit {code}")
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+        return
+    assert code in (1, 2)
+    assert err.endswith("\n")
+    *before, last = err[:-1].split("\n")
+    assert ERROR_LINE.match(last), err
+    # argparse's usage: a "usage:" line and its indented continuations
+    assert all(line.startswith("usage: ") if k == 0 else line.startswith(" ") for k, line in enumerate(before)), err
+

@@ -25,9 +25,12 @@ from growthdiagrams.trees import (
     bst_insert,
     delete_rightmost,
     insert_rightmost,
+    insert_rightmost_text,
     lattice_covers,
     reflected_bracket_covers,
     right_spine_length,
+    trees_of,
+    trees_to_text,
 )
 from oracles import validate_grid
 from test_trees import shape
@@ -411,6 +414,67 @@ def test_grid_json_shares_one_list_per_distinct_composition():
     random.Random(5).shuffle(p)
     cells = [v for row in build_growth_diagram(p, "composition").to_json_obj()["grid"] for v in row]
     assert len({id(c) for c in cells}) == len({tuple(c) for c in cells}) < len(cells)
+
+
+# -- vertex texts ---------------------------------------------------------------
+
+def assert_texts_are_vertex_texts(grid):
+    """Each text the fill spliced is the text of its vertex, made afresh."""
+    k = grid.n + 1
+    texts = trees_to_text([v for row in grid.vertices for v in row])
+    assert grid.texts == tuple(tuple(texts[i : i + k]) for i in range(0, len(texts), k))
+
+
+def test_tree_texts_are_vertex_texts_exhaustive():
+    for n in range(8):
+        for p in all_permutations(n):
+            assert_texts_are_vertex_texts(build_growth_diagram(p, "tree"))
+
+
+@pytest.mark.parametrize("kind", ["random", "identity", "reverse", "avoid231"])
+def test_tree_texts_are_vertex_texts_seeded(kind):
+    p = seeded_inputs(300, f"texts-{kind}")[kind]
+    assert_texts_are_vertex_texts(build_growth_diagram(p, "tree"))
+
+
+def test_only_tree_grids_carry_texts():
+    assert build_growth_diagram((2, 3, 1), "composition").texts is None
+    grid = build_growth_diagram((2, 1), "tree")
+    assert grid.texts == (("-", "-", "-"), ("-", "-", "(-,-)"), ("-", "(-,-)", "((-,-),-)"))
+    # a vertex passed across (case (d)) or up (case (c)) shares its text
+    texts = build_growth_diagram((1, 2), "tree").texts
+    assert texts[1][2] is texts[1][1] is texts[2][1]
+
+
+def test_insert_rightmost_text_at_every_depth():
+    for n in range(7):
+        for t in trees_of(n):
+            text, = trees_to_text([t])
+            # where each right-spine node's text starts
+            spine, node, offset = [], t, 0
+            while node is not None:
+                spine.append(offset)
+                offset += len(trees_to_text([node[0]])[0]) + 2
+                node = node[1]
+            for k in range(len(spine) + 1):
+                z = insert_rightmost(t, k)
+                z_text, z_spine = insert_rightmost_text(text, tuple(spine), k)
+                assert z_text == trees_to_text([z])[0], (t, k)
+                assert z_spine == tuple(spine[:k]) + (spine[k] if k < len(spine) else len(text) - k - 1,)
+
+
+def test_a_wrong_splice_offset_is_caught(monkeypatch):
+    p = seeded_inputs(30, "wrong-splice")["random"]
+    assert_texts_are_vertex_texts(build_growth_diagram(p, "tree"))
+
+    def one_off(text, spine, depth):
+        # wraps the subtree one character late whenever the spine node exists
+        spine = tuple(offset + 1 for offset in spine)
+        return insert_rightmost_text(text, spine, depth)
+
+    _patch_pair(monkeypatch, "tree", grow_text=one_off)
+    with pytest.raises(AssertionError):
+        assert_texts_are_vertex_texts(build_growth_diagram(p, "tree"))
 
 
 # -- the search-based local rules, kept as an oracle for the closed forms -----

@@ -69,17 +69,21 @@ def bare_interpreter() -> set[str]:
 # the package's modules that each command loads besides permutations and
 # trees, which cli imports (cli itself runs as __main__)
 GRAPHS = {"graphs", "compositions", "jsontext"}
-EVERY_MODULE = {*GRAPHS, "growth", "ribbons"}
+# growth loads no graphs; JSON output loads jsontext
+GROWTH = {"growth", "compositions", "ribbons"}
 LOADS = {
     ("insert", "hypoplactic", "312"): {"ribbons"},
     ("insert", "hypoplactic", "312", "--format", "json"): {"ribbons", "jsontext"},
     ("insert", "bst-left", "312", "--format", "json"): {"jsontext"},
     ("insert", "bst-right", "312"): set(),
     ("insert", "sylvester", "312"): set(),
-    ("growth", "composition", "312", "--check"): EVERY_MODULE,
-    ("growth", "tree", "312", "--format", "json"): EVERY_MODULE,
+    ("growth", "composition", "312", "--check"): GROWTH,
+    ("growth", "composition", "312", "--format", "json"): {*GROWTH, "jsontext"},
+    ("growth", "tree", "312"): GROWTH,
+    ("growth", "tree", "312", "--format", "json"): {*GROWTH, "jsontext"},
     ("verify", "duality", "--max-rank", "3"): GRAPHS,
-    ("verify", "equivalence", "--max-n", "3"): EVERY_MODULE,
+    ("verify", "equivalence", "--max-n", "3"): GROWTH,
+    ("verify", "equivalence", "--family", "tree", "--max-n", "3"): GROWTH,
     ("verify", "shadow", "--max-n", "3"): {"ribbons"},
     ("verify", "paths", "--n", "3"): GRAPHS,
     ("graph", "binword", "--max-rank", "2"): GRAPHS,

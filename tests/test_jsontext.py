@@ -40,6 +40,34 @@ def test_a_list_shared_at_two_depths_is_indented_for_each(value, shared):
     assert dumps(payload) == json.dumps(payload, indent=2)
 
 
+class Text(str):
+    """A str subclass that hashes like "" and compares equal to every str:
+    its text must still be its own value's, never one remembered for an
+    exact str."""
+
+    __eq__ = lambda self, other: True  # noqa: E731
+    __hash__ = lambda self: hash("")  # noqa: E731
+
+
+@settings(max_examples=100, deadline=None)
+@given(values, texts, texts)
+def test_a_str_shared_at_several_depths_is_escaped_for_each(value, shared, other):
+    sub = Text(other)
+    payload = [
+        "", shared, [value, [shared, sub], {"k": shared}], {"again": shared, shared: [shared]},
+        (shared,), sub, [sub, shared], [[[shared]]], other, shared,
+    ]
+    assert dumps(payload) == json.dumps(payload, indent=2)
+    assert "".join(iterdumps(payload)) == dumps(payload)
+
+
+def test_one_str_object_at_several_depths():
+    shared = "é\n\"\x00" * 3
+    payload = {"a": shared, "b": [shared, [shared, [shared]]], "c": [[shared], shared], "d": Text(shared + "!")}
+    assert dumps(payload) == json.dumps(payload, indent=2)
+    assert dumps(["", Text("x"), ["", Text("y")]]) == json.dumps(["", "x", ["", "y"]], indent=2)
+
+
 def test_empty_containers_and_scalars():
     for value in ([], {}, (), [[]], {"a": {}}, [(), [[], {}]], None, True, False, 0, -1, "", "\x00é"):
         assert dumps(value) == json.dumps(value, indent=2)

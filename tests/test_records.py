@@ -41,7 +41,7 @@ RECORDS = [
         GrowthGrid,
         dict(n=1, family="composition", vertices=(((), ()), ((), (1,))), marks=frozenset({(1, 1)})),
         dict(n=1, family="tree", vertices=(((), ()), ((), (1,))), marks=frozenset({(1, 1)})),
-        "GrowthGrid(n=1, family='composition', vertices=(((), ()), ((), (1,))), marks=frozenset({(1, 1)}))",
+        "GrowthGrid(n=1, family='composition', vertices=(((), ()), ((), (1,))), marks=frozenset({(1, 1)}), texts=None)",
     ),
     (
         QuasiRibbonTableau,
@@ -77,6 +77,14 @@ def test_growth_grid_is_the_record_the_fill_builds():
     grid = build_growth_diagram((1,), "composition")
     assert grid == GrowthGrid(n=1, family="composition", vertices=(((), ()), ((), (1,))), marks=frozenset({(1, 1)}))
     assert grid.boundary_chains() == BoundaryChains(top=((), (1,)), right=((), (1,)))
+    # a tree grid also holds its vertices' texts, and they take part in
+    # equality, hashing and the repr
+    grid = build_growth_diagram((1,), "tree")
+    fields = dict(n=1, family="tree", vertices=((None, None), (None, (None, None))), marks=frozenset({(1, 1)}))
+    assert grid == GrowthGrid(**fields, texts=(("-", "-"), ("-", "(-,-)")))
+    assert grid != GrowthGrid(**fields)
+    assert hash(grid) == hash(GrowthGrid(**fields, texts=(("-", "-"), ("-", "(-,-)"))))
+    assert repr(grid).endswith(", texts=(('-', '-'), ('-', '(-,-)')))")
 
 
 def test_tableau_kinds_differ():
