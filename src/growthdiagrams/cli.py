@@ -18,6 +18,15 @@ and ``verify duality|paths`` load ``graphs``; and ``growth`` and ``verify
 equivalence`` load ``growth``, which loads ``compositions`` and
 ``ribbons`` but not ``graphs``: a growth grid carries its tree vertices'
 texts, and composition vertices are named by ``compositions``.
+
+``verify shadow`` and ``verify equivalence`` compare two routes to the
+same (P, Q) pair on every permutation of each size up to ``--max-n``.
+Each size is one depth-first walk over a tree of prefixes, which runs a
+step shared by many permutations once: ``ribbons.shadow_walk`` over the
+prefixes of p, ``growth.equivalence_walk`` over those of inverse(p).  The
+public functions of the two routes then judge each permutation a walk
+reports, smallest first, so a MISMATCH line names the lexicographically
+first failing permutation of the first failing size.
 """
 from __future__ import annotations
 
@@ -34,7 +43,6 @@ from .permutations import (
     GrowthRuleError,
     PermutationParseError,
     RankGuardError,
-    all_permutations,
     parse_permutation,
 )
 from .trees import bst_insert, labeled_tree_to_json_obj, labeled_tree_to_text
@@ -156,7 +164,7 @@ def cmd_growth(args) -> int:
 
     p = parse_permutation(args.permutation)
     grid = growth.build_growth_diagram(p, args.family)
-    pair = growth.convert_chains(grid.boundary_chains(), args.family)
+    pair = grid.pair()
     algorithm = _FAMILY_ALGORITHMS[args.family]
     matched = None
     if args.check:
@@ -219,14 +227,21 @@ def _exhaustive_sizes(max_n: int) -> range:
     return range(max_n + 1)
 
 
-def _verify_routes(args, lines: list[str], first, second, where: str, claim: str) -> bool:
+def _verify_routes(args, lines: list[str], walk, first, second, where: str, claim: str) -> bool:
     """
     Compare two routes to the same (P, Q) pair on every permutation of
-    each size up to --max-n, guarded before any enumeration.  ``where``
-    ends a mismatch line and ``claim`` states what the check showed.
+    each size up to --max-n, guarded before any walk.  ``walk(n)`` runs
+    both routes over all permutations of size n at once and returns their
+    number and the permutations where it saw the two differ or a check
+    decline.  The public functions ``first`` and ``second`` judge those,
+    smallest first, so a mismatch names, and an invalid result raises
+    for, the permutation that comparing them on each permutation in
+    order would stop at.  ``where`` ends a mismatch line and ``claim``
+    states what the check showed.
     """
     for n in _exhaustive_sizes(args.max_n):
-        for count, p in enumerate(all_permutations(n), 1):
+        count, suspects = walk(n)
+        for p in sorted(suspects):
             if first(p) != second(p):
                 lines.append(f"MISMATCH at permutation {p}{where}")
                 return False
@@ -240,8 +255,8 @@ def _verify_equivalence(args, lines: list[str]) -> bool:
 
     family = args.family
     return _verify_routes(
-        args, lines, _insertion(_FAMILY_ALGORITHMS[family]),
-        partial(growth.growth_insert, family=family),
+        args, lines, partial(growth.equivalence_walk, family=family),
+        _insertion(_FAMILY_ALGORITHMS[family]), partial(growth.growth_insert, family=family),
         f" (family {family})", f"growth diagrams match direct {family} insertion",
     )
 
@@ -250,7 +265,7 @@ def _verify_shadow(args, lines: list[str]) -> bool:
     from . import ribbons
 
     return _verify_routes(
-        args, lines, ribbons.shadow_lines, ribbons.hypoplactic_insert,
+        args, lines, ribbons.shadow_walk, ribbons.shadow_lines, ribbons.hypoplactic_insert,
         "", "shadow lines match hypoplactic insertion",
     )
 

@@ -90,6 +90,14 @@ def _catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
+def _rank_size(family: str, n: int) -> int:
+    """The number of vertices of rank n: 2^(n-1) compositions of n >= 1,
+    Cat(n) trees."""
+    if family == "tree":
+        return _catalan(n)
+    return 1 << (n - 1) if n else 1
+
+
 @cache
 def _tree_bases(n: int) -> tuple[int, ...]:
     """base(n, k) for k = 0..n-1: the rank-n trees with left size above k."""
@@ -245,21 +253,22 @@ def check_duality(g1: GradedGraph, g2: GradedGraph, max_rank: int) -> DualityRep
     An index names a vertex only within one family's order, and the graphs
     of one family share every rank's vertices, so the two graphs must be
     of one family; that check runs first, and the rank guard is raised
-    before any table is built.
+    before any table is built.  Vertex values are enumerated only for the
+    labels of a counterexample.
 
     >>> check_duality(make_graph("lifted-binary-tree"), make_graph("binword"), 4).is_dual
     True
     """
     if g1.family != g2.family:
         raise ValueError(f"{g1.name} and {g2.name} do not share the rank-0 vertex set")
-    g1.vertices_at(max_rank + 1)
+    _check_rank(g1.family, max_rank + 1)
     verdicts = []
     counterexample = None
     up1_below: tuple = ()  # g1 up-neighbours of each rank-(n-1) vertex
     down2: list[list[int]] = [[]]  # g2 down-neighbours of each rank-n vertex
     for n in range(max_rank + 1):
         up1 = g1.up_table(n)
-        down2_above: list[list[int]] = [[] for _ in g1.vertices_at(n + 1)]
+        down2_above: list[list[int]] = [[] for _ in range(_rank_size(g1.family, n + 1))]
         for j, row in enumerate(g2.up_table(n)):
             for z in row:
                 down2_above[z].append(j)

@@ -63,6 +63,8 @@ Where each check lives:
     two boundary chains straight into (P, Q).  The public ``chain_to_*``
     read the labels off a vertex chain, checking that it is saturated,
     and run the same conversions.
+  * :func:`equivalence_walk` runs the same row step, checks included, on
+    the prefixes of inverse(p) of all permutations of one size.
 
 Both output formats print a tree vertex as its text, "-" for the empty
 tree and "(L,R)" for a node, and :func:`build_growth_diagram` makes that
@@ -92,10 +94,11 @@ from .compositions import (
     is_lifted_cover,
 )
 from .permutations import GrowthRuleError, Permutation, inverse, permutation_matrix, validate_permutation
-from .ribbons import QuasiRibbonTableau, RibbonTableau
+from .ribbons import QuasiRibbonTableau, RibbonTableau, _insertion_forms
 from .trees import (
     LabeledTree,
     Tree,
+    bst_insert,
     insert_rightmost,
     insert_rightmost_text,
     is_lattice_cover,
@@ -124,6 +127,9 @@ class DualPair(NamedTuple):
     is_horizontal_cover: Callable  # (x, z) -> whether z covers x
     p_from_labels: Callable  # the right column's vertical labels -> P
     q_from_labels: Callable  # the top row's horizontal labels -> Q
+    # (this record, p, the labels of the two above) -> whether their (P, Q)
+    # equals the direct insertion of p, in the forms equality reads
+    agrees: Callable
     chain_to_p: Callable  # the right boundary chain -> P
     chain_to_q: Callable  # the top boundary chain -> Q
     json_obj: Callable  # P or Q -> its JSON form
@@ -217,7 +223,10 @@ class GrowthGrid(NamedTuple):
     vertices[i][j] is the corner at height i (0 = bottom) and offset j
     (0 = left); marks hold the (column, row) cells of the permutation.
     texts holds each vertex's text in the same rows, when the fill makes
-    it (tree grids), and is None otherwise.
+    it (tree grids), and is None otherwise.  labels holds the labels of
+    the vertical edges up the right boundary and of the horizontal edges
+    along the top one, as the fill made them, and is None in a grid made
+    otherwise.
     """
 
     n: int
@@ -225,6 +234,7 @@ class GrowthGrid(NamedTuple):
     vertices: tuple[tuple, ...]
     marks: frozenset[tuple[int, int]]
     texts: Optional[tuple[tuple[str, ...], ...]] = None
+    labels: Optional[tuple[tuple, tuple]] = None
 
     def boundary_chains(self) -> BoundaryChains:
         return BoundaryChains(
@@ -240,15 +250,24 @@ class GrowthGrid(NamedTuple):
         form = cache(form)
         return [list(map(form, row)) for row in self.vertices]
 
+    def pair(self):
+        """The (P, Q) pair of the boundary: the fill's labels converted as
+        :func:`growth_insert` converts them, or, in a grid without labels,
+        the boundary chains converted."""
+        if self.labels is None:
+            return convert_chains(self.boundary_chains(), self.family)
+        dual = _pair(self.family)
+        return dual.p_from_labels(self.labels[0]), dual.q_from_labels(self.labels[1])
+
     def to_json_obj(self, pair=None) -> dict:
         """
         The JSON form of the grid and of its (P, Q) pair; ``pair`` is the
-        result of :func:`convert_chains` when the caller already has it.
-        A vertex takes the form of its text (a tree) or of its list of
-        parts (a composition), and equal compositions share one list.
+        result of :meth:`pair` when the caller already has it.  A vertex
+        takes the form of its text (a tree) or of its list of parts (a
+        composition), and equal compositions share one list.
         """
         dual = _pair(self.family)
-        p, q = convert_chains(self.boundary_chains(), self.family) if pair is None else pair
+        p, q = self.pair() if pair is None else pair
         return {
             "n": self.n,
             "family": self.family,
@@ -284,41 +303,52 @@ def _labels_fit_composition(a: int, h: int, rank: int, spine: int) -> bool:
     return (a == 1 or a == 0 < rank) and (h == 3 if rank == 0 else 4 <= h <= 2 * rank + 3)
 
 
+def _label_row(dual: DualPair, c: int, i: int, below: list, spines: list[int]):
+    """
+    Row i of the fill on edge labels, with its mark in column c, from the
+    horizontal labels ``below`` and right-spine lengths ``spines`` of row
+    i - 1.  Return the labels of the vertical edges from row i - 1 up to
+    row i, those of the horizontal edges within row i, and the right-spine
+    lengths of row i (``spines`` itself unless the family is spined);
+    entry j of a label list is the edge into column j, and entry 0 is None.
+    """
+    mark, join, fits = dual.mark, dual.join, dual.fits
+    n = len(below) - 1
+    # x = t left of the mark: z = y, and horizontal labels pass up
+    row = below[:]
+    vertical = [None] * (n + 1)
+    rank = c - 1 - below[1:c].count(None)  # rank(t) = marks below and left
+    a, h = mark(rank, spines[c - 1])
+    if not fits(a, h, rank, spines[c - 1]):
+        raise GrowthRuleError(f"labels ({a!r}, {h!r}) do not fit square ({c}, {i})")
+    vertical[c], row[c] = a, h
+    # square c + 1 has the same rank(t): the mark of column c is in row i
+    for j in range(c + 1, n + 1):
+        h = below[j]
+        if h is not None:  # otherwise case (d): z = x, and a passes up
+            a, h = join(a, h, rank)
+            rank += 1  # now rank(x) = rank(y)
+            if not fits(a, h, rank, spines[j]):
+                raise GrowthRuleError(f"labels ({a!r}, {h!r}) do not fit square ({j}, {i})")
+            row[j] = h
+        vertical[j] = a
+    if dual.spined:
+        spines = spines[:c] + [k + 1 for k in vertical[c:]]
+    return vertical, row, spines
+
+
 def _label_rows(p: Permutation, dual: DualPair):
     """
     Fill the diagram of a valid permutation on edge labels, row by row.
     Yield, for each height i = 1..n, the column c of the mark in row i,
     the labels of the vertical edges from row i - 1 up to row i, and those
-    of the horizontal edges within row i; entry j is the edge into column
-    j, and entry 0 is None.
+    of the horizontal edges within row i, as :func:`_label_row` gives them.
     """
-    mark, join, fits, spined = dual.mark, dual.join, dual.fits, dual.spined
     n = len(p)
-    below = [None] * (n + 1)  # horizontal labels of row i - 1
-    spines = [0] * (n + 1)  # right-spine lengths of row i - 1, when spined
+    row, spines = [None] * (n + 1), [0] * (n + 1)
     for i, c in enumerate(inverse(p), 1):
-        # x = t left of the mark: z = y, and horizontal labels pass up
-        row = below[:]
-        vertical = [None] * (n + 1)
-        rank = c - 1 - below[1:c].count(None)  # rank(t) = marks below and left
-        a, h = mark(rank, spines[c - 1])
-        if not fits(a, h, rank, spines[c - 1]):
-            raise GrowthRuleError(f"labels ({a!r}, {h!r}) do not fit square ({c}, {i})")
-        vertical[c], row[c] = a, h
-        # square c + 1 has the same rank(t): the mark of column c is in row i
-        for j in range(c + 1, n + 1):
-            h = below[j]
-            if h is not None:  # otherwise case (d): z = x, and a passes up
-                a, h = join(a, h, rank)
-                rank += 1  # now rank(x) = rank(y)
-                if not fits(a, h, rank, spines[j]):
-                    raise GrowthRuleError(f"labels ({a!r}, {h!r}) do not fit square ({j}, {i})")
-                row[j] = h
-            vertical[j] = a
-        if spined:
-            spines[c:] = [k + 1 for k in vertical[c:]]
+        vertical, row, spines = _label_row(dual, c, i, row, spines)
         yield c, vertical, row
-        below = row
 
 
 def build_growth_diagram(p: Permutation, family: Family) -> GrowthGrid:
@@ -328,7 +358,8 @@ def build_growth_diagram(p: Permutation, family: Family) -> GrowthGrid:
     runs on edge labels; each vertex z is then built from the vertex y
     below it and the label of y -> z, or is x or y itself when an edge
     into it is degenerate, and every vertex built is checked to cover x.
-    A tree vertex's text is spliced from y's text in the same step.
+    A tree vertex's text is spliced from y's text in the same step, and
+    the grid keeps the labels of its right and top boundaries.
     """
     p = validate_permutation(p)
     dual = _pair(family)
@@ -340,7 +371,10 @@ def build_growth_diagram(p: Permutation, family: Family) -> GrowthGrid:
     # their right-spine nodes; the empty tree's text is "-"
     texts, offsets = ["-"] * (n + 1), [()] * (n + 1)
     text_rows = [tuple(texts)]
+    right = []  # vertical labels of column n, bottom to top
+    horizontal = [None]  # horizontal labels of the last row filled
     for c, vertical, horizontal in _label_rows(p, dual):
+        right.append(vertical[-1])
         below, row = row, row[:]  # left of the mark, case (b) or (c): z = y
         for j in range(c, n + 1):
             x = row[j - 1]
@@ -368,24 +402,29 @@ def build_growth_diagram(p: Permutation, family: Family) -> GrowthGrid:
         vertices=tuple(rows),
         marks=permutation_matrix(p),
         texts=tuple(text_rows) if grow_text else None,
+        labels=(tuple(right), tuple(horizontal[1:])),
     )
 
 
 # -- conversions from labels ---------------------------------------------------
 
-def _quasi_ribbon_from_letters(letters) -> QuasiRibbonTableau:
+def _quasi_ribbon_forms(letters) -> tuple[list[int], tuple[int, ...]]:
     """Cell k opens a new row for letter 1 and ends the last row for 0;
-    the first letter is always 1."""
-    return QuasiRibbonTableau._from_reading(range(1, len(letters) + 1), letters[1:])
+    the first letter is always 1.  The reading word and row-end flags."""
+    return list(range(1, len(letters) + 1)), tuple(letters[1:])
 
 
-def _ribbon_from_labels(labels) -> RibbonTableau:
+def _quasi_ribbon_from_letters(letters) -> QuasiRibbonTableau:
+    return QuasiRibbonTableau._from_reading(*_quasi_ribbon_forms(letters))
+
+
+def _ribbon_forms(labels) -> tuple[list[int], tuple[int, ...]]:
     """
     Step k inserts letter b at position q of the word, h = 2q + b, and
     puts k into the reading order: for a 0 at q - 1, the end of the run of
     0s it joins; for a 1 in front of the cell where its run of 1s starts
     (past the first cell), shifting that suffix down.  A row ends before
-    each cell whose letter is 1.
+    each cell whose letter is 1.  The reading word and row-end flags.
     """
     word = bytearray()  # letters 0 and 1
     reading: list[int] = []
@@ -397,26 +436,30 @@ def _ribbon_from_labels(labels) -> RibbonTableau:
             reading.insert(max(start, 1) - 1, k)
         else:
             reading.insert(q - 1, k)
-    return RibbonTableau._from_reading(reading, word[1:])
+    return reading, tuple(word[1:])
+
+
+def _ribbon_from_labels(labels) -> RibbonTableau:
+    return RibbonTableau._from_reading(*_ribbon_forms(labels))
 
 
 def _bst_from_depths(depths) -> LabeledTree:
     """Node i becomes the rightmost node at right-spine depth depths[i-1],
-    taking the spine suffix it displaces as its left subtree."""
-    left = [0] * (len(depths) + 1)
-    right = left[:]
+    taking the spine suffix it displaces as its left subtree.  A displaced
+    suffix is final, so its nodes are built then, deepest first."""
     spine: list[int] = []  # node labels, root first
-    postorder: list[int] = []  # a displaced suffix is final, deepest node first
+    lefts: list[LabeledTree] = [None] * (len(depths) + 1)  # each node's left subtree
     for i, k in enumerate(depths, 1):
-        if k < len(spine):
-            left[i] = spine[k]
-        if k:
-            right[spine[k - 1]] = i
-        postorder += reversed(spine[k:])
+        t = None
+        for v in reversed(spine[k:]):
+            t = (v, lefts[v], t)
+        lefts[i] = t
         del spine[k:]
         spine.append(i)
-    postorder += reversed(spine)
-    return labeled_tree(postorder, left, right, range(len(left)))
+    t = None
+    for v in reversed(spine):
+        t = (v, lefts[v], t)
+    return t
 
 
 def _increasing_tree_from_slots(slots) -> LabeledTree:
@@ -573,6 +616,59 @@ def growth_insert(p: Permutation, family: Family):
     return dual.p_from_labels(right), dual.q_from_labels(top[1:])
 
 
+def _hypoplactic_agrees(dual: DualPair, p: Permutation, letters, labels) -> bool:
+    """Whether the tableaux that the labels encode equal the hypoplactic
+    insertion of the permutation p, whose P needs no relabeling, and pass
+    the checks of their kinds."""
+    p_reading, p_ends = _quasi_ribbon_forms(letters)
+    q_reading, q_ends = _ribbon_forms(labels)
+    reading, ends, direct_q = _insertion_forms(p)
+    return (
+        p_reading == reading and p_ends == ends and q_reading == direct_q and q_ends == ends
+        and QuasiRibbonTableau._accepts(reading, ends) and RibbonTableau._accepts(direct_q, ends)
+    )
+
+
+def _bst_agrees(dual: DualPair, p: Permutation, depths, slots) -> bool:
+    """Whether the trees that the labels encode equal the left-to-right
+    BST insertion of p, as the nested tuples they are."""
+    return (dual.p_from_labels(depths), dual.q_from_labels(slots)) == bst_insert(p)
+
+
+def equivalence_walk(n: int, family: Family) -> tuple[int, list[Permutation]]:
+    """
+    The growth diagram against the direct insertion of the family on all
+    n! permutations of size n at once.  Row i of the label fill depends
+    only on the first i entries of inverse(p), the columns of the marks
+    in rows 1..i (Fomin 1995), so a depth-first walk over those prefixes
+    fills each row once per prefix.  At a leaf, the labels of the right
+    column and of the top row are compared with the direct insertion of
+    p = inverse(path) by the family's ``agrees``.  Return the number of
+    permutations and those where the two differ or a check declines, for
+    the public functions to judge; they come in the order of inverse(p),
+    not of p.
+    """
+    dual = _pair(family)
+    count = 0
+    suspects: list[Permutation] = []
+
+    def visit(path: Permutation, free: list[int], below: list, spines: list[int], right: list) -> None:
+        nonlocal count
+        if not free:
+            count += 1
+            p = inverse(path)
+            if not dual.agrees(dual, p, right, below[1:]):
+                suspects.append(p)
+            return
+        i = len(path) + 1
+        for k, c in enumerate(free):
+            vertical, row, row_spines = _label_row(dual, c, i, below, spines)
+            visit(path + (c,), free[:k] + free[k + 1 :], row, row_spines, right + [vertical[-1]])
+
+    visit((), list(range(1, n + 1)), [None] * (n + 1), [0] * (n + 1), [])
+    return count, suspects
+
+
 # -- the two dual pairs ---------------------------------------------------------
 
 PAIRS = {
@@ -583,6 +679,7 @@ PAIRS = {
         grow=lambda c, a: c + (1,) if a else increment_last(c), grow_text=None,
         is_horizontal_cover=is_binword_cover,
         p_from_labels=_quasi_ribbon_from_letters, q_from_labels=_ribbon_from_labels,
+        agrees=_hypoplactic_agrees,
         chain_to_p=chain_to_quasi_ribbon, chain_to_q=chain_to_ribbon,
         json_obj=lambda tableau: tableau.to_json_obj(),
     ),
@@ -596,6 +693,7 @@ PAIRS = {
         grow=insert_rightmost, grow_text=insert_rightmost_text,
         is_horizontal_cover=is_lattice_cover,
         p_from_labels=_bst_from_depths, q_from_labels=_increasing_tree_from_slots,
+        agrees=_bst_agrees,
         chain_to_p=chain_to_bst, chain_to_q=chain_to_increasing_tree,
         # the module's name is read at each call, as every other call here
         # reads it, so a wrapper put on the name sees this call too

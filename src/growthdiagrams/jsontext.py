@@ -9,7 +9,7 @@ an explicit stack, so nesting depth is unbounded; writes each scalar in
 the loop over its container's items, with each key's text and the
 indentation of the first 64 depths made once; renders a list whose
 items are all ints or all strs in one join, with strings escaped by the
-same C function ``json.dumps`` uses; reuses the text of such a list
+same C function ``json.dumps`` uses; reuses the text of a list of ints
 when the same object appears again at the same depth; and escapes each
 distinct exact str once per call, in a memo keyed by the string itself,
 so that a lookup stays a C-level subscript.
@@ -17,7 +17,7 @@ so that a lookup stays a C-level subscript.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Iterator, Optional
+from typing import Iterator
 
 try:  # the C escaper alone, without loading the json package around it
     from _json import encode_basestring_ascii as _string
@@ -109,7 +109,11 @@ def iterdumps(obj) -> Iterator[str]:
     parts: list[str] = []
     append = parts.append
     size = 0  # characters in parts
-    flat: dict[tuple[int, int], Optional[str]] = {}  # (id, depth) -> _flat_list text
+    # (id, depth) -> the text of a list of ints.  Lists that recur are
+    # lists of ints, such as a composition's parts, which callers share;
+    # a list of strs, such as a row of tree texts, appears once, and its
+    # text can be as long as the output
+    ints: dict[tuple[int, int], str] = {}
     open_ids: set[int] = set()
     keys = _KeyTexts()
     strings = _StrTexts()
@@ -139,11 +143,13 @@ def iterdumps(obj) -> Iterator[str]:
             elif cls is str:
                 text = strings[value]
             elif isinstance(value, (list, tuple)):
-                text = flat.get((id(value), depth))
+                text = ints.get((id(value), depth))
                 if text is None:
-                    text = flat[id(value), depth] = _flat_list(value, depth, strings)
+                    text = _flat_list(value, depth, strings)
                     if text is None:
                         break
+                    if value and value[0].__class__ is int:
+                        ints[id(value), depth] = text
             elif value is True:
                 text = "true"
             elif value is False:

@@ -131,7 +131,8 @@ class RibbonShapedTableau:
         if not (all(self.rows) and self._accepts(self._reading, self._ends)):
             self._check_rows()
 
-    def _accepts(self, reading: tuple, ends: tuple) -> bool:
+    @classmethod
+    def _accepts(cls, reading: Sequence[int], ends: tuple) -> bool:
         """
         Whether non-empty rows with this reading word, ending where
         ``ends`` says, form a valid tableau, in one pass of C-level calls.
@@ -143,7 +144,7 @@ class RibbonShapedTableau:
         if not _INT.issuperset(map(type, reading)):
             return False
         rest = islice(reading, 1, None)
-        if self.increases_down_columns:
+        if cls.increases_down_columns:
             return all(map(lt, reading, rest)) and (not reading or reading[0] > 0)
         n = len(reading)
         return (
@@ -190,6 +191,33 @@ class RibbonTableau(RibbonShapedTableau):
     increases_down_columns = False
 
 
+def _insert_letter(reading: list[int], ends: list[bool], a: int) -> int:
+    """
+    One step of the hypoplactic insertion, as the module docstring gives
+    it: put a into P's reading word, keep ends[i] true where a row ends
+    after cell i (always after the last cell), and return the position a
+    took.
+    """
+    k = bisect_right(reading, a)
+    reading.insert(k, a)
+    ends.insert(k, True)
+    if k:
+        ends[k - 1] = False
+    return k
+
+
+def _insertion_forms(word: Sequence[int]) -> tuple[list[int], tuple[bool, ...], list[int]]:
+    """The hypoplactic insertion of a word of distinct letters, in the
+    forms equality reads: P's reading word, not yet relabeled, the row-end
+    flags of P and Q, and Q's reading word."""
+    reading: list[int] = []
+    ends: list[bool] = []
+    q_reading: list[int] = []
+    for step, a in enumerate(word, 1):
+        q_reading.insert(_insert_letter(reading, ends, a), step)
+    return reading, tuple(ends[:-1]), q_reading
+
+
 def hypoplactic_insert(word: Sequence[int]) -> tuple[QuasiRibbonTableau, RibbonTableau]:
     """
     Insert a word of distinct letters; return the insertion tableau P,
@@ -208,23 +236,18 @@ def hypoplactic_insert(word: Sequence[int]) -> tuple[QuasiRibbonTableau, RibbonT
     for a in word:  # before any comparison, with validate's message
         if not isinstance(a, int) or a < 1:
             raise ValueError(f"labels must be positive integers, got {a!r}")
-    reading: list[int] = []
-    ends: list[bool] = []
-    q_reading: list[int] = []
-    for step, a in enumerate(word, 1):
-        # the step of the module docstring on P's reading word and, cell by
-        # cell, whether a row ends there
-        k = bisect_right(reading, a)
-        reading.insert(k, a)
-        ends.insert(k, True)
-        if k:
-            ends[k - 1] = False
-        q_reading.insert(k, step)
-    del ends[-1:]  # the last cell always ends a row
+    reading, ends, q_reading = _insertion_forms(word)
     rank = dict(zip(sorted(word), range(1, len(word) + 1)))
     p = QuasiRibbonTableau._from_reading(map(rank.__getitem__, reading), ends)
     q = RibbonTableau._from_reading(q_reading, ends)
     return p, q
+
+
+def _shadow_ends(inv: Sequence[int]) -> tuple[bool, ...]:
+    """The row ends of the shadow-line pair of the permutation whose
+    inverse is inv: a line breaks after v exactly when v + 1 lies to the
+    left of v."""
+    return tuple(map(gt, inv, islice(inv, 1, None)))
 
 
 def shadow_lines(p: Permutation) -> tuple[QuasiRibbonTableau, RibbonTableau]:
@@ -241,11 +264,50 @@ def shadow_lines(p: Permutation) -> tuple[QuasiRibbonTableau, RibbonTableau]:
     """
     p = validate_permutation(p)
     inv = inverse(p)
-    ends = tuple(map(gt, inv, islice(inv, 1, None)))  # v + 1 lies to the left of v
+    ends = _shadow_ends(inv)
     return (
         QuasiRibbonTableau._from_reading(range(1, len(p) + 1), ends),
         RibbonTableau._from_reading(inv, ends),
     )
+
+
+def shadow_walk(n: int) -> tuple[int, list[Permutation]]:
+    """
+    Shadow lines against hypoplactic insertion on all n! permutations of
+    size n at once.  The insertion reads p left to right, so a depth-first
+    walk over the prefixes of p, in lexicographic order, runs each
+    insertion step once per prefix, and records inv[a-1] = step as it
+    inserts a.  At a leaf the two pairs are compared in the forms equality
+    reads: the shadow lines' P has reading word 1..n and its Q has inv,
+    both cut where inv falls.  Return the number of permutations and
+    those, in order, where the two differ or a check of the common
+    tableaux declines, for the public functions to judge.
+    """
+    identity = list(range(1, n + 1))
+    inv = [0] * n
+    count = 0
+    suspects: list[Permutation] = []
+
+    def visit(prefix: Permutation, free: list[int], reading: list[int], ends: list[bool], q_reading: list[int]):
+        nonlocal count
+        if not free:
+            count += 1
+            shadow = _shadow_ends(inv)
+            if not (
+                reading == identity and q_reading == inv and tuple(ends[:-1]) == shadow
+                and QuasiRibbonTableau._accepts(identity, shadow) and RibbonTableau._accepts(inv, shadow)
+            ):
+                suspects.append(prefix)
+            return
+        step = len(prefix) + 1
+        for i, a in enumerate(free):
+            grown, grown_ends, grown_q = reading[:], ends[:], q_reading[:]
+            grown_q.insert(_insert_letter(grown, grown_ends, a), step)
+            inv[a - 1] = step
+            visit(prefix + (a,), free[:i] + free[i + 1 :], grown, grown_ends, grown_q)
+
+    visit((), identity, [], [], [])
+    return count, suspects
 
 
 def render_tableau(t: RibbonShapedTableau) -> str:

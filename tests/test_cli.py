@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -9,7 +10,9 @@ import pytest
 
 from growthdiagrams import cli, compositions, graphs, growth, jsontext, ribbons, trees
 from growthdiagrams.cli import main
-from test_growth import flat_bst_insert
+from growthdiagrams.permutations import all_permutations
+from test_growth import _patch_pair, flat_bst_insert
+from test_walks import plant_unsorted_insertion, plant_wrong_recording_step, plant_wrong_recording_tree
 
 
 def run(capsys, *argv):
@@ -243,15 +246,16 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, where):
     assert len(err.splitlines()) == 1
 
 
-def test_failed_chain_conversion_is_an_invariant_breach(monkeypatch, capsys):
-    def broken_convert(chains, family):
-        return growth.chain_to_quasi_ribbon([(), (2,)]), None
+def test_failed_boundary_conversion_is_an_invariant_breach(monkeypatch, capsys):
+    # a P converted from the fill's labels with its reading word reversed
+    def broken_convert(letters):
+        return ribbons.QuasiRibbonTableau._from_reading(range(len(letters), 0, -1), letters[1:])
 
-    monkeypatch.setattr(growth, "convert_chains", broken_convert)
+    _patch_pair(monkeypatch, "composition", p_from_labels=broken_convert)
     code, out, err = run(capsys, "growth", "composition", "312")
     assert code == 1
     assert out == ""
-    assert err == "invariant violated: chain [(), (2,)] is not saturated in the lifted binary tree\n"
+    assert err == "invariant violated: row (3, 2) is not strictly increasing\n"
 
 
 def test_failed_insertion_validation_is_an_invariant_breach(monkeypatch, capsys):
@@ -281,8 +285,8 @@ def _fail_if_reached(*args, **kwargs):
 @pytest.mark.parametrize(
     "argv, owner, name",
     [
-        (["verify", "shadow", "--max-n", "7"], cli, "all_permutations"),
-        (["verify", "equivalence", "--family", "tree", "--max-n", "7"], cli, "all_permutations"),
+        (["verify", "shadow", "--max-n", "7"], ribbons, "shadow_walk"),
+        (["verify", "equivalence", "--family", "tree", "--max-n", "7"], growth, "equivalence_walk"),
         (["verify", "duality", "--pair", "trees", "--max-rank", "9"], graphs, "check_duality"),
         (["verify", "paths", "--pair", "trees", "--n", "9"], graphs, "path_count_identity"),
         (["graph", "binword", "--max-rank", "8"], graphs, "export_graph"),
@@ -317,10 +321,14 @@ def test_out_is_left_alone_when_the_command_fails(tmp_path, capsys):
     assert existing.read_text() == "P (quasi-ribbon):\n1 2\n  3\nQ (ribbon):\n2 3\n  1\n"
 
 
+# each exhaustive mode and the walk that runs it over one size
+WALKS = {"equivalence": (growth, "equivalence_walk"), "shadow": (ribbons, "shadow_walk")}
+
+
 @pytest.mark.parametrize("mode", ["equivalence", "shadow"])
 @pytest.mark.parametrize("max_n", [graphs.MAX_N + 1, 12])
 def test_exhaustive_max_n_guard(monkeypatch, capsys, mode, max_n):
-    monkeypatch.setattr(cli, "all_permutations", _fail_if_reached)
+    monkeypatch.setattr(*WALKS[mode], _fail_if_reached)
     code, out, err = run(capsys, "verify", mode, "--max-n", str(max_n))
     assert code == 2
     assert out == ""
@@ -331,28 +339,64 @@ def test_exhaustive_max_n_guard(monkeypatch, capsys, mode, max_n):
 
 @pytest.mark.parametrize("mode", ["equivalence", "shadow"])
 def test_exhaustive_max_n_guard_admits_its_bound(monkeypatch, capsys, mode):
-    # one permutation per size keeps the run short; the guard sees only --max-n
-    monkeypatch.setattr(cli, "all_permutations", lambda n: iter([tuple(range(1, n + 1))]))
+    # a walk that reports one passing permutation per size keeps the run
+    # short; the guard sees only --max-n
+    monkeypatch.setattr(*WALKS[mode], lambda n, **kwargs: (1, []))
     code, out, _ = run(capsys, "verify", mode, "--max-n", str(graphs.MAX_N))
     assert code == 0
     assert f"n={graphs.MAX_N}: 1/1 PASS" in out
 
 
+def _first_mismatch(argv, max_n):
+    """The output of comparing the two public routes on each permutation
+    in lexicographic order, stopping at the first that differs."""
+    if argv[1] == "shadow":
+        first, second, where = ribbons.shadow_lines, ribbons.hypoplactic_insert, ""
+    else:
+        family = argv[argv.index("--family") + 1]
+        first = cli._insertion(cli._FAMILY_ALGORITHMS[family])
+        second, where = (lambda p: growth.growth_insert(p, family)), f" (family {family})"
+    lines = []
+    for n in range(max_n + 1):
+        failing = [p for p in all_permutations(n) if first(p) != second(p)]
+        if failing:
+            return "".join(lines) + f"MISMATCH at permutation {failing[0]}{where}\n"
+        lines.append(f"n={n}: {math.factorial(n)}/{math.factorial(n)} PASS\n")
+    raise AssertionError("the planted fault changed no result")
+
+
 @pytest.mark.parametrize(
-    "argv, owner, name, where",
+    "argv, plant, line",
     [
-        (("verify", "shadow"), ribbons, "shadow_lines", ""),
-        (("verify", "equivalence", "--family", "tree"), growth, "growth_insert", " (family tree)"),
+        (("verify", "shadow"), plant_wrong_recording_step, "(1, 3, 2)"),
+        (("verify", "equivalence", "--family", "tree"), plant_wrong_recording_tree, "(2, 3, 1) (family tree)"),
+        (
+            ("verify", "equivalence", "--family", "composition"), plant_wrong_recording_step,
+            "(1, 3, 2) (family composition)",
+        ),
     ],
-    ids=["shadow", "equivalence"],
+    ids=["shadow", "equivalence", "equivalence-composition"],
 )
-def test_exhaustive_mismatch_is_reported(monkeypatch, capsys, argv, owner, name, where):
-    real = getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda p, *args, **kwargs: None if p == (2, 1) else real(p, *args, **kwargs))
+def test_exhaustive_mismatch_is_reported(monkeypatch, capsys, argv, plant, line):
+    # the walk meets the fault where the public functions meet it, and the
+    # line names the first permutation that comparing them one at a time
+    # in lexicographic order stops at
+    plant(monkeypatch)
+    expected = _first_mismatch(argv, 4)
+    assert expected.endswith(f"n=2: 2/2 PASS\nMISMATCH at permutation {line}\n")
+    code, out, err = run(capsys, *argv, "--max-n", "4")
+    assert (code, out, err) == (1, expected, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "shadow"), ("verify", "equivalence", "--family", "composition")],
+    ids=["shadow", "equivalence-composition"],
+)
+def test_exhaustive_invalid_tableau_is_an_invariant_breach(monkeypatch, capsys, argv):
+    plant_unsorted_insertion(monkeypatch)
     code, out, err = run(capsys, *argv, "--max-n", "3")
-    assert code == 1
-    assert out == f"n=0: 1/1 PASS\nn=1: 1/1 PASS\nMISMATCH at permutation (2, 1){where}\n"
-    assert err == ""
+    assert (code, out, err) == (1, "", "invariant violated: row (2, 1) is not strictly increasing\n")
 
 
 # -- output bytes against json.dumps and the recursive renderers --------------
@@ -672,17 +716,23 @@ def test_no_output_goes_through_json_dumps(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["json", "ascii"])
-def test_growth_converts_the_chains_once(monkeypatch, capsys, fmt):
+def test_growth_converts_the_boundary_labels_once(monkeypatch, capsys, fmt):
+    # the fill's own labels, not the boundary chains read back
     calls = []
-    real = growth.convert_chains
+    dual = growth.PAIRS["tree"]
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(convert):
+        def counting(labels):
+            calls.append((convert.__name__, tuple(labels)))
+            return convert(labels)
+        return counting
 
-    monkeypatch.setattr(growth, "convert_chains", counted)
+    _patch_pair(
+        monkeypatch, "tree", p_from_labels=counted(dual.p_from_labels), q_from_labels=counted(dual.q_from_labels)
+    )
+    monkeypatch.setattr(growth, "convert_chains", _fail_if_reached)
     assert run(capsys, "growth", "tree", "2413", "--check", "--format", fmt)[0] == 0
-    assert len(calls) == 1
+    assert calls == [("_bst_from_depths", (0, 0, 1, 1)), ("_increasing_tree_from_slots", (0, 1, 0, 2))]
 
 
 def test_closed_stdout_is_one_error_line():

@@ -347,6 +347,28 @@ def test_duality_checks_vertex_sets_before_any_work():
     assert calls
 
 
+@pytest.mark.parametrize("pair, max_rank", [("compositions", 11), ("trees", 9)])
+def test_duality_enumerates_no_vertex_of_a_dual_pair(monkeypatch, pair, max_rank):
+    # each rank is sized from its count, 2^(n-1) or Cat(n), not from its
+    # vertex list; only a counterexample's labels need vertex values
+    def no_vertices(family, n):
+        raise AssertionError(f"rank {n} vertices enumerated")
+
+    monkeypatch.setattr(graphs, "_vertices_at", no_vertices)
+    assert check_duality(*(make_graph(name) for name in DUAL_PAIRS[pair]), max_rank).is_dual
+    monkeypatch.undo()
+    lifted = make_graph("lifted-binary-tree")
+    assert check_duality(lifted, lifted, 3).counterexample.rank == 2
+
+
+@pytest.mark.parametrize("family", ["composition", "tree"])
+def test_rank_sizes_are_the_vertex_counts(family):
+    top = graphs.MAX_RANK[family]
+    assert [graphs._rank_size(family, n) for n in range(top + 1)] == [
+        len(graphs._vertices_at(family, n)) for n in range(top + 1)
+    ]
+
+
 def test_chain_counts_and_paths():
     lifted = make_graph("lifted-binary-tree")
     counts = chain_counts(lifted, 3)

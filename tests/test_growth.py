@@ -409,6 +409,16 @@ def test_grid_json_takes_the_converted_pair(family):
     assert grid.to_json_obj(pair) == grid.to_json_obj()
 
 
+@pytest.mark.parametrize("family", ["composition", "tree"])
+def test_grid_pair_from_the_fill_labels_equals_the_chain_conversion(family):
+    rng = random.Random(18)
+    for n in (0, 1, 2, 5, 40):
+        p = list(range(1, n + 1))
+        rng.shuffle(p)
+        grid = build_growth_diagram(p, family)
+        assert grid.pair() == convert_chains(grid.boundary_chains(), family) == growth_insert(p, family)
+
+
 def test_grid_json_shares_one_list_per_distinct_composition():
     p = list(range(1, 31))
     random.Random(5).shuffle(p)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import sys
 from itertools import accumulate
 from unittest import mock
@@ -38,6 +39,21 @@ def test_dumps_equals_json_dumps_indent_2(value):
 def test_a_list_shared_at_two_depths_is_indented_for_each(value, shared):
     payload = [shared, [value, [shared]], {"again": shared}, shared]
     assert dumps(payload) == json.dumps(payload, indent=2)
+
+
+def test_a_list_of_strs_is_not_kept_after_its_text_is_written():
+    # like the rows of a tree grid: lists that never recur, each with a
+    # text as long as its strs together, about 2 MB in all
+    strs = [f"{'(-,-)' * 40}{i}" for i in range(50)]
+    payload = [list(strs) for _ in range(200)]
+    tracemalloc.start()
+    try:
+        for _ in iterdumps(payload):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 class Text(str):

@@ -41,7 +41,8 @@ RECORDS = [
         GrowthGrid,
         dict(n=1, family="composition", vertices=(((), ()), ((), (1,))), marks=frozenset({(1, 1)})),
         dict(n=1, family="tree", vertices=(((), ()), ((), (1,))), marks=frozenset({(1, 1)})),
-        "GrowthGrid(n=1, family='composition', vertices=(((), ()), ((), (1,))), marks=frozenset({(1, 1)}), texts=None)",
+        "GrowthGrid(n=1, family='composition', vertices=(((), ()), ((), (1,))), marks=frozenset({(1, 1)}), texts=None,"
+        " labels=None)",
     ),
     (
         QuasiRibbonTableau,
@@ -74,17 +75,24 @@ def test_record_is_an_immutable_value(kind, fields, changed, text):
 
 
 def test_growth_grid_is_the_record_the_fill_builds():
+    # the fill keeps its boundary labels: letter 1 up the right column,
+    # h = 3 along the top row
     grid = build_growth_diagram((1,), "composition")
-    assert grid == GrowthGrid(n=1, family="composition", vertices=(((), ()), ((), (1,))), marks=frozenset({(1, 1)}))
+    fields = dict(n=1, family="composition", vertices=(((), ()), ((), (1,))), marks=frozenset({(1, 1)}))
+    assert grid == GrowthGrid(**fields, labels=((1,), (3,)))
+    assert grid != GrowthGrid(**fields)
     assert grid.boundary_chains() == BoundaryChains(top=((), (1,)), right=((), (1,)))
+    # with or without labels, the grid gives one (P, Q) pair
+    assert grid.pair() == GrowthGrid(**fields).pair() == (QuasiRibbonTableau([[1]]), RibbonTableau([[1]]))
     # a tree grid also holds its vertices' texts, and they take part in
     # equality, hashing and the repr
     grid = build_growth_diagram((1,), "tree")
     fields = dict(n=1, family="tree", vertices=((None, None), (None, (None, None))), marks=frozenset({(1, 1)}))
-    assert grid == GrowthGrid(**fields, texts=(("-", "-"), ("-", "(-,-)")))
-    assert grid != GrowthGrid(**fields)
-    assert hash(grid) == hash(GrowthGrid(**fields, texts=(("-", "-"), ("-", "(-,-)"))))
-    assert repr(grid).endswith(", texts=(('-', '-'), ('-', '(-,-)')))")
+    texts = (("-", "-"), ("-", "(-,-)"))
+    assert grid == GrowthGrid(**fields, texts=texts, labels=((0,), (0,)))
+    assert grid != GrowthGrid(**fields, labels=((0,), (0,)))
+    assert hash(grid) == hash(GrowthGrid(**fields, texts=texts, labels=((0,), (0,))))
+    assert repr(grid).endswith(", texts=(('-', '-'), ('-', '(-,-)')), labels=((0,), (0,)))")
 
 
 def test_tableau_kinds_differ():
