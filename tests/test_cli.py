@@ -399,6 +399,21 @@ def test_exhaustive_invalid_tableau_is_an_invariant_breach(monkeypatch, capsys, 
     assert (code, out, err) == (1, "", "invariant violated: row (2, 1) is not strictly increasing\n")
 
 
+@pytest.mark.parametrize(
+    "family, fields, message",
+    [
+        ("composition", dict(join=lambda a, h, rank: (a, 2 * rank + 6)), "labels (1, 6) do not fit square (2, 2)"),
+        ("tree", dict(join=lambda k, s, rank: (k, rank + 2)), "labels (0, 2) do not fit square (2, 2)"),
+    ],
+    ids=["composition", "tree"],
+)
+def test_exhaustive_broken_label_rule_is_an_invariant_breach(monkeypatch, capsys, family, fields, message):
+    # the walk's label fill raises as growth_insert's does
+    _patch_pair(monkeypatch, family, **fields)
+    code, out, err = run(capsys, "verify", "equivalence", "--family", family, "--max-n", "5")
+    assert (code, out, err) == (1, "", f"invariant violated: {message}\n")
+
+
 # -- output bytes against json.dumps and the recursive renderers --------------
 
 def _oracle_tree_text(t):
