@@ -246,8 +246,9 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, where):
     assert len(err.splitlines()) == 1
 
 
-def test_failed_boundary_conversion_is_an_invariant_breach(monkeypatch, capsys):
-    # a P converted from the fill's labels with its reading word reversed
+def test_failed_chain_conversion_is_an_invariant_breach(monkeypatch, capsys):
+    # the chains are converted from the fill's boundary labels; here P's
+    # conversion reverses its reading word
     def broken_convert(letters):
         return ribbons.QuasiRibbonTableau._from_reading(range(len(letters), 0, -1), letters[1:])
 
@@ -285,8 +286,16 @@ def _fail_if_reached(*args, **kwargs):
 @pytest.mark.parametrize(
     "argv, owner, name",
     [
-        (["verify", "shadow", "--max-n", "7"], ribbons, "shadow_walk"),
-        (["verify", "equivalence", "--family", "tree", "--max-n", "7"], growth, "equivalence_walk"),
+        # these two cases keep the ids they had when cli enumerated the
+        # permutations itself; the exhaustive work now starts in the walks
+        pytest.param(
+            ["verify", "shadow", "--max-n", "7"], ribbons, "shadow_walk",
+            id="argv0-growthdiagrams.cli-all_permutations",
+        ),
+        pytest.param(
+            ["verify", "equivalence", "--family", "tree", "--max-n", "7"], growth, "equivalence_walk",
+            id="argv1-growthdiagrams.cli-all_permutations",
+        ),
         (["verify", "duality", "--pair", "trees", "--max-rank", "9"], graphs, "check_duality"),
         (["verify", "paths", "--pair", "trees", "--n", "9"], graphs, "path_count_identity"),
         (["graph", "binword", "--max-rank", "8"], graphs, "export_graph"),
@@ -731,8 +740,9 @@ def test_no_output_goes_through_json_dumps(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["json", "ascii"])
-def test_growth_converts_the_boundary_labels_once(monkeypatch, capsys, fmt):
-    # the fill's own labels, not the boundary chains read back
+def test_growth_converts_the_chains_once(monkeypatch, capsys, fmt):
+    # once each, from the fill's own boundary labels, not from the boundary
+    # chains read back
     calls = []
     dual = growth.PAIRS["tree"]
 
