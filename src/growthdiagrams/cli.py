@@ -45,7 +45,7 @@ from .permutations import (
     RankGuardError,
     parse_permutation,
 )
-from .trees import bst_insert, labeled_tree_to_json_obj, labeled_tree_to_text
+from .trees import bst_insert, labeled_tree_json_parts, labeled_tree_to_text
 
 if TYPE_CHECKING:
     from .growth import GrowthGrid
@@ -125,11 +125,12 @@ def cmd_insert(args) -> int:
     if args.format == "ascii":
         _emit(args, _pair_text(algorithm, *pair))
         return 0
-    from .jsontext import iterdumps
+    from .jsontext import _Rendered, iterdumps
     if algorithm == "hypoplactic":
         p_obj, q_obj = pair[0].to_json_obj(), pair[1].to_json_obj()
     else:
-        p_obj, q_obj = map(labeled_tree_to_json_obj, pair)
+        # each tree's text is written from its tuples as it streams out
+        p_obj, q_obj = (_Rendered(partial(labeled_tree_json_parts, t)) for t in pair)
     payload = {
         "algorithm": "bst-right" if algorithm == "sylvester" else algorithm,
         "permutation": list(p),

@@ -43,7 +43,6 @@ from typing import Callable, NamedTuple, Optional
 
 from . import compositions as comp
 from . import trees as tr
-from .jsontext import dumps
 # defined where every command finds them, and re-exported here
 from .permutations import DUAL_PAIRS, GRAPH_NAMES, MAX_N, GrowthRuleError, RankGuardError  # noqa: F401
 
@@ -125,11 +124,15 @@ def _binword_table(n: int) -> tuple:
     top = 1 << n
     rows = []
     for word in range(top >> 1, top):
-        covers = set()
-        for p in range(n):  # the new letter lands above the p lowest ones
-            spread = (word >> p << (p + 1)) | (word & ((1 << p) - 1))
-            covers.add(spread - top)
-            covers.add(spread + (1 << p) - top)
+        # at the bottom either letter goes; above the p lowest letters
+        # only the one unlike the letter below, as the other would give
+        # the word that inserting it below that letter gave
+        shifted = word << 1
+        covers = [shifted - top, shifted + 1 - top]
+        covers += [
+            (word >> p << (p + 1) | word & ((1 << p) - 1) | (~word >> (p - 1) & 1) << p) - top
+            for p in range(1, n)
+        ]
         rows.append(tuple(sorted(covers)))
     return tuple(rows)
 
@@ -375,6 +378,8 @@ def export_dot(g: GradedGraph, max_rank: int) -> str:
 
 def export_json(g: GradedGraph, max_rank: int) -> str:
     """Rank-by-rank JSON: vertices plus the edges to the next rank."""
+    from .jsontext import dumps  # here, so that the checks never load it
+
     render = partial(vertex_json, g.family)
     ranks = [
         {"n": n, "vertices": vertices, "edges": [[v, u] for v, u in edges]}

@@ -1,7 +1,9 @@
 """
 JSON text equal byte for byte to ``json.dumps(obj, indent=2)``, for
 values built from dict (with str keys), list, tuple, str, int, bool and
-None; anything else raises TypeError.
+None; anything else raises TypeError.  Inside the package a value may
+also be a ``_Rendered``, whose text its own writer yields part by part,
+such as a labeled tree written straight from its tuples.
 
 ``json.dumps`` recurses once per nesting level and, whenever ``indent``
 is set, runs its pure-Python generator encoder.  This emitter walks with
@@ -17,7 +19,7 @@ so that a lookup stays a C-level subscript.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 try:  # the C escaper alone, without loading the json package around it
     from _json import encode_basestring_ascii as _string
@@ -26,6 +28,16 @@ except ImportError:
 
 _INDENT = "  "
 CHUNK_SIZE = 1 << 16  # characters; iterdumps yields a piece once it has this many
+
+
+class _Rendered:
+    """A value whose JSON text ``render(depth)`` yields in whole parts,
+    where depth is that of the item that holds it."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render: Callable[[int], Iterable[str]]):
+        self.render = render
 
 
 def _scalar(value) -> str:
@@ -98,9 +110,11 @@ def iterdumps(obj) -> Iterator[str]:
     The text of :func:`dumps` in pieces of whole parts: every piece but
     the last has at least ``CHUNK_SIZE`` characters, and fewer without
     its last part.  A part is an item (its comma, indentation and key,
-    then a scalar, a flat list or an opening bracket) or a closing
-    bracket with its indentation, so the text of a deep tree, which grows
-    as the square of its depth, is never all in memory at once.
+    then a scalar, a flat list or an opening bracket), a closing bracket
+    with its indentation, or a part that a ``_Rendered`` value yields (the
+    first with the comma, indentation and key in front), so the text of a
+    deep tree, which grows as the square of its depth, is never all in
+    memory at once.
 
     >>> list(iterdumps({"a": [1, [2]]}))
     ['{\\n  "a": [\\n    1,\\n    [\\n      2\\n    ]\\n  ]\\n}']
@@ -150,6 +164,21 @@ def iterdumps(obj) -> Iterator[str]:
                         break
                     if value and value[0].__class__ is int:
                         ints[id(value), depth] = text
+            elif cls is _Rendered:
+                # a value that writes its own text at this depth, in whole
+                # parts; the check follows each
+                text = sep + prefix
+                append(text)
+                size += len(text)
+                for text in value.render(depth):
+                    append(text)
+                    size += len(text)
+                    if size >= limit:
+                        yield "".join(parts)
+                        parts.clear()
+                        size = 0
+                sep = comma
+                continue
             elif value is True:
                 text = "true"
             elif value is False:

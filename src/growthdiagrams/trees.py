@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import count
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 Tree = Optional[tuple]          # None | (Tree, Tree)
 LabeledTree = Optional[tuple]   # None | (int, Tree, Tree)
@@ -252,6 +252,68 @@ def labeled_tree_to_text(t: LabeledTree) -> str:
             parts.append("(")
             stack += (")", right, f" {label} ", left)
     return "".join(parts)
+
+
+def labeled_tree_json_parts(t: LabeledTree, depth: int = 0) -> Iterator[str]:
+    """
+    The text of ``json.dumps(labeled_tree_to_json_obj(t), indent=2)`` as a
+    value at nesting ``depth``, for int labels, in the parts that
+    ``jsontext.iterdumps`` writes: each key with its indentation and the
+    start of its value, and each closing brace.  The walk's stack holds
+    depths and right subtrees only, and the indentation of the first 64
+    depths below ``depth`` alone is kept, so depth is unbounded and
+    memory linear in it.
+
+    >>> list(labeled_tree_json_parts((1, None, None)))
+    ['{\\n  "label": 1', ',\\n  "left": null', ',\\n  "right": null', '\\n}']
+    """
+    if t is None:
+        yield "null"
+        return
+    top = depth + 65
+    indents = ["  " * d for d in range(top)]
+    # per open node: its depth, then its right subtree until that is begun
+    stack: list = []
+    while True:
+        # open t, at depth, and the nodes below it, going to the left
+        # subtree or else to the right one, down to a leaf, which is closed
+        while True:
+            label, left, right = t
+            pad = indents[depth + 1] if depth + 1 < top else "  " * (depth + 1)
+            yield f'{{\n{pad}"label": {label}'
+            if left is not None:
+                stack += (depth, right)
+                yield f',\n{pad}"left": '
+                t, depth = left, depth + 1
+                continue
+            yield f',\n{pad}"left": null'
+            if right is not None:
+                stack.append(depth)
+                yield f',\n{pad}"right": '
+                t, depth = right, depth + 1
+                continue
+            yield f',\n{pad}"right": null'
+            pad = indents[depth] if depth < top else "  " * depth
+            yield f"\n{pad}}}"
+            break
+        # close each node whose subtrees are both written, up to the next
+        # right subtree to begin
+        while stack:
+            t = stack.pop()
+            if t.__class__ is int:
+                pad = indents[t] if t < top else "  " * t
+                yield f"\n{pad}}}"
+                continue
+            depth = stack[-1]
+            pad = indents[depth + 1] if depth + 1 < top else "  " * (depth + 1)
+            if t is None:
+                yield f',\n{pad}"right": null'
+                continue
+            yield f',\n{pad}"right": '
+            depth += 1
+            break
+        else:
+            return
 
 
 def labeled_tree_to_json_obj(t: LabeledTree):

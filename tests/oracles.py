@@ -225,3 +225,22 @@ def validate_grid(grid):
             z = rule(vertices[i - 1][j - 1], vertices[i][j - 1], vertices[i - 1][j], alpha)
             if z != vertices[i][j]:
                 raise ValueError(f"square ({j}, {i}) disagrees with the local rule")
+
+
+# -- graphs --------------------------------------------------------------------
+
+def set_binword_table(n):
+    """The Binword up-table of rank n, each row deduplicated through a set
+    of every insertion of either letter at every place but the front."""
+    if n == 0:
+        return ((0,),)
+    top = 1 << n
+    rows = []
+    for word in range(top >> 1, top):
+        covers = set()
+        for p in range(n):
+            spread = (word >> p << (p + 1)) | (word & ((1 << p) - 1))
+            covers.add(spread - top)
+            covers.add(spread + (1 << p) - top)
+        rows.append(tuple(sorted(covers)))
+    return tuple(rows)

@@ -22,6 +22,7 @@ from growthdiagrams.graphs import (
     path_count_identity,
     vertex_labels,
 )
+from oracles import set_binword_table
 
 # edge sets of the two composition graphs up to rank 4, straight from the
 # drawings (compositions written as digit strings)
@@ -250,6 +251,11 @@ def test_up_tables_match_value_level_covers(name):
             assert row == tuple(sorted(index[u] for u in VALUE_COVERS[name](v)))
     with pytest.raises(RankGuardError):
         g.up_table(top)
+
+
+def test_binword_table_equals_the_table_deduplicated_through_a_set():
+    for n in range(graphs.MAX_RANK["composition"]):
+        assert graphs._binword_table(n) == set_binword_table(n)
 
 
 @pytest.mark.parametrize("name", GRAPH_NAMES)

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import tracemalloc
 import sys
-from itertools import accumulate
+from functools import partial
+from itertools import accumulate, permutations
 from unittest import mock
 
 import pytest
@@ -10,7 +12,14 @@ from hypothesis import strategies as st
 
 from growthdiagrams import jsontext
 from growthdiagrams.jsontext import CHUNK_SIZE, dumps, iterdumps
-from growthdiagrams.trees import labeled_tree_to_json_obj, labeled_tree_to_text, tree_to_text, trees_to_text
+from growthdiagrams.trees import (
+    bst_insert,
+    labeled_tree_json_parts,
+    labeled_tree_to_json_obj,
+    labeled_tree_to_text,
+    tree_to_text,
+    trees_to_text,
+)
 
 # every code point but lone surrogates, so control characters and
 # non-ASCII text come up in both keys and values
@@ -242,3 +251,83 @@ def test_deep_tree_text_without_recursion():
     texts = trees_to_text([right_comb, right_comb[1], None])
     for got, k in zip(texts, (DEPTH, DEPTH - 1, 0), strict=True):
         _same_text(got, "(-," * k + "-" + ")" * k)
+
+
+# -- labeled trees written from their tuples -----------------------------------
+
+def _rendered(t):
+    return jsontext._Rendered(partial(labeled_tree_json_parts, t))
+
+
+def _at_depth(text: str, depth: int) -> str:
+    """The text of a value written ``depth`` levels inside its container."""
+    return text.replace("\n", "\n" + "  " * depth)
+
+
+def _zigzag(n: int):
+    """1, n, 2, n - 1, ...: its search tree is a path that turns at every node."""
+    return tuple(v for pair in zip(range(1, n + 1), range(n, 0, -1)) for v in pair)[:n]
+
+
+def test_tree_parts_equal_the_text_of_the_dict_tree():
+    trees = [None]
+    for n in range(7):
+        for p in permutations(range(1, n + 1)):
+            for reading in ("left-to-right", "right-to-left"):
+                trees += bst_insert(p, reading)
+    # the nodes of these lie deeper than the 64 depths whose indentation is kept
+    for reading in ("left-to-right", "right-to-left"):
+        trees += bst_insert(_zigzag(150), reading)
+        trees += bst_insert(range(1, 101), reading)
+    for t in trees:
+        obj = labeled_tree_to_json_obj(t)
+        for depth in (0, 1, 2):
+            expected = _at_depth(dumps(obj), depth)
+            assert "".join(labeled_tree_json_parts(t, depth)) == expected
+            assert expected == _at_depth(json.dumps(obj, indent=2), depth)
+        # written after an item and before another
+        assert dumps({"n": 0, "P": _rendered(t), "Q": [1]}) == dumps({"n": 0, "P": obj, "Q": [1]})
+
+
+@pytest.mark.parametrize("chunk_size", [1, 7, 60, 400])
+def test_pieces_of_a_written_tree_end_at_its_parts(chunk_size):
+    t = bst_insert(_zigzag(90))[0]
+    tree_parts = list(labeled_tree_json_parts(t, 1))
+    parts = ["{", '\n  "P": ' + tree_parts[0], *tree_parts[1:], "\n}"]
+    ends = dict(zip(accumulate(map(len, parts)), map(len, parts)))
+    with mock.patch.object(jsontext, "CHUNK_SIZE", chunk_size):
+        pieces = list(iterdumps({"P": _rendered(t)}))
+    assert "".join(pieces) == "".join(parts) == dumps({"P": labeled_tree_to_json_obj(t)})
+    for end, piece in zip(accumulate(map(len, pieces)), pieces[:-1]):
+        assert end in ends
+        assert len(piece) >= chunk_size
+        assert len(piece) - ends[end] < chunk_size
+
+
+def _streamed(value):
+    """The digest of the text iterdumps streams for {"P": value()}, the
+    length of each piece, and the peak memory traced while building the
+    value and streaming."""
+    digest = hashlib.sha256()
+    lengths = []
+    tracemalloc.start()
+    try:
+        for piece in iterdumps({"P": value()}):
+            digest.update(piece.encode())
+            lengths.append(len(piece))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return digest.hexdigest(), lengths, peak
+
+
+def test_deep_comb_streams_from_its_tuples_in_less_memory_than_its_dicts():
+    comb = _comb(5000)
+    assert 5000 > sys.getrecursionlimit()
+    digest, lengths, peak = _streamed(lambda: _rendered(comb))
+    assert len(lengths) > 1000
+    assert all(length >= CHUNK_SIZE for length in lengths[:-1])
+    # the text and the memory of the path through nested dicts
+    dict_digest, _, dict_peak = _streamed(lambda: labeled_tree_to_json_obj(comb))
+    assert digest == dict_digest
+    assert peak <= dict_peak, (peak, dict_peak)

@@ -74,6 +74,12 @@ def plant_declining_ribbon_check(monkeypatch):
     monkeypatch.setattr(ribbons.RibbonTableau, "_accepts", classmethod(lambda cls, reading, ends: False))
 
 
+def plant_declining_quasi_ribbon_check(monkeypatch):
+    """The same for quasi-ribbon tableaux, whose check the shadow walk
+    runs once per size."""
+    monkeypatch.setattr(ribbons.QuasiRibbonTableau, "_accepts", classmethod(lambda cls, reading, ends: False))
+
+
 def plant_wrong_ribbon_conversion(monkeypatch):
     """The growth diagram's Q reads the labels of 132 as those of 123, a
     valid ribbon tableau of another shape."""
@@ -113,9 +119,11 @@ def test_the_tree_walk_meets_faults_in_the_order_of_inverses(monkeypatch):
         ("shadow", plant_wrong_recording_step),
         ("shadow", plant_unsorted_insertion),
         ("shadow", plant_declining_ribbon_check),
+        ("shadow", plant_declining_quasi_ribbon_check),
         ("composition", plant_wrong_recording_step),
         ("composition", plant_unsorted_insertion),
         ("composition", plant_declining_ribbon_check),
+        ("composition", plant_declining_quasi_ribbon_check),
         ("composition", plant_wrong_ribbon_conversion),
         ("tree", plant_wrong_recording_tree),
     ],
@@ -132,4 +140,4 @@ def test_walks_report_every_permutation_the_public_functions_fail(monkeypatch, c
         assert sorted(p for p in suspects if fails(first, second, p)) == failing
         failed += len(failing)
     # the plant breaks a result, except where every result stands
-    assert (failed == 0) == (plant is plant_declining_ribbon_check)
+    assert (failed == 0) == (plant in (plant_declining_ribbon_check, plant_declining_quasi_ribbon_check))
