@@ -34,7 +34,7 @@ import argparse
 import os
 import sys
 from functools import partial
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .permutations import (
     DUAL_PAIRS,
@@ -46,9 +46,6 @@ from .permutations import (
     parse_permutation,
 )
 from .trees import bst_insert, labeled_tree_json_parts, labeled_tree_to_text
-
-if TYPE_CHECKING:
-    from .growth import GrowthGrid
 
 # per algorithm, the kinds of its P and Q as the ASCII text names them
 _PAIR_KINDS = {
@@ -118,6 +115,15 @@ def _pair_text(algorithm: str, p, q) -> tuple[str, ...]:
     return f"P ({p_kind}):{sep}", render(p), f"\nQ ({q_kind}):{sep}", render(q)
 
 
+def _pair_json(algorithm: str, p, q) -> tuple:
+    """The JSON values of a (P, Q) pair: a tableau's dict, or a tree
+    written from its tuples as it streams out."""
+    if algorithm == "hypoplactic":
+        return p.to_json_obj(), q.to_json_obj()
+    from .jsontext import _Rendered
+    return _Rendered(partial(labeled_tree_json_parts, p)), _Rendered(partial(labeled_tree_json_parts, q))
+
+
 def cmd_insert(args) -> int:
     p = parse_permutation(args.permutation)
     algorithm = args.algorithm
@@ -125,12 +131,8 @@ def cmd_insert(args) -> int:
     if args.format == "ascii":
         _emit(args, _pair_text(algorithm, *pair))
         return 0
-    from .jsontext import _Rendered, iterdumps
-    if algorithm == "hypoplactic":
-        p_obj, q_obj = pair[0].to_json_obj(), pair[1].to_json_obj()
-    else:
-        # each tree's text is written from its tuples as it streams out
-        p_obj, q_obj = (_Rendered(partial(labeled_tree_json_parts, t)) for t in pair)
+    from .jsontext import iterdumps
+    p_obj, q_obj = _pair_json(algorithm, *pair)
     payload = {
         "algorithm": "bst-right" if algorithm == "sylvester" else algorithm,
         "permutation": list(p),
@@ -143,23 +145,6 @@ def cmd_insert(args) -> int:
 
 # -- growth -------------------------------------------------------------------
 
-def _render_grid(grid: GrowthGrid, labels: list[list[str]]) -> str:
-    n = grid.n
-    size = 2 * n + 1
-    cells = [["" for _ in range(size)] for _ in range(size)]
-    for i in range(n + 1):
-        for j in range(n + 1):
-            cells[2 * (n - i)][2 * j] = labels[i][j]
-    for col, row in grid.marks:
-        cells[2 * (n - row) + 1][2 * col - 1] = "x"
-    widths = [max(len(r[c]) for r in cells) for c in range(size)]
-    lines = []
-    for r in cells:
-        line = "  ".join(cell.ljust(width) for cell, width in zip(r, widths))
-        lines.append(line.rstrip())
-    return "\n".join(lines)
-
-
 def cmd_growth(args) -> int:
     from . import growth
 
@@ -170,25 +155,34 @@ def cmd_growth(args) -> int:
     matched = None
     if args.check:
         matched = pair == _insertion(algorithm)(p)
+    verdict = "MATCH" if matched else "MISMATCH"
     if args.format == "json":
-        from .jsontext import iterdumps
-        payload = grid.to_json_obj(pair)
+        from .jsontext import _Rendered, iterdumps
+        p_obj, q_obj = _pair_json(algorithm, *pair)
+        payload = {
+            "n": grid.n,
+            "family": grid.family,
+            "grid": _Rendered(grid.json_parts),
+            "marks": [list(cell) for cell in sorted(grid.marks)],
+            "P": p_obj,
+            "Q": q_obj,
+        }
         if matched is not None:
-            payload["check"] = "MATCH" if matched else "MISMATCH"
+            payload["check"] = verdict
         _emit(args, iterdumps(payload))
     else:
+        from itertools import chain
+
         from .compositions import composition_label
         labels = grid.cells(composition_label)
-        parts = [
-            _render_grid(grid, labels),
-            "",
-            "top chain:   " + " -> ".join(labels[grid.n]),
-            "right chain: " + " -> ".join(row[grid.n] for row in labels),
-            "".join(_pair_text(algorithm, *pair)),
+        tail = [
+            "\ntop chain:   " + " -> ".join(labels[grid.n]),
+            "\nright chain: " + " -> ".join(row[grid.n] for row in labels),
+            "\n", *_pair_text(algorithm, *pair),
         ]
         if matched is not None:
-            parts.append("check against direct insertion: " + ("MATCH" if matched else "MISMATCH"))
-        _emit(args, ("\n".join(parts),))
+            tail.append("\ncheck against direct insertion: " + verdict)
+        _emit(args, chain(grid.lines(labels), tail))
     return 0 if matched in (None, True) else 1
 
 

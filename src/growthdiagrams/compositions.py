@@ -140,47 +140,29 @@ def is_lifted_cover(c: Composition, d: Composition) -> bool:
     return len(d) == len(c) and d[-1] == c[-1] + 1 and d[:-1] == c[:-1]
 
 
-# entries _word_bits holds at most: several times the ~2.5k distinct
-# vertices of one n=100 fill, so a fill rarely starts over
-WORD_BITS_LIMIT = 1 << 14
-
-
-class _WordBits(dict):
+def word_value(c: Composition) -> int:
     """
-    Memo of word(c) read as a binary number; its bit length is the rank of
-    c.  A growth fill tests each vertex against several neighbours.  At
-    small ranks even an lru_cache call costs about as much as the test
-    itself, so lookups are plain dict subscripts.  A miss empties a memo
-    that has reached WORD_BITS_LIMIT, so a long-lived process that fills
-    many diagrams holds a bounded number of entries.
+    word(c) read as a binary number, first letter highest; its bit length
+    is the rank of c.  Appending letter a to the word makes 2 * value + a.
+
+    >>> word_value((3, 2, 1)), word_value(())
+    (37, 0)
     """
-
-    def __missing__(self, c: Composition) -> int:
-        if len(self) >= WORD_BITS_LIMIT:
-            self.clear()
-        bits = 0
-        for part in c:
-            bits = (bits << part) | (1 << (part - 1))
-        self[c] = bits
-        return bits
+    bits = 0
+    for part in c:
+        bits = (bits << part) | (1 << (part - 1))
+    return bits
 
 
-_word_bits = _WordBits()
-
-
-def is_binword_cover(c: Composition, d: Composition) -> bool:
+def is_binword_value_cover(u: int, v: int) -> bool:
     """
-    Whether d covers c in Binword, i.e. ``d in binword_covers(c)``.  Read
-    as binary numbers, word(d) must have one letter more than word(c), and
-    deleting from word(d) the first letter at which its prefix departs
-    from word(c) must give word(c).  (Inserting a 1 in front of a word that
-    starts with 1 gives the same word as inserting it second, so the
-    excluded front position needs no separate test.)
-
-    >>> is_binword_cover((3,), (1, 3)), is_binword_cover((3,), (1, 2))
-    (True, False)
+    :func:`is_binword_cover` on the word values of the two compositions:
+    word(d) must have one letter more than word(c), and deleting from
+    word(d) the first letter at which its prefix departs from word(c) must
+    give word(c).  (Inserting a 1 in front of a word that starts with 1
+    gives the same word as inserting it second, so the excluded front
+    position needs no separate test.)
     """
-    u, v = _word_bits[c], _word_bits[d]
     prefix = v >> 1  # word(d) without its last letter
     departed = prefix ^ u  # top bit: where word(d) departs from word(c)
     mismatch = v ^ u
@@ -188,3 +170,13 @@ def is_binword_cover(c: Composition, d: Composition) -> bool:
     # the lowest bit where v and u differ lies above the departure point
     return departed <= prefix & u and mismatch & -mismatch > departed
 
+
+def is_binword_cover(c: Composition, d: Composition) -> bool:
+    """
+    Whether d covers c in Binword, i.e. ``d in binword_covers(c)``, read
+    off their word values.
+
+    >>> is_binword_cover((3,), (1, 3)), is_binword_cover((3,), (1, 2))
+    (True, False)
+    """
+    return is_binword_value_cover(word_value(c), word_value(d))

@@ -313,10 +313,12 @@ def check_duality(g1: GradedGraph, g2: GradedGraph, max_rank: int) -> DualityRep
 
 def chain_counts(g: GradedGraph, n: int) -> list[int]:
     """Number of saturated chains from the rank-0 vertex to each rank-n
-    vertex, by canonical index (unit edge weights)."""
+    vertex, by canonical index (unit edge weights).  Ranks are sized by
+    count, and no vertex is enumerated."""
+    _check_rank(g.family, n)
     counts = [1]
     for m in range(n):
-        above = [0] * len(g.vertices_at(m + 1))
+        above = [0] * _rank_size(g.family, m + 1)
         for c, row in zip(counts, g.up_table(m)):
             for j in row:
                 above[j] += c

@@ -58,7 +58,9 @@ Where each check lives:
     applies to (a letter 0 needs a non-empty word, q and k and s must
     exist), so a broken rule raises GrowthRuleError.
   * :func:`build_growth_diagram` builds each vertex z from the vertex y
-    below it and the label of y -> z, and checks that z covers x.
+    below it and the label of y -> z, and checks that z covers x: a tree
+    on its vertices, a composition on the word values the fill carries
+    next to them, value(z) = 2 value(y) + a for the letter a of y -> z.
   * :func:`growth_insert` builds no vertex: it converts the labels of the
     two boundary chains straight into (P, Q).  The public ``chain_to_*``
     read the labels off a vertex chain, checking that it is saturated,
@@ -67,9 +69,9 @@ Where each check lives:
     the prefixes of inverse(p) of all permutations of one size.
 
 Both output formats print a tree vertex as its text, "-" for the empty
-tree and "(L,R)" for a node, and :func:`build_growth_diagram` makes that
-text in the step that builds the vertex.  A grown z is
-``insert_rightmost(y, k)``, so its text is y's text with one splice at
+tree and "(L,R)" for a node, and :func:`build_growth_diagram` carries
+that text next to the vertex, made in the step that builds it.  A grown
+z is ``insert_rightmost(y, k)``, so its text is y's text with one splice at
 the spine node of depth k, whose offset y's text carries along
 (:func:`~growthdiagrams.trees.insert_rightmost_text`); a z that is x or
 y takes that vertex's text.  By induction from "-" each text equals
@@ -83,14 +85,17 @@ which the two families differ is one :class:`DualPair` record in
 """
 from __future__ import annotations
 
-from functools import cache
-from typing import Callable, Literal, NamedTuple, Optional
+from functools import cache, partial
+from itertools import accumulate
+from operator import itemgetter
+from typing import Callable, Iterator, Literal, NamedTuple, Optional
 
 from .compositions import (
     Composition,
     composition_to_word,
     increment_last,
     is_binword_cover,
+    is_binword_value_cover,
     is_lifted_cover,
 )
 from .permutations import GrowthRuleError, Permutation, inverse, permutation_matrix, validate_permutation
@@ -121,14 +126,20 @@ class DualPair(NamedTuple):
     fits: Callable  # (a, h, rank, spine) -> whether the labels exist
     spined: bool  # whether mark and fits read the right-spine length
     grow: Callable  # (y, vertical label of y -> z) -> z
-    # (text of y, offsets of its right-spine nodes, vertical label) -> the
-    # same of z; None for a family whose vertex text the fill does not make
-    grow_text: Optional[Callable]
-    is_horizontal_cover: Callable  # (x, z) -> whether z covers x
+    # what the fill carries next to each vertex: that of the rank-0 vertex,
+    # and (that of y, vertical label of y -> z) -> that of z
+    carried: object
+    carry: Callable
+    # (x, z, what is carried of x, of z) -> whether z covers x
+    is_horizontal_cover: Callable
+    # what is carried of a vertex -> its text; None for a family whose
+    # vertex text the fill does not make
+    text: Optional[Callable]
     p_from_labels: Callable  # the right column's vertical labels -> P
     q_from_labels: Callable  # the top row's horizontal labels -> Q
-    # (this record, p, the labels of the two above) -> whether their (P, Q)
-    # equals the direct insertion of p, in the forms equality reads
+    # (this record, size n) -> a test of (p, the labels of the two above)
+    # for a permutation p of size n: whether their (P, Q) equals the direct
+    # insertion of p, in the forms equality reads
     agrees: Callable
     chain_to_p: Callable  # the right boundary chain -> P
     chain_to_q: Callable  # the top boundary chain -> Q
@@ -259,6 +270,53 @@ class GrowthGrid(NamedTuple):
         dual = _pair(self.family)
         return dual.p_from_labels(self.labels[0]), dual.q_from_labels(self.labels[1])
 
+    def lines(self, labels: list[list[str]]) -> Iterator[str]:
+        """
+        The ASCII grid, top row first, a line at a time, from each
+        vertex's label in ``labels`` (rows as in :meth:`cells`): each row
+        of labels, each padded to its column's width, and under each row
+        but the bottom one the "x" of its mark, between the two columns
+        the mark lies between.  Columns are 2 spaces apart, and a
+        permutation marks every gap once, so a label and the gap after it
+        take its column's width plus 5; one pass over the labels finds
+        the widths.
+        """
+        widths = [max(map(len, column)) for column in zip(*labels)]
+        pads = [width + 5 for width in widths[:-1]] + [0]
+        starts = [0, *accumulate(pads)]  # where each column's label starts
+        columns = {row: col for col, row in self.marks}
+        for i in range(self.n, -1, -1):
+            yield "".join(map(str.ljust, labels[i], pads)) + "\n"
+            if i:
+                col = columns[i] - 1
+                yield " " * (starts[col] + widths[col] + 2) + "x\n"
+
+    def json_parts(self, depth: int) -> Iterator[str]:
+        """
+        The text of the ``"grid"`` value of :meth:`to_json_obj` as a value
+        at ``depth``, in the parts that ``jsontext.iterdumps`` writes:
+        bottom row first, each row joined in one part.  A tree row is
+        joined from its vertices' texts, which hold only "(", ")", ","
+        and "-" and so need no escaping; a composition row from one text
+        per distinct vertex, made once.
+        """
+        from .jsontext import _flat_list
+
+        row_break = "\n" + "  " * (depth + 1)
+        cell_break = row_break + "  "
+        if self.texts is not None:
+            quoted = '",' + cell_break + '"'
+            rows = ('"' + quoted.join(texts) + '"' for texts in self.texts)
+        else:
+            cell = cache(partial(_flat_list, depth=depth + 2, strings=None))
+            comma = "," + cell_break
+            rows = (comma.join(map(cell, row)) for row in self.vertices)
+        sep = "["
+        for row in rows:
+            yield f"{sep}{row_break}[{cell_break}{row}{row_break}]"
+            sep = ","
+        yield "\n" + "  " * depth + "]"
+
     def to_json_obj(self, pair=None) -> dict:
         """
         The JSON form of the grid and of its (P, Q) pair; ``pair`` is the
@@ -357,51 +415,44 @@ def build_growth_diagram(p: Permutation, family: Family) -> GrowthGrid:
     and alpha=1 exactly at the cells of the permutation matrix.  The fill
     runs on edge labels; each vertex z is then built from the vertex y
     below it and the label of y -> z, or is x or y itself when an edge
-    into it is degenerate, and every vertex built is checked to cover x.
-    A tree vertex's text is spliced from y's text in the same step, and
-    the grid keeps the labels of its right and top boundaries.
+    into it is degenerate.  What the family carries next to z (a tree's
+    text, a composition's word value) is made from y's in the same step,
+    and every vertex built is checked to cover x.  The grid keeps the
+    tree texts and the labels of its right and top boundaries.
     """
     p = validate_permutation(p)
     dual = _pair(family)
-    grow, grow_text, is_horizontal_cover = dual.grow, dual.grow_text, dual.is_horizontal_cover
+    grow, carry, is_horizontal_cover, text = dual.grow, dual.carry, dual.is_horizontal_cover, dual.text
     n = len(p)
     row = [dual.empty] * (n + 1)
     rows = [tuple(row)]
-    # with grow_text: the texts of the row's vertices, and the offsets of
-    # their right-spine nodes; the empty tree's text is "-"
-    texts, offsets = ["-"] * (n + 1), [()] * (n + 1)
-    text_rows = [tuple(texts)]
+    carried = [dual.carried] * (n + 1)
+    text_rows = [tuple(map(text, carried))] if text else None
     right = []  # vertical labels of column n, bottom to top
     horizontal = [None]  # horizontal labels of the last row filled
     for c, vertical, horizontal in _label_rows(p, dual):
         right.append(vertical[-1])
-        below, row = row, row[:]  # left of the mark, case (b) or (c): z = y
+        # left of the mark, case (b) or (c): z = y
+        below, row = row, row[:]
+        carried_below, carried = carried, carried[:]
         for j in range(c, n + 1):
-            x = row[j - 1]
-            if horizontal[j] is None:  # case (d)
-                row[j] = x
+            if horizontal[j] is None:  # case (d): z = x
+                row[j], carried[j] = row[j - 1], carried[j - 1]
                 continue
-            z = grow(below[j], vertical[j])
-            if not is_horizontal_cover(x, z):
-                raise GrowthRuleError(f"z={z!r} does not cover x={x!r}")
-            row[j] = z
+            a = vertical[j]
+            z, w = grow(below[j], a), carry(carried_below[j], a)
+            if not is_horizontal_cover(row[j - 1], z, carried[j - 1], w):
+                raise GrowthRuleError(f"z={z!r} does not cover x={row[j - 1]!r}")
+            row[j], carried[j] = z, w
         rows.append(tuple(row))
-        if grow_text:
-            # the same cases, on the texts of the same vertices
-            texts_below, texts = texts, texts[:]
-            offsets_below, offsets = offsets, offsets[:]
-            for j in range(c, n + 1):
-                if horizontal[j] is None:
-                    texts[j], offsets[j] = texts[j - 1], offsets[j - 1]
-                else:
-                    texts[j], offsets[j] = grow_text(texts_below[j], offsets_below[j], vertical[j])
-            text_rows.append(tuple(texts))
+        if text:
+            text_rows.append(tuple(map(text, carried)))
     return GrowthGrid(
         n=n,
         family=family,
         vertices=tuple(rows),
         marks=permutation_matrix(p),
-        texts=tuple(text_rows) if grow_text else None,
+        texts=text_rows and tuple(text_rows),
         labels=(tuple(right), tuple(horizontal[1:])),
     )
 
@@ -616,23 +667,32 @@ def growth_insert(p: Permutation, family: Family):
     return dual.p_from_labels(right), dual.q_from_labels(top[1:])
 
 
-def _hypoplactic_agrees(dual: DualPair, p: Permutation, letters, labels) -> bool:
-    """Whether the tableaux that the labels encode equal the hypoplactic
-    insertion of the permutation p, whose P needs no relabeling, and pass
-    the checks of their kinds."""
-    p_reading, p_ends = _quasi_ribbon_forms(letters)
-    q_reading, q_ends = _ribbon_forms(labels)
-    reading, ends, direct_q = _insertion_forms(p)
-    return (
-        p_reading == reading and p_ends == ends and q_reading == direct_q and q_ends == ends
-        and QuasiRibbonTableau._accepts(reading, ends) and RibbonTableau._accepts(direct_q, ends)
-    )
+def _hypoplactic_agrees(dual: DualPair, n: int) -> Callable:
+    """
+    A test of whether the tableaux that the labels encode equal the
+    hypoplactic insertion of a permutation p of size n, whose P needs no
+    relabeling, and pass the checks of their kinds.  A quasi-ribbon
+    tableau's check reads its reading word alone, which is 1..n wherever
+    the two P agree, so it runs once per size, as in ``shadow_walk``.
+    """
+    p_accepted = QuasiRibbonTableau._accepts(list(range(1, n + 1)), ())
+
+    def agrees(p: Permutation, letters, labels) -> bool:
+        p_reading, p_ends = _quasi_ribbon_forms(letters)
+        q_reading, q_ends = _ribbon_forms(labels)
+        reading, ends, direct_q = _insertion_forms(p)
+        return (
+            p_accepted and p_reading == reading and p_ends == ends and q_reading == direct_q
+            and q_ends == ends and RibbonTableau._accepts(direct_q, ends)
+        )
+
+    return agrees
 
 
-def _bst_agrees(dual: DualPair, p: Permutation, depths, slots) -> bool:
-    """Whether the trees that the labels encode equal the left-to-right
-    BST insertion of p, as the nested tuples they are."""
-    return (dual.p_from_labels(depths), dual.q_from_labels(slots)) == bst_insert(p)
+def _bst_agrees(dual: DualPair, n: int) -> Callable:
+    """A test of whether the trees that the labels encode equal the
+    left-to-right BST insertion of p, as the nested tuples they are."""
+    return lambda p, depths, slots: (dual.p_from_labels(depths), dual.q_from_labels(slots)) == bst_insert(p)
 
 
 def equivalence_walk(n: int, family: Family) -> tuple[int, list[Permutation]]:
@@ -643,12 +703,13 @@ def equivalence_walk(n: int, family: Family) -> tuple[int, list[Permutation]]:
     in rows 1..i (Fomin 1995), so a depth-first walk over those prefixes
     fills each row once per prefix.  At a leaf, the labels of the right
     column and of the top row are compared with the direct insertion of
-    p = inverse(path) by the family's ``agrees``.  Return the number of
-    permutations and those where the two differ or a check declines, for
-    the public functions to judge; they come in the order of inverse(p),
-    not of p.
+    p = inverse(path) by the family's ``agrees`` test for size n.  Return
+    the number of permutations and those where the two differ or a check
+    declines, for the public functions to judge; they come in the order
+    of inverse(p), not of p.
     """
     dual = _pair(family)
+    agrees = dual.agrees(dual, n)
     count = 0
     suspects: list[Permutation] = []
 
@@ -657,7 +718,7 @@ def equivalence_walk(n: int, family: Family) -> tuple[int, list[Permutation]]:
         if not free:
             count += 1
             p = inverse(path)
-            if not dual.agrees(dual, p, right, below[1:]):
+            if not agrees(p, right, below[1:]):
                 suspects.append(p)
             return
         i = len(path) + 1
@@ -676,8 +737,10 @@ PAIRS = {
         empty=(),
         mark=_mark_labels_composition, join=_join_labels_composition,
         fits=_labels_fit_composition, spined=False,
-        grow=lambda c, a: c + (1,) if a else increment_last(c), grow_text=None,
-        is_horizontal_cover=is_binword_cover,
+        grow=lambda c, a: c + (1,) if a else increment_last(c),
+        # each vertex's word value, which grows as its word does
+        carried=0, carry=lambda value, a: value << 1 | a,
+        is_horizontal_cover=lambda x, z, u, v: is_binword_value_cover(u, v), text=None,
         p_from_labels=_quasi_ribbon_from_letters, q_from_labels=_ribbon_from_labels,
         agrees=_hypoplactic_agrees,
         chain_to_p=chain_to_quasi_ribbon, chain_to_q=chain_to_ribbon,
@@ -690,8 +753,10 @@ PAIRS = {
         # slot s must exist in t
         mark=lambda rank, spine: (spine, rank), join=lambda k, s, rank: (k, s),
         fits=lambda k, s, rank, spine: 0 <= k <= spine and 0 <= s <= rank, spined=True,
-        grow=insert_rightmost, grow_text=insert_rightmost_text,
-        is_horizontal_cover=is_lattice_cover,
+        grow=insert_rightmost,
+        # each vertex's text, and the offsets of its right-spine nodes
+        carried=("-", ()), carry=lambda carried, k: insert_rightmost_text(*carried, k),
+        is_horizontal_cover=lambda x, z, u, v: is_lattice_cover(x, z), text=itemgetter(0),
         p_from_labels=_bst_from_depths, q_from_labels=_increasing_tree_from_slots,
         agrees=_bst_agrees,
         chain_to_p=chain_to_bst, chain_to_q=chain_to_increasing_tree,

@@ -3,7 +3,8 @@ JSON text equal byte for byte to ``json.dumps(obj, indent=2)``, for
 values built from dict (with str keys), list, tuple, str, int, bool and
 None; anything else raises TypeError.  Inside the package a value may
 also be a ``_Rendered``, whose text its own writer yields part by part,
-such as a labeled tree written straight from its tuples.
+such as a labeled tree written straight from its tuples, or a growth
+grid written a row at a time.
 
 ``json.dumps`` recurses once per nesting level and, whenever ``indent``
 is set, runs its pure-Python generator encoder.  This emitter walks with

@@ -8,8 +8,9 @@ compare acceptance, result, exception type and message.
 Also here: recursive tree predicates and parsers that only tests call.
 They recurse once per level, so they serve small trees only.  And the
 descent statistics of a permutation, against which the tests check the
-shape of the hypoplactic tableaux; and the check of a whole growth
-diagram against the reference local rules on vertices.
+shape of the hypoplactic tableaux; the check of a whole growth diagram
+against the reference local rules on vertices; and the ASCII grid as the
+CLI drew it from a matrix of cells.
 """
 from growthdiagrams.growth import PAIRS, local_rule_composition, local_rule_tree
 from growthdiagrams.permutations import PermutationParseError, inverse
@@ -225,6 +226,27 @@ def validate_grid(grid):
             z = rule(vertices[i - 1][j - 1], vertices[i][j - 1], vertices[i - 1][j], alpha)
             if z != vertices[i][j]:
                 raise ValueError(f"square ({j}, {i}) disagrees with the local rule")
+
+
+def render_grid(grid, labels):
+    """The ASCII grid as the CLI drew it before it wrote a line at a time:
+    a (2n+1) x (2n+1) matrix of cells, vertex labels in the even rows and
+    columns, each mark's "x" between its column's two, every column as
+    wide as its widest cell, and the whole text joined at once."""
+    n = grid.n
+    size = 2 * n + 1
+    cells = [["" for _ in range(size)] for _ in range(size)]
+    for i in range(n + 1):
+        for j in range(n + 1):
+            cells[2 * (n - i)][2 * j] = labels[i][j]
+    for col, row in grid.marks:
+        cells[2 * (n - row) + 1][2 * col - 1] = "x"
+    widths = [max(len(r[c]) for r in cells) for c in range(size)]
+    lines = []
+    for r in cells:
+        line = "  ".join(cell.ljust(width) for cell, width in zip(r, widths))
+        lines.append(line.rstrip())
+    return "\n".join(lines)
 
 
 # -- graphs --------------------------------------------------------------------

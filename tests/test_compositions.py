@@ -1,5 +1,8 @@
+import gc
 import itertools
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -179,21 +182,45 @@ def test_composition_label():
     assert composition_label((12, 1)) == "12,1"
 
 
-def test_word_bits_memo_stays_bounded_over_many_fills():
+def _module_memo_sizes() -> dict:
+    """The entries that each module-level container and cache of the
+    package holds."""
+    sizes = {}
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] != "growthdiagrams":
+            continue
+        for attr, value in vars(module).items():
+            info = getattr(value, "cache_info", None)
+            if callable(info):
+                sizes[name, attr] = info().currsize
+            elif isinstance(value, (dict, list, set)):
+                sizes[name, attr] = len(value)
+    return sizes
+
+
+def test_fills_retain_no_growing_module_memo():
+    # 50 composition fills in one process: after the first, no module-level
+    # memo or cache of the package gains an entry, and the memory the
+    # process still holds once the grids are dropped does not grow with
+    # the number of fills
     from growthdiagrams.growth import build_growth_diagram
 
     rng = random.Random(7)
-    perms = {tuple(rng.sample(range(1, 61), 60)) for _ in range(50)}
+    perms = sorted({tuple(rng.sample(range(1, 61), 60)) for _ in range(50)})
     assert len(perms) == 50
-    comp._word_bits.clear()
-    grids, vertices = [], set()
-    for p in perms:
-        grids.append(build_growth_diagram(p, "composition"))
-        assert len(comp._word_bits) <= comp.WORD_BITS_LIMIT
-        vertices.update(v for row in grids[-1].vertices for v in row)
-    # the fills met more compositions than the memo may hold, so it was
-    # emptied on the way, and each grid equals one filled on an empty memo
-    assert len(vertices) > 2 * comp.WORD_BITS_LIMIT
-    for p, grid in zip(perms, grids):
-        comp._word_bits.clear()
-        assert build_growth_diagram(p, "composition") == grid
+    build_growth_diagram(perms[0], "composition")
+    sizes = _module_memo_sizes()
+    tracemalloc.start()
+    try:
+        build_growth_diagram(perms[0], "composition")
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        for p in perms[1:]:
+            build_growth_diagram(p, "composition")
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    assert _module_memo_sizes() == sizes
+    # a memo of the ~2.5k vertices of each fill would hold megabytes
+    assert grown < 64 * 1024

@@ -389,6 +389,38 @@ def test_chain_counts_and_paths():
         assert path_count_identity(*pair, n) == (math.factorial(n),) * 2
 
 
+def vertex_sized_chain_counts(g, n):
+    """chain_counts as it was when each rank was sized by enumerating it."""
+    counts = [1]
+    for m in range(n):
+        above = [0] * len(g.vertices_at(m + 1))
+        for c, row in zip(counts, g.up_table(m)):
+            for j in row:
+                above[j] += c
+        counts = above
+    return counts
+
+
+@pytest.mark.parametrize("name", GRAPH_NAMES)
+def test_chain_counts_enumerate_no_vertex_up_to_the_guard(monkeypatch, name):
+    g = make_graph(name)
+    top = graphs.MAX_RANK[g.family]
+    expected = [vertex_sized_chain_counts(g, n) for n in range(top + 1)]
+
+    def no_vertices(family, n):
+        raise AssertionError(f"rank {n} vertices enumerated")
+
+    monkeypatch.setattr(graphs, "_vertices_at", no_vertices)
+    assert [chain_counts(g, n) for n in range(top + 1)] == expected
+    with pytest.raises(RankGuardError):
+        chain_counts(g, top + 1)
+    monkeypatch.undo()
+    # path_count_identity keeps its guard on the rank-n vertex list
+    pair = next(DUAL_PAIRS[key] for key in DUAL_PAIRS if name in DUAL_PAIRS[key])
+    with pytest.raises(RankGuardError):
+        path_count_identity(*map(make_graph, pair), top + 1)
+
+
 def test_export_dot_lifted_rank2():
     expected = (
         'digraph "lifted-binary-tree" {\n'

@@ -477,12 +477,13 @@ def test_a_wrong_splice_offset_is_caught(monkeypatch):
     p = seeded_inputs(30, "wrong-splice")["random"]
     assert_texts_are_vertex_texts(build_growth_diagram(p, "tree"))
 
-    def one_off(text, spine, depth):
+    def one_off(carried, depth):
         # wraps the subtree one character late whenever the spine node exists
+        text, spine = carried
         spine = tuple(offset + 1 for offset in spine)
         return insert_rightmost_text(text, spine, depth)
 
-    _patch_pair(monkeypatch, "tree", grow_text=one_off)
+    _patch_pair(monkeypatch, "tree", carry=one_off)
     with pytest.raises(AssertionError):
         assert_texts_are_vertex_texts(build_growth_diagram(p, "tree"))
 
