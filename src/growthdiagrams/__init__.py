@@ -19,9 +19,8 @@ _MODULE_EXPORTS = {
         "make_graph", "path_count_identity",
     ),
     "growth": (
-        "BoundaryChains", "GrowthGrid", "build_growth_diagram", "chain_to_bst",
-        "chain_to_increasing_tree", "chain_to_quasi_ribbon", "chain_to_ribbon",
-        "growth_insert", "local_rule_composition", "local_rule_tree",
+        "GrowthGrid", "build_growth_diagram", "growth_insert", "local_rule_composition",
+        "local_rule_tree",
     ),
     "permutations": (
         "DUAL_PAIRS", "GRAPH_NAMES", "GrowthRuleError", "Permutation", "PermutationParseError",

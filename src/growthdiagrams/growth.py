@@ -1,7 +1,7 @@
 """
 Local growth rules for both dual graded graph pairs, growth-diagram
-construction over a permutation matrix, and the conversions from boundary
-chains back to tableaux and trees.
+construction over a permutation matrix, and the conversions from its
+boundary labels to the (P, Q) pair.
 
 A square of the diagram has corners t (bottom left), x (top left), y
 (bottom right) and z (top right), plus a bit alpha that is 1 exactly on
@@ -62,9 +62,11 @@ Where each check lives:
     on its vertices, a composition on the word values the fill carries
     next to them, value(z) = 2 value(y) + a for the letter a of y -> z.
   * :func:`growth_insert` builds no vertex: it converts the labels of the
-    two boundary chains straight into (P, Q).  The public ``chain_to_*``
-    read the labels off a vertex chain, checking that it is saturated,
-    and run the same conversions.
+    two boundary chains straight into (P, Q).  :meth:`GrowthGrid.pair`
+    converts the labels that :func:`build_growth_diagram` keeps in the
+    same way, so the labels are the one route from a grid to its pair.
+    The tests read the labels back off the grid's boundary vertices and
+    check that they agree.
   * :func:`equivalence_walk` runs the same row step, checks included, on
     the prefixes of inverse(p) of all permutations of one size.
 
@@ -92,7 +94,6 @@ from typing import Callable, Iterator, Literal, NamedTuple, Optional
 
 from .compositions import (
     Composition,
-    composition_to_word,
     increment_last,
     is_binword_cover,
     is_binword_value_cover,
@@ -109,7 +110,6 @@ from .trees import (
     is_lattice_cover,
     is_reflected_bracket_cover,
     labeled_tree,
-    labeled_tree_to_json_obj,
     right_spine_length,
 )
 
@@ -141,9 +141,6 @@ class DualPair(NamedTuple):
     # for a permutation p of size n: whether their (P, Q) equals the direct
     # insertion of p, in the forms equality reads
     agrees: Callable
-    chain_to_p: Callable  # the right boundary chain -> P
-    chain_to_q: Callable  # the top boundary chain -> Q
-    json_obj: Callable  # P or Q -> its JSON form
 
 
 def _check_square_input(t, x, y, alpha, is_vertical_cover, is_horizontal_cover):
@@ -221,41 +218,27 @@ def local_rule_tree(t: Tree, x: Tree, y: Tree, alpha: int) -> Tree:
     return z
 
 
-class BoundaryChains(NamedTuple):
-    """Saturated boundary chains of a growth diagram, sharing the corner."""
-
-    top: tuple    # left to right, in Binword / the tree lattice
-    right: tuple  # bottom to top, in the lifted binary tree / reflected bracket tree
-
-
 class GrowthGrid(NamedTuple):
     """
     The (n+1) x (n+1) array of graph vertices over a permutation matrix.
     vertices[i][j] is the corner at height i (0 = bottom) and offset j
     (0 = left); marks hold the (column, row) cells of the permutation.
-    texts holds each vertex's text in the same rows, when the fill makes
-    it (tree grids), and is None otherwise.  labels holds the labels of
-    the vertical edges up the right boundary and of the horizontal edges
-    along the top one, as the fill made them, and is None in a grid made
-    otherwise.
+    texts holds each vertex's text in the same rows in a tree grid, and is
+    None in a composition grid, whose vertex texts the fill does not make.
+    labels holds the labels of the vertical edges up the right boundary
+    and of the horizontal edges along the top one, as the fill made them.
     """
 
     n: int
     family: str
     vertices: tuple[tuple, ...]
     marks: frozenset[tuple[int, int]]
-    texts: Optional[tuple[tuple[str, ...], ...]] = None
-    labels: Optional[tuple[tuple, tuple]] = None
-
-    def boundary_chains(self) -> BoundaryChains:
-        return BoundaryChains(
-            top=tuple(self.vertices[self.n]),
-            right=tuple(self.vertices[i][self.n] for i in range(self.n + 1)),
-        )
+    texts: Optional[tuple[tuple[str, ...], ...]]
+    labels: tuple[tuple, tuple]
 
     def cells(self, form: Callable) -> list[list]:
-        """Each vertex's text, bottom row first, or, in a grid without
-        texts, ``form`` of it, each distinct vertex rendered once."""
+        """Each vertex's text, bottom row first, or, in a composition
+        grid, ``form`` of it, each distinct vertex rendered once."""
         if self.texts is not None:
             return list(map(list, self.texts))
         form = cache(form)
@@ -263,10 +246,7 @@ class GrowthGrid(NamedTuple):
 
     def pair(self):
         """The (P, Q) pair of the boundary: the fill's labels converted as
-        :func:`growth_insert` converts them, or, in a grid without labels,
-        the boundary chains converted."""
-        if self.labels is None:
-            return convert_chains(self.boundary_chains(), self.family)
+        :func:`growth_insert` converts them."""
         dual = _pair(self.family)
         return dual.p_from_labels(self.labels[0]), dual.q_from_labels(self.labels[1])
 
@@ -293,10 +273,11 @@ class GrowthGrid(NamedTuple):
 
     def json_parts(self, depth: int) -> Iterator[str]:
         """
-        The text of the ``"grid"`` value of :meth:`to_json_obj` as a value
-        at ``depth``, in the parts that ``jsontext.iterdumps`` writes:
-        bottom row first, each row joined in one part.  A tree row is
-        joined from its vertices' texts, which hold only "(", ")", ","
+        The ``json.dumps(indent=2)`` text of the vertices, a list of rows
+        whose cells are a tree's text or a composition's list of parts, as
+        a value at ``depth``, in the parts that ``jsontext.iterdumps``
+        writes: bottom row first, each row joined in one part.  A tree row
+        is joined from its vertices' texts, which hold only "(", ")", ","
         and "-" and so need no escaping; a composition row from one text
         per distinct vertex, made once.
         """
@@ -316,25 +297,6 @@ class GrowthGrid(NamedTuple):
             yield f"{sep}{row_break}[{cell_break}{row}{row_break}]"
             sep = ","
         yield "\n" + "  " * depth + "]"
-
-    def to_json_obj(self, pair=None) -> dict:
-        """
-        The JSON form of the grid and of its (P, Q) pair; ``pair`` is the
-        result of :meth:`pair` when the caller already has it.  A vertex
-        takes the form of its text (a tree) or of its list of parts (a
-        composition), and equal compositions share one list.
-        """
-        dual = _pair(self.family)
-        p, q = self.pair() if pair is None else pair
-        return {
-            "n": self.n,
-            "family": self.family,
-            "grid": self.cells(list),
-            "marks": [list(cell) for cell in sorted(self.marks)],
-            "P": dual.json_obj(p),
-            "Q": dual.json_obj(q),
-        }
-
 
 # -- edge labels ---------------------------------------------------------------
 #
@@ -531,122 +493,6 @@ def _increasing_tree_from_slots(slots) -> LabeledTree:
     return labeled_tree(range(n, 0, -1), left, right, range(n + 1))
 
 
-# -- chain conversions -------------------------------------------------------
-#
-# Each reads the labels of a saturated vertex chain off consecutive
-# vertices, in time linear in their size, and converts them as above.
-
-def _require(condition: bool, chain, graph_name: str):
-    if not condition:
-        raise ValueError(f"chain {chain!r} is not saturated in the {graph_name}")
-
-
-def chain_to_quasi_ribbon(chain) -> QuasiRibbonTableau:
-    """
-    Label the cells of a saturated chain in the lifted binary tree in the
-    order they appear: a grown last part appends to the last row, an
-    appended part opens a new row.  The result is automatically canonical.
-
-    >>> chain_to_quasi_ribbon([(), (1,), (1, 1), (1, 1, 1)]).rows
-    ((1,), (2,), (3,))
-    """
-    chain = [tuple(c) for c in chain]
-    _require(bool(chain) and chain[0] == (), chain, "lifted binary tree")
-    letters = []
-    for prev, cur in zip(chain, chain[1:]):
-        if prev and cur == increment_last(prev):
-            letters.append(0)
-        else:
-            _require(cur == prev + (1,), chain, "lifted binary tree")
-            letters.append(1)
-    return _quasi_ribbon_from_letters(letters)
-
-
-def chain_to_ribbon(chain) -> RibbonTableau:
-    """
-    Convert a saturated Binword chain to a ribbon tableau.  At step k the
-    words of the two compositions differ by one inserted letter, at the
-    first position q where the longer word departs from the shorter; when
-    that letter is a 0 the new cell enters the reading order at q - 1
-    (appended to its row, lower rows shifting right), when it is a 1 the
-    cell enters just before the smallest position where deleting a letter
-    gives the shorter word, and the displaced suffix shifts down.
-
-    >>> chain_to_ribbon([(), (1,), (2,), (3,), (2, 2)]).rows
-    ((1, 4), (2, 3))
-    """
-    chain = [tuple(c) for c in chain]
-    _require(bool(chain) and chain[0] == (), chain, "Binword")
-    labels = []
-    u = ""  # the word of the composition before cur
-    for cur in chain[1:]:
-        v = composition_to_word(cur)
-        q = next((q for q, (a, b) in enumerate(zip(u, v), 1) if a != b), len(u) + 1)
-        _require(len(v) == len(u) + 1 and v[: q - 1] + v[q:] == u, chain, "Binword")
-        labels.append(2 * q + int(v[q - 1]))
-        u = v
-    return _ribbon_from_labels(labels)
-
-
-def _preorder_bits(t: Tree) -> bytes:
-    """1 for each node and 0 for each empty subtree, in preorder; the 0s
-    come in the in-order order of the empty slots."""
-    bits = bytearray()
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if t is None:
-            bits.append(0)
-        else:
-            bits.append(1)
-            stack += (t[1], t[0])
-    return bytes(bits)
-
-
-def chain_to_increasing_tree(chain) -> LabeledTree:
-    """
-    Label a saturated chain in the lattice of binary trees by the order in
-    which the nodes appear: the tree at step k hangs a leaf k in one empty
-    slot of the tree before it.
-
-    >>> chain_to_increasing_tree([None, (None, None), ((None, None), None)])
-    (1, (2, None, None), None)
-    """
-    chain = list(chain)
-    _require(bool(chain) and chain[0] is None, chain, "lattice of binary trees")
-    slots = []
-    u = _preorder_bits(None)
-    for cur in chain[1:]:
-        t, u = u, _preorder_bits(cur)
-        # u is t with one 0 (an empty slot) replaced by 100 (a leaf)
-        m = next((m for m, (a, b) in enumerate(zip(t, u)) if a != b), len(t))
-        _require(u == t[:m] + b"\1\0\0" + t[m + 1 :], chain, "lattice of binary trees")
-        slots.append(t.count(0, 0, m))
-    return _increasing_tree_from_slots(slots)
-
-
-def chain_to_bst(chain) -> LabeledTree:
-    """
-    Convert a saturated chain in the reflected bracket tree into a binary
-    search tree: element i differs from its predecessor by the node whose
-    rightmost deletion gives the predecessor back; that node gets label i
-    and the displaced nodes keep the labels set before.
-    """
-    chain = list(chain)
-    _require(bool(chain) and chain[0] is None, chain, "reflected bracket tree")
-    depths = []
-    for prev, cur in zip(chain, chain[1:]):
-        _require(is_reflected_bracket_cover(prev, cur), chain, "reflected bracket tree")
-        depths.append(right_spine_length(cur) - 1)
-    return _bst_from_depths(depths)
-
-
-def convert_chains(chains: BoundaryChains, family: Family):
-    """The (P, Q) pair encoded by the two boundary chains."""
-    dual = _pair(family)
-    return dual.chain_to_p(chains.right), dual.chain_to_q(chains.top)
-
-
 def growth_insert(p: Permutation, family: Family):
     """
     Fill the growth diagram of p on edge labels and convert the labels of
@@ -743,8 +589,6 @@ PAIRS = {
         is_horizontal_cover=lambda x, z, u, v: is_binword_value_cover(u, v), text=None,
         p_from_labels=_quasi_ribbon_from_letters, q_from_labels=_ribbon_from_labels,
         agrees=_hypoplactic_agrees,
-        chain_to_p=chain_to_quasi_ribbon, chain_to_q=chain_to_ribbon,
-        json_obj=lambda tableau: tableau.to_json_obj(),
     ),
     "tree": DualPair(
         empty=None,
@@ -755,14 +599,10 @@ PAIRS = {
         fits=lambda k, s, rank, spine: 0 <= k <= spine and 0 <= s <= rank, spined=True,
         grow=insert_rightmost,
         # each vertex's text, and the offsets of its right-spine nodes
-        carried=("-", ()), carry=lambda carried, k: insert_rightmost_text(*carried, k),
+        carried=("-", ()), carry=insert_rightmost_text,
         is_horizontal_cover=lambda x, z, u, v: is_lattice_cover(x, z), text=itemgetter(0),
         p_from_labels=_bst_from_depths, q_from_labels=_increasing_tree_from_slots,
         agrees=_bst_agrees,
-        chain_to_p=chain_to_bst, chain_to_q=chain_to_increasing_tree,
-        # the module's name is read at each call, as every other call here
-        # reads it, so a wrapper put on the name sees this call too
-        json_obj=lambda tree: labeled_tree_to_json_obj(tree),
     ),
 }
 

@@ -109,20 +109,21 @@ def insert_rightmost(t: Tree, depth: int) -> Tree:
     return z
 
 
-def insert_rightmost_text(text: str, spine: tuple[int, ...], depth: int) -> tuple[str, tuple[int, ...]]:
+def insert_rightmost_text(carried: tuple[str, tuple[int, ...]], depth: int) -> tuple[str, tuple[int, ...]]:
     """
-    The :func:`tree_to_text` of ``insert_rightmost(t, depth)`` and the
-    offsets at which its right-spine nodes start, from the same of t, in
-    one splice.  Down the right spine, t's text is "(" + left + "," + the
-    next spine node's text + ")", so the subtree at spine depth ``depth``
-    starts at ``spine[depth]`` (at the last "-" when ``depth`` is the
-    spine length) and ends ``depth`` closing brackets before the end.  The
-    new node wraps that subtree as "(" + subtree + ",-)", and the spine
-    nodes above it keep their offsets.
+    The text (:func:`trees_to_text`) of ``insert_rightmost(t, depth)`` and
+    the offsets at which its right-spine nodes start, from the ``carried``
+    pair of those two of t, in one splice.  Down the right spine, t's text
+    is "(" + left + "," + the next spine node's text + ")", so the subtree
+    at spine depth ``depth`` starts at ``spine[depth]`` (at the last "-"
+    when ``depth`` is the spine length) and ends ``depth`` closing
+    brackets before the end.  The new node wraps that subtree as "(" +
+    subtree + ",-)", and the spine nodes above it keep their offsets.
 
-    >>> insert_rightmost_text("(-,-)", (0,), 1)
+    >>> insert_rightmost_text(("(-,-)", (0,)), 1)
     ('(-,(-,-))', (0, 3))
     """
+    text, spine = carried
     end = len(text) - depth
     start = spine[depth] if depth < len(spine) else end - 1
     return f"{text[:start]}({text[start:end]},-){text[end:]}", spine[:depth] + (start,)
@@ -190,21 +191,12 @@ def is_reflected_bracket_cover(t: Tree, u: Tree) -> bool:
 
 # -- text and JSON forms ---------------------------------------------------
 
-def tree_to_text(t: Tree) -> str:
-    """
-    "-" for the empty tree, "(L,R)" for a node.
-
-    >>> tree_to_text(((None, None), None))
-    '((-,-),-)'
-    """
-    return trees_to_text((t,))[0]
-
-
 def trees_to_text(trees: Iterable[Tree]) -> list[str]:
     """
-    The :func:`tree_to_text` of each tree, built bottom up without
-    recursion.  Trees built from one another share subtrees, so the text
-    of each node object is built once and reused wherever it recurs.
+    The text of each tree, "-" for the empty tree and "(L,R)" for a node,
+    built bottom up without recursion.  Trees built from one another share
+    subtrees, so the text of each node object is built once and reused
+    wherever it recurs.
 
     >>> leaf = (None, None)
     >>> trees_to_text([None, leaf, (leaf, leaf)])

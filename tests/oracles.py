@@ -9,11 +9,15 @@ Also here: recursive tree predicates and parsers that only tests call.
 They recurse once per level, so they serve small trees only.  And the
 descent statistics of a permutation, against which the tests check the
 shape of the hypoplactic tableaux; the check of a whole growth diagram
-against the reference local rules on vertices; and the ASCII grid as the
-CLI drew it from a matrix of cells.
+against the reference local rules on vertices; the ASCII grid as the CLI
+drew it from a matrix of cells; and the conversions of a grid's boundary
+vertex chains to (P, Q), against which the tests check the pair that the
+fill's edge labels give.
 """
+from growthdiagrams.compositions import composition_to_word, increment_last
 from growthdiagrams.growth import PAIRS, local_rule_composition, local_rule_tree
 from growthdiagrams.permutations import PermutationParseError, inverse
+from growthdiagrams.trees import is_reflected_bracket_cover, right_spine_length
 
 
 def row_by_row_validate(rows, increases_down_columns):
@@ -118,7 +122,7 @@ def shadow_line_rows(p):
 # -- trees ---------------------------------------------------------------------
 
 def tree_from_text(s: str):
-    """Parse the output of ``growthdiagrams.trees.tree_to_text``."""
+    """Parse a tree text, as ``growthdiagrams.trees.trees_to_text`` makes it."""
     pos = 0
 
     def parse():
@@ -247,6 +251,126 @@ def render_grid(grid, labels):
         line = "  ".join(cell.ljust(width) for cell, width in zip(r, widths))
         lines.append(line.rstrip())
     return "\n".join(lines)
+
+
+# -- boundary chains -----------------------------------------------------------
+#
+# Each converter reads the edge labels of a saturated vertex chain off
+# consecutive vertices, in time linear in their size, and converts them as
+# the fill's labels are converted.
+
+def boundary_chains(grid):
+    """The top row of a GrowthGrid, left to right, and its right column,
+    bottom to top: saturated chains that share the corner."""
+    return grid.vertices[grid.n], tuple(row[grid.n] for row in grid.vertices)
+
+
+def _require(condition: bool, chain, graph_name: str):
+    if not condition:
+        raise ValueError(f"chain {chain!r} is not saturated in the {graph_name}")
+
+
+def chain_to_quasi_ribbon(chain):
+    """
+    Label the cells of a saturated chain in the lifted binary tree in the
+    order they appear: a grown last part appends to the last row, an
+    appended part opens a new row.  The result is automatically canonical.
+    """
+    chain = [tuple(c) for c in chain]
+    _require(bool(chain) and chain[0] == (), chain, "lifted binary tree")
+    letters = []
+    for prev, cur in zip(chain, chain[1:]):
+        if prev and cur == increment_last(prev):
+            letters.append(0)
+        else:
+            _require(cur == prev + (1,), chain, "lifted binary tree")
+            letters.append(1)
+    return PAIRS["composition"].p_from_labels(letters)
+
+
+def chain_to_ribbon(chain):
+    """
+    Convert a saturated Binword chain to a ribbon tableau.  At step k the
+    words of the two compositions differ by one inserted letter b, at the
+    first position q where the longer word departs from the shorter, and
+    the label of the step is h = 2q + b.
+    """
+    chain = [tuple(c) for c in chain]
+    _require(bool(chain) and chain[0] == (), chain, "Binword")
+    labels = []
+    u = ""  # the word of the composition before cur
+    for cur in chain[1:]:
+        v = composition_to_word(cur)
+        q = next((q for q, (a, b) in enumerate(zip(u, v), 1) if a != b), len(u) + 1)
+        _require(len(v) == len(u) + 1 and v[: q - 1] + v[q:] == u, chain, "Binword")
+        labels.append(2 * q + int(v[q - 1]))
+        u = v
+    return PAIRS["composition"].q_from_labels(labels)
+
+
+def _preorder_bits(t) -> bytes:
+    """1 for each node and 0 for each empty subtree, in preorder; the 0s
+    come in the in-order order of the empty slots."""
+    bits = bytearray()
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if t is None:
+            bits.append(0)
+        else:
+            bits.append(1)
+            stack += (t[1], t[0])
+    return bytes(bits)
+
+
+def chain_to_increasing_tree(chain):
+    """
+    Label a saturated chain in the lattice of binary trees by the order in
+    which the nodes appear: the tree at step k hangs a leaf k in one empty
+    slot of the tree before it, and s, the in-order index of that slot, is
+    the label of the step.
+    """
+    chain = list(chain)
+    _require(bool(chain) and chain[0] is None, chain, "lattice of binary trees")
+    slots = []
+    u = _preorder_bits(None)
+    for cur in chain[1:]:
+        t, u = u, _preorder_bits(cur)
+        # u is t with one 0 (an empty slot) replaced by 100 (a leaf)
+        m = next((m for m, (a, b) in enumerate(zip(t, u)) if a != b), len(t))
+        _require(u == t[:m] + b"\1\0\0" + t[m + 1 :], chain, "lattice of binary trees")
+        slots.append(t.count(0, 0, m))
+    return PAIRS["tree"].q_from_labels(slots)
+
+
+def chain_to_bst(chain):
+    """
+    Convert a saturated chain in the reflected bracket tree into a binary
+    search tree: element i differs from its predecessor by the node whose
+    rightmost deletion gives the predecessor back; that node gets label i
+    and the displaced nodes keep the labels set before.  The label of the
+    step is the right-spine depth of the new node.
+    """
+    chain = list(chain)
+    _require(bool(chain) and chain[0] is None, chain, "reflected bracket tree")
+    depths = []
+    for prev, cur in zip(chain, chain[1:]):
+        _require(is_reflected_bracket_cover(prev, cur), chain, "reflected bracket tree")
+        depths.append(right_spine_length(cur) - 1)
+    return PAIRS["tree"].p_from_labels(depths)
+
+
+CHAIN_CONVERTERS = {
+    "composition": (chain_to_quasi_ribbon, chain_to_ribbon),
+    "tree": (chain_to_bst, chain_to_increasing_tree),
+}
+
+
+def chain_pair(grid):
+    """The (P, Q) pair that the boundary chains of a GrowthGrid encode."""
+    top, right = boundary_chains(grid)
+    to_p, to_q = CHAIN_CONVERTERS[grid.family]
+    return to_p(right), to_q(top)
 
 
 # -- graphs --------------------------------------------------------------------

@@ -23,8 +23,8 @@ from growthdiagrams.trees import (
     bst_insert,
     reflected_bracket_covers,
     tree_to_bracketed_expression,
-    tree_to_text,
     trees_of,
+    trees_to_text,
 )
 
 P_415362 = {"shape": [2, 1, 3], "rows": [[1, 2], [3], [4, 5, 6]]}
@@ -144,10 +144,8 @@ def test_criterion_8_structural_counts():
     )
     # every tree of positive rank is the cover of exactly one smaller tree
     for n in range(10):
-        covered_from = [
-            tree_to_text(y) for t in trees_of(n) for y in reflected_bracket_covers(t)
-        ]
-        ok = ok and sorted(covered_from) == sorted(tree_to_text(t) for t in trees_of(n + 1))
+        covered_from = trees_to_text(y for t in trees_of(n) for y in reflected_bracket_covers(t))
+        ok = ok and sorted(covered_from) == sorted(trees_to_text(trees_of(n + 1)))
     report(8, "2^(n-1) and Catalan vertex counts, out-degree 2, unique parent", ok)
 
 

@@ -11,6 +11,7 @@ import pytest
 from growthdiagrams import cli, compositions, graphs, growth, jsontext, ribbons, trees
 from growthdiagrams.cli import main
 from growthdiagrams.permutations import all_permutations
+from oracles import boundary_chains, chain_pair
 from test_growth import _patch_pair, flat_bst_insert
 from test_walks import plant_unsorted_insertion, plant_wrong_recording_step, plant_wrong_recording_tree
 
@@ -518,8 +519,8 @@ def test_growth_output_bytes(capsys, family, klass):
     p = GROWTH_INPUTS[klass]
     text = ",".join(map(str, p))
     grid = growth.build_growth_diagram(p, family)
-    chains = grid.boundary_chains()
-    pair = growth.convert_chains(chains, family)
+    top, right = boundary_chains(grid)
+    pair = chain_pair(grid)
     if family == "composition":
         serialize, to_json = list, lambda tableau: tableau.to_json_obj()
     else:
@@ -550,8 +551,8 @@ def test_growth_output_bytes(capsys, family, klass):
     ascii_text = "\n".join([
         _oracle_render_grid(grid),
         "",
-        "top chain:   " + " -> ".join(_oracle_label(family, v) for v in chains.top),
-        "right chain: " + " -> ".join(_oracle_label(family, v) for v in chains.right),
+        "top chain:   " + " -> ".join(_oracle_label(family, v) for v in top),
+        "right chain: " + " -> ".join(_oracle_label(family, v) for v in right),
         pair_text,
         "check against direct insertion: MATCH",
     ])
@@ -736,7 +737,8 @@ def test_no_output_goes_through_json_dumps(monkeypatch, capsys):
         ("graph", "binword", "--max-rank", "3", "--format", "json"),
     ):
         assert run(capsys, *argv)[0] == 0
-    jsontext.dumps(growth.build_growth_diagram((2, 1), "composition").to_json_obj())
+    grid = growth.build_growth_diagram((2, 1), "composition")
+    jsontext.dumps({"n": grid.n, "grid": [[list(v) for v in row] for row in grid.vertices]})
 
 
 @pytest.mark.parametrize("fmt", ["json", "ascii"])
@@ -755,7 +757,6 @@ def test_growth_converts_the_chains_once(monkeypatch, capsys, fmt):
     _patch_pair(
         monkeypatch, "tree", p_from_labels=counted(dual.p_from_labels), q_from_labels=counted(dual.q_from_labels)
     )
-    monkeypatch.setattr(growth, "convert_chains", _fail_if_reached)
     assert run(capsys, "growth", "tree", "2413", "--check", "--format", fmt)[0] == 0
     assert calls == [("_bst_from_depths", (0, 0, 1, 1)), ("_increasing_tree_from_slots", (0, 1, 0, 2))]
 

@@ -1,20 +1,15 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthdiagrams import growth
+from growthdiagrams import cli, growth, jsontext
 from growthdiagrams.compositions import binword_covers, increment_last, lifted_covers
 from growthdiagrams.growth import (
-    BoundaryChains,
     GrowthRuleError,
     build_growth_diagram,
-    chain_to_bst,
-    chain_to_increasing_tree,
-    chain_to_quasi_ribbon,
-    chain_to_ribbon,
-    convert_chains,
     growth_insert,
     local_rule_composition,
     local_rule_tree,
@@ -26,13 +21,22 @@ from growthdiagrams.trees import (
     delete_rightmost,
     insert_rightmost,
     insert_rightmost_text,
+    labeled_tree_to_json_obj,
     lattice_covers,
     reflected_bracket_covers,
     right_spine_length,
     trees_of,
     trees_to_text,
 )
-from oracles import validate_grid
+from oracles import (
+    boundary_chains,
+    chain_pair,
+    chain_to_bst,
+    chain_to_increasing_tree,
+    chain_to_quasi_ribbon,
+    chain_to_ribbon,
+    validate_grid,
+)
 from test_trees import shape
 
 B1 = (None, None)
@@ -120,18 +124,18 @@ def test_local_rule_tree_rejects_bad_squares():
 def test_growth_grid_415362():
     grid = build_growth_diagram((4, 1, 5, 3, 6, 2), "composition")
     assert grid.vertices == GRID_415362
-    chains = grid.boundary_chains()
-    assert chains.right == ((), (1,), (2,), (2, 1), (2, 1, 1), (2, 1, 2), (2, 1, 3))
-    assert chains.top == ((), (1,), (1, 1), (1, 2), (2, 2), (2, 3), (2, 1, 3))
+    top, right = boundary_chains(grid)
+    assert right == ((), (1,), (2,), (2, 1), (2, 1, 1), (2, 1, 2), (2, 1, 3))
+    assert top == ((), (1,), (1, 1), (1, 2), (2, 2), (2, 3), (2, 1, 3))
     validate_grid(grid)
 
 
 def test_growth_grid_351426():
     grid = build_growth_diagram((3, 5, 1, 4, 2, 6), "tree")
     assert grid.vertices == GRID_351426
-    chains = grid.boundary_chains()
-    assert chains.right == (None, B1, R2, M3, S4, T5, P6)
-    assert chains.top == (None, B1, R2, B3, T4, T5, P6)
+    top, right = boundary_chains(grid)
+    assert right == (None, B1, R2, M3, S4, T5, P6)
+    assert top == (None, B1, R2, B3, T4, T5, P6)
     validate_grid(grid)
 
 
@@ -219,9 +223,10 @@ def test_chain_to_ribbon():
 
 def test_chain_to_increasing_tree():
     grid = build_growth_diagram((3, 5, 1, 4, 2, 6), "tree")
-    q = chain_to_increasing_tree(grid.boundary_chains().top)
+    q = chain_to_increasing_tree(boundary_chains(grid)[0])
     assert q == bst_insert((3, 5, 1, 4, 2, 6))[1]
     assert chain_to_increasing_tree((None, B1)) == (1, None, None)
+    assert chain_to_increasing_tree((None, B1, L2)) == (1, (2, None, None), None)
     spine_chain = (None, B1, R2, (None, R2))
     assert chain_to_increasing_tree(spine_chain) == bst_insert((1, 2, 3))[1]
     with pytest.raises(ValueError):
@@ -232,7 +237,7 @@ def test_chain_to_increasing_tree():
 
 def test_chain_to_bst():
     grid = build_growth_diagram((3, 5, 1, 4, 2, 6), "tree")
-    p = chain_to_bst(grid.boundary_chains().right)
+    p = chain_to_bst(boundary_chains(grid)[1])
     assert p == bst_insert((3, 5, 1, 4, 2, 6))[0]
     assert chain_to_bst((None, B1)) == (1, None, None)
     # a left comb arises from the decreasing word
@@ -264,10 +269,8 @@ def test_boundary_shape_laws():
         for p in all_permutations(n):
             comp_grid = build_growth_diagram(p, "composition")
             tree_grid = build_growth_diagram(p, "tree")
-            top_c = comp_grid.boundary_chains().top
-            right_c = comp_grid.boundary_chains().right
-            top_t = tree_grid.boundary_chains().top
-            right_t = tree_grid.boundary_chains().right
+            top_c, right_c = boundary_chains(comp_grid)
+            top_t, right_t = boundary_chains(tree_grid)
             for k in range(n + 1):
                 prefix, values = p[:k], tuple(v for v in p if v <= k)
                 assert top_c[k] == hypoplactic_insert(prefix)[0].shape
@@ -378,35 +381,37 @@ def test_grid_validate_catches_corruption():
     grid = build_growth_diagram((2, 1, 3), "composition")
     vertices = [list(row) for row in grid.vertices]
     vertices[2][2] = (2,)
-    corrupted = type(grid)(
-        n=grid.n,
-        family=grid.family,
-        vertices=tuple(tuple(row) for row in vertices),
-        marks=grid.marks,
-    )
+    corrupted = grid._replace(vertices=tuple(tuple(row) for row in vertices))
     with pytest.raises(ValueError):
         validate_grid(corrupted)
 
 
-def test_grid_json_schema():
-    grid = build_growth_diagram((2, 1), "composition")
-    obj = grid.to_json_obj()
+def growth_json(capsys, family, p):
+    """The JSON that ``growthdiag growth`` writes for p, parsed."""
+    assert cli.main(["growth", family, ",".join(map(str, p)), "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_grid_json_schema(capsys):
+    obj = growth_json(capsys, "composition", (2, 1))
     assert obj["n"] == 2
     assert obj["family"] == "composition"
     assert obj["grid"][0] == [[], [], []]
     assert obj["marks"] == [[1, 2], [2, 1]]
     assert obj["P"] == {"shape": [1, 1], "rows": [[1], [2]]}
     assert obj["Q"] == {"shape": [1, 1], "rows": [[2], [1]]}
-    tree_obj = build_growth_diagram((2, 1), "tree").to_json_obj()
+    tree_obj = growth_json(capsys, "tree", (2, 1))
     assert tree_obj["grid"][2][2] == "((-,-),-)"
     assert tree_obj["P"]["label"] == 2
 
 
 @pytest.mark.parametrize("family", ["composition", "tree"])
-def test_grid_json_takes_the_converted_pair(family):
-    grid = build_growth_diagram((3, 1, 4, 2), family)
-    pair = growth.convert_chains(grid.boundary_chains(), family)
-    assert grid.to_json_obj(pair) == grid.to_json_obj()
+def test_grid_json_takes_the_converted_pair(capsys, family):
+    # the pair written is the one that the grid's boundary chains encode
+    p = (3, 1, 4, 2)
+    to_json = {"composition": lambda tableau: tableau.to_json_obj(), "tree": labeled_tree_to_json_obj}[family]
+    obj = growth_json(capsys, family, p)
+    assert [obj["P"], obj["Q"]] == list(map(to_json, chain_pair(build_growth_diagram(p, family))))
 
 
 @pytest.mark.parametrize("family", ["composition", "tree"])
@@ -416,14 +421,26 @@ def test_grid_pair_from_the_fill_labels_equals_the_chain_conversion(family):
         p = list(range(1, n + 1))
         rng.shuffle(p)
         grid = build_growth_diagram(p, family)
-        assert grid.pair() == convert_chains(grid.boundary_chains(), family) == growth_insert(p, family)
+        assert grid.pair() == chain_pair(grid) == growth_insert(p, family)
 
 
-def test_grid_json_shares_one_list_per_distinct_composition():
+def test_grid_json_shares_one_list_per_distinct_composition(monkeypatch):
+    # the grid's JSON renders each distinct composition's list once
     p = list(range(1, 31))
     random.Random(5).shuffle(p)
-    cells = [v for row in build_growth_diagram(p, "composition").to_json_obj()["grid"] for v in row]
-    assert len({id(c) for c in cells}) == len({tuple(c) for c in cells}) < len(cells)
+    grid = build_growth_diagram(p, "composition")
+    rendered = []
+    flat_list = jsontext._flat_list
+
+    def counted(items, *args, **kwargs):
+        rendered.append(items)
+        return flat_list(items, *args, **kwargs)
+
+    monkeypatch.setattr(jsontext, "_flat_list", counted)
+    text = "".join(grid.json_parts(0))
+    cells = [v for row in grid.vertices for v in row]
+    assert sorted(rendered) == sorted(set(cells)) and len(rendered) < len(cells)
+    assert json.loads(text) == [[list(v) for v in row] for row in grid.vertices]
 
 
 # -- vertex texts ---------------------------------------------------------------
@@ -468,7 +485,7 @@ def test_insert_rightmost_text_at_every_depth():
                 node = node[1]
             for k in range(len(spine) + 1):
                 z = insert_rightmost(t, k)
-                z_text, z_spine = insert_rightmost_text(text, tuple(spine), k)
+                z_text, z_spine = insert_rightmost_text((text, tuple(spine)), k)
                 assert z_text == trees_to_text([z])[0], (t, k)
                 assert z_spine == tuple(spine[:k]) + (spine[k] if k < len(spine) else len(text) - k - 1,)
 
@@ -480,8 +497,7 @@ def test_a_wrong_splice_offset_is_caught(monkeypatch):
     def one_off(carried, depth):
         # wraps the subtree one character late whenever the spine node exists
         text, spine = carried
-        spine = tuple(offset + 1 for offset in spine)
-        return insert_rightmost_text(text, spine, depth)
+        return insert_rightmost_text((text, tuple(offset + 1 for offset in spine)), depth)
 
     _patch_pair(monkeypatch, "tree", carry=one_off)
     with pytest.raises(AssertionError):
@@ -643,9 +659,9 @@ def test_a_wrong_tree_label_rule_is_caught(monkeypatch):
     [
         lambda family: build_growth_diagram((2, 1), family),
         lambda family: growth_insert((2, 1), family),
-        lambda family: convert_chains(BoundaryChains(top=((),), right=((),)), family),
+        lambda family: build_growth_diagram((2, 1), "tree")._replace(family=family).pair(),
     ],
-    ids=["build_growth_diagram", "growth_insert", "convert_chains"],
+    ids=["build_growth_diagram", "growth_insert", "pair"],
 )
 def test_an_unknown_family_is_one_value_error(call):
     with pytest.raises(ValueError) as excinfo:

@@ -1,15 +1,17 @@
 """
 The two writers of ``growthdiag growth`` against their references: the
 JSON text, whose grid rows the CLI joins straight from the fill's vertex
-texts, against ``jsontext.dumps`` of ``GrowthGrid.to_json_obj``; and the
-ASCII text, which the CLI writes a line at a time, against the renderer
-that built the whole cell matrix (``render_grid`` in ``oracles``).
+texts, against ``jsontext.dumps`` of a payload built from the grid's
+vertices; and the ASCII text, which the CLI writes a line at a time,
+against the renderer that built the whole cell matrix (``render_grid`` in
+``oracles``).
 """
 import pytest
 
 from growthdiagrams import cli, growth, jsontext
 from growthdiagrams.compositions import composition_label
 from growthdiagrams.permutations import GrowthRuleError, all_permutations
+from growthdiagrams.trees import labeled_tree_to_json_obj, trees_to_text
 from oracles import render_grid
 from test_cli import _inputs
 from test_growth import _patch_pair
@@ -26,7 +28,26 @@ def growth_output(capsys, family, p, fmt):
 
 
 def reference_json(grid):
-    return jsontext.dumps({**grid.to_json_obj(grid.pair()), "check": "MATCH"}) + "\n"
+    """The payload built from the grid's vertices and pair, as
+    ``jsontext.dumps`` writes it: a tree as its text, made afresh, and a
+    composition as its list of parts."""
+    k = grid.n + 1
+    if grid.family == "composition":
+        cells = [list(v) for row in grid.vertices for v in row]
+        p, q = (tableau.to_json_obj() for tableau in grid.pair())
+    else:
+        cells = trees_to_text(v for row in grid.vertices for v in row)
+        p, q = map(labeled_tree_to_json_obj, grid.pair())
+    payload = {
+        "n": grid.n,
+        "family": grid.family,
+        "grid": [cells[i : i + k] for i in range(0, len(cells), k)],
+        "marks": [list(cell) for cell in sorted(grid.marks)],
+        "P": p,
+        "Q": q,
+        "check": "MATCH",
+    }
+    return jsontext.dumps(payload) + "\n"
 
 
 def reference_ascii(grid):

@@ -25,9 +25,8 @@ EXPORTS = {
         "export_dot", "export_json", "make_graph", "path_count_identity",
     ),
     "growth": (
-        "BoundaryChains", "GrowthGrid", "GrowthRuleError", "build_growth_diagram",
-        "chain_to_bst", "chain_to_increasing_tree", "chain_to_quasi_ribbon",
-        "chain_to_ribbon", "growth_insert", "local_rule_composition", "local_rule_tree",
+        "GrowthGrid", "GrowthRuleError", "build_growth_diagram", "growth_insert",
+        "local_rule_composition", "local_rule_tree",
     ),
     "permutations": (
         "Permutation", "PermutationParseError", "all_permutations", "inverse",
@@ -152,7 +151,9 @@ def test_star_import_binds_every_export():
         "no_such_name", "shape", "binword_deletion_positions", "is_search_tree",
         "is_increasing_tree", "is_decreasing_tree", "tree_from_text", "labeled_tree_from_json_obj",
         "insert_letter", "restrict_prefix", "restrict_values", "node_count", "extend_right_spine",
-        "push_down_rightmost", "vertex_label",
+        "push_down_rightmost", "vertex_label", "BoundaryChains", "chain_to_bst",
+        "chain_to_increasing_tree", "chain_to_quasi_ribbon", "chain_to_ribbon", "convert_chains",
+        "tree_to_text",
     ],
 )
 def test_unknown_names_raise_attribute_error(name):

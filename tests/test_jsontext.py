@@ -17,7 +17,6 @@ from growthdiagrams.trees import (
     labeled_tree_json_parts,
     labeled_tree_to_json_obj,
     labeled_tree_to_text,
-    tree_to_text,
     trees_to_text,
 )
 
@@ -244,8 +243,8 @@ def test_deep_tree_text_without_recursion():
     left_comb = right_comb = None
     for _ in range(DEPTH):
         left_comb, right_comb = (left_comb, None), (None, right_comb)
-    _same_text(tree_to_text(left_comb), "(" * DEPTH + "-" + ",-)" * DEPTH)
-    _same_text(tree_to_text(right_comb), "(-," * DEPTH + "-" + ")" * DEPTH)
+    _same_text(trees_to_text((left_comb,))[0], "(" * DEPTH + "-" + ",-)" * DEPTH)
+    _same_text(trees_to_text((right_comb,))[0], "(-," * DEPTH + "-" + ")" * DEPTH)
     labeled = "".join(f"(- {label} " for label in range(1, DEPTH + 1)) + "-" + ")" * DEPTH
     _same_text(labeled_tree_to_text(_comb(DEPTH)), labeled)
     texts = trees_to_text([right_comb, right_comb[1], None])

@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from growthdiagrams.graphs import DualityCounterexample, DualityReport, GradedGraph
-from growthdiagrams.growth import BoundaryChains, GrowthGrid, build_growth_diagram
+from growthdiagrams.growth import GrowthGrid, build_growth_diagram
 from growthdiagrams.ribbons import QuasiRibbonTableau, RibbonTableau
 
 # (constructor, keyword fields, the same record with one field changed,
@@ -32,17 +32,13 @@ RECORDS = [
         "DualityReport(pair='(a, b)', max_rank=1, rank_verdicts=(True, True), counterexample=None)",
     ),
     (
-        BoundaryChains,
-        dict(top=((), (1,)), right=((), (1,))),
-        dict(top=((), (1,)), right=((),)),
-        "BoundaryChains(top=((), (1,)), right=((), (1,)))",
-    ),
-    (
         GrowthGrid,
-        dict(n=1, family="composition", vertices=(((), ()), ((), (1,))), marks=frozenset({(1, 1)})),
-        dict(n=1, family="tree", vertices=(((), ()), ((), (1,))), marks=frozenset({(1, 1)})),
+        dict(n=1, family="composition", vertices=(((), ()), ((), (1,))), marks=frozenset({(1, 1)}), texts=None,
+             labels=((1,), (3,))),
+        dict(n=1, family="tree", vertices=(((), ()), ((), (1,))), marks=frozenset({(1, 1)}), texts=None,
+             labels=((1,), (3,))),
         "GrowthGrid(n=1, family='composition', vertices=(((), ()), ((), (1,))), marks=frozenset({(1, 1)}), texts=None,"
-        " labels=None)",
+        " labels=((1,), (3,)))",
     ),
     (
         QuasiRibbonTableau,
@@ -79,18 +75,20 @@ def test_growth_grid_is_the_record_the_fill_builds():
     # h = 3 along the top row
     grid = build_growth_diagram((1,), "composition")
     fields = dict(n=1, family="composition", vertices=(((), ()), ((), (1,))), marks=frozenset({(1, 1)}))
-    assert grid == GrowthGrid(**fields, labels=((1,), (3,)))
-    assert grid != GrowthGrid(**fields)
-    assert grid.boundary_chains() == BoundaryChains(top=((), (1,)), right=((), (1,)))
-    # with or without labels, the grid gives one (P, Q) pair
-    assert grid.pair() == GrowthGrid(**fields).pair() == (QuasiRibbonTableau([[1]]), RibbonTableau([[1]]))
+    assert grid == GrowthGrid(**fields, texts=None, labels=((1,), (3,)))
+    assert grid != GrowthGrid(**fields, texts=None, labels=((1,), (1,)))
+    # every field is required: the fill is the one way a grid is made
+    with pytest.raises(TypeError):
+        GrowthGrid(**fields)
+    # the grid's (P, Q) pair is its labels converted
+    assert grid.pair() == (QuasiRibbonTableau([[1]]), RibbonTableau([[1]]))
     # a tree grid also holds its vertices' texts, and they take part in
     # equality, hashing and the repr
     grid = build_growth_diagram((1,), "tree")
     fields = dict(n=1, family="tree", vertices=((None, None), (None, (None, None))), marks=frozenset({(1, 1)}))
     texts = (("-", "-"), ("-", "(-,-)"))
     assert grid == GrowthGrid(**fields, texts=texts, labels=((0,), (0,)))
-    assert grid != GrowthGrid(**fields, labels=((0,), (0,)))
+    assert grid != GrowthGrid(**fields, texts=None, labels=((0,), (0,)))
     assert hash(grid) == hash(GrowthGrid(**fields, texts=texts, labels=((0,), (0,))))
     assert repr(grid).endswith(", texts=(('-', '-'), ('-', '(-,-)')), labels=((0,), (0,)))")
 

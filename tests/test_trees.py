@@ -18,7 +18,6 @@ from growthdiagrams.trees import (
     reflected_bracket_covers,
     right_spine_length,
     tree_to_bracketed_expression,
-    tree_to_text,
     trees_of,
     trees_to_text,
 )
@@ -236,9 +235,7 @@ def test_reflected_bracket_unique_parent():
         seen = []
         for t in trees_of(n):
             seen.extend(reflected_bracket_covers(t))
-        assert sorted(map(tree_to_text, seen)) == sorted(
-            tree_to_text(t) for t in trees_of(n + 1)
-        )
+        assert sorted(trees_to_text(seen)) == sorted(trees_to_text(trees_of(n + 1)))
 
 
 def test_spine_helpers():
@@ -283,7 +280,7 @@ def test_cover_predicates_match_cover_sets(is_cover, covers):
             for u in trees_of(n + 1):
                 # a rebuilt copy shares no subtree with t, so every
                 # comparison runs by value, not by identity
-                rebuilt = tree_from_text(tree_to_text(u))
+                rebuilt = tree_from_text(trees_to_text((u,))[0])
                 assert is_cover(t, u) == is_cover(t, rebuilt) == (u in expected), (t, u)
             assert not any(is_cover(t, u) for u in trees_of(n))
         assert not any(is_cover(t, u) for t in trees_of(n) for u in trees_of(n + 2))
@@ -318,8 +315,8 @@ def test_bracketed_expression_injective():
 def test_text_round_trip():
     for n in range(7):
         for t in trees_of(n):
-            assert tree_from_text(tree_to_text(t)) == t
-    assert tree_to_text(L2) == "((-,-),-)"
+            assert tree_from_text(trees_to_text((t,))[0]) == t
+    assert trees_to_text((L2,)) == ["((-,-),-)"]
     with pytest.raises(ValueError):
         tree_from_text("((-,-)")
     with pytest.raises(ValueError):
@@ -336,7 +333,7 @@ def test_trees_to_text_matches_the_recursive_form():
     copies = [tree_from_text(_recursive_text(t)) for t in all_trees]
     expected = [_recursive_text(t) for t in all_trees]
     assert trees_to_text(all_trees + copies + all_trees) == expected * 3
-    assert [tree_to_text(t) for t in copies] == expected
+    assert [trees_to_text((t,))[0] for t in copies] == expected
 
 
 def test_labeled_text_and_json():
