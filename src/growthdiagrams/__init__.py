@@ -10,6 +10,7 @@ line tool pays only for the modules it runs.
 """
 # each submodule and the public names it defines
 _MODULE_EXPORTS = {
+    "bst": ("bst_insert", "is_lattice_cover"),
     "compositions": (
         "binword_covers", "composition_to_word", "compositions_of", "is_binword_cover",
         "is_lifted_cover", "lifted_covers", "word_to_composition",
@@ -18,10 +19,8 @@ _MODULE_EXPORTS = {
         "DualityReport", "GradedGraph", "check_duality", "export_dot", "export_json",
         "make_graph", "path_count_identity",
     ),
-    "growth": (
-        "GrowthGrid", "build_growth_diagram", "growth_insert", "local_rule_composition",
-        "local_rule_tree",
-    ),
+    "growth": ("GrowthGrid", "build_growth_diagram"),
+    "growthcheck": ("growth_insert", "local_rule_composition", "local_rule_tree"),
     "permutations": (
         "DUAL_PAIRS", "GRAPH_NAMES", "GrowthRuleError", "Permutation", "PermutationParseError",
         "all_permutations", "inverse", "parse_permutation", "permutation_matrix",
@@ -30,14 +29,13 @@ _MODULE_EXPORTS = {
         "QuasiRibbonTableau", "RibbonTableau", "hypoplactic_insert", "shadow_lines",
     ),
     "trees": (
-        "bst_insert", "delete_rightmost", "is_lattice_cover", "is_reflected_bracket_cover",
-        "lattice_covers", "reflected_bracket_covers", "tree_to_bracketed_expression",
-        "trees_of",
+        "delete_rightmost", "is_reflected_bracket_cover", "lattice_covers",
+        "reflected_bracket_covers", "tree_to_bracketed_expression", "trees_of",
     ),
 }
 _EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}
 
-_MODULES = frozenset(("jsontext", *_MODULE_EXPORTS))
+_MODULES = frozenset(("compositiongrowth", "jsontext", "treegrowth", *_MODULE_EXPORTS))
 
 __all__ = list(_EXPORTS)
 

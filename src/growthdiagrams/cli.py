@@ -8,25 +8,29 @@ internal invariant, 2 usage, parse and output errors.  Identical
 invocations produce byte-identical output.
 
 Each process runs one command, so start-up is part of every command's
-cost, and a command imports little more than the modules it runs.  Here
-``permutations`` is imported, which holds every name that the parser and
-:func:`main` need, and ``trees``, whose BST insertion most ``insert`` runs
-take; its names are bound here so that a profiler can wrap them.
-``insert`` then loads ``ribbons`` for the hypoplactic algorithm, and
-``jsontext`` for JSON; ``verify shadow`` loads ``ribbons``; ``graph``
-and ``verify duality|paths`` load ``graphs``; and ``growth`` and ``verify
-equivalence`` load ``growth``, which loads ``compositions`` and
-``ribbons`` but not ``graphs``: a growth grid carries its tree vertices'
-texts, and composition vertices are named by ``compositions``.
+cost, and with bytecode writing off (``PYTHONDONTWRITEBYTECODE``) it
+compiles each module it loads from source; so a command loads only the
+modules it runs.  Here only ``permutations`` is imported, which holds
+every name that the parser and :func:`main` need.  ``insert`` loads
+``bst`` for the BST algorithms, through :func:`bst_insert` and
+:func:`labeled_tree_to_text`, bound here so that a profiler can wrap
+them, or ``ribbons`` for the hypoplactic one, and ``jsontext`` for JSON;
+``verify shadow`` loads ``ribbons``; ``graph`` and ``verify
+duality|paths`` load ``graphs``, which loads ``compositions`` or
+``trees`` only to enumerate or name vertices; ``growth`` loads
+``growth`` and its family's module, ``treegrowth`` with ``bst`` or
+``compositiongrowth`` with ``compositions`` and ``ribbons``; and
+``verify equivalence`` also loads ``growthcheck``.
 
 ``verify shadow`` and ``verify equivalence`` compare two routes to the
 same (P, Q) pair on every permutation of each size up to ``--max-n``.
 Each size is one depth-first walk over a tree of prefixes, which runs a
 step shared by many permutations once: ``ribbons.shadow_walk`` over the
-prefixes of p, ``growth.equivalence_walk`` over those of inverse(p).  The
-public functions of the two routes then judge each permutation a walk
-reports, smallest first, so a MISMATCH line names the lexicographically
-first failing permutation of the first failing size.
+prefixes of p, ``growthcheck.equivalence_walk`` over those of
+inverse(p).  The public functions of the two routes then judge each
+permutation a walk reports, smallest first, so a MISMATCH line names
+the lexicographically first failing permutation of the first failing
+size.
 """
 from __future__ import annotations
 
@@ -45,7 +49,6 @@ from .permutations import (
     RankGuardError,
     parse_permutation,
 )
-from .trees import bst_insert, labeled_tree_json_parts, labeled_tree_to_text
 
 # per algorithm, the kinds of its P and Q as the ASCII text names them
 _PAIR_KINDS = {
@@ -93,6 +96,16 @@ def _emit(args, chunks: Iterable[str]) -> None:
 
 # -- insert -------------------------------------------------------------------
 
+def bst_insert(word, reading: str = "left-to-right"):
+    from .bst import bst_insert
+    return bst_insert(word, reading)
+
+
+def labeled_tree_to_text(t) -> str:
+    from .bst import labeled_tree_to_text
+    return labeled_tree_to_text(t)
+
+
 def _insertion(algorithm: str):
     """The direct insertion p -> (P, Q) of an algorithm; sylvester
     insertion is BST insertion read right to left."""
@@ -120,6 +133,7 @@ def _pair_json(algorithm: str, p, q) -> tuple:
     written from its tuples as it streams out."""
     if algorithm == "hypoplactic":
         return p.to_json_obj(), q.to_json_obj()
+    from .bst import labeled_tree_json_parts
     from .jsontext import _Rendered
     return _Rendered(partial(labeled_tree_json_parts, p)), _Rendered(partial(labeled_tree_json_parts, q))
 
@@ -173,8 +187,7 @@ def cmd_growth(args) -> int:
     else:
         from itertools import chain
 
-        from .compositions import composition_label
-        labels = grid.cells(composition_label)
+        labels = grid.cells()
         tail = [
             "\ntop chain:   " + " -> ".join(labels[grid.n]),
             "\nright chain: " + " -> ".join(row[grid.n] for row in labels),
@@ -246,12 +259,12 @@ def _verify_routes(args, lines: list[str], walk, first, second, where: str, clai
 
 
 def _verify_equivalence(args, lines: list[str]) -> bool:
-    from . import growth
+    from . import growthcheck
 
     family = args.family
     return _verify_routes(
-        args, lines, partial(growth.equivalence_walk, family=family),
-        _insertion(_FAMILY_ALGORITHMS[family]), partial(growth.growth_insert, family=family),
+        args, lines, partial(growthcheck.equivalence_walk, family=family),
+        _insertion(_FAMILY_ALGORITHMS[family]), partial(growthcheck.growth_insert, family=family),
         f" (family {family})", f"growth diagrams match direct {family} insertion",
     )
 

@@ -22,8 +22,9 @@ rank with integer arithmetic alone, from the two index encodings:
   by (L, each cover of R).
 
 The duality check, the chain counts and the export read these tables
-only; no vertex is hashed or compared on those paths.  The value-level
-cover functions (``lifted_covers`` and the others) stay in their modules
+only; no vertex is hashed or compared on those paths, and ``compositions``
+and ``trees`` load only to enumerate or name vertices.  The value-level
+cover functions (``lifted_covers`` and the others) stay in those modules
 as an independent coding of the same graphs.
 
 The four graphs all share the empty object as their single rank-0 vertex
@@ -41,8 +42,6 @@ from functools import cache, lru_cache, partial
 from operator import mul
 from typing import Callable, NamedTuple, Optional
 
-from . import compositions as comp
-from . import trees as tr
 # defined where every command finds them, and re-exported here
 from .permutations import DUAL_PAIRS, GRAPH_NAMES, MAX_N, GrowthRuleError, RankGuardError  # noqa: F401
 
@@ -64,8 +63,10 @@ def vertex_labels(family: str, vertices) -> list[str]:
     one label, and tree nodes shared between vertices one text.
     """
     if family == "composition":
-        return list(map(cache(comp.composition_label), vertices))
-    return tr.trees_to_text(vertices)
+        from .compositions import composition_label
+        return list(map(cache(composition_label), vertices))
+    from .trees import trees_to_text
+    return trees_to_text(vertices)
 
 
 def vertex_json(family: str, vertices) -> list:
@@ -73,13 +74,18 @@ def vertex_json(family: str, vertices) -> list:
     composition's list of parts, a tree's text."""
     if family == "composition":
         return list(map(cache(list), vertices))
-    return tr.trees_to_text(vertices)
+    from .trees import trees_to_text
+    return trees_to_text(vertices)
 
 
 @lru_cache(maxsize=None)
 def _vertices_at(family: str, n: int) -> tuple:
     _check_rank(family, n)
-    return comp.compositions_of(n) if family == "composition" else tr.trees_of(n)
+    if family == "composition":
+        from .compositions import compositions_of
+        return compositions_of(n)
+    from .trees import trees_of
+    return trees_of(n)
 
 
 # -- canonical indices and up-tables ------------------------------------------

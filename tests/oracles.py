@@ -15,7 +15,8 @@ vertex chains to (P, Q), against which the tests check the pair that the
 fill's edge labels give.
 """
 from growthdiagrams.compositions import composition_to_word, increment_last
-from growthdiagrams.growth import PAIRS, local_rule_composition, local_rule_tree
+from growthdiagrams.growth import _pair
+from growthdiagrams.growthcheck import local_rule_composition, local_rule_tree
 from growthdiagrams.permutations import PermutationParseError, inverse
 from growthdiagrams.trees import is_reflected_bracket_cover, right_spine_length
 
@@ -213,7 +214,7 @@ def recoils_composition(p):
 def validate_grid(grid):
     """Recheck every boundary value of a GrowthGrid, and every square
     against the local rule of its family on vertices."""
-    empty = PAIRS[grid.family].empty
+    empty = _pair(grid.family).empty
     rule = {"composition": local_rule_composition, "tree": local_rule_tree}[grid.family]
     n, vertices, marks = grid.n, grid.vertices, grid.marks
     if len(vertices) != n + 1 or any(len(row) != n + 1 for row in vertices):
@@ -285,7 +286,7 @@ def chain_to_quasi_ribbon(chain):
         else:
             _require(cur == prev + (1,), chain, "lifted binary tree")
             letters.append(1)
-    return PAIRS["composition"].p_from_labels(letters)
+    return _pair("composition").p_from_labels(letters)
 
 
 def chain_to_ribbon(chain):
@@ -305,7 +306,7 @@ def chain_to_ribbon(chain):
         _require(len(v) == len(u) + 1 and v[: q - 1] + v[q:] == u, chain, "Binword")
         labels.append(2 * q + int(v[q - 1]))
         u = v
-    return PAIRS["composition"].q_from_labels(labels)
+    return _pair("composition").q_from_labels(labels)
 
 
 def _preorder_bits(t) -> bytes:
@@ -340,7 +341,7 @@ def chain_to_increasing_tree(chain):
         m = next((m for m, (a, b) in enumerate(zip(t, u)) if a != b), len(t))
         _require(u == t[:m] + b"\1\0\0" + t[m + 1 :], chain, "lattice of binary trees")
         slots.append(t.count(0, 0, m))
-    return PAIRS["tree"].q_from_labels(slots)
+    return _pair("tree").q_from_labels(slots)
 
 
 def chain_to_bst(chain):
@@ -357,7 +358,7 @@ def chain_to_bst(chain):
     for prev, cur in zip(chain, chain[1:]):
         _require(is_reflected_bracket_cover(prev, cur), chain, "reflected bracket tree")
         depths.append(right_spine_length(cur) - 1)
-    return PAIRS["tree"].p_from_labels(depths)
+    return _pair("tree").p_from_labels(depths)
 
 
 CHAIN_CONVERTERS = {

@@ -16,11 +16,11 @@ from growthdiagrams.compositions import (
     word_to_composition,
 )
 from growthdiagrams.graphs import DUAL_PAIRS, check_duality, make_graph, path_count_identity
-from growthdiagrams.growth import growth_insert
+from growthdiagrams.growthcheck import growth_insert
 from growthdiagrams.permutations import all_permutations
 from growthdiagrams.ribbons import hypoplactic_insert, shadow_lines
+from growthdiagrams.bst import bst_insert
 from growthdiagrams.trees import (
-    bst_insert,
     reflected_bracket_covers,
     tree_to_bracketed_expression,
     trees_of,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from growthdiagrams import cli, compositions, graphs, growth, jsontext, ribbons, trees
+from growthdiagrams import cli, compositions, graphs, growth, growthcheck, jsontext, ribbons, trees
 from growthdiagrams.cli import main
 from growthdiagrams.permutations import all_permutations
 from oracles import boundary_chains, chain_pair
@@ -294,7 +294,7 @@ def _fail_if_reached(*args, **kwargs):
             id="argv0-growthdiagrams.cli-all_permutations",
         ),
         pytest.param(
-            ["verify", "equivalence", "--family", "tree", "--max-n", "7"], growth, "equivalence_walk",
+            ["verify", "equivalence", "--family", "tree", "--max-n", "7"], growthcheck, "equivalence_walk",
             id="argv1-growthdiagrams.cli-all_permutations",
         ),
         (["verify", "duality", "--pair", "trees", "--max-rank", "9"], graphs, "check_duality"),
@@ -332,7 +332,7 @@ def test_out_is_left_alone_when_the_command_fails(tmp_path, capsys):
 
 
 # each exhaustive mode and the walk that runs it over one size
-WALKS = {"equivalence": (growth, "equivalence_walk"), "shadow": (ribbons, "shadow_walk")}
+WALKS = {"equivalence": (growthcheck, "equivalence_walk"), "shadow": (ribbons, "shadow_walk")}
 
 
 @pytest.mark.parametrize("mode", ["equivalence", "shadow"])
@@ -365,7 +365,7 @@ def _first_mismatch(argv, max_n):
     else:
         family = argv[argv.index("--family") + 1]
         first = cli._insertion(cli._FAMILY_ALGORITHMS[family])
-        second, where = (lambda p: growth.growth_insert(p, family)), f" (family {family})"
+        second, where = (lambda p: growthcheck.growth_insert(p, family)), f" (family {family})"
     lines = []
     for n in range(max_n + 1):
         failing = [p for p in all_permutations(n) if first(p) != second(p)]
@@ -746,7 +746,7 @@ def test_growth_converts_the_chains_once(monkeypatch, capsys, fmt):
     # once each, from the fill's own boundary labels, not from the boundary
     # chains read back
     calls = []
-    dual = growth.PAIRS["tree"]
+    dual = growth._pair("tree")
 
     def counted(convert):
         def counting(labels):

@@ -4,13 +4,17 @@ from pathlib import Path
 
 import pytest
 
-from growthdiagrams import compositions, graphs, growth, jsontext, permutations, ribbons, trees
+from growthdiagrams import (
+    bst, compositiongrowth, compositions, graphs, growth, growthcheck, jsontext, permutations, ribbons, treegrowth,
+    trees,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.mark.parametrize(
-    "module", [permutations, compositions, trees, ribbons, growth, graphs, jsontext]
+    "module",
+    [permutations, compositions, trees, bst, ribbons, growth, compositiongrowth, treegrowth, growthcheck, graphs, jsontext],
 )
 def test_doctests(module):
     failures, _ = doctest.testmod(module)

@@ -5,22 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthdiagrams import cli, growth, jsontext
+from growthdiagrams import cli, compositiongrowth, growth, growthcheck, jsontext, treegrowth
+from growthdiagrams.bst import bst_insert, insert_rightmost, insert_rightmost_text
 from growthdiagrams.compositions import binword_covers, increment_last, lifted_covers
-from growthdiagrams.growth import (
-    GrowthRuleError,
-    build_growth_diagram,
-    growth_insert,
-    local_rule_composition,
-    local_rule_tree,
-)
+from growthdiagrams.growth import GrowthRuleError, build_growth_diagram
+from growthdiagrams.growthcheck import growth_insert, local_rule_composition, local_rule_tree
 from growthdiagrams.permutations import all_permutations, inverse
 from growthdiagrams.ribbons import hypoplactic_insert
 from growthdiagrams.trees import (
-    bst_insert,
     delete_rightmost,
-    insert_rightmost,
-    insert_rightmost_text,
     labeled_tree_to_json_obj,
     lattice_covers,
     reflected_bracket_covers,
@@ -585,7 +578,7 @@ def test_exit_check_catches_a_wrong_composition_join(monkeypatch):
     # append the other letter: z still covers y in the lifted binary tree,
     # but no longer covers x in Binword
     monkeypatch.setattr(
-        growth, "_join_composition",
+        growthcheck, "_join_composition",
         lambda t, x, y: y + (1,) if len(x) == len(t) else increment_last(y),
     )
     with pytest.raises(GrowthRuleError):
@@ -597,14 +590,15 @@ def test_exit_check_catches_a_wrong_tree_join(monkeypatch):
     assert local_rule_tree(t, x, y, 0) == B3
     # insert at the root instead: z still covers y in the reflected bracket
     # tree, but no longer covers x in the lattice
-    monkeypatch.setattr(growth, "_join_tree", lambda t, x, y: insert_rightmost(y, 0))
+    monkeypatch.setattr(growthcheck, "_join_tree", lambda t, x, y: insert_rightmost(y, 0))
     with pytest.raises(GrowthRuleError):
         local_rule_tree(t, x, y, 0)
 
 
 def _patch_pair(monkeypatch, family, **fields):
     """Replace fields of a family's DualPair record for one test."""
-    monkeypatch.setitem(growth.PAIRS, family, growth.PAIRS[family]._replace(**fields))
+    module = {"composition": compositiongrowth, "tree": treegrowth}[family]
+    monkeypatch.setattr(module, "PAIR", module.PAIR._replace(**fields))
 
 
 def test_a_wrong_composition_label_rule_is_caught(monkeypatch):
@@ -612,7 +606,7 @@ def test_a_wrong_composition_label_rule_is_caught(monkeypatch):
     assert build_growth_diagram(p, "composition").vertices == GRID_415362
     # case (f) appends the other letter: z still covers y in the lifted
     # binary tree, but no longer covers x in Binword
-    join = growth.PAIRS["composition"].join
+    join = growth._pair("composition").join
 
     def wrong_join(a, h, rank):
         labels = join(a, h, rank)

@@ -9,7 +9,6 @@ against the renderer that built the whole cell matrix (``render_grid`` in
 import pytest
 
 from growthdiagrams import cli, growth, jsontext
-from growthdiagrams.compositions import composition_label
 from growthdiagrams.permutations import GrowthRuleError, all_permutations
 from growthdiagrams.trees import labeled_tree_to_json_obj, trees_to_text
 from oracles import render_grid
@@ -52,7 +51,7 @@ def reference_json(grid):
 
 def reference_ascii(grid):
     """The text as the CLI joined it before it wrote a line at a time."""
-    labels = grid.cells(composition_label)
+    labels = grid.cells()
     algorithm = cli._FAMILY_ALGORITHMS[grid.family]
     return "\n".join([
         render_grid(grid, labels),
@@ -98,7 +97,7 @@ def test_rows_longer_than_a_chunk_are_written_whole(capsys, family, p):
 def test_a_wrong_composition_join_fails_the_word_value_check(monkeypatch, p):
     # case (f) appends the other letter: every label still fits its
     # vertex, so only the Binword check on the carried word values fails
-    join = growth.PAIRS["composition"].join
+    join = growth._pair("composition").join
 
     def wrong_join(a, h, rank):
         labels = join(a, h, rank)

@@ -16,6 +16,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # module that holds it (test-only oracles and one-line wrappers have since
 # left the package)
 EXPORTS = {
+    "bst": ("bst_insert", "is_lattice_cover"),
     "compositions": (
         "binword_covers", "composition_to_word", "compositions_of", "is_binword_cover",
         "is_lifted_cover", "lifted_covers", "word_to_composition",
@@ -24,10 +25,8 @@ EXPORTS = {
         "DUAL_PAIRS", "GRAPH_NAMES", "DualityReport", "GradedGraph", "check_duality",
         "export_dot", "export_json", "make_graph", "path_count_identity",
     ),
-    "growth": (
-        "GrowthGrid", "GrowthRuleError", "build_growth_diagram", "growth_insert",
-        "local_rule_composition", "local_rule_tree",
-    ),
+    "growth": ("GrowthGrid", "GrowthRuleError", "build_growth_diagram"),
+    "growthcheck": ("growth_insert", "local_rule_composition", "local_rule_tree"),
     "permutations": (
         "Permutation", "PermutationParseError", "all_permutations", "inverse",
         "parse_permutation", "permutation_matrix",
@@ -36,9 +35,8 @@ EXPORTS = {
         "QuasiRibbonTableau", "RibbonTableau", "hypoplactic_insert", "shadow_lines",
     ),
     "trees": (
-        "bst_insert", "delete_rightmost", "is_lattice_cover", "is_reflected_bracket_cover",
-        "lattice_covers", "reflected_bracket_covers", "tree_to_bracketed_expression",
-        "trees_of",
+        "delete_rightmost", "is_reflected_bracket_cover", "lattice_covers",
+        "reflected_bracket_covers", "tree_to_bracketed_expression", "trees_of",
     ),
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
@@ -65,29 +63,36 @@ def bare_interpreter() -> set[str]:
     return _imported("-c", "pass")
 
 
-# the package's modules that each command loads besides permutations and
-# trees, which cli imports (cli itself runs as __main__)
-# the checks load no jsontext; only JSON export does
-GRAPHS = {"graphs", "compositions"}
-# growth loads no graphs; JSON output loads jsontext
-GROWTH = {"growth", "compositions", "ribbons"}
+# the package's modules that each command loads besides permutations,
+# which cli imports (cli itself runs as __main__); JSON output loads
+# jsontext, which the checks never load
+GRAPHS = {"graphs"}  # compositions or trees only to enumerate or name vertices
+# a fill loads its own family's code only
+TREE_GROWTH = {"growth", "treegrowth", "bst"}
+COMPOSITION_GROWTH = {"growth", "compositiongrowth", "compositions", "ribbons"}
+# the reference rules need every cover relation
+EQUIVALENCE = {"growthcheck", "compositions", "trees", "bst"}
 LOADS = {
     ("insert", "hypoplactic", "312"): {"ribbons"},
     ("insert", "hypoplactic", "312", "--format", "json"): {"ribbons", "jsontext"},
-    ("insert", "bst-left", "312", "--format", "json"): {"jsontext"},
-    ("insert", "bst-right", "312"): set(),
-    ("insert", "sylvester", "312"): set(),
-    ("growth", "composition", "312", "--check"): GROWTH,
-    ("growth", "composition", "312", "--format", "json"): {*GROWTH, "jsontext"},
-    ("growth", "tree", "312"): GROWTH,
-    ("growth", "tree", "312", "--format", "json"): {*GROWTH, "jsontext"},
+    ("insert", "bst-left", "312", "--format", "json"): {"bst", "jsontext"},
+    ("insert", "bst-right", "312"): {"bst"},
+    ("insert", "sylvester", "312"): {"bst"},
+    ("growth", "composition", "312", "--check"): COMPOSITION_GROWTH,
+    ("growth", "composition", "312", "--format", "json"): {*COMPOSITION_GROWTH, "jsontext"},
+    ("growth", "tree", "312"): TREE_GROWTH,
+    ("growth", "tree", "312", "--format", "json"): {*TREE_GROWTH, "jsontext"},
+    ("growth", "tree", "312", "--check", "--format", "json"): {*TREE_GROWTH, "jsontext"},
     ("verify", "duality", "--max-rank", "3"): GRAPHS,
-    ("verify", "equivalence", "--max-n", "3"): GROWTH,
-    ("verify", "equivalence", "--family", "tree", "--max-n", "3"): GROWTH,
+    ("verify", "duality", "--pair", "trees", "--max-rank", "3"): GRAPHS,
+    ("verify", "equivalence", "--max-n", "3"): {*COMPOSITION_GROWTH, *EQUIVALENCE},
+    ("verify", "equivalence", "--family", "tree", "--max-n", "3"): {*TREE_GROWTH, *EQUIVALENCE},
     ("verify", "shadow", "--max-n", "3"): {"ribbons"},
-    ("verify", "paths", "--n", "3"): GRAPHS,
-    ("graph", "binword", "--max-rank", "2"): GRAPHS,
-    ("graph", "binword", "--max-rank", "2", "--format", "json"): {*GRAPHS, "jsontext"},
+    ("verify", "paths", "--n", "3"): {*GRAPHS, "compositions"},
+    ("verify", "paths", "--pair", "trees", "--n", "3"): {*GRAPHS, "trees"},
+    ("graph", "binword", "--max-rank", "2"): {*GRAPHS, "compositions"},
+    ("graph", "binword", "--max-rank", "2", "--format", "json"): {*GRAPHS, "compositions", "jsontext"},
+    ("graph", "tree-lattice", "--max-rank", "2"): {*GRAPHS, "trees"},
 }
 
 
@@ -97,7 +102,29 @@ def test_cold_start_imports(bare_interpreter, argv):
     assert "growthdiagrams.permutations" in loaded  # the report sees the package's modules
     assert "dataclasses" not in loaded
     package = {name for name in loaded if name.startswith("growthdiagrams.")}
-    assert package == {f"growthdiagrams.{name}" for name in {"permutations", "trees", *LOADS[argv]}}
+    assert package == {f"growthdiagrams.{name}" for name in {"permutations", *LOADS[argv]}}
+
+
+# the pairs of modules that a lazy import joins, importer first
+LAZY = [
+    ("cli", "bst"), ("cli", "growthcheck"), ("graphs", "compositions"), ("graphs", "trees"),
+    ("growth", "compositiongrowth"), ("growth", "treegrowth"), ("growthcheck", "compositiongrowth"),
+]
+MODULES = sorted(path.stem for path in (SRC / "growthdiagrams").glob("*.py") if path.stem != "__init__")
+
+
+@pytest.mark.parametrize(
+    "order", [(module,) for module in MODULES] + [pair[::step] for pair in LAZY for step in (1, -1)], ids=" ".join
+)
+def test_modules_import_in_any_order(order):
+    # a circular import between two modules fails whichever loads first
+    code = "".join(f"import growthdiagrams.{module}; " for module in order) + (
+        "from growthdiagrams.cli import main; "
+        "assert [main(['growth', family, '213', '--check']) for family in ('composition', 'tree')] == [0, 0]"
+    )
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("MATCH") == 2
 
 
 @pytest.mark.parametrize(

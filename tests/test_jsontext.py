@@ -12,13 +12,8 @@ from hypothesis import strategies as st
 
 from growthdiagrams import jsontext
 from growthdiagrams.jsontext import CHUNK_SIZE, dumps, iterdumps
-from growthdiagrams.trees import (
-    bst_insert,
-    labeled_tree_json_parts,
-    labeled_tree_to_json_obj,
-    labeled_tree_to_text,
-    trees_to_text,
-)
+from growthdiagrams.bst import bst_insert, labeled_tree_json_parts, labeled_tree_to_text
+from growthdiagrams.trees import labeled_tree_to_json_obj, trees_to_text
 
 # every code point but lone surrogates, so control characters and
 # non-ASCII text come up in both keys and values

@@ -28,11 +28,11 @@ PACKAGE = SRC / "growthdiagrams"
 _PINNED = "perfbench replays every fill's squares through the local rules"
 _CACHED = "perfbench snapshots its cache"
 ALLOWED = {
-    "growth.local_rule_composition": _PINNED,
-    "growth.local_rule_tree": _PINNED,
-    "growth._check_square_input": "checks the input squares of the local rules",
-    "growth._join_composition": "case (f) of the composition local rule",
-    "growth._join_tree": "case (f) of the tree local rule",
+    "growthcheck.local_rule_composition": _PINNED,
+    "growthcheck.local_rule_tree": _PINNED,
+    "growthcheck._check_square_input": "checks the input squares of the local rules",
+    "growthcheck._join_composition": "case (f) of the composition local rule",
+    "growthcheck._join_tree": "case (f) of the tree local rule",
     "compositions.is_lifted_cover": "the composition local rule's vertical cover check",
     "compositions.is_binword_cover": "the composition local rule's horizontal cover check",
     "compositions.word_value": "the word bits that is_binword_cover compares",
@@ -45,7 +45,7 @@ ALLOWED = {
     "trees.reflected_bracket_covers": _CACHED,
     "trees.delete_rightmost": _CACHED,
     "trees.labeled_tree_to_json_obj": "perfbench's tests compare a tree's JSON with it",
-    "growth.growth_insert": "judges verify equivalence's suspects, which a correct walk never reports",
+    "growthcheck.growth_insert": "judges verify equivalence's suspects, which a correct walk never reports",
     "ribbons.shadow_lines": "judges verify shadow's suspects, which a correct walk never reports",
     "trees.tree_to_bracketed_expression": "acceptance criterion 10 checks the paper's lemma with it",
     "trees.tree_to_bracketed_expression.<locals>.go": "the recursion of tree_to_bracketed_expression",

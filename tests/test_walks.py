@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from growthdiagrams import growth, ribbons, trees
+from growthdiagrams import bst, compositiongrowth, growth, growthcheck, ribbons
 from growthdiagrams.permutations import all_permutations
 from test_growth import _patch_pair
 
@@ -23,14 +23,14 @@ ROUTES = {
         lambda p: ribbons.hypoplactic_insert(p),
     ),
     "composition": (
-        lambda n: growth.equivalence_walk(n, "composition"),
+        lambda n: growthcheck.equivalence_walk(n, "composition"),
         lambda p: ribbons.hypoplactic_insert(p),
-        lambda p: growth.growth_insert(p, "composition"),
+        lambda p: growthcheck.growth_insert(p, "composition"),
     ),
     "tree": (
-        lambda n: growth.equivalence_walk(n, "tree"),
-        lambda p: trees.bst_insert(p, "left-to-right"),
-        lambda p: growth.growth_insert(p, "tree"),
+        lambda n: growthcheck.equivalence_walk(n, "tree"),
+        lambda p: bst.bst_insert(p, "left-to-right"),
+        lambda p: growthcheck.growth_insert(p, "tree"),
     ),
 }
 
@@ -51,9 +51,9 @@ def plant_wrong_recording_tree(monkeypatch):
     """The growth diagram's Q comes out as the recording tree of 123 for
     231 and for 312.  The walk meets 312 first, as it visits permutations
     in the order of their inverses, 312 and 231."""
-    slots = growth.PAIRS["tree"].q_from_labels
-    wrong = trees.bst_insert((1, 2, 3))[1]
-    hit = {trees.bst_insert(p)[1] for p in ((2, 3, 1), (3, 1, 2))}
+    slots = growth._pair("tree").q_from_labels
+    wrong = bst.bst_insert((1, 2, 3))[1]
+    hit = {bst.bst_insert(p)[1] for p in ((2, 3, 1), (3, 1, 2))}
 
     def planted(labels):
         q = slots(labels)
@@ -83,12 +83,12 @@ def plant_declining_quasi_ribbon_check(monkeypatch):
 def plant_wrong_ribbon_conversion(monkeypatch):
     """The growth diagram's Q reads the labels of 132 as those of 123, a
     valid ribbon tableau of another shape."""
-    real = growth._ribbon_forms
+    real = compositiongrowth._ribbon_forms
 
     def planted(labels):
         return real((3, 4, 6) if tuple(labels) == (3, 4, 7) else labels)
 
-    monkeypatch.setattr(growth, "_ribbon_forms", planted)
+    monkeypatch.setattr(compositiongrowth, "_ribbon_forms", planted)
 
 
 def fails(first, second, p) -> bool:
@@ -110,7 +110,7 @@ def test_walks_count_and_pass_every_permutation(check):
 
 def test_the_tree_walk_meets_faults_in_the_order_of_inverses(monkeypatch):
     plant_wrong_recording_tree(monkeypatch)
-    assert growth.equivalence_walk(3, "tree") == (6, [(3, 1, 2), (2, 3, 1)])
+    assert growthcheck.equivalence_walk(3, "tree") == (6, [(3, 1, 2), (2, 3, 1)])
 
 
 @pytest.mark.parametrize(
