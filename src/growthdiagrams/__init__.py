@@ -10,7 +10,7 @@ line tool pays only for the modules it runs.
 """
 # each submodule and the public names it defines
 _MODULE_EXPORTS = {
-    "bst": ("bst_insert", "is_lattice_cover"),
+    "bst": ("bst_insert",),
     "compositions": (
         "binword_covers", "composition_to_word", "compositions_of", "is_binword_cover",
         "is_lifted_cover", "lifted_covers", "word_to_composition",
@@ -29,13 +29,13 @@ _MODULE_EXPORTS = {
         "QuasiRibbonTableau", "RibbonTableau", "hypoplactic_insert", "shadow_lines",
     ),
     "trees": (
-        "delete_rightmost", "is_reflected_bracket_cover", "lattice_covers",
+        "delete_rightmost", "is_lattice_cover", "is_reflected_bracket_cover", "lattice_covers",
         "reflected_bracket_covers", "tree_to_bracketed_expression", "trees_of",
     ),
 }
 _EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}
 
-_MODULES = frozenset(("compositiongrowth", "jsontext", "treegrowth", *_MODULE_EXPORTS))
+_MODULES = frozenset(("compositiongrowth", "jsontext", "treegrowth", "verify", *_MODULE_EXPORTS))
 
 __all__ = list(_EXPORTS)
 

@@ -1,15 +1,15 @@
 """
 Binary search tree insertion and the text and JSON forms of the labeled
-trees it makes, and the steps of the tree growth fill: what ``insert``
-and ``growth tree`` run.  Trees are as in :mod:`growthdiagrams.trees`,
-whose graphs these commands never load.
+trees it makes: what ``insert`` runs, and ``growth tree`` for its (P, Q)
+pair.  Trees are as in :mod:`growthdiagrams.trees`, which these commands
+never load.
 """
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
-    from .trees import LabeledTree, Tree
+    from .trees import LabeledTree
 
 
 # -- insertion -------------------------------------------------------------
@@ -84,66 +84,6 @@ def bst_insert(word: Sequence[int], reading: str = "left-to-right") -> tuple[Lab
         labeled_tree(postorder, left, right, positions),
     )
 
-# -- the tree growth fill --------------------------------------------------
-
-def insert_rightmost(t: Tree, depth: int) -> Tree:
-    """
-    Insert a new rightmost node at right-spine depth ``depth`` (0 = the
-    root); it takes the right-spine suffix it displaces as its left
-    subtree.  Inverse of :func:`delete_rightmost` for every depth from 0 to
-    ``right_spine_length(t)``.
-
-    >>> insert_rightmost((None, None), 0)
-    ((None, None), None)
-    >>> insert_rightmost((None, None), 1)
-    (None, (None, None))
-    """
-    lefts = []
-    for _ in range(depth):
-        if t is None:
-            raise ValueError(f"right spine is shorter than depth {depth}")
-        lefts.append(t[0])
-        t = t[1]
-    z: Tree = (t, None)
-    for left in reversed(lefts):
-        z = (left, z)
-    return z
-def insert_rightmost_text(carried: tuple[str, tuple[int, ...]], depth: int) -> tuple[str, tuple[int, ...]]:
-    """
-    The text (:func:`trees_to_text`) of ``insert_rightmost(t, depth)`` and
-    the offsets at which its right-spine nodes start, from the ``carried``
-    pair of those two of t, in one splice.  Down the right spine, t's text
-    is "(" + left + "," + the next spine node's text + ")", so the subtree
-    at spine depth ``depth`` starts at ``spine[depth]`` (at the last "-"
-    when ``depth`` is the spine length) and ends ``depth`` closing
-    brackets before the end.  The new node wraps that subtree as "(" +
-    subtree + ",-)", and the spine nodes above it keep their offsets.
-
-    >>> insert_rightmost_text(("(-,-)", (0,)), 1)
-    ('(-,(-,-))', (0, 3))
-    """
-    text, spine = carried
-    end = len(text) - depth
-    start = spine[depth] if depth < len(spine) else end - 1
-    return f"{text[:start]}({text[start:end]},-){text[end:]}", spine[:depth] + (start,)
-def is_lattice_cover(t: Tree, u: Tree) -> bool:
-    """
-    Whether u covers t in the lattice of binary trees, i.e. ``u in
-    lattice_covers(t)``, walking the one path on which they differ.
-    Subtrees are compared by identity first, because trees built from one
-    another share them.
-    """
-    while t is not None:
-        if u is None:
-            return False
-        (t_left, t_right), (u_left, u_right) = t, u
-        if t_left is u_left or (t_right is not u_right and t_left == u_left):
-            t, u = t_right, u_right
-        elif t_right is u_right or t_right == u_right:
-            t, u = t_left, u_left
-        else:
-            return False
-    return u == (None, None)
 # -- text and JSON forms ---------------------------------------------------
 
 def labeled_tree_to_text(t: LabeledTree) -> str:

@@ -15,22 +15,16 @@ every name that the parser and :func:`main` need.  ``insert`` loads
 ``bst`` for the BST algorithms, through :func:`bst_insert` and
 :func:`labeled_tree_to_text`, bound here so that a profiler can wrap
 them, or ``ribbons`` for the hypoplactic one, and ``jsontext`` for JSON;
-``verify shadow`` loads ``ribbons``; ``graph`` and ``verify
-duality|paths`` load ``graphs``, which loads ``compositions`` or
-``trees`` only to enumerate or name vertices; ``growth`` loads
-``growth`` and its family's module, ``treegrowth`` with ``bst`` or
-``compositiongrowth`` with ``compositions`` and ``ribbons``; and
-``verify equivalence`` also loads ``growthcheck``.
+``growth`` loads ``growth`` and its family's module, ``treegrowth`` with
+``bst`` or ``compositiongrowth`` with ``compositions`` and ``ribbons``;
+``graph`` loads ``graphs``, which loads ``compositions`` or ``trees``
+only to enumerate or name vertices; and ``verify`` loads its runners,
+``verify``, which load what each check runs.
 
-``verify shadow`` and ``verify equivalence`` compare two routes to the
-same (P, Q) pair on every permutation of each size up to ``--max-n``.
-Each size is one depth-first walk over a tree of prefixes, which runs a
-step shared by many permutations once: ``ribbons.shadow_walk`` over the
-prefixes of p, ``growthcheck.equivalence_walk`` over those of
-inverse(p).  The public functions of the two routes then judge each
-permutation a walk reports, smallest first, so a MISMATCH line names
-the lexicographically first failing permutation of the first failing
-size.
+``growth`` writes its grid as the text fill makes it, a row at a time,
+and every grown vertex is checked as its row is made; so in JSON, where
+rows are written bottom first as they are made, a vertex that fails its
+check ends the command with part of the grid already written.
 """
 from __future__ import annotations
 
@@ -43,7 +37,6 @@ from typing import Iterable, Iterator, Optional
 from .permutations import (
     DUAL_PAIRS,
     GRAPH_NAMES,
-    MAX_N,
     GrowthRuleError,
     PermutationParseError,
     RankGuardError,
@@ -163,7 +156,8 @@ def cmd_growth(args) -> int:
     from . import growth
 
     p = parse_permutation(args.permutation)
-    grid = growth.build_growth_diagram(p, args.family)
+    # the writer below makes and checks the rows as it writes them
+    grid = growth.build_growth_diagram(p, args.family, stream=True)
     pair = grid.pair()
     algorithm = _FAMILY_ALGORITHMS[args.family]
     matched = None
@@ -187,7 +181,7 @@ def cmd_growth(args) -> int:
     else:
         from itertools import chain
 
-        labels = grid.cells()
+        labels = list(grid.rows())
         tail = [
             "\ntop chain:   " + " -> ".join(labels[grid.n]),
             "\nright chain: " + " -> ".join(row[grid.n] for row in labels),
@@ -211,92 +205,10 @@ def cmd_graph(args) -> int:
 
 # -- verify -------------------------------------------------------------------
 
-def _verify_duality(args, lines: list[str]) -> bool:
-    from . import graphs
-
-    g1, g2 = (graphs.make_graph(name) for name in DUAL_PAIRS[args.pair])
-    report = graphs.check_duality(g1, g2, args.max_rank)
-    for n, ok in enumerate(report.rank_verdicts):
-        lines.append(f"rank {n}: {'PASS' if ok else 'FAIL'}")
-    if report.is_dual:
-        lines.append(f"{report.pair} dual with r=1 up to rank {report.max_rank}")
-        return True
-    ce = report.counterexample
-    lines.append(
-        f"counterexample at rank {ce.rank}: (DU-UD)[{ce.row_label}, {ce.col_label}]"
-        f" = {ce.got}, expected {ce.expected}"
-    )
-    return False
-
-
-def _exhaustive_sizes(max_n: int) -> range:
-    if max_n > MAX_N:
-        raise RankGuardError(f"--max-n {max_n} exceeds the supported maximum {MAX_N} for exhaustive checks")
-    return range(max_n + 1)
-
-
-def _verify_routes(args, lines: list[str], walk, first, second, where: str, claim: str) -> bool:
-    """
-    Compare two routes to the same (P, Q) pair on every permutation of
-    each size up to --max-n, guarded before any walk.  ``walk(n)`` runs
-    both routes over all permutations of size n at once and returns their
-    number and the permutations where it saw the two differ or a check
-    decline.  The public functions ``first`` and ``second`` judge those,
-    smallest first, so a mismatch names, and an invalid result raises
-    for, the permutation that comparing them on each permutation in
-    order would stop at.  ``where`` ends a mismatch line and ``claim``
-    states what the check showed.
-    """
-    for n in _exhaustive_sizes(args.max_n):
-        count, suspects = walk(n)
-        for p in sorted(suspects):
-            if first(p) != second(p):
-                lines.append(f"MISMATCH at permutation {p}{where}")
-                return False
-        lines.append(f"n={n}: {count}/{count} PASS")
-    lines.append(f"{claim} for all n <= {args.max_n}")
-    return True
-
-
-def _verify_equivalence(args, lines: list[str]) -> bool:
-    from . import growthcheck
-
-    family = args.family
-    return _verify_routes(
-        args, lines, partial(growthcheck.equivalence_walk, family=family),
-        _insertion(_FAMILY_ALGORITHMS[family]), partial(growthcheck.growth_insert, family=family),
-        f" (family {family})", f"growth diagrams match direct {family} insertion",
-    )
-
-
-def _verify_shadow(args, lines: list[str]) -> bool:
-    from . import ribbons
-
-    return _verify_routes(
-        args, lines, ribbons.shadow_walk, ribbons.shadow_lines, ribbons.hypoplactic_insert,
-        "", "shadow lines match hypoplactic insertion",
-    )
-
-
-def _verify_paths(args, lines: list[str]) -> bool:
-    from . import graphs
-
-    g1, g2 = (graphs.make_graph(name) for name in DUAL_PAIRS[args.pair])
-    lhs, rhs = graphs.path_count_identity(g1, g2, args.n)
-    ok = lhs == rhs
-    lines.append(f"n={args.n}: chain-pair count {lhs}, n! = {rhs}: {'PASS' if ok else 'FAIL'}")
-    return ok
-
-
 def cmd_verify(args) -> int:
-    runners = {
-        "duality": _verify_duality,
-        "equivalence": _verify_equivalence,
-        "shadow": _verify_shadow,
-        "paths": _verify_paths,
-    }
-    lines: list[str] = []
-    ok = runners[args.mode](args, lines)
+    from .verify import run
+
+    ok, lines = run(args)
     _emit(args, ("\n".join(lines),))
     return 0 if ok else 1
 

@@ -1,12 +1,13 @@
 """
 The composition family of the growth fill (:mod:`growthdiagrams.growth`),
-as the record ``PAIR``: label rules, vertex growth, and the conversions
-of the boundary labels to the hypoplactic (P, Q) pair.
+as the record ``PAIR``: label rules, the step of the text fill, and the
+conversions of the boundary labels to the hypoplactic (P, Q) pair.
 """
 from __future__ import annotations
 
-from .compositions import increment_last, is_binword_value_cover
+from .compositions import is_binword_value_cover
 from .growth import DualPair
+from .permutations import GrowthRuleError
 from .ribbons import QuasiRibbonTableau, RibbonTableau
 
 
@@ -26,6 +27,35 @@ def _labels_fit_composition(a: int, h: int, rank: int, spine: int) -> bool:
     """Whether letter a can be appended to, and (q, b) = divmod(h, 2)
     inserted into, a composition of this rank."""
     return (a == 1 or a == 0 < rank) and (h == 3 if rank == 0 else 4 <= h <= 2 * rank + 3)
+
+
+def _text_row(below: tuple[list, list], c: int, vertical: list, horizontal: list):
+    """
+    Row i of the text fill from row i - 1, ``below``: each vertex's text,
+    its parts joined by commas or "e", and its word value.  The letter a
+    of y -> z appends a part 1 to y's text when it is 1 and adds one to
+    the last part when it is 0, and z's word value is y's with a
+    appended, which must be a Binword cover of x's.
+    """
+    below_texts, below_values = below
+    # left of the mark, case (b) or (c): z = y
+    texts, values = below_texts[:], below_values[:]
+    for j in range(c, len(texts)):
+        if horizontal[j] is None:  # case (d): z = x
+            texts[j], values[j] = texts[j - 1], values[j - 1]
+            continue
+        a = vertical[j]
+        y = below_texts[j]
+        if a:
+            z = f"{y},1" if below_values[j] else "1"
+        else:
+            head, comma, last = y.rpartition(",")
+            z = f"{head}{comma}{int(last) + 1}"
+        value = below_values[j] << 1 | a
+        if not is_binword_value_cover(values[j - 1], value):
+            raise GrowthRuleError(f"z={z} does not cover x={texts[j - 1]}")
+        texts[j], values[j] = z, value
+    return texts, values
 
 
 def _quasi_ribbon_forms(letters) -> tuple[list[int], tuple[int, ...]]:
@@ -56,13 +86,9 @@ def _ribbon_forms(labels) -> tuple[list[int], tuple[int, ...]]:
 
 
 PAIR = DualPair(
-    empty=(),
     mark=_mark_labels_composition, join=_join_labels_composition,
     fits=_labels_fit_composition, spined=False,
-    grow=lambda c, a: c + (1,) if a else increment_last(c),
-    # each vertex's word value, which grows as its word does
-    carried=0, carry=lambda value, a: value << 1 | a,
-    is_horizontal_cover=lambda x, z, u, v: is_binword_value_cover(u, v), text=None,
+    start=("e", 0), step=_text_row,
     p_from_labels=lambda letters: QuasiRibbonTableau._from_reading(*_quasi_ribbon_forms(letters)),
     q_from_labels=lambda labels: RibbonTableau._from_reading(*_ribbon_forms(labels)),
 )

@@ -48,20 +48,27 @@ compositions, and (k, s) = (spine(t), rank(t)) on trees.  So the only
 per-vertex state is the rank, plus the right-spine length for trees, and
 a square costs O(1).
 
-Where each check lives:
+What the fill carries, and where each check lives:
 
   * The label fill checks that each label it makes fits the vertex it
     applies to (a letter 0 needs a non-empty word, q and k and s must
-    exist), so a broken rule raises GrowthRuleError.
-  * :func:`build_growth_diagram` builds each vertex z from the vertex y
-    below it and the label of y -> z, and checks that z covers x: a tree
-    on its vertices, a composition on the word values the fill carries
-    next to them, value(z) = 2 value(y) + a for the letter a of y -> z.
-  * :meth:`GrowthGrid.pair` converts the labels that the fill keeps, the
-    one route from a grid to its pair; the tests read the labels back off
-    the grid's boundary vertices and check that they agree.
-  * The local rules on vertices, ``growth_insert`` and ``equivalence_walk``
-    run in verification only, from :mod:`growthdiagrams.growthcheck`.
+    exist), so a broken rule raises GrowthRuleError.  It keeps O(n)
+    state, so :func:`build_growth_diagram` runs it first, for the labels
+    of the boundary that :meth:`GrowthGrid.pair` converts to (P, Q).
+  * The text fill, :meth:`GrowthGrid.rows`, runs the label fill again and
+    makes row i of vertex texts from row i - 1 as the labels of row i
+    come: next to each vertex it carries its printed text and O(1)
+    state (a tree's right-spine offsets and the offset of the leaf that
+    its horizontal in-edge added; a composition's word value).  Every
+    grown vertex z is checked to cover the vertex x to its left on that
+    state: a tree's text must be x's with one "-" made "(-,-)", a
+    composition's word value must be a Binword cover of x's.  A writer
+    keeps only the row below the one it makes, so the JSON of a grid
+    streams in O(n * rank) memory.
+  * The vertices themselves are rebuilt by the local rules of
+    :mod:`growthdiagrams.growthcheck` when :attr:`GrowthGrid.vertices` is
+    read, which no command does; ``growth_insert`` and
+    ``equivalence_walk`` also run in verification only.
 
 The fill and the checks are written once.  Everything in which the two
 families differ is one :class:`DualPair` record, ``PAIR`` in the module
@@ -72,9 +79,9 @@ compiles every module it loads from source.
 """
 from __future__ import annotations
 
-from functools import cache, partial
 from itertools import accumulate
-from typing import Callable, Iterator, Literal, NamedTuple, Optional
+from operator import itemgetter
+from typing import Callable, Iterator, Literal, NamedTuple
 
 from .permutations import GrowthRuleError, Permutation, inverse, permutation_matrix, validate_permutation
 
@@ -85,51 +92,36 @@ class DualPair(NamedTuple):
     """Everything in which the growth diagrams of the two families differ.
     Labels are (a, h) or (k, s); rank and spine are those of a square's t."""
 
-    empty: object  # the rank-0 vertex
     mark: Callable  # (rank, spine) -> the labels of a marked square
     join: Callable  # (a, h, rank) -> the labels of cases (e) and (f)
     fits: Callable  # (a, h, rank, spine) -> whether the labels exist
     spined: bool  # whether mark and fits read the right-spine length
-    grow: Callable  # (y, vertical label of y -> z) -> z
-    # what the fill carries next to each vertex: that of the rank-0 vertex,
-    # and (that of y, vertical label of y -> z) -> that of z
-    carried: object
-    carry: Callable
-    # (x, z, what is carried of x, of z) -> whether z covers x
-    is_horizontal_cover: Callable
-    # what is carried of a vertex -> its text; None for a family whose
-    # vertex text the fill does not make
-    text: Optional[Callable]
+    # what the text fill carries next to the rank-0 vertex: its text, then
+    # the state the family grows and checks a vertex from
+    start: tuple
+    # (what is carried of row i - 1, one list per item of start; the mark's
+    # column c, the vertical and the horizontal labels of row i) -> the
+    # same of row i, each grown vertex checked to cover the one to its left
+    step: Callable
     p_from_labels: Callable  # the right column's vertical labels -> P
     q_from_labels: Callable  # the top row's horizontal labels -> Q
 
 
 class GrowthGrid(NamedTuple):
     """
-    The (n+1) x (n+1) array of graph vertices over a permutation matrix.
-    vertices[i][j] is the corner at height i (0 = bottom) and offset j
-    (0 = left); marks hold the (column, row) cells of the permutation.
-    texts holds each vertex's text in the same rows in a tree grid, and is
-    None in a composition grid, whose vertex texts the fill does not make.
-    labels holds the labels of the vertical edges up the right boundary
-    and of the horizontal edges along the top one, as the fill made them.
+    The growth diagram of a permutation, as the (n+1) x (n+1) array of
+    graph vertices over its permutation matrix: row i at height i (0 =
+    bottom), offset j (0 = left) within a row.  marks hold the (column,
+    row) cells of the permutation.  labels hold the labels of the vertical
+    edges up the right boundary and of the horizontal edges along the top
+    one, as the fill made them.  The rows are made again each time they
+    are read, by :meth:`rows`.
     """
 
     n: int
     family: str
-    vertices: tuple[tuple, ...]
     marks: frozenset[tuple[int, int]]
-    texts: Optional[tuple[tuple[str, ...], ...]]
     labels: tuple[tuple, tuple]
-
-    def cells(self) -> list[list]:
-        """Each vertex's text, bottom row first: a tree's from the fill, a
-        composition's print name, made once per distinct vertex."""
-        if self.texts is not None:
-            return list(map(list, self.texts))
-        from .compositions import composition_label
-        form = cache(composition_label)
-        return [list(map(form, row)) for row in self.vertices]
 
     def pair(self):
         """The (P, Q) pair of the boundary: the fill's labels converted as
@@ -137,13 +129,38 @@ class GrowthGrid(NamedTuple):
         dual = _pair(self.family)
         return dual.p_from_labels(self.labels[0]), dual.q_from_labels(self.labels[1])
 
+    def rows(self) -> Iterator[list[str]]:
+        """
+        The text of each vertex, a row at a time, bottom row first: a
+        tree's "-" or "(L,R)", a composition's parts joined by commas or
+        "e".  Each row is made from the one below as the label fill makes
+        its labels, and only those two are held; a grown vertex that does
+        not cover the vertex to its left raises GrowthRuleError when its
+        row is made.
+        """
+        dual = _pair(self.family)
+        carried = tuple([value] * (self.n + 1) for value in dual.start)
+        yield carried[0]
+        columns = [col for col, _ in sorted(self.marks, key=itemgetter(1))]
+        for c, vertical, horizontal in _label_rows(columns, dual):
+            carried = dual.step(carried, c, vertical, horizontal)
+            yield carried[0]
+
+    @property
+    def vertices(self) -> tuple[tuple, ...]:
+        """The vertices themselves, in the rows of :meth:`rows`, rebuilt
+        square by square by the local rules each time this is read; no
+        command reads them."""
+        from .growthcheck import local_rule_grid
+        return local_rule_grid(self.n, self.family, self.marks)
+
     def lines(self, labels: list[list[str]]) -> Iterator[str]:
         """
         The ASCII grid, top row first, a line at a time, from each
-        vertex's label in ``labels`` (rows as in :meth:`cells`): each row
-        of labels, each padded to its column's width, and under each row
-        but the bottom one the "x" of its mark, between the two columns
-        the mark lies between.  Columns are 2 spaces apart, and a
+        vertex's label in ``labels`` (rows as :meth:`rows` makes them):
+        each row of labels, each padded to its column's width, and under
+        each row but the bottom one the "x" of its mark, between the two
+        columns the mark lies between.  Columns are 2 spaces apart, and a
         permutation marks every gap once, so a label and the gap after it
         take its column's width plus 5; one pass over the labels finds
         the widths.
@@ -163,27 +180,33 @@ class GrowthGrid(NamedTuple):
         The ``json.dumps(indent=2)`` text of the vertices, a list of rows
         whose cells are a tree's text or a composition's list of parts, as
         a value at ``depth``, in the parts that ``jsontext.iterdumps``
-        writes: bottom row first, each row joined in one part.  A tree row
-        is joined from its vertices' texts, which hold only "(", ")", ","
-        and "-" and so need no escaping; a composition row from one text
-        per distinct vertex, made once.
+        writes: bottom row first, each row joined in one part as
+        :meth:`rows` makes it, so only that row's text is held.  A tree's
+        text holds only "(", ")", "," and "-", and so needs no escaping.
+        A composition's list is its text with a line break after each
+        comma, "[]" for "e"; the texts of a row are joined with "|", which
+        no text holds, and each of those three changes is made on the
+        whole row at once.
         """
-        from .jsontext import _flat_list
-
         row_break = "\n" + "  " * (depth + 1)
         cell_break = row_break + "  "
-        if self.texts is not None:
+        if self.family == "tree":
             quoted = '",' + cell_break + '"'
-            rows = ('"' + quoted.join(texts) + '"' for texts in self.texts)
+            rows = ('"' + quoted.join(texts) + '"' for texts in self.rows())
         else:
-            cell = cache(partial(_flat_list, depth=depth + 2, strings=None))
-            comma = "," + cell_break
-            rows = (comma.join(map(cell, row)) for row in self.vertices)
+            part_break = "," + cell_break + "  "
+            start, end = "[" + part_break[1:], cell_break + "]"
+            between, empty = end + "," + cell_break + start, start + "e" + end
+            rows = (
+                (start + "|".join(texts).replace(",", part_break).replace("|", between) + end).replace(empty, "[]")
+                for texts in self.rows()
+            )
         sep = "["
         for row in rows:
             yield f"{sep}{row_break}[{cell_break}{row}{row_break}]"
             sep = ","
         yield "\n" + "  " * depth + "]"
+
 
 # -- edge labels ---------------------------------------------------------------
 #
@@ -226,66 +249,42 @@ def _label_row(dual: DualPair, c: int, i: int, below: list, spines: list[int]):
     return vertical, row, spines
 
 
-def _label_rows(p: Permutation, dual: DualPair):
+def _label_rows(columns: list[int], dual: DualPair):
     """
-    Fill the diagram of a valid permutation on edge labels, row by row.
-    Yield, for each height i = 1..n, the column c of the mark in row i,
-    the labels of the vertical edges from row i - 1 up to row i, and those
-    of the horizontal edges within row i, as :func:`_label_row` gives them.
+    Fill the diagram on edge labels, row by row, for the permutation whose
+    mark in row i is in column columns[i - 1], the inverse of p.  Yield,
+    for each height i = 1..n, the column c of the mark in row i, the
+    labels of the vertical edges from row i - 1 up to row i, and those of
+    the horizontal edges within row i, as :func:`_label_row` gives them.
     """
-    n = len(p)
+    n = len(columns)
     row, spines = [None] * (n + 1), [0] * (n + 1)
-    for i, c in enumerate(inverse(p), 1):
+    for i, c in enumerate(columns, 1):
         vertical, row, spines = _label_row(dual, c, i, row, spines)
         yield c, vertical, row
 
 
-def build_growth_diagram(p: Permutation, family: Family) -> GrowthGrid:
+def build_growth_diagram(p: Permutation, family: Family, stream: bool = False) -> GrowthGrid:
     """
     Fill the growth diagram of a permutation.  The boundaries are empty
-    and alpha=1 exactly at the cells of the permutation matrix.  The fill
-    runs on edge labels; each vertex z is then built from the vertex y
-    below it and the label of y -> z, or is x or y itself when an edge
-    into it is degenerate.  What the family carries next to z (a tree's
-    text, a composition's word value) is made from y's in the same step,
-    and every vertex built is checked to cover x.  The grid keeps the
-    tree texts and the labels of its right and top boundaries.
+    and alpha=1 exactly at the cells of the permutation matrix.  The label
+    fill runs first, keeping the labels of the right and top boundaries;
+    then the text fill, :meth:`GrowthGrid.rows`, walks every row once, so
+    that a vertex that does not cover its neighbour raises here.  With
+    ``stream`` that walk is left to the caller's writer, which makes every
+    row anyway and checks it as it goes.
     """
     p = validate_permutation(p)
     dual = _pair(family)
-    grow, carry, is_horizontal_cover, text = dual.grow, dual.carry, dual.is_horizontal_cover, dual.text
-    n = len(p)
-    row = [dual.empty] * (n + 1)
-    rows = [tuple(row)]
-    carried = [dual.carried] * (n + 1)
-    text_rows = [tuple(map(text, carried))] if text else None
     right = []  # vertical labels of column n, bottom to top
     horizontal = [None]  # horizontal labels of the last row filled
-    for c, vertical, horizontal in _label_rows(p, dual):
+    for _, vertical, horizontal in _label_rows(inverse(p), dual):
         right.append(vertical[-1])
-        # left of the mark, case (b) or (c): z = y
-        below, row = row, row[:]
-        carried_below, carried = carried, carried[:]
-        for j in range(c, n + 1):
-            if horizontal[j] is None:  # case (d): z = x
-                row[j], carried[j] = row[j - 1], carried[j - 1]
-                continue
-            a = vertical[j]
-            z, w = grow(below[j], a), carry(carried_below[j], a)
-            if not is_horizontal_cover(row[j - 1], z, carried[j - 1], w):
-                raise GrowthRuleError(f"z={z!r} does not cover x={row[j - 1]!r}")
-            row[j], carried[j] = z, w
-        rows.append(tuple(row))
-        if text:
-            text_rows.append(tuple(map(text, carried)))
-    return GrowthGrid(
-        n=n,
-        family=family,
-        vertices=tuple(rows),
-        marks=permutation_matrix(p),
-        texts=text_rows and tuple(text_rows),
-        labels=(tuple(right), tuple(horizontal[1:])),
-    )
+    grid = GrowthGrid(len(p), family, permutation_matrix(p), (tuple(right), tuple(horizontal[1:])))
+    if not stream:
+        for _ in grid.rows():
+            pass
+    return grid
 
 
 def _pair(family: Family) -> DualPair:

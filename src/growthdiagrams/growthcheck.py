@@ -2,20 +2,41 @@
 The checks of the growth fill (:mod:`growthdiagrams.growth`), which no
 ``growth`` command loads.  ``local_rule_*`` complete a square on
 vertices, case by case, check their input squares (the given edges must
-be covers) and their output (z must cover x and y); the tests replay
-every square of a grid through them.  :func:`growth_insert` fills the
-labels alone, and :func:`equivalence_walk` runs the fill's row step on
-the prefixes of inverse(p) of all permutations of one size.
+be covers) and their output (z must cover x and y); they rebuild a
+grid's vertices (:func:`local_rule_grid`) for library callers and the
+tests.  :func:`growth_insert` fills the labels alone, and
+:func:`equivalence_walk` runs the fill's row step on the prefixes of
+inverse(p) of all permutations of one size.  Each family's vertex code,
+``compositions`` or ``trees`` and ``bst``, loads on first use, so a
+check of one family compiles none of the other's.
 """
 from __future__ import annotations
 
-from typing import Callable
+from functools import cache
+from typing import TYPE_CHECKING, Callable
 
-from .bst import bst_insert, insert_rightmost, is_lattice_cover
-from .compositions import Composition, increment_last, is_binword_cover, is_lifted_cover
-from .growth import DualPair, Family, _label_row, _label_rows, _pair
-from .permutations import GrowthRuleError, Permutation, inverse, validate_permutation
-from .trees import Tree, is_reflected_bracket_cover, right_spine_length
+from .growth import DualPair, Family, _label_row, _pair, build_growth_diagram
+from .permutations import GrowthRuleError, Permutation, inverse
+
+if TYPE_CHECKING:
+    from .compositions import Composition
+    from .trees import Tree
+
+
+@cache
+def _composition_code() -> tuple[Callable, ...]:
+    """increment_last and the two cover checks of compositions, imported on
+    the first use of a composition rule."""
+    from .compositions import increment_last, is_binword_cover, is_lifted_cover
+    return increment_last, is_binword_cover, is_lifted_cover
+
+
+@cache
+def _tree_code() -> tuple[Callable, ...]:
+    """insert_rightmost, right_spine_length and the two cover checks of
+    trees, imported on the first use of a tree rule."""
+    from .trees import insert_rightmost, is_lattice_cover, is_reflected_bracket_cover, right_spine_length
+    return insert_rightmost, right_spine_length, is_lattice_cover, is_reflected_bracket_cover
 
 
 def _check_square_input(t, x, y, alpha, is_vertical_cover, is_horizontal_cover):
@@ -31,11 +52,13 @@ def _check_square_input(t, x, y, alpha, is_vertical_cover, is_horizontal_cover):
 
 def _join_composition(t: Composition, x: Composition, y: Composition) -> Composition:
     """Case (f): y with the last word letter of x appended."""
+    increment_last = _composition_code()[0]
     return y + (1,) if len(x) > len(t) else increment_last(y)
 
 
 def _join_tree(t: Tree, x: Tree, y: Tree) -> Tree:
     """Case (f): y with a new rightmost node where x has its own."""
+    insert_rightmost, right_spine_length = _tree_code()[:2]
     return insert_rightmost(y, right_spine_length(x) - 1)
 
 
@@ -49,6 +72,7 @@ def local_rule_composition(t: Composition, x: Composition, y: Composition, alpha
     >>> local_rule_composition((2, 2), (2, 2), (2, 2), 1)
     (2, 3)
     """
+    increment_last, is_binword_cover, is_lifted_cover = _composition_code()
     _check_square_input(t, x, y, alpha, is_lifted_cover, is_binword_cover)
     if alpha == 1:
         z = increment_last(t)
@@ -75,6 +99,7 @@ def local_rule_tree(t: Tree, x: Tree, y: Tree, alpha: int) -> Tree:
     >>> local_rule_tree(None, None, None, 1)
     (None, None)
     """
+    insert_rightmost, right_spine_length, is_lattice_cover, is_reflected_bracket_cover = _tree_code()
     _check_square_input(t, x, y, alpha, is_reflected_bracket_cover, is_lattice_cover)
     if alpha == 1:
         z = insert_rightmost(t, right_spine_length(t))
@@ -93,6 +118,32 @@ def local_rule_tree(t: Tree, x: Tree, y: Tree, alpha: int) -> Tree:
     return z
 
 
+# per family, its rank-0 vertex and its local rule
+_LOCAL_RULES = {"composition": ((), local_rule_composition), "tree": (None, local_rule_tree)}
+
+
+def local_rule_grid(n: int, family: Family, marks) -> tuple[tuple, ...]:
+    """
+    The vertices of the growth diagram whose marks are the (column, row)
+    cells ``marks``, rows bottom first, each square completed by the
+    family's local rule in turn, left to right and bottom to top.
+
+    >>> local_rule_grid(2, "composition", {(1, 2), (2, 1)})
+    (((), (), ()), ((), (), (1,)), ((), (1,), (1, 1)))
+    """
+    empty, rule = _LOCAL_RULES[family]
+    columns = {row: col for col, row in marks}
+    row = (empty,) * (n + 1)
+    rows = [row]
+    for i in range(1, n + 1):
+        below, row = row, [empty]
+        for j in range(1, n + 1):
+            row.append(rule(below[j - 1], row[j - 1], below[j], int(columns[i] == j)))
+        row = tuple(row)
+        rows.append(row)
+    return tuple(rows)
+
+
 def growth_insert(p: Permutation, family: Family):
     """
     Fill the growth diagram of p on edge labels and convert the labels of
@@ -104,13 +155,7 @@ def growth_insert(p: Permutation, family: Family):
     >>> p_tab.rows, q_tab.rows
     (((1, 2), (3,), (4, 5, 6)), ((2, 6), (4,), (1, 3, 5)))
     """
-    p = validate_permutation(p)
-    dual = _pair(family)
-    right = []  # vertical labels of column n, bottom to top
-    top = [None]  # horizontal labels of the last row filled
-    for _, vertical, top in _label_rows(p, dual):
-        right.append(vertical[-1])
-    return dual.p_from_labels(right), dual.q_from_labels(top[1:])
+    return build_growth_diagram(p, family, stream=True).pair()
 
 
 def _hypoplactic_agrees(dual: DualPair, n: int) -> Callable:
@@ -141,6 +186,7 @@ def _hypoplactic_agrees(dual: DualPair, n: int) -> Callable:
 def _bst_agrees(dual: DualPair, n: int) -> Callable:
     """A test of whether the trees that the labels encode equal the
     left-to-right BST insertion of p, as the nested tuples they are."""
+    from .bst import bst_insert
     return lambda p, depths, slots: (dual.p_from_labels(depths), dual.q_from_labels(slots)) == bst_insert(p)
 
 

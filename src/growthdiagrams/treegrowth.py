@@ -1,28 +1,75 @@
 """
 The tree family of the growth fill (:mod:`growthdiagrams.growth`), as the
-record ``PAIR``: label rules, vertex growth, and the conversions of the
-boundary labels to the BST (P, Q) pair.
+record ``PAIR``: label rules, the step of the text fill, and the
+conversions of the boundary labels to the BST (P, Q) pair.
 
 Both output formats print a tree vertex as its text, "-" for the empty
-tree and "(L,R)" for a node, and the fill carries that text next to the
-vertex, made in the step that builds it.  A grown z is
-``insert_rightmost(y, k)``, so its text is y's text with one splice at
-the spine node of depth k, whose offset y's text carries along
-(:func:`~growthdiagrams.bst.insert_rightmost_text`); a z that is x or y
-takes that vertex's text.  By induction from "-" each text equals
-``trees_to_text`` of its vertex, at the cost of one string copy per grown
-vertex instead of a walk over every node of every vertex.
+tree and "(L,R)" for a node, and the text fill makes each text from the
+one below it.  A grown z inserts a new rightmost node into y at spine
+depth k, the label of y -> z, so its text is y's with one splice at the
+spine node of depth k, whose offset y's text carries along; a z that is
+x or y takes that vertex's text.  By induction from "-" each text is that
+of its vertex, at the cost of one string copy per grown vertex.
 """
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .bst import insert_rightmost, insert_rightmost_text, is_lattice_cover, labeled_tree
+from .bst import labeled_tree
 from .growth import DualPair
+from .permutations import GrowthRuleError
 
 if TYPE_CHECKING:
     from .trees import LabeledTree
+
+
+def _text_row(below: tuple[list, list, list], c: int, vertical: list, horizontal: list):
+    """
+    Row i of the text fill from row i - 1, ``below``: each vertex's text,
+    the offsets at which its right-spine nodes start, and the offset of
+    the leaf that its horizontal in-edge added.  Down the right spine, a
+    text is "(" + left + "," + the next spine node's text + ")", so the
+    subtree at spine depth k starts at spine[k] (at the last "-" when k is
+    the spine length) and ends k closing brackets before the end; the new
+    node wraps it as "(" + subtree + ",-)", and the spine nodes above it
+    keep their offsets.  z must be x with one "-" made "(-,-)": in a
+    marked square at the offset where the splice starts, and else where
+    the splice moves the leaf that t -> y added, since z adds to x what y
+    added to t.  The offset is searched for when that guess misses.
+    """
+    below_texts, below_spines, below_leaves = below
+    # left of the mark, case (b) or (c): z = y
+    texts, spines, leaves = below_texts[:], below_spines[:], below_leaves[:]
+    x = texts[c - 1]
+    for j in range(c, len(texts)):
+        if horizontal[j] is None:  # case (d): z = x
+            texts[j], spines[j] = x, spines[j - 1]
+            continue
+        k = vertical[j]
+        y, spine = below_texts[j], below_spines[j]
+        end = len(y) - k
+        start = spine[k] if k < len(spine) else end - 1
+        z = f"{y[:start]}({y[start:end]},-){y[end:]}"
+        if j == c:
+            leaf = start
+        else:
+            leaf = below_leaves[j]
+            leaf += (leaf >= start) + 3 * (leaf >= end)
+        if x[leaf : leaf + 1] != "-" or z != f"{x[:leaf]}(-,-){x[leaf + 1:]}":
+            leaf = _added_leaf(x, z)
+        texts[j], spines[j], leaves[j] = z, spine[:k] + (start,), leaf
+        x = z
+    return texts, spines, leaves
+
+
+def _added_leaf(x: str, z: str) -> int:
+    """The offset at which z's text has "(-,-)" in place of a "-" of x's,
+    which is where the two first differ, or GrowthRuleError if z does
+    not cover x in the lattice of binary trees."""
+    leaf = next((i for i, (a, b) in enumerate(zip(x, z)) if a != b), len(x))
+    if x[leaf : leaf + 1] != "-" or z != f"{x[:leaf]}(-,-){x[leaf + 1:]}":
+        raise GrowthRuleError(f"z={z} does not cover x={x}")
+    return leaf
 
 
 def _bst_from_depths(depths) -> LabeledTree:
@@ -63,15 +110,11 @@ def _increasing_tree_from_slots(slots) -> LabeledTree:
 
 
 PAIR = DualPair(
-    empty=None,
     # case (a): a new node below the rightmost one, in the last slot;
     # cases (e) and (f) pass both labels on; spine depth k and in-order
     # slot s must exist in t
     mark=lambda rank, spine: (spine, rank), join=lambda k, s, rank: (k, s),
     fits=lambda k, s, rank, spine: 0 <= k <= spine and 0 <= s <= rank, spined=True,
-    grow=insert_rightmost,
-    # each vertex's text, and the offsets of its right-spine nodes
-    carried=("-", ()), carry=insert_rightmost_text,
-    is_horizontal_cover=lambda x, z, u, v: is_lattice_cover(x, z), text=itemgetter(0),
+    start=("-", (), 0), step=_text_row,
     p_from_labels=_bst_from_depths, q_from_labels=_increasing_tree_from_slots,
 )

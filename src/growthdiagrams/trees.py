@@ -1,7 +1,7 @@
 """
 Binary trees and the cover relations of the two graded graphs on them.
-Binary search tree insertion, and the steps of the tree growth fill, are
-in :mod:`growthdiagrams.bst`, which the graphs never load.
+Binary search tree insertion is in :mod:`growthdiagrams.bst`, which the
+graphs never load.
 
 Unlabeled trees are nested pairs: None is the empty tree, (left, right) a
 node.  Labeled trees are triples (label, left, right).  Both are immutable
@@ -86,6 +86,30 @@ def right_spine_length(t: Tree) -> int:
     return k
 
 
+def insert_rightmost(t: Tree, depth: int) -> Tree:
+    """
+    Insert a new rightmost node at right-spine depth ``depth`` (0 = the
+    root); it takes the right-spine suffix it displaces as its left
+    subtree.  Inverse of :func:`delete_rightmost` for every depth from 0 to
+    ``right_spine_length(t)``.
+
+    >>> insert_rightmost((None, None), 0)
+    ((None, None), None)
+    >>> insert_rightmost((None, None), 1)
+    (None, (None, None))
+    """
+    lefts = []
+    for _ in range(depth):
+        if t is None:
+            raise ValueError(f"right spine is shorter than depth {depth}")
+        lefts.append(t[0])
+        t = t[1]
+    z: Tree = (t, None)
+    for left in reversed(lefts):
+        z = (left, z)
+    return z
+
+
 @lru_cache(maxsize=None)
 def reflected_bracket_covers(t: Tree) -> frozenset[Tree]:
     """
@@ -124,6 +148,26 @@ def is_reflected_bracket_cover(t: Tree, u: Tree) -> bool:
             return False
         t, u = t[1], u[1]
     return u is not None and (t is u[0] or t == u[0])
+
+
+def is_lattice_cover(t: Tree, u: Tree) -> bool:
+    """
+    Whether u covers t in the lattice of binary trees, i.e. ``u in
+    lattice_covers(t)``, walking the one path on which they differ.
+    Subtrees are compared by identity first, because trees built from one
+    another share them.
+    """
+    while t is not None:
+        if u is None:
+            return False
+        (t_left, t_right), (u_left, u_right) = t, u
+        if t_left is u_left or (t_right is not u_right and t_left == u_left):
+            t, u = t_right, u_right
+        elif t_right is u_right or t_right == u_right:
+            t, u = t_left, u_left
+        else:
+            return False
+    return u == (None, None)
 
 
 # -- text and JSON forms ---------------------------------------------------

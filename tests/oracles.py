@@ -214,8 +214,7 @@ def recoils_composition(p):
 def validate_grid(grid):
     """Recheck every boundary value of a GrowthGrid, and every square
     against the local rule of its family on vertices."""
-    empty = _pair(grid.family).empty
-    rule = {"composition": local_rule_composition, "tree": local_rule_tree}[grid.family]
+    empty, rule = {"composition": ((), local_rule_composition), "tree": (None, local_rule_tree)}[grid.family]
     n, vertices, marks = grid.n, grid.vertices, grid.marks
     if len(vertices) != n + 1 or any(len(row) != n + 1 for row in vertices):
         raise ValueError("grid is not (n+1) x (n+1)")
@@ -263,7 +262,8 @@ def render_grid(grid, labels):
 def boundary_chains(grid):
     """The top row of a GrowthGrid, left to right, and its right column,
     bottom to top: saturated chains that share the corner."""
-    return grid.vertices[grid.n], tuple(row[grid.n] for row in grid.vertices)
+    vertices = grid.vertices
+    return vertices[grid.n], tuple(row[grid.n] for row in vertices)
 
 
 def _require(condition: bool, chain, graph_name: str):

@@ -451,9 +451,10 @@ def _oracle_render_grid(grid):
     n = grid.n
     size = 2 * n + 1
     cells = [["" for _ in range(size)] for _ in range(size)]
+    vertices = grid.vertices
     for i in range(n + 1):
         for j in range(n + 1):
-            cells[2 * (n - i)][2 * j] = _oracle_label(grid.family, grid.vertices[i][j])
+            cells[2 * (n - i)][2 * j] = _oracle_label(grid.family, vertices[i][j])
     for col, row in grid.marks:
         cells[2 * (n - row) + 1][2 * col - 1] = "x"
     widths = [max(len(r[c]) for r in cells) for c in range(size)]

@@ -8,12 +8,14 @@ import re
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
+from random import Random
 
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from growthdiagrams import cli
+from growthdiagrams import cli, treegrowth
 from growthdiagrams.graphs import MAX_RANK
+from growthdiagrams.jsontext import CHUNK_SIZE
 from growthdiagrams.permutations import DUAL_PAIRS, GRAPH_NAMES, MAX_N
 
 FAMILIES = ("composition", "tree")
@@ -150,3 +152,20 @@ def test_every_argv_ends_in_one_of_three_outcomes(argv):
     # argparse's usage: a "usage:" line and its indented continuations
     assert all(line.startswith("usage: ") if k == 0 else line.startswith(" ") for k, line in enumerate(before)), err
 
+
+
+def test_a_cover_break_mid_grid_is_one_error_line(monkeypatch):
+    # from rank 60 on, cases (e) and (f) insert at the root: every label
+    # still fits, so only the text fill's check sees z miss x, and JSON has
+    # written the rows below by then, more than one piece of them
+    monkeypatch.setattr(
+        treegrowth, "PAIR", treegrowth.PAIR._replace(join=lambda k, s, rank: (0, s) if rank >= 60 else (k, s))
+    )
+    p = list(range(1, 121))
+    Random(120).shuffle(p)
+    for fmt, written in (("json", '{\n  "n": 120,\n  "family": "tree",\n  "grid": [\n    [\n'), ("ascii", "")):
+        code, out, err = _run(["growth", "tree", _text(p, commas=True), "--format", fmt])
+        assert code == 1
+        assert err.startswith("invariant violated: z=") and err.count("\n") == 1, err
+        assert out.startswith(written) and '"marks"' not in out
+        assert len(out) >= (CHUNK_SIZE if fmt == "json" else 0)

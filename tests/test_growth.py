@@ -1,12 +1,13 @@
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthdiagrams import cli, compositiongrowth, growth, growthcheck, jsontext, treegrowth
-from growthdiagrams.bst import bst_insert, insert_rightmost, insert_rightmost_text
+from growthdiagrams import cli, compositiongrowth, graphs, growth, growthcheck, treegrowth
+from growthdiagrams.bst import bst_insert
 from growthdiagrams.compositions import binword_covers, increment_last, lifted_covers
 from growthdiagrams.growth import GrowthRuleError, build_growth_diagram
 from growthdiagrams.growthcheck import growth_insert, local_rule_composition, local_rule_tree
@@ -14,11 +15,11 @@ from growthdiagrams.permutations import all_permutations, inverse
 from growthdiagrams.ribbons import hypoplactic_insert
 from growthdiagrams.trees import (
     delete_rightmost,
+    insert_rightmost,
     labeled_tree_to_json_obj,
     lattice_covers,
     reflected_bracket_covers,
     right_spine_length,
-    trees_of,
     trees_to_text,
 )
 from oracles import (
@@ -117,6 +118,7 @@ def test_local_rule_tree_rejects_bad_squares():
 def test_growth_grid_415362():
     grid = build_growth_diagram((4, 1, 5, 3, 6, 2), "composition")
     assert grid.vertices == GRID_415362
+    assert list(grid.rows()) == [graphs.vertex_labels("composition", row) for row in GRID_415362]
     top, right = boundary_chains(grid)
     assert right == ((), (1,), (2,), (2, 1), (2, 1, 1), (2, 1, 2), (2, 1, 3))
     assert top == ((), (1,), (1, 1), (1, 2), (2, 2), (2, 3), (2, 1, 3))
@@ -126,6 +128,7 @@ def test_growth_grid_415362():
 def test_growth_grid_351426():
     grid = build_growth_diagram((3, 5, 1, 4, 2, 6), "tree")
     assert grid.vertices == GRID_351426
+    assert list(grid.rows()) == [trees_to_text(row) for row in GRID_351426]
     top, right = boundary_chains(grid)
     assert right == (None, B1, R2, M3, S4, T5, P6)
     assert top == (None, B1, R2, B3, T4, T5, P6)
@@ -171,14 +174,15 @@ def seeded_inputs(n, seed):
 
 
 def test_fill_orders_agree():
-    # the label fill against the vertex rules, in two fill orders
+    # the fill's texts against the vertex rules, in two fill orders
     perms = [p for n in range(8) for p in all_permutations(n)]
     perms += seeded_inputs(150, "fill-orders").values()
     for family in ("composition", "tree"):
         for p in perms:
-            vertices = build_growth_diagram(p, family).vertices
-            assert vertices == vertex_fill(p, family, "antidiagonal"), (family, p)
-            assert vertices == vertex_fill(p, family, "row-major"), (family, p)
+            texts = list(build_growth_diagram(p, family).rows())
+            antidiagonal = vertex_fill(p, family, "antidiagonal")
+            assert texts == label_rows(family, antidiagonal), (family, p)
+            assert antidiagonal == vertex_fill(p, family, "row-major"), (family, p)
     with pytest.raises(ValueError):
         build_growth_diagram((1,), "matrix")
 
@@ -374,7 +378,7 @@ def test_grid_validate_catches_corruption():
     grid = build_growth_diagram((2, 1, 3), "composition")
     vertices = [list(row) for row in grid.vertices]
     vertices[2][2] = (2,)
-    corrupted = grid._replace(vertices=tuple(tuple(row) for row in vertices))
+    corrupted = SimpleNamespace(**grid._asdict(), vertices=tuple(tuple(row) for row in vertices))
     with pytest.raises(ValueError):
         validate_grid(corrupted)
 
@@ -417,84 +421,96 @@ def test_grid_pair_from_the_fill_labels_equals_the_chain_conversion(family):
         assert grid.pair() == chain_pair(grid) == growth_insert(p, family)
 
 
-def test_grid_json_shares_one_list_per_distinct_composition(monkeypatch):
-    # the grid's JSON renders each distinct composition's list once
+def test_composition_grid_json_is_the_rows_lists_of_parts():
+    # each row's part is the JSON of that row's lists of parts, "[]" for
+    # the empty composition, made from the row's texts at once
     p = list(range(1, 31))
     random.Random(5).shuffle(p)
     grid = build_growth_diagram(p, "composition")
-    rendered = []
-    flat_list = jsontext._flat_list
-
-    def counted(items, *args, **kwargs):
-        rendered.append(items)
-        return flat_list(items, *args, **kwargs)
-
-    monkeypatch.setattr(jsontext, "_flat_list", counted)
-    text = "".join(grid.json_parts(0))
-    cells = [v for row in grid.vertices for v in row]
-    assert sorted(rendered) == sorted(set(cells)) and len(rendered) < len(cells)
-    assert json.loads(text) == [[list(v) for v in row] for row in grid.vertices]
+    parts = list(grid.json_parts(0))
+    assert len(parts) == grid.n + 2
+    lists = [[list(v) for v in row] for row in grid.vertices]
+    assert [json.loads(part[1:]) for part in parts[:-1]] == lists
+    assert json.loads("".join(parts)) == lists
 
 
 # -- vertex texts ---------------------------------------------------------------
 
-def assert_texts_are_vertex_texts(grid):
-    """Each text the fill spliced is the text of its vertex, made afresh."""
-    k = grid.n + 1
-    texts = trees_to_text([v for row in grid.vertices for v in row])
-    assert grid.texts == tuple(tuple(texts[i : i + k]) for i in range(0, len(texts), k))
+def label_rows(family, vertices):
+    """The print name (``graphs.vertex_labels``) of each vertex of a grid,
+    rendered at once, so that trees share the texts of shared nodes."""
+    k = len(vertices)
+    labels = graphs.vertex_labels(family, [v for row in vertices for v in row])
+    return [labels[i : i + k] for i in range(0, len(labels), k)]
+
+
+def assert_texts_are_vertex_labels(p, family):
+    """Each text the fill carries is the print name of its vertex, which
+    the local rules rebuild square by square."""
+    grid = build_growth_diagram(p, family)
+    assert list(grid.rows()) == label_rows(family, grid.vertices), p
 
 
 def test_tree_texts_are_vertex_texts_exhaustive():
     for n in range(8):
         for p in all_permutations(n):
-            assert_texts_are_vertex_texts(build_growth_diagram(p, "tree"))
+            assert_texts_are_vertex_labels(p, "tree")
 
 
 @pytest.mark.parametrize("kind", ["random", "identity", "reverse", "avoid231"])
 def test_tree_texts_are_vertex_texts_seeded(kind):
-    p = seeded_inputs(300, f"texts-{kind}")[kind]
-    assert_texts_are_vertex_texts(build_growth_diagram(p, "tree"))
+    assert_texts_are_vertex_labels(seeded_inputs(300, f"texts-{kind}")[kind], "tree")
 
 
-def test_only_tree_grids_carry_texts():
-    assert build_growth_diagram((2, 3, 1), "composition").texts is None
+def test_composition_texts_are_vertex_labels_exhaustive():
+    for n in range(8):
+        for p in all_permutations(n):
+            assert_texts_are_vertex_labels(p, "composition")
+
+
+@pytest.mark.parametrize("kind", ["random", "identity", "reverse", "avoid231"])
+def test_composition_texts_are_vertex_labels_seeded(kind):
+    assert_texts_are_vertex_labels(seeded_inputs(300, f"texts-{kind}")[kind], "composition")
+
+
+def test_degenerate_edges_pass_texts_on():
+    assert list(build_growth_diagram((2, 3, 1), "composition").rows()) == [
+        ["e", "e", "e", "e"], ["e", "e", "e", "1"], ["e", "1", "1", "1,1"], ["e", "1", "2", "1,2"],
+    ]
     grid = build_growth_diagram((2, 1), "tree")
-    assert grid.texts == (("-", "-", "-"), ("-", "-", "(-,-)"), ("-", "(-,-)", "((-,-),-)"))
+    assert list(grid.rows()) == [["-", "-", "-"], ["-", "-", "(-,-)"], ["-", "(-,-)", "((-,-),-)"]]
     # a vertex passed across (case (d)) or up (case (c)) shares its text
-    texts = build_growth_diagram((1, 2), "tree").texts
+    texts = list(build_growth_diagram((1, 2), "tree").rows())
     assert texts[1][2] is texts[1][1] is texts[2][1]
 
 
-def test_insert_rightmost_text_at_every_depth():
-    for n in range(7):
-        for t in trees_of(n):
-            text, = trees_to_text([t])
-            # where each right-spine node's text starts
-            spine, node, offset = [], t, 0
-            while node is not None:
-                spine.append(offset)
-                offset += len(trees_to_text([node[0]])[0]) + 2
-                node = node[1]
-            for k in range(len(spine) + 1):
-                z = insert_rightmost(t, k)
-                z_text, z_spine = insert_rightmost_text((text, tuple(spine)), k)
-                assert z_text == trees_to_text([z])[0], (t, k)
-                assert z_spine == tuple(spine[:k]) + (spine[k] if k < len(spine) else len(text) - k - 1,)
+def _patch_step(monkeypatch, family, change):
+    """Make the text fill's step read its carried state through change."""
+    step = growth._pair(family).step
+    _patch_pair(monkeypatch, family, step=lambda below, *labels: step(change(*below), *labels))
 
 
 def test_a_wrong_splice_offset_is_caught(monkeypatch):
     p = seeded_inputs(30, "wrong-splice")["random"]
-    assert_texts_are_vertex_texts(build_growth_diagram(p, "tree"))
+    assert_texts_are_vertex_labels(p, "tree")
+    # wraps the subtree one character late whenever the spine node exists:
+    # the spliced text no longer covers the vertex to its left
+    _patch_step(
+        monkeypatch, "tree",
+        lambda texts, spines, leaves: (texts, [tuple(offset + 1 for offset in spine) for spine in spines], leaves),
+    )
+    with pytest.raises(GrowthRuleError, match="does not cover"):
+        build_growth_diagram(p, "tree")
 
-    def one_off(carried, depth):
-        # wraps the subtree one character late whenever the spine node exists
-        text, spine = carried
-        return insert_rightmost_text((text, tuple(offset + 1 for offset in spine)), depth)
 
-    _patch_pair(monkeypatch, "tree", carry=one_off)
-    with pytest.raises(AssertionError):
-        assert_texts_are_vertex_texts(build_growth_diagram(p, "tree"))
+@pytest.mark.parametrize("shift", [-3, 1, 10**6])
+def test_a_wrong_leaf_offset_is_searched_past(monkeypatch, shift):
+    # the leaf that each grown vertex adds is first looked for where the
+    # splice moves the one below; a wrong guess only costs the search
+    p = seeded_inputs(40, "wrong-leaf")["random"]
+    expected = list(build_growth_diagram(p, "tree").rows())
+    _patch_step(monkeypatch, "tree", lambda texts, spines, leaves: (texts, spines, [o + shift for o in leaves]))
+    assert list(build_growth_diagram(p, "tree").rows()) == expected
 
 
 # -- the search-based local rules, kept as an oracle for the closed forms -----

@@ -2,10 +2,12 @@
 The two writers of ``growthdiag growth`` against their references: the
 JSON text, whose grid rows the CLI joins straight from the fill's vertex
 texts, against ``jsontext.dumps`` of a payload built from the grid's
-vertices; and the ASCII text, which the CLI writes a line at a time,
-against the renderer that built the whole cell matrix (``render_grid`` in
-``oracles``).
+vertices, which the local rules rebuild; and the ASCII text, which the
+CLI writes a line at a time, against the renderer that built the whole
+cell matrix (``render_grid`` in ``oracles``).
 """
+import tracemalloc
+
 import pytest
 
 from growthdiagrams import cli, growth, jsontext
@@ -51,7 +53,7 @@ def reference_json(grid):
 
 def reference_ascii(grid):
     """The text as the CLI joined it before it wrote a line at a time."""
-    labels = grid.cells()
+    labels = list(grid.rows())
     algorithm = cli._FAMILY_ALGORITHMS[grid.family]
     return "\n".join([
         render_grid(grid, labels),
@@ -106,3 +108,22 @@ def test_a_wrong_composition_join_fails_the_word_value_check(monkeypatch, p):
     _patch_pair(monkeypatch, "composition", join=wrong_join)
     with pytest.raises(GrowthRuleError, match="does not cover"):
         growth.build_growth_diagram(p, "composition")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("klass", ["random", "reverse"])
+def test_json_holds_about_one_row(tmp_path, family, klass):
+    # the JSON writer makes each row as it writes it and keeps only the
+    # row below, so its peak is a few rows' text, not the grid's
+    p = _inputs(300, 25)[klass]
+    out = tmp_path / "grid.json"
+    largest_row = max(map(len, growth.build_growth_diagram(p, family).json_parts(1)))
+    tracemalloc.start()
+    try:
+        code = cli.main(["growth", family, ",".join(map(str, p)), "--check", "--format", "json", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 12 * largest_row + (1 << 18)
+    assert peak < out.stat().st_size / 8

@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # module that holds it (test-only oracles and one-line wrappers have since
 # left the package)
 EXPORTS = {
-    "bst": ("bst_insert", "is_lattice_cover"),
+    "bst": ("bst_insert",),
     "compositions": (
         "binword_covers", "composition_to_word", "compositions_of", "is_binword_cover",
         "is_lifted_cover", "lifted_covers", "word_to_composition",
@@ -35,7 +35,7 @@ EXPORTS = {
         "QuasiRibbonTableau", "RibbonTableau", "hypoplactic_insert", "shadow_lines",
     ),
     "trees": (
-        "delete_rightmost", "is_reflected_bracket_cover", "lattice_covers",
+        "delete_rightmost", "is_lattice_cover", "is_reflected_bracket_cover", "lattice_covers",
         "reflected_bracket_covers", "tree_to_bracketed_expression", "trees_of",
     ),
 }
@@ -70,8 +70,10 @@ GRAPHS = {"graphs"}  # compositions or trees only to enumerate or name vertices
 # a fill loads its own family's code only
 TREE_GROWTH = {"growth", "treegrowth", "bst"}
 COMPOSITION_GROWTH = {"growth", "compositiongrowth", "compositions", "ribbons"}
-# the reference rules need every cover relation
-EQUIVALENCE = {"growthcheck", "compositions", "trees", "bst"}
+# verify loads its runners; equivalence also the checks, which load the
+# vertex code of the family they check only
+VERIFY = {"verify"}
+EQUIVALENCE = {*VERIFY, "growthcheck"}
 LOADS = {
     ("insert", "hypoplactic", "312"): {"ribbons"},
     ("insert", "hypoplactic", "312", "--format", "json"): {"ribbons", "jsontext"},
@@ -83,13 +85,13 @@ LOADS = {
     ("growth", "tree", "312"): TREE_GROWTH,
     ("growth", "tree", "312", "--format", "json"): {*TREE_GROWTH, "jsontext"},
     ("growth", "tree", "312", "--check", "--format", "json"): {*TREE_GROWTH, "jsontext"},
-    ("verify", "duality", "--max-rank", "3"): GRAPHS,
-    ("verify", "duality", "--pair", "trees", "--max-rank", "3"): GRAPHS,
+    ("verify", "duality", "--max-rank", "3"): {*VERIFY, *GRAPHS},
+    ("verify", "duality", "--pair", "trees", "--max-rank", "3"): {*VERIFY, *GRAPHS},
     ("verify", "equivalence", "--max-n", "3"): {*COMPOSITION_GROWTH, *EQUIVALENCE},
     ("verify", "equivalence", "--family", "tree", "--max-n", "3"): {*TREE_GROWTH, *EQUIVALENCE},
-    ("verify", "shadow", "--max-n", "3"): {"ribbons"},
-    ("verify", "paths", "--n", "3"): {*GRAPHS, "compositions"},
-    ("verify", "paths", "--pair", "trees", "--n", "3"): {*GRAPHS, "trees"},
+    ("verify", "shadow", "--max-n", "3"): {*VERIFY, "ribbons"},
+    ("verify", "paths", "--n", "3"): {*VERIFY, *GRAPHS, "compositions"},
+    ("verify", "paths", "--pair", "trees", "--n", "3"): {*VERIFY, *GRAPHS, "trees"},
     ("graph", "binword", "--max-rank", "2"): {*GRAPHS, "compositions"},
     ("graph", "binword", "--max-rank", "2", "--format", "json"): {*GRAPHS, "compositions", "jsontext"},
     ("graph", "tree-lattice", "--max-rank", "2"): {*GRAPHS, "trees"},
@@ -105,10 +107,14 @@ def test_cold_start_imports(bare_interpreter, argv):
     assert package == {f"growthdiagrams.{name}" for name in {"permutations", *LOADS[argv]}}
 
 
-# the pairs of modules that a lazy import joins, importer first
+# the pairs of modules that a lazy import joins, directly or through
+# verify, importer first
 LAZY = [
-    ("cli", "bst"), ("cli", "growthcheck"), ("graphs", "compositions"), ("graphs", "trees"),
-    ("growth", "compositiongrowth"), ("growth", "treegrowth"), ("growthcheck", "compositiongrowth"),
+    ("cli", "bst"), ("cli", "verify"), ("cli", "growthcheck"), ("verify", "growthcheck"),
+    ("graphs", "compositions"), ("graphs", "trees"),
+    ("growth", "compositiongrowth"), ("growth", "treegrowth"), ("growth", "growthcheck"),
+    ("growthcheck", "compositiongrowth"), ("growthcheck", "compositions"), ("growthcheck", "trees"),
+    ("growthcheck", "bst"),
 ]
 MODULES = sorted(path.stem for path in (SRC / "growthdiagrams").glob("*.py") if path.stem != "__init__")
 

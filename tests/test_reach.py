@@ -31,13 +31,21 @@ ALLOWED = {
     "growthcheck.local_rule_composition": _PINNED,
     "growthcheck.local_rule_tree": _PINNED,
     "growthcheck._check_square_input": "checks the input squares of the local rules",
+    "growthcheck._composition_code": "loads the composition local rule's vertex code",
+    "growthcheck._tree_code": "loads the tree local rule's vertex code",
     "growthcheck._join_composition": "case (f) of the composition local rule",
     "growthcheck._join_tree": "case (f) of the tree local rule",
     "compositions.is_lifted_cover": "the composition local rule's vertical cover check",
     "compositions.is_binword_cover": "the composition local rule's horizontal cover check",
     "compositions.word_value": "the word bits that is_binword_cover compares",
     "trees.is_reflected_bracket_cover": "the tree local rule's vertical cover check",
+    "trees.is_lattice_cover": "the tree local rule's horizontal cover check",
+    "trees.insert_rightmost": "how the tree local rule grows a vertex",
     "trees.right_spine_length": "where the tree local rule inserts its new node",
+    "compositions.increment_last": "how the composition local rule grows a vertex",
+    "growthcheck.local_rule_grid": "rebuilds a grid's vertices for GrowthGrid.vertices",
+    "treegrowth._added_leaf": "finds a grown leaf where the carried offset misses, which no grid tried has made",
+    "growth.GrowthGrid.vertices": "library API: the vertices themselves, which perfbench's case counts read",
     "compositions.lifted_covers": _CACHED,
     "compositions.binword_covers": _CACHED,
     "compositions.composition_to_word": "binword_covers decodes the words it spreads with it",

@@ -33,12 +33,9 @@ RECORDS = [
     ),
     (
         GrowthGrid,
-        dict(n=1, family="composition", vertices=(((), ()), ((), (1,))), marks=frozenset({(1, 1)}), texts=None,
-             labels=((1,), (3,))),
-        dict(n=1, family="tree", vertices=(((), ()), ((), (1,))), marks=frozenset({(1, 1)}), texts=None,
-             labels=((1,), (3,))),
-        "GrowthGrid(n=1, family='composition', vertices=(((), ()), ((), (1,))), marks=frozenset({(1, 1)}), texts=None,"
-        " labels=((1,), (3,)))",
+        dict(n=1, family="composition", marks=frozenset({(1, 1)}), labels=((1,), (3,))),
+        dict(n=1, family="tree", marks=frozenset({(1, 1)}), labels=((1,), (3,))),
+        "GrowthGrid(n=1, family='composition', marks=frozenset({(1, 1)}), labels=((1,), (3,)))",
     ),
     (
         QuasiRibbonTableau,
@@ -74,23 +71,24 @@ def test_growth_grid_is_the_record_the_fill_builds():
     # the fill keeps its boundary labels: letter 1 up the right column,
     # h = 3 along the top row
     grid = build_growth_diagram((1,), "composition")
-    fields = dict(n=1, family="composition", vertices=(((), ()), ((), (1,))), marks=frozenset({(1, 1)}))
-    assert grid == GrowthGrid(**fields, texts=None, labels=((1,), (3,)))
-    assert grid != GrowthGrid(**fields, texts=None, labels=((1,), (1,)))
+    fields = dict(n=1, family="composition", marks=frozenset({(1, 1)}))
+    assert grid == GrowthGrid(**fields, labels=((1,), (3,)))
+    assert grid != GrowthGrid(**fields, labels=((1,), (1,)))
     # every field is required: the fill is the one way a grid is made
     with pytest.raises(TypeError):
         GrowthGrid(**fields)
     # the grid's (P, Q) pair is its labels converted
     assert grid.pair() == (QuasiRibbonTableau([[1]]), RibbonTableau([[1]]))
-    # a tree grid also holds its vertices' texts, and they take part in
-    # equality, hashing and the repr
+    # the vertices and their texts are made from the record when read,
+    # and take no part in equality, hashing or the repr
+    assert grid.vertices == (((), ()), ((), (1,)))
+    assert list(grid.rows()) == [["e", "e"], ["e", "1"]]
     grid = build_growth_diagram((1,), "tree")
-    fields = dict(n=1, family="tree", vertices=((None, None), (None, (None, None))), marks=frozenset({(1, 1)}))
-    texts = (("-", "-"), ("-", "(-,-)"))
-    assert grid == GrowthGrid(**fields, texts=texts, labels=((0,), (0,)))
-    assert grid != GrowthGrid(**fields, texts=None, labels=((0,), (0,)))
-    assert hash(grid) == hash(GrowthGrid(**fields, texts=texts, labels=((0,), (0,))))
-    assert repr(grid).endswith(", texts=(('-', '-'), ('-', '(-,-)')), labels=((0,), (0,)))")
+    assert grid == GrowthGrid(n=1, family="tree", marks=frozenset({(1, 1)}), labels=((0,), (0,)))
+    assert hash(grid) == hash(GrowthGrid(n=1, family="tree", marks=frozenset({(1, 1)}), labels=((0,), (0,))))
+    assert grid.vertices == ((None, None), (None, (None, None)))
+    assert list(grid.rows()) == [["-", "-"], ["-", "(-,-)"]]
+    assert repr(grid) == "GrowthGrid(n=1, family='tree', marks=frozenset({(1, 1)}), labels=((0,), (0,)))"
 
 
 def test_tableau_kinds_differ():

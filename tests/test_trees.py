@@ -6,9 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from growthdiagrams.permutations import all_permutations, inverse
-from growthdiagrams.bst import bst_insert, insert_rightmost, is_lattice_cover, labeled_tree_to_text
+from growthdiagrams.bst import bst_insert, labeled_tree_to_text
 from growthdiagrams.trees import (
     delete_rightmost,
+    insert_rightmost,
+    is_lattice_cover,
     is_reflected_bracket_cover,
     labeled_tree_to_json_obj,
     lattice_covers,
