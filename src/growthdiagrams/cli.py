@@ -29,6 +29,7 @@ check ends the command with part of the grid already written.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from functools import partial
@@ -157,7 +158,7 @@ def cmd_growth(args) -> int:
 
     p = parse_permutation(args.permutation)
     # the writer below makes and checks the rows as it writes them
-    grid = growth.build_growth_diagram(p, args.family, stream=True)
+    grid = growth.build_growth_diagram(p, args.family)
     pair = grid.pair()
     algorithm = _FAMILY_ALGORITHMS[args.family]
     matched = None
@@ -276,19 +277,24 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # fail before any work
         if args.out:
-            # fail before any work; appending nothing leaves an existing file as it is
+            # appending nothing leaves an existing file as it is
             _write_out(args.out, "a", ())
+        elif sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise OutputError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
         code = args.func(args)
-        sys.stdout.flush()  # a closed stdout shows here at the latest
+        if not args.out:
+            sys.stdout.flush()  # a stdout that takes no more text fails here at the latest
         return code
-    except BrokenPipeError as exc:
-        # the reader went away: let the interpreter's last flush of the
+    except OSError as exc:
+        # --out failures are OutputError, so this is stdout's: full, or
+        # closed by its reader.  Let the interpreter's last flush of the
         # text still buffered go nowhere instead of failing again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except (PermutationParseError, RankGuardError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -58,6 +58,16 @@ def _text_row(below: tuple[list, list], c: int, vertical: list, horizontal: list
     return texts, values
 
 
+def _json_cells(texts: list[str], cell_break: str) -> str:
+    """The JSON lists of parts of a row's texts, ``cell_break`` apart: the
+    texts joined by "|", which none holds, then a line break after each
+    comma, "],[" between cells and "[]" for "e", each on the whole row."""
+    part_break = "," + cell_break + "  "
+    start, end = "[" + part_break[1:], cell_break + "]"
+    between, empty = end + "," + cell_break + start, start + "e" + end
+    return (start + "|".join(texts).replace(",", part_break).replace("|", between) + end).replace(empty, "[]")
+
+
 def _quasi_ribbon_forms(letters) -> tuple[list[int], tuple[int, ...]]:
     """Cell k opens a new row for letter 1 and ends the last row for 0;
     the first letter is always 1.  The reading word and row-end flags."""
@@ -88,7 +98,7 @@ def _ribbon_forms(labels) -> tuple[list[int], tuple[int, ...]]:
 PAIR = DualPair(
     mark=_mark_labels_composition, join=_join_labels_composition,
     fits=_labels_fit_composition, spined=False,
-    start=("e", 0), step=_text_row,
+    start=("e", 0), step=_text_row, json_cells=_json_cells,
     p_from_labels=lambda letters: QuasiRibbonTableau._from_reading(*_quasi_ribbon_forms(letters)),
     q_from_labels=lambda labels: RibbonTableau._from_reading(*_ribbon_forms(labels)),
 )

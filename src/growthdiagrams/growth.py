@@ -53,8 +53,8 @@ What the fill carries, and where each check lives:
   * The label fill checks that each label it makes fits the vertex it
     applies to (a letter 0 needs a non-empty word, q and k and s must
     exist), so a broken rule raises GrowthRuleError.  It keeps O(n)
-    state, so :func:`build_growth_diagram` runs it first, for the labels
-    of the boundary that :meth:`GrowthGrid.pair` converts to (P, Q).
+    state; :func:`build_growth_diagram` runs it once, for the labels of
+    the boundary that :meth:`GrowthGrid.pair` converts to (P, Q).
   * The text fill, :meth:`GrowthGrid.rows`, runs the label fill again and
     makes row i of vertex texts from row i - 1 as the labels of row i
     come: next to each vertex it carries its printed text and O(1)
@@ -62,9 +62,10 @@ What the fill carries, and where each check lives:
     its horizontal in-edge added; a composition's word value).  Every
     grown vertex z is checked to cover the vertex x to its left on that
     state: a tree's text must be x's with one "-" made "(-,-)", a
-    composition's word value must be a Binword cover of x's.  A writer
-    keeps only the row below the one it makes, so the JSON of a grid
-    streams in O(n * rank) memory.
+    composition's word value must be a Binword cover of x's, so a broken
+    cover raises where a reader makes its row.  A writer keeps only the
+    row below the one it makes, so the JSON of a grid streams in
+    O(n * rank) memory.
   * The vertices themselves are rebuilt by the local rules of
     :mod:`growthdiagrams.growthcheck` when :attr:`GrowthGrid.vertices` is
     read, which no command does; ``growth_insert`` and
@@ -103,6 +104,7 @@ class DualPair(NamedTuple):
     # column c, the vertical and the horizontal labels of row i) -> the
     # same of row i, each grown vertex checked to cover the one to its left
     step: Callable
+    json_cells: Callable  # (a row's texts, the break before each cell) -> its cells' JSON
     p_from_labels: Callable  # the right column's vertical labels -> P
     q_from_labels: Callable  # the top row's horizontal labels -> Q
 
@@ -178,32 +180,17 @@ class GrowthGrid(NamedTuple):
     def json_parts(self, depth: int) -> Iterator[str]:
         """
         The ``json.dumps(indent=2)`` text of the vertices, a list of rows
-        whose cells are a tree's text or a composition's list of parts, as
-        a value at ``depth``, in the parts that ``jsontext.iterdumps``
-        writes: bottom row first, each row joined in one part as
-        :meth:`rows` makes it, so only that row's text is held.  A tree's
-        text holds only "(", ")", "," and "-", and so needs no escaping.
-        A composition's list is its text with a line break after each
-        comma, "[]" for "e"; the texts of a row are joined with "|", which
-        no text holds, and each of those three changes is made on the
-        whole row at once.
+        of the cells that the family's ``json_cells`` writes, as a value
+        at ``depth``, in the parts that ``jsontext.iterdumps`` writes:
+        bottom row first, each row in one part as :meth:`rows` makes it,
+        so only that row's text is held.
         """
+        json_cells = _pair(self.family).json_cells
         row_break = "\n" + "  " * (depth + 1)
         cell_break = row_break + "  "
-        if self.family == "tree":
-            quoted = '",' + cell_break + '"'
-            rows = ('"' + quoted.join(texts) + '"' for texts in self.rows())
-        else:
-            part_break = "," + cell_break + "  "
-            start, end = "[" + part_break[1:], cell_break + "]"
-            between, empty = end + "," + cell_break + start, start + "e" + end
-            rows = (
-                (start + "|".join(texts).replace(",", part_break).replace("|", between) + end).replace(empty, "[]")
-                for texts in self.rows()
-            )
         sep = "["
-        for row in rows:
-            yield f"{sep}{row_break}[{cell_break}{row}{row_break}]"
+        for texts in self.rows():
+            yield f"{sep}{row_break}[{cell_break}{json_cells(texts, cell_break)}{row_break}]"
             sep = ","
         yield "\n" + "  " * depth + "]"
 
@@ -264,15 +251,13 @@ def _label_rows(columns: list[int], dual: DualPair):
         yield c, vertical, row
 
 
-def build_growth_diagram(p: Permutation, family: Family, stream: bool = False) -> GrowthGrid:
+def build_growth_diagram(p: Permutation, family: Family) -> GrowthGrid:
     """
-    Fill the growth diagram of a permutation.  The boundaries are empty
-    and alpha=1 exactly at the cells of the permutation matrix.  The label
-    fill runs first, keeping the labels of the right and top boundaries;
-    then the text fill, :meth:`GrowthGrid.rows`, walks every row once, so
-    that a vertex that does not cover its neighbour raises here.  With
-    ``stream`` that walk is left to the caller's writer, which makes every
-    row anyway and checks it as it goes.
+    Fill the growth diagram of a permutation on edge labels.  The
+    boundaries are empty and alpha=1 exactly at the cells of the
+    permutation matrix.  The grid keeps the labels of the right and top
+    boundaries; its texts are made, and each grown vertex checked, when
+    :meth:`GrowthGrid.rows` is read.
     """
     p = validate_permutation(p)
     dual = _pair(family)
@@ -280,11 +265,7 @@ def build_growth_diagram(p: Permutation, family: Family, stream: bool = False) -
     horizontal = [None]  # horizontal labels of the last row filled
     for _, vertical, horizontal in _label_rows(inverse(p), dual):
         right.append(vertical[-1])
-    grid = GrowthGrid(len(p), family, permutation_matrix(p), (tuple(right), tuple(horizontal[1:])))
-    if not stream:
-        for _ in grid.rows():
-            pass
-    return grid
+    return GrowthGrid(len(p), family, permutation_matrix(p), (tuple(right), tuple(horizontal[1:])))
 
 
 def _pair(family: Family) -> DualPair:

@@ -147,7 +147,8 @@ def local_rule_grid(n: int, family: Family, marks) -> tuple[tuple, ...]:
 def growth_insert(p: Permutation, family: Family):
     """
     Fill the growth diagram of p on edge labels and convert the labels of
-    its two boundary chains; no vertex is built.  The result equals the
+    its two boundary chains; no vertex and no text is made, so only the
+    label fill's checks run.  The result equals the
     direct insertion of the family: hypoplactic insertion for
     compositions, left-to-right binary search tree insertion for trees.
 
@@ -155,7 +156,7 @@ def growth_insert(p: Permutation, family: Family):
     >>> p_tab.rows, q_tab.rows
     (((1, 2), (3,), (4, 5, 6)), ((2, 6), (4,), (1, 3, 5)))
     """
-    return build_growth_diagram(p, family, stream=True).pair()
+    return build_growth_diagram(p, family).pair()
 
 
 def _hypoplactic_agrees(dual: DualPair, n: int) -> Callable:

@@ -116,5 +116,7 @@ PAIR = DualPair(
     mark=lambda rank, spine: (spine, rank), join=lambda k, s, rank: (k, s),
     fits=lambda k, s, rank, spine: 0 <= k <= spine and 0 <= s <= rank, spined=True,
     start=("-", (), 0), step=_text_row,
+    # a text holds only "(", ")", "," and "-", so it needs no escaping
+    json_cells=lambda texts, cell_break: '"' + ('",' + cell_break + '"').join(texts) + '"',
     p_from_labels=_bst_from_depths, q_from_labels=_increasing_tree_from_slots,
 )

@@ -778,3 +778,29 @@ def test_closed_stdout_is_one_error_line():
     assert err.startswith("error: cannot write stdout: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("redirect", ["> /dev/full", ">&-"], ids=["full", "closed"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["insert", "hypoplactic", "2,1"],
+        ["growth", "tree", "2413", "--check", "--format", "json"],
+        ["graph", "binword", "--max-rank", "3"],
+        ["verify", "shadow", "--max-n", "4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_stdout_that_takes_no_text_is_one_error_line(argv, redirect):
+    # a full device fails the last flush, a closed fd 1 leaves no stdout
+    if redirect == "> /dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        ["sh", "-c", f'"$@" {redirect}', "sh", sys.executable, "-m", "growthdiagrams.cli", *argv],
+        stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr

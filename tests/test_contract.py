@@ -2,14 +2,17 @@
 The command line's three-outcome contract: any argv the parser's grammar
 can spell ends in a result (exit 0), or in exit 1 or 2 with one error
 line closing stderr, after argparse's usage lines if any, and never in a
-traceback.  Commands run in process, on sizes that keep each one short.
+traceback, also when stdout cannot take the text.  Commands run in
+process, on sizes that keep each one short.
 """
+import os
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 from random import Random
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -126,13 +129,17 @@ malformed = st.sampled_from(
 argvs = st.one_of(insert, growth, graph, duality, paths, exhaustive).map(lambda parts: sum(parts, [])) | malformed
 
 
-def _run(argv: list[str]) -> tuple[int, str, str]:
-    out, err = StringIO(), StringIO()
+def _main(argv: list[str], out, err) -> int:
     with redirect_stdout(out), redirect_stderr(err):
         try:
-            code = cli.main(argv)
+            return cli.main(argv)
         except SystemExit as exc:  # argparse rejects argv
-            code = exc.code
+            return exc.code
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = StringIO(), StringIO()
+    code = _main(argv, out, err)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -152,6 +159,23 @@ def test_every_argv_ends_in_one_of_three_outcomes(argv):
     # argparse's usage: a "usage:" line and its indented continuations
     assert all(line.startswith("usage: ") if k == 0 else line.startswith(" ") for k, line in enumerate(before)), err
 
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@settings(max_examples=150, deadline=None)
+@given(argvs)
+def test_a_full_stdout_fails_only_the_commands_that_would_succeed(argv):
+    # every success writes at least a line; a command that fails does so
+    # before it writes, and as it would on a stdout that takes the text
+    code, _, err = _run(argv)
+    full_err = StringIO()
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        full_code = _main(argv, full, full_err)
+    event(f"exit {code} -> {full_code}")
+    if code == 0:
+        assert (full_code, full_err.getvalue()) == (2, "error: cannot write stdout: No space left on device\n")
+    else:
+        assert (full_code, full_err.getvalue()) == (code, err)
 
 
 def test_a_cover_break_mid_grid_is_one_error_line(monkeypatch):

@@ -499,8 +499,29 @@ def test_a_wrong_splice_offset_is_caught(monkeypatch):
         monkeypatch, "tree",
         lambda texts, spines, leaves: (texts, [tuple(offset + 1 for offset in spine) for spine in spines], leaves),
     )
+    grid = build_growth_diagram(p, "tree")
     with pytest.raises(GrowthRuleError, match="does not cover"):
-        build_growth_diagram(p, "tree")
+        list(grid.rows())
+
+
+@pytest.mark.parametrize("family", ["composition", "tree"])
+def test_only_the_rows_run_the_text_fill(monkeypatch, capsys, family):
+    # the grid holds labels only: its texts are made, one step per row
+    # above the bottom one, by the reader that makes its rows
+    p = seeded_inputs(20, "text-steps")["random"]
+    step = growth._pair(family).step
+    rows = []
+
+    def counted(below, c, *labels):
+        rows.append(c)
+        return step(below, c, *labels)
+
+    _patch_pair(monkeypatch, family, step=counted)
+    build_growth_diagram(p, family)
+    assert rows == []
+    assert cli.main(["growth", family, ",".join(map(str, p)), "--format", "json"]) == 0
+    capsys.readouterr()
+    assert rows == list(inverse(p))
 
 
 @pytest.mark.parametrize("shift", [-3, 1, 10**6])
@@ -629,8 +650,9 @@ def test_a_wrong_composition_label_rule_is_caught(monkeypatch):
         return labels if labels != (a, h) else (1 - a, h)
 
     _patch_pair(monkeypatch, "composition", join=wrong_join)
+    grid = build_growth_diagram(p, "composition")
     with pytest.raises(GrowthRuleError):
-        build_growth_diagram(p, "composition")
+        list(grid.rows())
     monkeypatch.undo()
     # a marked square appending a 0 to the empty word: growth_insert builds
     # no vertex, and the label fill rejects the label
@@ -650,8 +672,9 @@ def test_a_wrong_tree_label_rule_is_caught(monkeypatch):
     # cases (e) and (f) insert at the root instead: z still covers y in the
     # reflected bracket tree, but no longer covers x in the lattice
     _patch_pair(monkeypatch, "tree", join=lambda k, s, rank: (0, s))
+    grid = build_growth_diagram(p, "tree")
     with pytest.raises(GrowthRuleError):
-        build_growth_diagram(p, "tree")
+        list(grid.rows())
     monkeypatch.undo()
     # a marked square one level below the right spine
     _patch_pair(monkeypatch, "tree", mark=lambda rank, spine: (spine + 1, rank))

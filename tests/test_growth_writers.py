@@ -106,8 +106,9 @@ def test_a_wrong_composition_join_fails_the_word_value_check(monkeypatch, p):
         return labels if labels != (a, h) else (1 - a, h)
 
     _patch_pair(monkeypatch, "composition", join=wrong_join)
+    grid = growth.build_growth_diagram(p, "composition")
     with pytest.raises(GrowthRuleError, match="does not cover"):
-        growth.build_growth_diagram(p, "composition")
+        list(grid.rows())
 
 
 @pytest.mark.parametrize("family", FAMILIES)
