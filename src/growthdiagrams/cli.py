@@ -79,6 +79,14 @@ def _ended(chunks: Iterable[str]) -> Iterator[str]:
         yield "\n"
 
 
+def _stdout():
+    """sys.stdout; where fd 1 was closed when the interpreter started it is
+    None, and this raises the error that writing to it ends in."""
+    if sys.stdout is None:
+        raise OutputError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
+    return sys.stdout
+
+
 def _emit(args, chunks: Iterable[str]) -> None:
     """Write a text given in chunks to --out or stdout as they come, so a
     long text is never held whole."""
@@ -228,8 +236,19 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Writes help as the commands write their output: argparse drops the
+    error of a stdout that takes no text, where this raises it for
+    :func:`main` to report."""
+
+    def print_help(self, file=None) -> None:
+        file = file or _stdout()
+        file.write(self.format_help())
+        file.flush()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="growthdiag",
         description=(
             "Hypoplactic and binary-search-tree insertion, growth diagrams on "
@@ -275,14 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)  # --help writes and exits here
         # fail before any work
         if args.out:
             # appending nothing leaves an existing file as it is
             _write_out(args.out, "a", ())
-        elif sys.stdout is None:  # fd 1 was closed when the interpreter started
-            raise OutputError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
+        else:
+            _stdout()
         code = args.func(args)
         if not args.out:
             sys.stdout.flush()  # a stdout that takes no more text fails here at the latest

@@ -3,11 +3,11 @@ Generic graded-graph machinery: per-rank vertex enumeration, the duality
 check DU - UD = rI, saturated-chain counting, and deterministic DOT/JSON
 export.
 
-Each of the four graphs is given by per-rank up-tables on canonical
-indices: ``up_table(n)[i]`` is the sorted tuple of the indices, within
-rank n+1, of the vertices that cover vertex i of rank n, where a vertex's
-index is its position in ``vertices_at(n)``.  A table is built once per
-rank with integer arithmetic alone, from the two index encodings:
+Each of the four graphs is given by one rule for its up-tables on
+canonical indices: ``up_table(n)`` yields, vertex by vertex of rank n, the
+sorted tuple of the indices, within rank n+1, of the vertices that cover
+it, where a vertex's index is its position in ``vertices_at(n)``.  A row
+is made with integer arithmetic alone, from the two index encodings:
 
 * compositions: a composition of n >= 1 has index word - 2^(n-1), its
   {0,1}-word read as a binary number (the order of ``compositions_of``).
@@ -21,11 +21,15 @@ rank with integer arithmetic alone, from the two index encodings:
   bracket row is the index of (t, None), which equals that of t, followed
   by (L, each cover of R).
 
-The duality check, the chain counts and the export read these tables
-only; no vertex is hashed or compared on those paths, and ``compositions``
-and ``trees`` load only to enumerate or name vertices.  The value-level
-cover functions (``lifted_covers`` and the others) stay in those modules
-as an independent coding of the same graphs.
+The duality check, the chain counts and the export read every rank
+through that rule, and use the top rank they read as its rows are made.
+Only two kinds of rank are kept whole, in one cache: the smaller tree
+tables that a larger one is built from, and the ranks of g1 below the top
+of a duality check, which reads each again as the rank below the next.
+No vertex is hashed or compared on those paths, and ``compositions`` and
+``trees`` load only to enumerate or name vertices.  The value-level cover
+functions (``lifted_covers`` and the others) stay in those modules as an
+independent coding of the same graphs.
 
 The four graphs all share the empty object as their single rank-0 vertex
 and have unit edge weights.  So entry (y, x) of DU - UD is the number of
@@ -39,8 +43,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import cache, lru_cache, partial
+from itertools import count
 from operator import mul
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 # defined where every command finds them, and re-exported here
 from .permutations import DUAL_PAIRS, GRAPH_NAMES, MAX_N, GrowthRuleError, RankGuardError  # noqa: F401
@@ -113,22 +118,27 @@ def _tree_bases(n: int) -> tuple[int, ...]:
 
 
 @cache
-def _lifted_table(n: int) -> tuple:
+def _kept(rule: Callable, n: int) -> tuple:
+    """A rule's rows of rank n, kept whole to be read more than once."""
+    return tuple(rule(n))
+
+
+def _lifted_table(n: int) -> Iterator[tuple]:
     """Lifted binary tree: append a letter, so index i is covered by 2i and 2i+1."""
     _check_rank("composition", n + 1)
     if n == 0:
-        return ((0,),)
-    return tuple((2 * i, 2 * i + 1) for i in range(1 << (n - 1)))
+        yield (0,)
+        return
+    yield from ((2 * i, 2 * i + 1) for i in range(1 << (n - 1)))
 
 
-@cache
-def _binword_table(n: int) -> tuple:
+def _binword_table(n: int) -> Iterator[tuple]:
     """Binword: insert one letter into the word anywhere but in front."""
     _check_rank("composition", n + 1)
     if n == 0:
-        return ((0,),)
+        yield (0,)
+        return
     top = 1 << n
-    rows = []
     for word in range(top >> 1, top):
         # at the bottom either letter goes; above the p lowest letters
         # only the one unlike the letter below, as the other would give
@@ -139,51 +149,47 @@ def _binword_table(n: int) -> tuple:
             (word >> p << (p + 1) | word & ((1 << p) - 1) | (~word >> (p - 1) & 1) << p) - top
             for p in range(1, n)
         ]
-        rows.append(tuple(sorted(covers)))
-    return tuple(rows)
+        yield tuple(sorted(covers))
 
 
-@cache
-def _lattice_table(n: int) -> tuple:
+def _lattice_table(n: int) -> Iterator[tuple]:
     """Lattice of binary trees: grow L, then grow R, of each (L, R)."""
     _check_rank("tree", n + 1)
     if n == 0:
-        return ((0,),)
+        yield (0,)
+        return
     bases = _tree_bases(n + 1)
-    rows = []
     for k in range(n - 1, -1, -1):
         m = n - 1 - k
         grow_left, grow_right = bases[k + 1], bases[k]
         stride_left, stride_right = _catalan(m), _catalan(m + 1)
-        right_rows = _lattice_table(m)
-        for i_left, left_row in enumerate(_lattice_table(k)):
+        right_rows = _kept(_lattice_table, m)
+        for i_left, left_row in enumerate(_kept(_lattice_table, k)):
             lefts = [grow_left + a * stride_left for a in left_row]
             at = grow_right + i_left * stride_right
             for i_right, right_row in enumerate(right_rows):
-                rows.append(tuple([a + i_right for a in lefts] + [at + b for b in right_row]))
-    return tuple(rows)
+                yield tuple([a + i_right for a in lefts] + [at + b for b in right_row])
 
 
-@cache
-def _reflected_bracket_table(n: int) -> tuple:
+def _reflected_bracket_table(n: int) -> Iterator[tuple]:
     """Reflected bracket tree: (t, None), then (L, each cover of R), of t = (L, R)."""
     _check_rank("tree", n + 1)
     if n == 0:
-        return ((0,),)
+        yield (0,)
+        return
     bases = _tree_bases(n + 1)
-    rows = []
+    index = count()
     for k in range(n - 1, -1, -1):
         m = n - 1 - k
-        right_rows = _reflected_bracket_table(m)
+        right_rows = _kept(_reflected_bracket_table, m)
         for i_left in range(_catalan(k)):
             at = bases[k] + i_left * _catalan(m + 1)
             for right_row in right_rows:
-                rows.append((len(rows), *[at + b for b in right_row]))
-    return tuple(rows)
+                yield (next(index), *[at + b for b in right_row])
 
 
 class GradedGraph(NamedTuple):
-    """A graded graph given by its name, vertex family and per-rank up-tables."""
+    """A graded graph given by its name, vertex family and up-table rule."""
 
     name: str
     family: str
@@ -209,8 +215,8 @@ def make_graph(name: str) -> GradedGraph:
 
     >>> make_graph("lifted-binary-tree").vertices_at(3)
     ((3,), (2, 1), (1, 2), (1, 1, 1))
-    >>> make_graph("lifted-binary-tree").up_table(2)
-    ((0, 1), (2, 3))
+    >>> list(make_graph("lifted-binary-tree").up_table(2))
+    [(0, 1), (2, 3)]
     """
     try:
         family, up_table = _GRAPHS[name]
@@ -274,13 +280,16 @@ def check_duality(g1: GradedGraph, g2: GradedGraph, max_rank: int) -> DualityRep
     verdicts = []
     counterexample = None
     up1_below: tuple = ()  # g1 up-neighbours of each rank-(n-1) vertex
-    down2: list[list[int]] = [[]]  # g2 down-neighbours of each rank-n vertex
+    down2: list[tuple] = [()]  # g2 down-neighbours of each rank-n vertex
     for n in range(max_rank + 1):
-        up1 = g1.up_table(n)
-        down2_above: list[list[int]] = [[] for _ in range(_rank_size(g1.family, n + 1))]
+        # () + one is one, so a vertex with one down-neighbour shares it
+        down2_above: list[tuple] = [()] * _rank_size(g1.family, n + 1)
         for j, row in enumerate(g2.up_table(n)):
+            one = (j,)
             for z in row:
-                down2_above[z].append(j)
+                down2_above[z] += one
+        # below the top, kept to be read again as the rank below the next
+        up1 = g1.up_table(n) if n == max_rank else _kept(g1.up_table, n)
         bad = []
         for j, row in enumerate(up1):
             # column j of D U and of U D + I as sorted lists of row indices

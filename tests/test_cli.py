@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -788,19 +789,43 @@ def test_closed_stdout_is_one_error_line():
         ["growth", "tree", "2413", "--check", "--format", "json"],
         ["graph", "binword", "--max-rank", "3"],
         ["verify", "shadow", "--max-n", "4"],
+        ["--help"],
+        ["insert", "--help"],
     ],
-    ids=lambda argv: argv[0],
+    ids=lambda argv: "-".join(arg.strip("-") for arg in argv) if "--help" in argv else argv[0],
 )
 def test_a_stdout_that_takes_no_text_is_one_error_line(argv, redirect):
-    # a full device fails the last flush, a closed fd 1 leaves no stdout
+    # a full device fails a write or the last flush, a closed fd 1 leaves
+    # no stdout; argparse's own help writer would drop either error
     if redirect == "> /dev/full" and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run(
-        ["sh", "-c", f'"$@" {redirect}', "sh", sys.executable, "-m", "growthdiagrams.cli", *argv],
-        stderr=subprocess.PIPE, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: cannot write stdout: ")
-    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
-    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    # with stdout unbuffered and buffered, as a terminal and CI have it
+    for unbuffered in ("1", ""):
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+            PYTHONUNBUFFERED=unbuffered,
+        )
+        proc = subprocess.run(
+            ["sh", "-c", f'"$@" {redirect}', "sh", sys.executable, "-m", "growthdiagrams.cli", *argv],
+            stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, (unbuffered, proc.stderr)
+        assert proc.stderr.startswith("error: cannot write stdout: ")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["insert", "--help"], ["verify", "--help"]], ids=["help", "insert-help", "verify-help"]
+)
+def test_help_on_a_working_stdout_is_argparse_help(argv, capsys, monkeypatch):
+    outputs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        outputs.append(capsys.readouterr())
+        # then the same help through argparse's own writer
+        monkeypatch.setattr(cli._Parser, "print_help", argparse.ArgumentParser.print_help)
+    assert outputs[0] == outputs[1] and outputs[0].out.startswith("usage: growthdiag")

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import pytest
@@ -245,52 +246,82 @@ def test_up_tables_match_value_level_covers(name):
     top = graphs.MAX_RANK[g.family]
     for n in range(top):
         index = {v: i for i, v in enumerate(g.vertices_at(n + 1))}
-        table = g.up_table(n)
+        table = list(g.up_table(n))
         assert len(table) == len(g.vertices_at(n))
         for row, v in zip(table, g.vertices_at(n)):
             assert row == tuple(sorted(index[u] for u in VALUE_COVERS[name](v)))
+    # the guard is raised before the first row is made
     with pytest.raises(RankGuardError):
-        g.up_table(top)
+        next(g.up_table(top))
 
 
 def test_binword_table_equals_the_table_deduplicated_through_a_set():
     for n in range(graphs.MAX_RANK["composition"]):
-        assert graphs._binword_table(n) == set_binword_table(n)
+        assert tuple(graphs._binword_table(n)) == set_binword_table(n)
 
 
-@pytest.mark.parametrize("name", GRAPH_NAMES)
-@pytest.mark.parametrize("wrong", ["edge-dropped", "edge-added", "edge-moved"])
-def test_one_wrong_table_entry_is_caught(monkeypatch, name, wrong):
-    family, table = graphs._GRAPHS[name]
-    rank, vertex = 3, 1
+WRONG_ENTRIES = ["edge-dropped", "edge-added", "edge-moved"]
 
-    def mutated(n):
-        rows = table(n)
-        if n != rank:
-            return rows
-        row = rows[vertex]
-        stranger = next(z for z in range(len(table(n + 1))) if z not in row)
-        bad = {
-            "edge-dropped": row[:-1],
-            "edge-added": tuple(sorted(row + (stranger,))),
-            "edge-moved": tuple(sorted(row[:-1] + (stranger,))),
-        }[wrong]
-        return rows[:vertex] + (bad,) + rows[vertex + 1:]
 
-    monkeypatch.setitem(graphs._GRAPHS, name, (family, mutated))
+def plant(monkeypatch, name, wrong, rank, vertex=1):
+    """Make the named graph's one rule yield a wrong row for one vertex of
+    one rank; the graphs of its dual pair, with the planted one among them."""
+    family, rule = graphs._GRAPHS[name]
+
+    def planted(n):
+        for i, row in enumerate(rule(n)):
+            if n == rank and i == vertex:
+                stranger = next(z for z in range(graphs._rank_size(family, n + 1)) if z not in row)
+                row = {
+                    "edge-dropped": row[:-1],
+                    "edge-added": tuple(sorted(row + (stranger,))),
+                    "edge-moved": tuple(sorted(row[:-1] + (stranger,))),
+                }[wrong]
+            yield row
+
+    monkeypatch.setitem(graphs._GRAPHS, name, (family, planted))
     pair = next(pair for pair in DUAL_PAIRS.values() if name in pair)
-    g1, g2 = (make_graph(n) for n in pair)
-    report = check_duality(g1, g2, 5)
-    assert not report.is_dual
-    assert not report.rank_verdicts[rank] and all(report.rank_verdicts[:rank])
-    assert report == oracle_check_duality(g1, g2, 5)
-    lhs, rhs = path_count_identity(g1, g2, 6)
+    return [make_graph(n) for n in pair]
+
+
+def assert_chain_pairs_move(g1, g2, n, wrong):
+    lhs, rhs = path_count_identity(g1, g2, n)
     # every vertex lies on a chain in both graphs, so a lost edge loses
     # chain pairs and an extra one adds some; a moved edge may keep the sum
     if wrong == "edge-dropped":
         assert lhs < rhs
     elif wrong == "edge-added":
         assert lhs > rhs
+
+
+@pytest.mark.parametrize("name", GRAPH_NAMES)
+@pytest.mark.parametrize("wrong", WRONG_ENTRIES)
+def test_one_wrong_table_entry_is_caught(monkeypatch, name, wrong):
+    rank = 3
+    g1, g2 = plant(monkeypatch, name, wrong, rank)
+    report = check_duality(g1, g2, 5)
+    assert not report.is_dual
+    assert not report.rank_verdicts[rank] and all(report.rank_verdicts[:rank])
+    assert report == oracle_check_duality(g1, g2, 5)
+    assert_chain_pairs_move(g1, g2, 6, wrong)
+
+
+@pytest.mark.parametrize("name", GRAPH_NAMES)
+@pytest.mark.parametrize("wrong", WRONG_ENTRIES)
+@pytest.mark.parametrize("top", ["max-rank-5", "guard"])
+def test_a_wrong_entry_at_the_last_rank_read_is_caught(monkeypatch, name, wrong, top):
+    """The top rank a call reads, whose rows it uses as they are made,
+    goes through the same rule as every rank below it."""
+    family = graphs._GRAPHS[name][0]
+    # the guard's last table: rank 11 of compositions, 9 of trees
+    rank = 5 if top == "max-rank-5" else graphs.MAX_RANK[family] - 1
+    g1, g2 = plant(monkeypatch, name, wrong, rank)
+    report = check_duality(g1, g2, rank)
+    assert report.rank_verdicts == tuple(n != rank for n in range(rank + 1))
+    assert report.counterexample.rank == rank
+    if rank <= 7:
+        assert report == oracle_check_duality(g1, g2, rank)
+    assert_chain_pairs_move(g1, g2, rank + 1, wrong)
 
 
 def test_duality_composition_pair():
@@ -421,6 +452,35 @@ def test_chain_counts_enumerate_no_vertex_up_to_the_guard(monkeypatch, name):
         path_count_identity(*map(make_graph, pair), top + 1)
 
 
+@pytest.mark.parametrize(
+    "pair, call, bound_mb",
+    [
+        # MB measured with Python 3.11: 6.34 before the rows were made as
+        # they are read, 1.70 since
+        ("trees", lambda g1, g2: check_duality(g1, g2, 9), 2.5),
+        # 1.28 before, 0.26 since
+        ("compositions", lambda g1, g2: check_duality(g1, g2, 11), 1.0),
+        # 3.67 before, 1.16 since
+        ("trees", lambda g1, g2: (chain_counts(g1, 10), chain_counts(g2, 10)), 1.5),
+    ],
+    ids=["tree-duality-9", "composition-duality-11", "tree-chains-10"],
+)
+def test_checks_at_the_guard_keep_only_the_ranks_in_use(pair, call, bound_mb):
+    """From cold caches, a check at the rank guard holds the few ranks it
+    works on, not every table up to its top."""
+    for value in vars(graphs).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    graph_pair = [make_graph(name) for name in DUAL_PAIRS[pair]]
+    tracemalloc.start()
+    try:
+        call(*graph_pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 1e6, f"{peak / 1e6:.2f} MB"
+
+
 def test_export_dot_lifted_rank2():
     expected = (
         'digraph "lifted-binary-tree" {\n'
@@ -468,11 +528,11 @@ def test_rank_guard():
         make_graph("tree-lattice").vertices_at(11)
     # the up-tables stop at the guard too: (11,) is the first composition
     # of 11, and its 12 covers are the last rank below the guard
-    assert len(make_graph("binword").up_table(11)[0]) == 12
+    assert len(next(make_graph("binword").up_table(11))) == 12
     with pytest.raises(RankGuardError):
-        make_graph("binword").up_table(12)
+        next(make_graph("binword").up_table(12))
     with pytest.raises(RankGuardError):
-        make_graph("tree-lattice").up_table(10)
+        next(make_graph("tree-lattice").up_table(10))
     # the guard caps the duality check as well
     with pytest.raises(RankGuardError):
         check_duality(make_graph("tree-lattice"), make_graph("reflected-bracket-tree"), 10)

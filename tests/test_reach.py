@@ -101,6 +101,8 @@ def commands(out_dir: str) -> list[tuple[list[str], int]]:
         (["graph", "binword", "--max-rank", "99"], 2),
         (["insert", "sylvester", "21", "--out", os.path.join(out_dir, "missing", "out.txt")], 2),
         (["graph", "binword", "--max-rank", "-1"], 2),
+        (["--help"], 0),
+        (["verify", "--help"], 0),
     ]
     return runs
 
