@@ -21,6 +21,10 @@ them, or ``ribbons`` for the hypoplactic one, and ``jsontext`` for JSON;
 only to enumerate or name vertices; and ``verify`` loads its runners,
 ``verify``, which load what each check runs.
 
+A JSON payload is one dict for ``jsontext.iterdumps``, whose deep
+values, a BST insertion's trees and the growth grid, are ``_Rendered``
+values under its top level that write their own text part by part.
+
 ``growth`` writes its grid as the text fill makes it, a row at a time,
 and every grown vertex is checked as its row is made; so in JSON, where
 rows are written bottom first as they are made, a vertex that fails its

@@ -123,6 +123,12 @@ def _kept(rule: Callable, n: int) -> tuple:
     return tuple(rule(n))
 
 
+def _rows(g: GradedGraph, n: int, top: int):
+    """Rank n's rows of g for a check whose last rank is top: a tree rank
+    below it through :func:`_kept`, which the tree rules fill to make top."""
+    return _kept(g.up_table, n) if n < top and g.family == "tree" else g.up_table(n)
+
+
 def _lifted_table(n: int) -> Iterator[tuple]:
     """Lifted binary tree: append a letter, so index i is covered by 2i and 2i+1."""
     _check_rank("composition", n + 1)
@@ -284,7 +290,7 @@ def check_duality(g1: GradedGraph, g2: GradedGraph, max_rank: int) -> DualityRep
     for n in range(max_rank + 1):
         # () + one is one, so a vertex with one down-neighbour shares it
         down2_above: list[tuple] = [()] * _rank_size(g1.family, n + 1)
-        for j, row in enumerate(g2.up_table(n)):
+        for j, row in enumerate(_rows(g2, n, max_rank)):
             one = (j,)
             for z in row:
                 down2_above[z] += one
@@ -334,7 +340,7 @@ def chain_counts(g: GradedGraph, n: int) -> list[int]:
     counts = [1]
     for m in range(n):
         above = [0] * _rank_size(g.family, m + 1)
-        for c, row in zip(counts, g.up_table(m)):
+        for c, row in zip(counts, _rows(g, m, n - 1)):
             for j in row:
                 above[j] += c
         counts = above

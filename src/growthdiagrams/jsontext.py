@@ -1,25 +1,14 @@
 """
 JSON text equal byte for byte to ``json.dumps(obj, indent=2)``, for
 values built from dict (with str keys), list, tuple, str, int, bool and
-None; anything else raises TypeError.  Inside the package a value may
-also be a ``_Rendered``, whose text its own writer yields part by part,
-such as a labeled tree written straight from its tuples, or a growth
-grid written a row at a time.
-
-``json.dumps`` recurses once per nesting level and, whenever ``indent``
-is set, runs its pure-Python generator encoder.  This emitter walks with
-an explicit stack, so nesting depth is unbounded; writes each scalar in
-the loop over its container's items, with each key's text and the
-indentation of the first 64 depths made once; renders a list whose
-items are all ints or all strs in one join, with strings escaped by the
-same C function ``json.dumps`` uses; reuses the text of a list of ints
-when the same object appears again at the same depth; and escapes each
-distinct exact str once per call, in a memo keyed by the string itself,
-so that a lookup stays a C-level subscript.
+None; anything else raises TypeError.  The top-level object, or a value
+of its dict, may be a ``_Rendered`` (a labeled tree, a growth grid),
+whose own writer yields its text part by part; every other value's text
+is made whole, with strings escaped by the C function ``json`` uses.
 """
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 try:  # the C escaper alone, without loading the json package around it
@@ -41,8 +30,45 @@ class _Rendered:
         self.render = render
 
 
-def _scalar(value) -> str:
-    """The text of an instance of a subclass of str or int."""
+def _key(key) -> str:
+    """A key's text with the ": " after it."""
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return _string(key) + ": "
+
+
+def _join(bracket: str, texts: Iterable[str], depth: int) -> str:
+    """The text of a non-empty container at ``depth`` from its items' texts."""
+    newline = "\n" + _INDENT * (depth + 1)
+    return bracket[0] + newline + ("," + newline).join(texts) + "\n" + _INDENT * depth + bracket[1]
+
+
+def _text(value, depth: int, ints: dict) -> str:
+    """The text of a value at ``depth``.  ``ints`` holds the text of each
+    list of ints by (id, depth), looked up before an item's own call: a
+    graph's edges share their ends' compositions."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            text = ints[id(value), depth] = _join("[]", map(int.__repr__, value), depth)
+            return text
+        if kinds == {str}:
+            return _join("[]", map(_string, value), depth)
+        inner = depth + 1
+        return _join("[]", [ints.get((id(item), inner)) or _text(item, inner, ints) for item in value], depth)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return _join("{}", [_key(key) + _text(item, depth + 1, ints) for key, item in value.items()], depth)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    # a subclass of str or int is written as its exact base would be
     if isinstance(value, str):
         return _string(value)
     if isinstance(value, int):
@@ -50,178 +76,52 @@ def _scalar(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-class _StrTexts(dict):
-    """Each exact str's text, made on first use."""
-
-    def __missing__(self, value: str) -> str:
-        text = self[value] = _string(value)
-        return text
-
-
-class _KeyTexts(dict):
-    """Each key's text with the ": " after it, made on first use."""
-
-    def __missing__(self, key) -> str:
-        if not isinstance(key, str):
-            raise TypeError(f"keys must be str, not {type(key).__name__}")
-        text = self[key] = _string(key) + ": "
-        return text
-
-
-def _breaks(depth: int) -> tuple[str, str]:
-    """A newline and the indentation of ``depth``, and the same after a comma."""
-    newline = "\n" + _INDENT * depth
-    return newline, "," + newline
-
-
-# made once for the depths most texts stay within; a deeper one is made
-# each time, since keeping every depth's would take memory that grows as
-# the square of the depth
-_SHALLOW_DEPTHS = 64
-_SHALLOW = tuple(map(_breaks, range(_SHALLOW_DEPTHS)))
-
-
-def _flat_list(items, depth: int, strings: _StrTexts):
-    """The text of a list of ints only or strs only at ``depth``, else None."""
-    if not items:
-        return "[]"
-    kinds = set(map(type, items))
-    if kinds == {int}:
-        texts = map(int.__repr__, items)
-    elif kinds == {str}:
-        texts = map(strings.__getitem__, items)
-    else:
-        return None
-    newline = "\n" + _INDENT * (depth + 1)
-    return "[" + newline + ("," + newline).join(texts) + "\n" + _INDENT * depth + "]"
+def _parts(obj) -> Iterator[Iterable[str]]:
+    """The parts of obj's text that :func:`iterdumps` defines, in groups:
+    the whole value, or a key of the top-level dict, then its value."""
+    if not isinstance(obj, dict) or not obj:
+        yield obj.render(0) if obj.__class__ is _Rendered else (_text(obj, 0, {}),)
+        return
+    ints: dict = {}
+    lead = "{\n" + _INDENT
+    for key, value in obj.items():
+        yield (lead + _key(key),)
+        yield value.render(1) if value.__class__ is _Rendered else (_text(value, 1, ints),)
+        lead = ",\n" + _INDENT
+    yield ("\n}",)
 
 
 def dumps(obj) -> str:
     """
-    ``json.dumps(obj, indent=2)`` without recursion.
+    ``json.dumps(obj, indent=2)``.
 
     >>> dumps({"a": [1, 2], "b": [[], {}], "c": None})
     '{\\n  "a": [\\n    1,\\n    2\\n  ],\\n  "b": [\\n    [],\\n    {}\\n  ],\\n  "c": null\\n}'
     """
-    return "".join(iterdumps(obj))
+    return "".join(chain.from_iterable(_parts(obj)))
 
 
 def iterdumps(obj) -> Iterator[str]:
     """
     The text of :func:`dumps` in pieces of whole parts: every piece but
     the last has at least ``CHUNK_SIZE`` characters, and fewer without
-    its last part.  A part is an item (its comma, indentation and key,
-    then a scalar, a flat list or an opening bracket), a closing bracket
-    with its indentation, or a part that a ``_Rendered`` value yields (the
-    first with the comma, indentation and key in front), so the text of a
-    deep tree, which grows as the square of its depth, is never all in
-    memory at once.
+    its last part.  A part is a key of the top-level dict with what goes
+    in front of it, a plain value's whole text, a part that a
+    ``_Rendered`` yields, or the closing brace; so the text of a deep
+    tree, which grows as the square of its depth, is never whole.
 
     >>> list(iterdumps({"a": [1, [2]]}))
     ['{\\n  "a": [\\n    1,\\n    [\\n      2\\n    ]\\n  ]\\n}']
     """
     limit = CHUNK_SIZE
     parts: list[str] = []
-    append = parts.append
     size = 0  # characters in parts
-    # (id, depth) -> the text of a list of ints.  Lists that recur are
-    # lists of ints, such as a composition's parts, which callers share;
-    # a list of strs, such as a row of tree texts, appears once, and its
-    # text can be as long as the output
-    ints: dict[tuple[int, int], str] = {}
-    open_ids: set[int] = set()
-    keys = _KeyTexts()
-    strings = _StrTexts()
-    # per open container: its remaining (key text, value) items, its
-    # closing bracket and its id; the frame at the bottom holds obj alone
-    stack: list[tuple] = [(iter((("", obj),)), "", None)]
-    sep = ""  # what goes in front of the next item's key
-    comma = ",\n"  # the same after the first item
-    depth = 0  # of the items of the top frame
-    while True:
-        # one check per part added, here after a bracket
+    for part in chain.from_iterable(_parts(obj)):
+        parts.append(part)
+        size += len(part)
         if size >= limit:
             yield "".join(parts)
             parts.clear()
             size = 0
-        items, bracket, oid = stack[-1]
-        for prefix, value in items:
-            cls = value.__class__
-            if value is None:
-                text = "null"
-            elif cls is int:
-                text = int.__repr__(value)
-            elif isinstance(value, dict):
-                if value:
-                    break
-                text = "{}"
-            elif cls is str:
-                text = strings[value]
-            elif isinstance(value, (list, tuple)):
-                text = ints.get((id(value), depth))
-                if text is None:
-                    text = _flat_list(value, depth, strings)
-                    if text is None:
-                        break
-                    if value and value[0].__class__ is int:
-                        ints[id(value), depth] = text
-            elif cls is _Rendered:
-                # a value that writes its own text at this depth, in whole
-                # parts; the check follows each
-                text = sep + prefix
-                append(text)
-                size += len(text)
-                for text in value.render(depth):
-                    append(text)
-                    size += len(text)
-                    if size >= limit:
-                        yield "".join(parts)
-                        parts.clear()
-                        size = 0
-                sep = comma
-                continue
-            elif value is True:
-                text = "true"
-            elif value is False:
-                text = "false"
-            else:
-                text = _scalar(value)
-            text = sep + prefix + text
-            append(text)
-            size += len(text)
-            sep = comma
-            if size >= limit:
-                yield "".join(parts)
-                parts.clear()
-                size = 0
-        else:
-            # every item is written: close the container
-            stack.pop()
-            if not stack:
-                if parts:
-                    yield "".join(parts)
-                return
-            open_ids.discard(oid)
-            depth -= 1
-            newline, comma = _SHALLOW[depth] if depth < _SHALLOW_DEPTHS else _breaks(depth)
-            text = newline + bracket
-            append(text)
-            size += len(text)
-            sep = comma
-            continue
-        # value is a non-empty container that is not a flat list: open it
-        # and go on with its items
-        oid = id(value)
-        if oid in open_ids:
-            raise ValueError("Circular reference detected")
-        open_ids.add(oid)
-        if isinstance(value, dict):
-            text = sep + prefix + "{"
-            stack.append((zip(map(keys.__getitem__, value), value.values()), "}", oid))
-        else:
-            text = sep + prefix + "["
-            stack.append((zip(repeat(""), value), "]", oid))
-        append(text)
-        size += len(text)
-        depth += 1
-        sep, comma = _SHALLOW[depth] if depth < _SHALLOW_DEPTHS else _breaks(depth)
+    if parts:
+        yield "".join(parts)

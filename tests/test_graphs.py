@@ -481,6 +481,44 @@ def test_checks_at_the_guard_keep_only_the_ranks_in_use(pair, call, bound_mb):
     assert peak < bound_mb * 1e6, f"{peak / 1e6:.2f} MB"
 
 
+@pytest.mark.parametrize(
+    "call, ranks",
+    [
+        (lambda lattice, bracket: check_duality(lattice, bracket, 9), {"lattice": 10, "bracket": 10}),
+        (lambda lattice, bracket: chain_counts(lattice, 10), {"lattice": 10}),
+        (lambda lattice, bracket: chain_counts(bracket, 10), {"bracket": 10}),
+        (lambda lattice, bracket: path_count_identity(lattice, bracket, 10), {"lattice": 10, "bracket": 10}),
+    ],
+    ids=["duality-9", "lattice-chains-10", "bracket-chains-10", "paths-10"],
+)
+def test_a_check_makes_each_tree_rank_once(monkeypatch, call, ranks):
+    """From a cold cache, a check makes each tree rank it reads once: the
+    ranks below its top, which the tree rules keep to make the top, are
+    not made again as the check reads them."""
+    made = {"lattice": {}, "bracket": {}}
+
+    def counting(key, rule):
+        def rows(n):
+            for row in rule(n):
+                made[key][n] = made[key].get(n, 0) + 1
+                yield row
+        return rows
+
+    # the rules read their smaller ranks through their module names
+    lattice = counting("lattice", graphs._lattice_table)
+    bracket = counting("bracket", graphs._reflected_bracket_table)
+    monkeypatch.setattr(graphs, "_lattice_table", lattice)
+    monkeypatch.setattr(graphs, "_reflected_bracket_table", bracket)
+    graphs._kept.cache_clear()
+    try:
+        call(GradedGraph("tree-lattice", "tree", lattice), GradedGraph("reflected-bracket-tree", "tree", bracket))
+    finally:
+        graphs._kept.cache_clear()
+    for key in made:
+        top = ranks.get(key, 0)
+        assert made[key] == {n: graphs._catalan(n) for n in range(top)}, key
+
+
 def test_export_dot_lifted_rank2():
     expected = (
         'digraph "lifted-binary-tree" {\n'

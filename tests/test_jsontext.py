@@ -44,21 +44,6 @@ def test_a_list_shared_at_two_depths_is_indented_for_each(value, shared):
     assert dumps(payload) == json.dumps(payload, indent=2)
 
 
-def test_a_list_of_strs_is_not_kept_after_its_text_is_written():
-    # like the rows of a tree grid: lists that never recur, each with a
-    # text as long as its strs together, about 2 MB in all
-    strs = [f"{'(-,-)' * 40}{i}" for i in range(50)]
-    payload = [list(strs) for _ in range(200)]
-    tracemalloc.start()
-    try:
-        for _ in iterdumps(payload):
-            pass
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
-
-
 class Text(str):
     """A str subclass that hashes like "" and compares equal to every str:
     its text must still be its own value's, never one remembered for an
@@ -120,44 +105,37 @@ deep_values = st.builds(_nest, values, st.lists(wrappers, max_size=150))
 
 
 def _parts(value) -> list[str]:
-    """The parts of the text of value as iterdumps defines them: an item
-    (its comma, indentation and key, then a scalar, a flat list or an
-    opening bracket) or a closing bracket with its indentation."""
-    parts: list[str] = []
+    """The parts of the text of a plain value as iterdumps defines them:
+    for a non-empty dict, each key with what goes in front of it and its
+    value's whole text, then the closing brace; else the whole text."""
+    if not isinstance(value, dict) or not value:
+        return [json.dumps(value, indent=2)]
+    parts = []
+    for i, (key, item) in enumerate(value.items()):
+        parts += [f"{',' if i else '{'}\n  {json.dumps(key)}: ", json.dumps(item, indent=2).replace("\n", "\n  ")]
+    return [*parts, "\n}"]
 
-    def item(value, depth: int, head: str) -> None:
-        pad = "  " * depth
-        inner = ["\n" + pad + "  ", ",\n" + pad + "  "]
-        if isinstance(value, dict) and value:
-            parts.append(head + "{")
-            for i, (k, v) in enumerate(value.items()):
-                item(v, depth + 1, inner[i > 0] + json.dumps(k) + ": ")
-            parts.append("\n" + pad + "}")
-        elif isinstance(value, (list, tuple)) and value and set(map(type, value)) not in ({int}, {str}):
-            parts.append(head + "[")
-            for i, v in enumerate(value):
-                item(v, depth + 1, inner[i > 0])
-            parts.append("\n" + pad + "]")
-        else:
-            parts.append(head + json.dumps(value, indent=2).replace("\n", "\n" + pad))
 
-    item(value, 0, "")
-    return parts
+def _assert_pieces(pieces: list[str], parts: list[str], chunk_size: int) -> None:
+    """Each piece but the last ends where a part ends, and has at least
+    chunk_size characters, and fewer without that part."""
+    ends = dict(zip(accumulate(map(len, parts)), map(len, parts)))  # end offset -> part length
+    assert "".join(pieces) == "".join(parts)
+    assert all(pieces)
+    for end, piece in zip(accumulate(map(len, pieces)), pieces[:-1]):
+        assert end in ends
+        assert len(piece) >= chunk_size
+        assert len(piece) - ends[end] < chunk_size
 
 
 @settings(max_examples=150, deadline=None)
-@given(deep_values, st.integers(1, 300))
+@given(deep_values | st.dictionaries(texts, deep_values, max_size=6), st.integers(1, 300))
 def test_pieces_are_whole_parts_and_end_once_chunk_size_is_reached(value, chunk_size):
     parts = _parts(value)
-    ends = dict(zip(accumulate(map(len, parts)), map(len, parts)))  # end offset -> part length
     with mock.patch.object(jsontext, "CHUNK_SIZE", chunk_size):
         pieces = list(iterdumps(value))
-    assert "".join(pieces) == "".join(parts) == json.dumps(value, indent=2)
-    assert all(pieces)
-    for end, piece in zip(accumulate(map(len, pieces)), pieces[:-1]):
-        assert end in ends  # a piece ends where a part ends
-        assert len(piece) >= chunk_size
-        assert len(piece) - ends[end] < chunk_size  # the piece is full only with its last part
+    assert "".join(parts) == json.dumps(value, indent=2)
+    _assert_pieces(pieces, parts, chunk_size)
 
 
 def _bad_key(key, first: bool):
@@ -185,13 +163,6 @@ def test_a_bad_key_or_value_raises_type_error_at_any_depth(levels, bad):
         dumps(_nest(inner, levels))
 
 
-def test_circular_reference_is_rejected():
-    loop: list = [1]
-    loop.append([loop])
-    with pytest.raises(ValueError, match="Circular reference"):
-        dumps(loop)
-
-
 DEPTH = 3000
 
 
@@ -210,25 +181,28 @@ def _comb(depth: int):
     return t
 
 
+def _comb_text(depth: int, at: int = 0):
+    """The json.dumps(indent=2) text of the dicts of _comb(depth), as a
+    value ``at`` levels inside its container, in pieces."""
+    pad = lambda d: "  " * (at + d)  # noqa: E731
+    for d in range(depth):
+        yield f'{{\n{pad(d + 1)}"label": {d + 1},\n{pad(d + 1)}"left": null,\n{pad(d + 1)}"right": '
+    yield "null"
+    for d in reversed(range(depth)):
+        yield f"\n{pad(d)}}}"
+
+
 def test_deep_labeled_comb_renders_without_recursion():
     assert DEPTH > sys.getrecursionlimit()
-    obj = labeled_tree_to_json_obj(_comb(DEPTH))
+    comb = _comb(DEPTH)
     with pytest.raises(RecursionError):
-        json.dumps(obj, indent=2)
-    pad = lambda d: "  " * d  # noqa: E731
-    expected = (
-        "".join(
-            f'{{\n{pad(d + 1)}"label": {d + 1},\n{pad(d + 1)}"left": null,\n{pad(d + 1)}"right": '
-            for d in range(DEPTH)
-        )
-        + "null"
-        + "".join(f"\n{pad(d)}}}" for d in reversed(range(DEPTH)))
-    )
-    _same_text(dumps(obj), expected)
+        json.dumps(labeled_tree_to_json_obj(comb), indent=2)
+    expected = "".join(_comb_text(DEPTH))
+    _same_text(dumps(_rendered(comb)), expected)
     # the text is streamed: every piece but the last has at least
     # CHUNK_SIZE characters, and none more than one part beyond it, the
     # longest part being the deepest indentation with its key
-    chunks = list(iterdumps(obj))
+    chunks = list(iterdumps(_rendered(comb)))
     _same_text("".join(chunks), expected)
     assert all(len(chunk) >= CHUNK_SIZE for chunk in chunks[:-1])
     assert max(map(len, chunks)) < CHUNK_SIZE + len(',\n' + "  " * DEPTH + '"right": ')
@@ -286,42 +260,69 @@ def test_tree_parts_equal_the_text_of_the_dict_tree():
 @pytest.mark.parametrize("chunk_size", [1, 7, 60, 400])
 def test_pieces_of_a_written_tree_end_at_its_parts(chunk_size):
     t = bst_insert(_zigzag(90))[0]
-    tree_parts = list(labeled_tree_json_parts(t, 1))
-    parts = ["{", '\n  "P": ' + tree_parts[0], *tree_parts[1:], "\n}"]
-    ends = dict(zip(accumulate(map(len, parts)), map(len, parts)))
+    parts = ['{\n  "n": ', "[\n    1,\n    2\n  ]", ',\n  "P": ', *labeled_tree_json_parts(t, 1), "\n}"]
     with mock.patch.object(jsontext, "CHUNK_SIZE", chunk_size):
-        pieces = list(iterdumps({"P": _rendered(t)}))
-    assert "".join(pieces) == "".join(parts) == dumps({"P": labeled_tree_to_json_obj(t)})
-    for end, piece in zip(accumulate(map(len, pieces)), pieces[:-1]):
-        assert end in ends
-        assert len(piece) >= chunk_size
-        assert len(piece) - ends[end] < chunk_size
+        pieces = list(iterdumps({"n": [1, 2], "P": _rendered(t)}))
+    assert "".join(parts) == dumps({"n": [1, 2], "P": labeled_tree_to_json_obj(t)})
+    _assert_pieces(pieces, parts, chunk_size)
+    # a tree that is the whole value is written in its own parts
+    parts = list(labeled_tree_json_parts(t))
+    with mock.patch.object(jsontext, "CHUNK_SIZE", chunk_size):
+        pieces = list(iterdumps(_rendered(t)))
+    _assert_pieces(pieces, parts, chunk_size)
 
 
-def _streamed(value):
-    """The digest of the text iterdumps streams for {"P": value()}, the
-    length of each piece, and the peak memory traced while building the
-    value and streaming."""
-    digest = hashlib.sha256()
-    lengths = []
+def _traced_peak(run) -> int:
+    """The peak memory traced while run() runs."""
     tracemalloc.start()
     try:
-        for piece in iterdumps({"P": value()}):
-            digest.update(piece.encode())
-            lengths.append(len(piece))
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return digest.hexdigest(), lengths, peak
 
 
 def test_deep_comb_streams_from_its_tuples_in_less_memory_than_its_dicts():
     comb = _comb(5000)
     assert 5000 > sys.getrecursionlimit()
-    digest, lengths, peak = _streamed(lambda: _rendered(comb))
+    digest = hashlib.sha256()
+    lengths = []
+
+    def stream():
+        for piece in iterdumps({"P": _rendered(comb)}):
+            digest.update(piece.encode())
+            lengths.append(len(piece))
+
+    peak = _traced_peak(stream)
     assert len(lengths) > 1000
     assert all(length >= CHUNK_SIZE for length in lengths[:-1])
-    # the text and the memory of the path through nested dicts
-    dict_digest, _, dict_peak = _streamed(lambda: labeled_tree_to_json_obj(comb))
-    assert digest == dict_digest
+    expected = hashlib.sha256()
+    for text in ('{\n  "P": ', *_comb_text(5000, 1), "\n}"):
+        expected.update(text.encode())
+    assert digest.hexdigest() == expected.hexdigest()
+    # the text is about 100 MB; streaming it holds a few pieces, less than
+    # the comb's nested dicts alone take
+    dict_peak = _traced_peak(lambda: labeled_tree_to_json_obj(comb))
     assert peak <= dict_peak, (peak, dict_peak)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [_rendered(None)],
+        (1, _rendered(None)),
+        {"P": [_rendered(None)]},
+        {"P": {"Q": _rendered(None)}},
+        {"n": 1, "P": [[1], {"Q": _rendered((1, None, None))}]},
+    ],
+)
+def test_a_rendered_value_below_the_top_level_raises_type_error(value):
+    with pytest.raises(TypeError, match="Object of type _Rendered is not JSON serializable"):
+        list(iterdumps(value))
+
+
+@pytest.mark.parametrize("key", [1, None, True, ("P",)])
+def test_a_key_of_the_top_level_dict_other_than_str_raises_type_error(key):
+    for value in ({key: 1}, {"n": 1, key: _rendered(None)}):
+        with pytest.raises(TypeError, match=f"keys must be str, not {type(key).__name__}"):
+            list(iterdumps(value))

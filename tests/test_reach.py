@@ -67,7 +67,6 @@ ALLOWED = {
     "ribbons.RibbonShapedTableau.__setattr__": "library API: a tableau refuses assignment",
     "ribbons.RibbonShapedTableau.__delattr__": "library API: a tableau refuses deletion",
     "ribbons.RibbonShapedTableau.__reduce__": "library API: a tableau pickles and copies",
-    "jsontext._scalar": "dumps' json.dumps parity for str and int subclasses and its TypeError",
 }
 
 
