@@ -12,9 +12,9 @@ cost, and with bytecode writing off (``PYTHONDONTWRITEBYTECODE``) it
 compiles each module it loads from source; so a command loads only the
 modules it runs.  Here only ``permutations`` is imported, which holds
 every name that the parser and :func:`main` need.  ``insert`` loads
-``bst`` for the BST algorithms, through :func:`bst_insert` and
-:func:`labeled_tree_to_text`, bound here so that a profiler can wrap
-them, or ``ribbons`` for the hypoplactic one, and ``jsontext`` for JSON;
+``bst`` for the BST algorithms, through :func:`bst_insert`, bound here
+so that a profiler can wrap it, or ``ribbons`` for the hypoplactic one,
+and ``jsontext`` for JSON;
 ``growth`` loads ``growth`` and its family's module, ``treegrowth`` with
 ``bst`` or ``compositiongrowth`` with ``compositions`` and ``ribbons``;
 ``graph`` loads ``graphs``, which loads ``compositions`` or ``trees``
@@ -107,11 +107,6 @@ def bst_insert(word, reading: str = "left-to-right"):
     return bst_insert(word, reading)
 
 
-def labeled_tree_to_text(t) -> str:
-    from .bst import labeled_tree_to_text
-    return labeled_tree_to_text(t)
-
-
 def _insertion(algorithm: str):
     """The direct insertion p -> (P, Q) of an algorithm; sylvester
     insertion is BST insertion read right to left."""
@@ -129,7 +124,7 @@ def _pair_text(algorithm: str, p, q) -> tuple[str, ...]:
         from .ribbons import render_tableau as render
         sep = "\n"
     else:
-        render = labeled_tree_to_text
+        from .bst import labeled_tree_to_text as render
         sep = " "
     return f"P ({p_kind}):{sep}", render(p), f"\nQ ({q_kind}):{sep}", render(q)
 

@@ -1,21 +1,21 @@
 """
 The checks of the growth fill (:mod:`growthdiagrams.growth`), which no
 ``growth`` command loads.  ``local_rule_*`` complete a square on
-vertices, case by case, check their input squares (the given edges must
-be covers) and their output (z must cover x and y); they rebuild a
-grid's vertices (:func:`local_rule_grid`) for library callers and the
-tests.  :func:`growth_insert` fills the labels alone, and
-:func:`equivalence_walk` runs the fill's row step on the prefixes of
-inverse(p) of all permutations of one size.  Each family's vertex code,
-``compositions`` or ``trees`` and ``bst``, loads on first use, so a
-check of one family compiles none of the other's.
+vertices by one case analysis, :func:`_complete_square`, which checks
+its input square (the given edges must be covers) and its output (z
+must cover x and y); :func:`local_rule_grid` rebuilds a grid's vertices
+with it for library callers and the tests.  :func:`growth_insert` fills
+the labels alone, and :func:`equivalence_walk` runs the fill's row step
+on the prefixes of inverse(p) of all permutations of one size.  Each
+family's vertex code loads with its record :func:`_square` on first use,
+so a check of one family compiles none of the other's.
 """
 from __future__ import annotations
 
 from functools import cache
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .growth import DualPair, Family, _label_row, _pair, build_growth_diagram
+from .growth import Family, _label_row, _pair, build_growth_diagram
 from .permutations import GrowthRuleError, Permutation, inverse
 
 if TYPE_CHECKING:
@@ -23,23 +23,44 @@ if TYPE_CHECKING:
     from .trees import Tree
 
 
-@cache
-def _composition_code() -> tuple[Callable, ...]:
-    """increment_last and the two cover checks of compositions, imported on
-    the first use of a composition rule."""
-    from .compositions import increment_last, is_binword_cover, is_lifted_cover
-    return increment_last, is_binword_cover, is_lifted_cover
+class _Square(NamedTuple):
+    """What completes a square on the vertices of one family."""
+
+    empty: object  # the rank-0 vertex
+    mark: Callable  # t -> z of a marked square, case (a)
+    grow: Callable  # x -> z where x = y covers t, case (e)
+    join: Callable  # (t, x, y) -> z where x and y differ and cover t, case (f)
+    is_vertical_cover: Callable  # (t, x) -> whether x covers t in the first graph of the pair
+    is_horizontal_cover: Callable  # (t, y) -> whether y covers t in the second
 
 
 @cache
-def _tree_code() -> tuple[Callable, ...]:
-    """insert_rightmost, right_spine_length and the two cover checks of
-    trees, imported on the first use of a tree rule."""
-    from .trees import insert_rightmost, is_lattice_cover, is_reflected_bracket_cover, right_spine_length
-    return insert_rightmost, right_spine_length, is_lattice_cover, is_reflected_bracket_cover
+def _square(family: Family) -> _Square:
+    """The family's record, its vertex code imported on first use."""
+    if family == "composition":
+        from .compositions import increment_last, is_binword_cover, is_lifted_cover
+        return _Square(
+            (), increment_last, lambda x: x + (1,),
+            # y with the last word letter of x appended
+            lambda t, x, y: y + (1,) if len(x) > len(t) else increment_last(y),
+            is_lifted_cover, is_binword_cover,
+        )
+    if family == "tree":
+        from .trees import insert_rightmost, is_lattice_cover, is_reflected_bracket_cover, right_spine_length
+        return _Square(
+            None, lambda t: insert_rightmost(t, right_spine_length(t)),
+            lambda x: insert_rightmost(x, right_spine_length(x) - 1),
+            # y with a new rightmost node where x has its own
+            lambda t, x, y: insert_rightmost(y, right_spine_length(x) - 1),
+            is_reflected_bracket_cover, is_lattice_cover,
+        )
+    raise KeyError(family)
 
 
-def _check_square_input(t, x, y, alpha, is_vertical_cover, is_horizontal_cover):
+def _complete_square(family: Family, t, x, y, alpha: int):
+    """The local rule of the family: z from the square's t, x (above t)
+    and y (right of t), and whether the square is marked."""
+    _, mark, grow, join, is_vertical_cover, is_horizontal_cover = _square(family)
     if alpha not in (0, 1):
         raise ValueError(f"alpha must be 0 or 1, got {alpha!r}")
     if alpha == 1 and not (t == x == y):
@@ -48,18 +69,21 @@ def _check_square_input(t, x, y, alpha, is_vertical_cover, is_horizontal_cover):
         raise ValueError(f"{x!r} is not a vertical cover of {t!r}")
     if y != t and not is_horizontal_cover(t, y):
         raise ValueError(f"{y!r} is not a horizontal cover of {t!r}")
-
-
-def _join_composition(t: Composition, x: Composition, y: Composition) -> Composition:
-    """Case (f): y with the last word letter of x appended."""
-    increment_last = _composition_code()[0]
-    return y + (1,) if len(x) > len(t) else increment_last(y)
-
-
-def _join_tree(t: Tree, x: Tree, y: Tree) -> Tree:
-    """Case (f): y with a new rightmost node where x has its own."""
-    insert_rightmost, right_spine_length = _tree_code()[:2]
-    return insert_rightmost(y, right_spine_length(x) - 1)
+    if alpha == 1:
+        z = mark(t)
+    elif x == t and y == t:
+        return t
+    elif x == t:
+        return y
+    elif y == t:
+        return x
+    elif x == y:
+        z = grow(x)
+    else:
+        z = join(t, x, y)
+    if not (is_horizontal_cover(x, z) and is_vertical_cover(y, z)):
+        raise GrowthRuleError(f"z={z!r} does not cover x={x!r} and y={y!r}")
+    return z
 
 
 def local_rule_composition(t: Composition, x: Composition, y: Composition, alpha: int) -> Composition:
@@ -72,23 +96,7 @@ def local_rule_composition(t: Composition, x: Composition, y: Composition, alpha
     >>> local_rule_composition((2, 2), (2, 2), (2, 2), 1)
     (2, 3)
     """
-    increment_last, is_binword_cover, is_lifted_cover = _composition_code()
-    _check_square_input(t, x, y, alpha, is_lifted_cover, is_binword_cover)
-    if alpha == 1:
-        z = increment_last(t)
-    elif x == t and y == t:
-        return t
-    elif x == t:
-        return y
-    elif y == t:
-        return x
-    elif x == y:
-        z = x + (1,)
-    else:
-        z = _join_composition(t, x, y)
-    if not (is_binword_cover(x, z) and is_lifted_cover(y, z)):
-        raise GrowthRuleError(f"z={z!r} does not cover x={x!r} and y={y!r}")
-    return z
+    return _complete_square("composition", t, x, y, alpha)
 
 
 def local_rule_tree(t: Tree, x: Tree, y: Tree, alpha: int) -> Tree:
@@ -99,27 +107,7 @@ def local_rule_tree(t: Tree, x: Tree, y: Tree, alpha: int) -> Tree:
     >>> local_rule_tree(None, None, None, 1)
     (None, None)
     """
-    insert_rightmost, right_spine_length, is_lattice_cover, is_reflected_bracket_cover = _tree_code()
-    _check_square_input(t, x, y, alpha, is_reflected_bracket_cover, is_lattice_cover)
-    if alpha == 1:
-        z = insert_rightmost(t, right_spine_length(t))
-    elif x == t and y == t:
-        return t
-    elif x == t:
-        return y
-    elif y == t:
-        return x
-    elif x == y:
-        z = insert_rightmost(y, right_spine_length(y) - 1)
-    else:
-        z = _join_tree(t, x, y)
-    if not (is_lattice_cover(x, z) and is_reflected_bracket_cover(y, z)):
-        raise GrowthRuleError(f"z={z!r} does not cover x={x!r} and y={y!r}")
-    return z
-
-
-# per family, its rank-0 vertex and its local rule
-_LOCAL_RULES = {"composition": ((), local_rule_composition), "tree": (None, local_rule_tree)}
+    return _complete_square("tree", t, x, y, alpha)
 
 
 def local_rule_grid(n: int, family: Family, marks) -> tuple[tuple, ...]:
@@ -131,14 +119,14 @@ def local_rule_grid(n: int, family: Family, marks) -> tuple[tuple, ...]:
     >>> local_rule_grid(2, "composition", {(1, 2), (2, 1)})
     (((), (), ()), ((), (), (1,)), ((), (1,), (1, 1)))
     """
-    empty, rule = _LOCAL_RULES[family]
+    empty = _square(family).empty
     columns = {row: col for col, row in marks}
     row = (empty,) * (n + 1)
     rows = [row]
     for i in range(1, n + 1):
         below, row = row, [empty]
         for j in range(1, n + 1):
-            row.append(rule(below[j - 1], row[j - 1], below[j], int(columns[i] == j)))
+            row.append(_complete_square(family, below[j - 1], row[j - 1], below[j], int(columns[i] == j)))
         row = tuple(row)
         rows.append(row)
     return tuple(rows)
@@ -159,45 +147,6 @@ def growth_insert(p: Permutation, family: Family):
     return build_growth_diagram(p, family).pair()
 
 
-def _hypoplactic_agrees(dual: DualPair, n: int) -> Callable:
-    """
-    A test of whether the tableaux that the labels encode equal the
-    hypoplactic insertion of a permutation p of size n, whose P needs no
-    relabeling, and pass the checks of their kinds.  A quasi-ribbon
-    tableau's check reads its reading word alone, which is 1..n wherever
-    the two P agree, so it runs once per size, as in ``shadow_walk``.
-    """
-    from .compositiongrowth import _quasi_ribbon_forms, _ribbon_forms
-    from .ribbons import QuasiRibbonTableau, RibbonTableau, _insertion_forms
-
-    p_accepted = QuasiRibbonTableau._accepts(list(range(1, n + 1)), ())
-
-    def agrees(p: Permutation, letters, labels) -> bool:
-        p_reading, p_ends = _quasi_ribbon_forms(letters)
-        q_reading, q_ends = _ribbon_forms(labels)
-        reading, ends, direct_q = _insertion_forms(p)
-        return (
-            p_accepted and p_reading == reading and p_ends == ends and q_reading == direct_q
-            and q_ends == ends and RibbonTableau._accepts(direct_q, ends)
-        )
-
-    return agrees
-
-
-def _bst_agrees(dual: DualPair, n: int) -> Callable:
-    """A test of whether the trees that the labels encode equal the
-    left-to-right BST insertion of p, as the nested tuples they are."""
-    from .bst import bst_insert
-    return lambda p, depths, slots: (dual.p_from_labels(depths), dual.q_from_labels(slots)) == bst_insert(p)
-
-
-# per family, (its record, size n) -> a test of (p, the labels of the
-# right column, those of the top row) for a permutation p of size n:
-# whether their (P, Q) equals the direct insertion of p, in the forms
-# equality reads
-_AGREES = {"composition": _hypoplactic_agrees, "tree": _bst_agrees}
-
-
 def equivalence_walk(n: int, family: Family) -> tuple[int, list[Permutation]]:
     """
     The growth diagram against the direct insertion of the family on all
@@ -206,13 +155,26 @@ def equivalence_walk(n: int, family: Family) -> tuple[int, list[Permutation]]:
     in rows 1..i (Fomin 1995), so a depth-first walk over those prefixes
     fills each row once per prefix.  At a leaf, the labels of the right
     column and of the top row are compared with the direct insertion of
-    p = inverse(path) by the family's ``agrees`` test for size n.  Return
-    the number of permutations and those where the two differ or a check
-    declines, for the public functions to judge; they come in the order
-    of inverse(p), not of p.
+    p = inverse(path): by the hypoplactic leaf test of
+    :mod:`growthdiagrams.ribbons` on the forms they encode, or as the
+    nested tuples of BST insertion.  Return the number of permutations
+    and those where the two differ or a check declines, for the public
+    functions to judge; they come in the order of inverse(p), not of p.
     """
     dual = _pair(family)
-    agrees = _AGREES[family](dual, n)
+    if family == "composition":
+        from .compositiongrowth import _quasi_ribbon_forms, _ribbon_forms
+        from .ribbons import _hypoplactic_leaf_test
+        leaf_test = _hypoplactic_leaf_test(n)
+
+        def agrees(p: Permutation, letters, labels) -> bool:
+            return leaf_test(p, _quasi_ribbon_forms(letters), _ribbon_forms(labels))
+    else:
+        from .bst import bst_insert
+
+        def agrees(p: Permutation, depths, slots) -> bool:
+            return (dual.p_from_labels(depths), dual.q_from_labels(slots)) == bst_insert(p)
+
     count = 0
     suspects: list[Permutation] = []
 
@@ -231,5 +193,3 @@ def equivalence_walk(n: int, family: Family) -> tuple[int, list[Permutation]]:
 
     visit((), list(range(1, n + 1)), [None] * (n + 1), [0] * (n + 1), [])
     return count, suspects
-
-

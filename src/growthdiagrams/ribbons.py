@@ -29,9 +29,9 @@ row-by-row check runs only to explain a rejection.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate, chain, compress, islice
+from itertools import accumulate, chain, compress, islice, permutations
 from operator import gt, lt
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .permutations import Permutation, inverse, validate_permutation
 
@@ -218,6 +218,23 @@ def _insertion_forms(word: Sequence[int]) -> tuple[list[int], tuple[bool, ...], 
     return reading, tuple(ends[:-1]), q_reading
 
 
+def _hypoplactic_leaf_test(n: int) -> Callable:
+    """
+    A test of whether a (P, Q) pair in the forms equality reads, each
+    tableau's reading word (a list) and row ends, equals the hypoplactic
+    insertion of a permutation p of size n, P not relabeled, and passes
+    the checks of its kinds.  The quasi-ribbon check reads the reading
+    word alone, 1..n wherever the two P agree, so it runs once per size.
+    """
+    p_accepted = QuasiRibbonTableau._accepts(list(range(1, n + 1)), ())
+
+    def agrees(p: Permutation, p_forms: tuple, q_forms: tuple) -> bool:
+        reading, ends, q = _insertion_forms(p)
+        return p_accepted and p_forms == (reading, ends) and q_forms == (q, ends) and RibbonTableau._accepts(q, ends)
+
+    return agrees
+
+
 def hypoplactic_insert(word: Sequence[int]) -> tuple[QuasiRibbonTableau, RibbonTableau]:
     """
     Insert a word of distinct letters; return the insertion tableau P,
@@ -274,42 +291,20 @@ def shadow_lines(p: Permutation) -> tuple[QuasiRibbonTableau, RibbonTableau]:
 def shadow_walk(n: int) -> tuple[int, list[Permutation]]:
     """
     Shadow lines against hypoplactic insertion on all n! permutations of
-    size n at once.  The insertion reads p left to right, so a depth-first
-    walk over the prefixes of p, in lexicographic order, runs each
-    insertion step once per prefix, and records inv[a-1] = step as it
-    inserts a.  At a leaf the two pairs are compared in the forms equality
-    reads: the shadow lines' P has reading word 1..n and its Q has inv,
-    both cut where inv falls.  Return the number of permutations and
+    size n, in lexicographic order, by the hypoplactic leaf test: the
+    shadow lines' P has reading word 1..n and its Q has inverse(p), both
+    cut where inverse(p) falls.  Return the number of permutations and
     those, in order, where the two differ or a check of the common
     tableaux declines, for the public functions to judge.
     """
+    agrees = _hypoplactic_leaf_test(n)
     identity = list(range(1, n + 1))
-    # a quasi-ribbon tableau's check reads its reading word alone, which
-    # is identity at every leaf
-    p_accepted = QuasiRibbonTableau._accepts(identity, ())
-    inv = [0] * n
-    count = 0
     suspects: list[Permutation] = []
-
-    def visit(prefix: Permutation, free: list[int], reading: list[int], ends: list[bool], q_reading: list[int]):
-        nonlocal count
-        if not free:
-            count += 1
-            shadow = _shadow_ends(inv)
-            if not (
-                p_accepted and reading == identity and q_reading == inv and tuple(ends[:-1]) == shadow
-                and RibbonTableau._accepts(inv, shadow)
-            ):
-                suspects.append(prefix)
-            return
-        step = len(prefix) + 1
-        for i, a in enumerate(free):
-            grown, grown_ends, grown_q = reading[:], ends[:], q_reading[:]
-            grown_q.insert(_insert_letter(grown, grown_ends, a), step)
-            inv[a - 1] = step
-            visit(prefix + (a,), free[:i] + free[i + 1 :], grown, grown_ends, grown_q)
-
-    visit((), identity, [], [], [])
+    for count, p in enumerate(permutations(identity), 1):  # n! >= 1 rounds bind count
+        inv = inverse(p)
+        ends = _shadow_ends(inv)
+        if not agrees(p, (identity, ends), (list(inv), ends)):
+            suspects.append(p)
     return count, suspects
 
 

@@ -2,14 +2,13 @@
 The runners of ``growthdiag verify``, which only that command loads.
 
 ``verify shadow`` and ``verify equivalence`` compare two routes to the
-same (P, Q) pair on every permutation of each size up to ``--max-n``.
-Each size is one depth-first walk over a tree of prefixes, which runs a
-step shared by many permutations once: ``ribbons.shadow_walk`` over the
-prefixes of p, ``growthcheck.equivalence_walk`` over those of
-inverse(p).  The public functions of the two routes then judge each
-permutation a walk reports, smallest first, so a MISMATCH line names
-the lexicographically first failing permutation of the first failing
-size.
+same (P, Q) pair on every permutation of each size up to ``--max-n``,
+one walk per size: ``ribbons.shadow_walk`` loops over the permutations,
+``growthcheck.equivalence_walk`` walks the prefixes of inverse(p) depth
+first, running a step shared by many permutations once.  The public
+functions of the two routes then judge each permutation a walk reports,
+smallest first, so a MISMATCH line names the lexicographically first
+failing permutation of the first failing size.
 """
 from __future__ import annotations
 

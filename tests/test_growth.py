@@ -83,13 +83,13 @@ def test_local_rule_composition_cases():
 
 
 def test_local_rule_composition_rejects_bad_squares():
-    with pytest.raises(ValueError):
-        local_rule_composition((2,), (3,), (2,), 1)  # alpha=1 needs t = x = y
-    with pytest.raises(ValueError):
-        local_rule_composition((2,), (1, 2), (2, 1), 0)  # x does not cover t vertically
-    with pytest.raises(ValueError):
-        local_rule_composition((2,), (3,), (4,), 0)  # y does not cover t horizontally
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^alpha=1 requires t = x = y$"):
+        local_rule_composition((2,), (3,), (2,), 1)
+    with pytest.raises(ValueError, match=r"^\(1, 2\) is not a vertical cover of \(2,\)$"):
+        local_rule_composition((2,), (1, 2), (2, 1), 0)
+    with pytest.raises(ValueError, match=r"^\(4,\) is not a horizontal cover of \(2,\)$"):
+        local_rule_composition((2,), (3,), (4,), 0)
+    with pytest.raises(ValueError, match=r"^alpha must be 0 or 1, got 2$"):
         local_rule_composition((2,), (3,), (2, 1), 2)
 
 
@@ -107,12 +107,17 @@ def test_local_rule_tree_cases():
 
 
 def test_local_rule_tree_rejects_bad_squares():
-    with pytest.raises(ValueError):
-        local_rule_tree(B1, B3, B1, 0)  # B3 does not cover B1 in the reflected graph
-    with pytest.raises(ValueError):
+    # B3 and M3 do not cover B1 in the reflected graph, nor B3 in the lattice
+    with pytest.raises(ValueError, match=r"is not a vertical cover of \(None, None\)$"):
+        local_rule_tree(B1, B3, B1, 0)
+    with pytest.raises(ValueError, match=r"is not a vertical cover of \(None, None\)$"):
         local_rule_tree(B1, M3, R2, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^alpha=1 requires t = x = y$"):
         local_rule_tree(B1, R2, R2, 1)
+    with pytest.raises(ValueError, match=r"is not a horizontal cover of \(None, None\)$"):
+        local_rule_tree(B1, R2, B3, 0)
+    with pytest.raises(ValueError, match=r"^alpha must be 0 or 1, got 2$"):
+        local_rule_tree(B1, R2, L2, 2)
 
 
 def test_growth_grid_415362():
@@ -609,16 +614,19 @@ def test_random_avoid231_avoids_231():
             )
 
 
+def _plant_join(monkeypatch, family, join):
+    """Replace the case (f) join of a family's square record for one test."""
+    square = growthcheck._square(family)
+    monkeypatch.setattr(growthcheck, "_square", lambda name: square._replace(join=join))
+
+
 def test_exit_check_catches_a_wrong_composition_join(monkeypatch):
     t, x, y = (2, 2), (2, 3), (2, 1, 2)
     assert local_rule_composition(t, x, y, 0) == (2, 1, 3)
     # append the other letter: z still covers y in the lifted binary tree,
     # but no longer covers x in Binword
-    monkeypatch.setattr(
-        growthcheck, "_join_composition",
-        lambda t, x, y: y + (1,) if len(x) == len(t) else increment_last(y),
-    )
-    with pytest.raises(GrowthRuleError):
+    _plant_join(monkeypatch, "composition", lambda t, x, y: y + (1,) if len(x) == len(t) else increment_last(y))
+    with pytest.raises(GrowthRuleError, match=r"^z=\(2, 1, 2, 1\) does not cover x=\(2, 3\) and y=\(2, 1, 2\)$"):
         local_rule_composition(t, x, y, 0)
 
 
@@ -627,8 +635,8 @@ def test_exit_check_catches_a_wrong_tree_join(monkeypatch):
     assert local_rule_tree(t, x, y, 0) == B3
     # insert at the root instead: z still covers y in the reflected bracket
     # tree, but no longer covers x in the lattice
-    monkeypatch.setattr(growthcheck, "_join_tree", lambda t, x, y: insert_rightmost(y, 0))
-    with pytest.raises(GrowthRuleError):
+    _plant_join(monkeypatch, "tree", lambda t, x, y: insert_rightmost(y, 0))
+    with pytest.raises(GrowthRuleError, match=r"^z=.* does not cover x=.* and y=.*$"):
         local_rule_tree(t, x, y, 0)
 
 

@@ -30,11 +30,8 @@ _CACHED = "perfbench snapshots its cache"
 ALLOWED = {
     "growthcheck.local_rule_composition": _PINNED,
     "growthcheck.local_rule_tree": _PINNED,
-    "growthcheck._check_square_input": "checks the input squares of the local rules",
-    "growthcheck._composition_code": "loads the composition local rule's vertex code",
-    "growthcheck._tree_code": "loads the tree local rule's vertex code",
-    "growthcheck._join_composition": "case (f) of the composition local rule",
-    "growthcheck._join_tree": "case (f) of the tree local rule",
+    "growthcheck._complete_square": "the one case analysis of both local rules",
+    "growthcheck._square": "loads a family's vertex code for the local rules",
     "compositions.is_lifted_cover": "the composition local rule's vertical cover check",
     "compositions.is_binword_cover": "the composition local rule's horizontal cover check",
     "compositions.word_value": "the word bits that is_binword_cover compares",

@@ -1,7 +1,9 @@
 """
-The prefix walks that run `verify shadow` and `verify equivalence` over
-all permutations of one size at once, against the public functions they
-stand in for, which compare one permutation at a time: on every size the
+The walks that run `verify shadow` and `verify equivalence` over all
+permutations of one size, against the public functions they stand in
+for, which compare one permutation at a time: `shadow_walk`, a loop over
+the permutations in lexicographic order, and `equivalence_walk`, a
+depth-first walk over the prefixes of inverse(p).  On every size the
 walk counts every permutation, and the permutations it reports include
 every one where the public functions differ or reject a result.  Checked
 on the code as it is for n <= 7, and with faults planted in the step
@@ -45,6 +47,18 @@ def plant_wrong_recording_step(monkeypatch):
         return k - 1 if (reading, a) == ([1, 3], 3) else k
 
     monkeypatch.setattr(ribbons, "_insert_letter", planted)
+
+
+def plant_wrong_shadow_ends(monkeypatch):
+    """The shadow lines of 231 and 312, whose inverses are 312 and 231,
+    break as those of 123 do, nowhere, so their Q is one row that does
+    not increase."""
+    real = ribbons._shadow_ends
+
+    def planted(inv):
+        return real((1, 2, 3)) if tuple(inv) in ((3, 1, 2), (2, 3, 1)) else real(inv)
+
+    monkeypatch.setattr(ribbons, "_shadow_ends", planted)
 
 
 def plant_wrong_recording_tree(monkeypatch):
@@ -113,6 +127,11 @@ def test_the_tree_walk_meets_faults_in_the_order_of_inverses(monkeypatch):
     assert growthcheck.equivalence_walk(3, "tree") == (6, [(3, 1, 2), (2, 3, 1)])
 
 
+def test_the_shadow_walk_meets_faults_in_lexicographic_order(monkeypatch):
+    plant_wrong_shadow_ends(monkeypatch)
+    assert ribbons.shadow_walk(3) == (6, [(2, 3, 1), (3, 1, 2)])
+
+
 @pytest.mark.parametrize(
     "check, plant",
     [
@@ -120,6 +139,7 @@ def test_the_tree_walk_meets_faults_in_the_order_of_inverses(monkeypatch):
         ("shadow", plant_unsorted_insertion),
         ("shadow", plant_declining_ribbon_check),
         ("shadow", plant_declining_quasi_ribbon_check),
+        ("shadow", plant_wrong_shadow_ends),
         ("composition", plant_wrong_recording_step),
         ("composition", plant_unsorted_insertion),
         ("composition", plant_declining_ribbon_check),
