@@ -114,10 +114,9 @@ def labeled_tree_json_parts(t: LabeledTree, depth: int = 0) -> Iterator[str]:
     The text of ``json.dumps(labeled_tree_to_json_obj(t), indent=2)`` as a
     value at nesting ``depth``, for int labels, in the parts that
     ``jsontext.iterdumps`` writes: each key with its indentation and the
-    start of its value, and each closing brace.  The walk's stack holds
-    depths and right subtrees only, and the indentation of the first 64
-    depths below ``depth`` alone is kept, so depth is unbounded and
-    memory linear in it.
+    start of its value, and each closing brace.  One stack walk down each
+    left path keeps the depth and right subtree of each node it opens, so
+    depth is unbounded and memory linear in it.
 
     >>> list(labeled_tree_json_parts((1, None, None)))
     ['{\\n  "label": 1', ',\\n  "left": null', ',\\n  "right": null', '\\n}']
@@ -125,47 +124,24 @@ def labeled_tree_json_parts(t: LabeledTree, depth: int = 0) -> Iterator[str]:
     if t is None:
         yield "null"
         return
-    top = depth + 65
-    indents = ["  " * d for d in range(top)]
-    # per open node: its depth, then its right subtree until that is begun
-    stack: list = []
-    while True:
-        # open t, at depth, and the nodes below it, going to the left
-        # subtree or else to the right one, down to a leaf, which is closed
-        while True:
-            label, left, right = t
-            pad = indents[depth + 1] if depth + 1 < top else "  " * (depth + 1)
+    top, stack = depth, []
+    while t is not None or stack:
+        # open t and the nodes down its left path
+        while t is not None:
+            label, t, right = t
+            pad = "  " * (depth + 1)
             yield f'{{\n{pad}"label": {label}'
-            if left is not None:
-                stack += (depth, right)
-                yield f',\n{pad}"left": '
-                t, depth = left, depth + 1
-                continue
-            yield f',\n{pad}"left": null'
-            if right is not None:
-                stack.append(depth)
-                yield f',\n{pad}"right": '
-                t, depth = right, depth + 1
-                continue
-            yield f',\n{pad}"right": null'
-            pad = indents[depth] if depth < top else "  " * depth
-            yield f"\n{pad}}}"
-            break
-        # close each node whose subtrees are both written, up to the next
-        # right subtree to begin
-        while stack:
-            t = stack.pop()
-            if t.__class__ is int:
-                pad = indents[t] if t < top else "  " * t
-                yield f"\n{pad}}}"
-                continue
-            depth = stack[-1]
-            pad = indents[depth + 1] if depth + 1 < top else "  " * (depth + 1)
-            if t is None:
-                yield f',\n{pad}"right": null'
-                continue
+            yield f',\n{pad}"left": ' if t is not None else f',\n{pad}"left": null'
+            stack.append((depth, right))
+            depth += 1
+        # the left subtree of the last node opened is written: begin its
+        # right one, or close it and each node whose right subtree it ends
+        depth, t = stack.pop()
+        pad = "  " * (depth + 1)
+        if t is not None:
             yield f',\n{pad}"right": '
             depth += 1
-            break
-        else:
-            return
+            continue
+        yield f',\n{pad}"right": null'
+        for d in range(depth, stack[-1][0] if stack else top - 1, -1):
+            yield f"\n{'  ' * d}}}"

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 from itertools import count
 from operator import mul
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -75,15 +75,14 @@ def vertex_labels(family: str, vertices) -> list[str]:
 
 
 def vertex_json(family: str, vertices) -> list:
-    """The JSON form of each vertex, each distinct one rendered once: a
-    composition's list of parts, a tree's text."""
+    """The JSON form of each vertex of one rank, which the edges reuse:
+    a composition's list of parts, a tree's text."""
     if family == "composition":
-        return list(map(cache(list), vertices))
+        return list(map(list, vertices))
     from .trees import trees_to_text
     return trees_to_text(vertices)
 
 
-@lru_cache(maxsize=None)
 def _vertices_at(family: str, n: int) -> tuple:
     _check_rank(family, n)
     if family == "composition":

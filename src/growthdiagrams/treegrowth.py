@@ -35,7 +35,7 @@ def _text_row(below: tuple[list, list, list], c: int, vertical: list, horizontal
     keep their offsets.  z must be x with one "-" made "(-,-)": in a
     marked square at the offset where the splice starts, and else where
     the splice moves the leaf that t -> y added, since z adds to x what y
-    added to t.  The offset is searched for when that guess misses.
+    added to t; a z that is not so at that offset raises GrowthRuleError.
     """
     below_texts, below_spines, below_leaves = below
     # left of the mark, case (b) or (c): z = y
@@ -56,20 +56,10 @@ def _text_row(below: tuple[list, list, list], c: int, vertical: list, horizontal
             leaf = below_leaves[j]
             leaf += (leaf >= start) + 3 * (leaf >= end)
         if x[leaf : leaf + 1] != "-" or z != f"{x[:leaf]}(-,-){x[leaf + 1:]}":
-            leaf = _added_leaf(x, z)
+            raise GrowthRuleError(f"z={z} does not cover x={x}")
         texts[j], spines[j], leaves[j] = z, spine[:k] + (start,), leaf
         x = z
     return texts, spines, leaves
-
-
-def _added_leaf(x: str, z: str) -> int:
-    """The offset at which z's text has "(-,-)" in place of a "-" of x's,
-    which is where the two first differ, or GrowthRuleError if z does
-    not cover x in the lattice of binary trees."""
-    leaf = next((i for i, (a, b) in enumerate(zip(x, z)) if a != b), len(x))
-    if x[leaf : leaf + 1] != "-" or z != f"{x[:leaf]}(-,-){x[leaf + 1:]}":
-        raise GrowthRuleError(f"z={z} does not cover x={x}")
-    return leaf
 
 
 def _bst_from_depths(depths) -> LabeledTree:

@@ -530,13 +530,14 @@ def test_only_the_rows_run_the_text_fill(monkeypatch, capsys, family):
 
 
 @pytest.mark.parametrize("shift", [-3, 1, 10**6])
-def test_a_wrong_leaf_offset_is_searched_past(monkeypatch, shift):
-    # the leaf that each grown vertex adds is first looked for where the
-    # splice moves the one below; a wrong guess only costs the search
+def test_a_wrong_leaf_offset_is_caught(monkeypatch, shift):
+    # the leaf that each grown vertex adds is looked for only where the
+    # splice moves the one below: a carried offset that is off is caught
     p = seeded_inputs(40, "wrong-leaf")["random"]
-    expected = list(build_growth_diagram(p, "tree").rows())
+    assert_texts_are_vertex_labels(p, "tree")
     _patch_step(monkeypatch, "tree", lambda texts, spines, leaves: (texts, spines, [o + shift for o in leaves]))
-    assert list(build_growth_diagram(p, "tree").rows()) == expected
+    with pytest.raises(GrowthRuleError, match="does not cover"):
+        list(build_growth_diagram(p, "tree").rows())
 
 
 # -- the search-based local rules, kept as an oracle for the closed forms -----

@@ -173,23 +173,26 @@ def _same_text(got: str, expected: str) -> None:
         pytest.fail(f"text differs from character {i} on: {got[i : i + 60]!r} instead of {expected[i : i + 60]!r}")
 
 
-def _comb(depth: int):
-    """A labeled right comb: node k holds label k and node k+1 on its right."""
+def _comb(depth: int, side: str = "right"):
+    """A labeled comb: node k holds label k and node k+1 on its ``side``."""
     t = None
     for label in range(depth, 0, -1):
-        t = (label, None, t)
+        t = (label, t, None) if side == "left" else (label, None, t)
     return t
 
 
-def _comb_text(depth: int, at: int = 0):
-    """The json.dumps(indent=2) text of the dicts of _comb(depth), as a
-    value ``at`` levels inside its container, in pieces."""
+def _comb_text(depth: int, at: int = 0, side: str = "right"):
+    """The json.dumps(indent=2) text of the dicts of _comb(depth, side),
+    as a value ``at`` levels inside its container, in pieces."""
     pad = lambda d: "  " * (at + d)  # noqa: E731
     for d in range(depth):
-        yield f'{{\n{pad(d + 1)}"label": {d + 1},\n{pad(d + 1)}"left": null,\n{pad(d + 1)}"right": '
+        if side == "left":
+            yield f'{{\n{pad(d + 1)}"label": {d + 1},\n{pad(d + 1)}"left": '
+        else:
+            yield f'{{\n{pad(d + 1)}"label": {d + 1},\n{pad(d + 1)}"left": null,\n{pad(d + 1)}"right": '
     yield "null"
     for d in reversed(range(depth)):
-        yield f"\n{pad(d)}}}"
+        yield f',\n{pad(d + 1)}"right": null\n{pad(d)}}}' if side == "left" else f"\n{pad(d)}}}"
 
 
 def test_deep_labeled_comb_renders_without_recursion():
@@ -283,27 +286,30 @@ def _traced_peak(run) -> int:
 
 
 def test_deep_comb_streams_from_its_tuples_in_less_memory_than_its_dicts():
-    comb = _comb(5000)
     assert 5000 > sys.getrecursionlimit()
-    digest = hashlib.sha256()
-    lengths = []
+    # the walk's stack holds no pair between the nodes of a right comb, and
+    # one (depth, right subtree) pair per node above it on a left comb
+    for side in ("right", "left"):
+        comb = _comb(5000, side)
+        digest = hashlib.sha256()
+        lengths = []
 
-    def stream():
-        for piece in iterdumps({"P": _rendered(comb)}):
-            digest.update(piece.encode())
-            lengths.append(len(piece))
+        def stream():
+            for piece in iterdumps({"P": _rendered(comb)}):
+                digest.update(piece.encode())
+                lengths.append(len(piece))
 
-    peak = _traced_peak(stream)
-    assert len(lengths) > 1000
-    assert all(length >= CHUNK_SIZE for length in lengths[:-1])
-    expected = hashlib.sha256()
-    for text in ('{\n  "P": ', *_comb_text(5000, 1), "\n}"):
-        expected.update(text.encode())
-    assert digest.hexdigest() == expected.hexdigest()
-    # the text is about 100 MB; streaming it holds a few pieces, less than
-    # the comb's nested dicts alone take
-    dict_peak = _traced_peak(lambda: labeled_tree_to_json_obj(comb))
-    assert peak <= dict_peak, (peak, dict_peak)
+        peak = _traced_peak(stream)
+        assert len(lengths) > 1000, side
+        assert all(length >= CHUNK_SIZE for length in lengths[:-1]), side
+        expected = hashlib.sha256()
+        for text in ('{\n  "P": ', *_comb_text(5000, 1, side), "\n}"):
+            expected.update(text.encode())
+        assert digest.hexdigest() == expected.hexdigest(), side
+        # the text is about 100 MB; streaming it holds a few pieces and the
+        # open nodes, less than the comb's nested dicts alone take
+        dict_peak = _traced_peak(lambda: labeled_tree_to_json_obj(comb))
+        assert peak <= dict_peak, (side, peak, dict_peak)
 
 
 @pytest.mark.parametrize(

@@ -41,7 +41,6 @@ ALLOWED = {
     "trees.right_spine_length": "where the tree local rule inserts its new node",
     "compositions.increment_last": "how the composition local rule grows a vertex",
     "growthcheck.local_rule_grid": "rebuilds a grid's vertices for GrowthGrid.vertices",
-    "treegrowth._added_leaf": "finds a grown leaf where the carried offset misses, which no grid tried has made",
     "growth.GrowthGrid.vertices": "library API: the vertices themselves, which perfbench's case counts read",
     "compositions.lifted_covers": _CACHED,
     "compositions.binword_covers": _CACHED,
