@@ -158,17 +158,17 @@ def equivalence_walk(n: int, family: Family) -> tuple[int, list[Permutation]]:
     p = inverse(path): by the hypoplactic leaf test of
     :mod:`growthdiagrams.ribbons` on the forms they encode, or as the
     nested tuples of BST insertion.  Return the number of permutations
-    and those where the two differ or a check declines, for the public
-    functions to judge; they come in the order of inverse(p), not of p.
+    and those where the two differ or their common hypoplactic Q is not
+    a ribbon tableau, for the public functions to judge; they come in
+    the order of inverse(p), not of p.
     """
     dual = _pair(family)
     if family == "composition":
         from .compositiongrowth import _quasi_ribbon_forms, _ribbon_forms
-        from .ribbons import _hypoplactic_leaf_test
-        leaf_test = _hypoplactic_leaf_test(n)
+        from .ribbons import _hypoplactic_leaf
 
         def agrees(p: Permutation, letters, labels) -> bool:
-            return leaf_test(p, _quasi_ribbon_forms(letters), _ribbon_forms(labels))
+            return _hypoplactic_leaf(p, _quasi_ribbon_forms(letters), _ribbon_forms(labels))
     else:
         from .bst import bst_insert
 

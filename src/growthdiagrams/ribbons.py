@@ -31,7 +31,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import accumulate, chain, compress, islice, permutations
 from operator import gt, lt
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .permutations import Permutation, inverse, validate_permutation
 
@@ -191,48 +191,39 @@ class RibbonTableau(RibbonShapedTableau):
     increases_down_columns = False
 
 
-def _insert_letter(reading: list[int], ends: list[bool], a: int) -> int:
-    """
-    One step of the hypoplactic insertion, as the module docstring gives
-    it: put a into P's reading word, keep ends[i] true where a row ends
-    after cell i (always after the last cell), and return the position a
-    took.
-    """
-    k = bisect_right(reading, a)
-    reading.insert(k, a)
-    ends.insert(k, True)
-    if k:
-        ends[k - 1] = False
-    return k
-
-
 def _insertion_forms(word: Sequence[int]) -> tuple[list[int], tuple[bool, ...], list[int]]:
-    """The hypoplactic insertion of a word of distinct letters, in the
-    forms equality reads: P's reading word, not yet relabeled, the row-end
-    flags of P and Q, and Q's reading word."""
+    """
+    The hypoplactic insertion of a word of distinct letters, as the
+    module docstring gives it, in the forms equality reads: P's reading
+    word, not yet relabeled, the row-end flags of P and Q, and Q's
+    reading word.  Each letter takes its sorted position k in P's
+    reading word, a row ends right after it and no longer right before
+    it, and Q's reading word takes the step number at position k.
+    """
     reading: list[int] = []
-    ends: list[bool] = []
+    ends: list[bool] = []  # whether a row ends after cell i; true for the last
     q_reading: list[int] = []
     for step, a in enumerate(word, 1):
-        q_reading.insert(_insert_letter(reading, ends, a), step)
+        k = bisect_right(reading, a)
+        reading.insert(k, a)
+        ends.insert(k, True)
+        if k:
+            ends[k - 1] = False
+        q_reading.insert(k, step)
     return reading, tuple(ends[:-1]), q_reading
 
 
-def _hypoplactic_leaf_test(n: int) -> Callable:
+def _hypoplactic_leaf(p: Permutation, p_forms: tuple, q_forms: tuple) -> bool:
     """
-    A test of whether a (P, Q) pair in the forms equality reads, each
-    tableau's reading word (a list) and row ends, equals the hypoplactic
-    insertion of a permutation p of size n, P not relabeled, and passes
-    the checks of its kinds.  The quasi-ribbon check reads the reading
-    word alone, 1..n wherever the two P agree, so it runs once per size.
+    Whether a (P, Q) pair in the forms equality reads, each tableau's
+    reading word (a list) and row ends, equals the hypoplactic insertion
+    of the permutation p, P not relabeled, and Q is a ribbon tableau.
+    Both walks give P the reading word 1..n, and the insertion gives Q
+    the steps 1..n once each, which pass the rest of both kinds' checks;
+    so only Q's descents are read against its row ends.
     """
-    p_accepted = QuasiRibbonTableau._accepts(list(range(1, n + 1)), ())
-
-    def agrees(p: Permutation, p_forms: tuple, q_forms: tuple) -> bool:
-        reading, ends, q = _insertion_forms(p)
-        return p_accepted and p_forms == (reading, ends) and q_forms == (q, ends) and RibbonTableau._accepts(q, ends)
-
-    return agrees
+    reading, ends, q = _insertion_forms(p)
+    return p_forms == (reading, ends) and q_forms == (q, ends) and tuple(map(gt, q, islice(q, 1, None))) == ends
 
 
 def hypoplactic_insert(word: Sequence[int]) -> tuple[QuasiRibbonTableau, RibbonTableau]:
@@ -294,16 +285,15 @@ def shadow_walk(n: int) -> tuple[int, list[Permutation]]:
     size n, in lexicographic order, by the hypoplactic leaf test: the
     shadow lines' P has reading word 1..n and its Q has inverse(p), both
     cut where inverse(p) falls.  Return the number of permutations and
-    those, in order, where the two differ or a check of the common
-    tableaux declines, for the public functions to judge.
+    those, in order, where the two differ or Q's reading word does not
+    fall exactly at its row ends, for the public functions to judge.
     """
-    agrees = _hypoplactic_leaf_test(n)
     identity = list(range(1, n + 1))
     suspects: list[Permutation] = []
     for count, p in enumerate(permutations(identity), 1):  # n! >= 1 rounds bind count
         inv = inverse(p)
         ends = _shadow_ends(inv)
-        if not agrees(p, (identity, ends), (list(inv), ends)):
+        if not _hypoplactic_leaf(p, (identity, ends), (list(inv), ends)):
             suspects.append(p)
     return count, suspects
 

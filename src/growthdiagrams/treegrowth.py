@@ -54,6 +54,7 @@ def _text_row(below: tuple[list, list, list], c: int, vertical: list, horizontal
             leaf = start
         else:
             leaf = below_leaves[j]
+            # y[end] is ")" or past y, never a "-", so >= end is > end
             leaf += (leaf >= start) + 3 * (leaf >= end)
         if x[leaf : leaf + 1] != "-" or z != f"{x[:leaf]}(-,-){x[leaf + 1:]}":
             raise GrowthRuleError(f"z={z} does not cover x={x}")

@@ -46,12 +46,12 @@ def _verify_routes(args, lines: list[str], walk, first, second, where: str, clai
     Compare two routes to the same (P, Q) pair on every permutation of
     each size up to --max-n, guarded before any walk.  ``walk(n)`` runs
     both routes over all permutations of size n at once and returns their
-    number and the permutations where it saw the two differ or a check
-    decline.  The public functions ``first`` and ``second`` judge those,
-    smallest first, so a mismatch names, and an invalid result raises
-    for, the permutation that comparing them on each permutation in
-    order would stop at.  ``where`` ends a mismatch line and ``claim``
-    states what the check showed.
+    number and the permutations where it saw the two differ or agree on
+    an invalid result.  The public functions ``first`` and ``second``
+    judge those, smallest first, so a mismatch names, and an invalid
+    result raises for, the permutation that comparing them on each
+    permutation in order would stop at.  ``where`` ends a mismatch line
+    and ``claim`` states what the check showed.
     """
     for n in _exhaustive_sizes(args.max_n):
         count, suspects = walk(n)

@@ -40,13 +40,17 @@ ROUTES = {
 def plant_wrong_recording_step(monkeypatch):
     """Hypoplactic insertion records step 2 in the wrong cell when it
     inserts 3 after 1: Q stays a ribbon tableau, but another one."""
-    real = ribbons._insert_letter
+    real = ribbons._insertion_forms
 
-    def planted(reading, ends, a):
-        k = real(reading, ends, a)
-        return k - 1 if (reading, a) == ([1, 3], 3) else k
+    def planted(word):
+        reading, ends, q = real(word)
+        if tuple(word[:2]) == (1, 3):
+            # step 2 goes in front of step 1, and each later step where
+            # it goes anyway: 1 and 2 trade places in Q's reading word
+            q = [3 - v if v < 3 else v for v in q]
+        return reading, ends, q
 
-    monkeypatch.setattr(ribbons, "_insert_letter", planted)
+    monkeypatch.setattr(ribbons, "_insertion_forms", planted)
 
 
 def plant_wrong_shadow_ends(monkeypatch):
@@ -89,8 +93,8 @@ def plant_declining_ribbon_check(monkeypatch):
 
 
 def plant_declining_quasi_ribbon_check(monkeypatch):
-    """The same for quasi-ribbon tableaux, whose check the shadow walk
-    runs once per size."""
+    """The same for quasi-ribbon tableaux, whose check only the public
+    functions run: the walks' P has the reading word 1..n."""
     monkeypatch.setattr(ribbons.QuasiRibbonTableau, "_accepts", classmethod(lambda cls, reading, ends: False))
 
 
@@ -103,6 +107,23 @@ def plant_wrong_ribbon_conversion(monkeypatch):
         return real((3, 4, 6) if tuple(labels) == (3, 4, 7) else labels)
 
     monkeypatch.setattr(compositiongrowth, "_ribbon_forms", planted)
+
+
+def plant_same_misordered_recording(monkeypatch):
+    """Both composition routes make Q of 21 read 1, 2 and cut after its
+    first cell, as it should be cut: the same Q, whose reading word rises
+    at its row end, so it is no ribbon tableau."""
+    insertion, conversion = ribbons._insertion_forms, compositiongrowth._ribbon_forms
+
+    def misordered(q_forms):
+        return ([1, 2], q_forms[1]) if q_forms == ([2, 1], (True,)) else q_forms
+
+    def planted(word):
+        reading, ends, q = insertion(word)
+        return reading, ends, misordered((q, ends))[0]
+
+    monkeypatch.setattr(ribbons, "_insertion_forms", planted)
+    monkeypatch.setattr(compositiongrowth, "_ribbon_forms", lambda labels: misordered(conversion(labels)))
 
 
 def fails(first, second, p) -> bool:
@@ -132,6 +153,25 @@ def test_the_shadow_walk_meets_faults_in_lexicographic_order(monkeypatch):
     assert ribbons.shadow_walk(3) == (6, [(2, 3, 1), (3, 1, 2)])
 
 
+def test_insertion_makes_the_forms_the_leaf_does_not_check():
+    # P's reading word is 1..n and Q's holds the ints 1..n once each, so
+    # of both kinds' checks the leaf reads only Q's descents
+    for n in range(8):
+        identity = list(range(1, n + 1))
+        for p in all_permutations(n):
+            reading, _, q = ribbons._insertion_forms(p)
+            assert reading == identity
+            assert sorted(q) == identity and {type(v) for v in q} <= {int}
+
+
+def test_the_leaf_reads_the_descents_of_a_common_recording_tableau(monkeypatch):
+    plant_same_misordered_recording(monkeypatch)
+    assert growthcheck.equivalence_walk(2, "composition") == (2, [(2, 1)])
+    for route in ROUTES["composition"][1:]:
+        with pytest.raises(ValueError, match="column must increase upwards: 1 above 2"):
+            route((2, 1))
+
+
 @pytest.mark.parametrize(
     "check, plant",
     [
@@ -145,6 +185,7 @@ def test_the_shadow_walk_meets_faults_in_lexicographic_order(monkeypatch):
         ("composition", plant_declining_ribbon_check),
         ("composition", plant_declining_quasi_ribbon_check),
         ("composition", plant_wrong_ribbon_conversion),
+        ("composition", plant_same_misordered_recording),
         ("tree", plant_wrong_recording_tree),
     ],
 )
