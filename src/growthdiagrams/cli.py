@@ -21,9 +21,10 @@ and ``jsontext`` for JSON;
 only to enumerate or name vertices; and ``verify`` loads its runners,
 ``verify``, which load what each check runs.
 
-A JSON payload is one dict for ``jsontext.iterdumps``, whose deep
-values, a BST insertion's trees and the growth grid, are ``_Rendered``
-values under its top level that write their own text part by part.
+A JSON payload is one dict for ``jsontext.iterdumps``, whose long values,
+a BST insertion's trees, the growth grid and a graph's ranks, are
+``_Rendered`` values under its top level that write their own text part
+by part; ``graph`` writes DOT a line at a time.
 
 ``growth`` writes its grid as the text fill makes it, a row at a time,
 and every grown vertex is checked as its row is made; so in JSON, where
@@ -206,8 +207,8 @@ def cmd_growth(args) -> int:
 def cmd_graph(args) -> int:
     from . import graphs
 
-    g = graphs.make_graph(args.name)
-    _emit(args, (graphs.export_graph(g, args.max_rank, args.format),))
+    # every rank's vertices are made, and the rank guard checked, before --out is opened
+    _emit(args, graphs.export_graph(graphs.make_graph(args.name), args.max_rank, args.format))
     return 0
 
 

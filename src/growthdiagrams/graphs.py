@@ -42,8 +42,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import cache, partial
-from itertools import count
+from functools import cache
+from itertools import chain, count
 from operator import mul
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -64,12 +64,11 @@ def _check_rank(family: str, n: int) -> None:
 def vertex_labels(family: str, vertices) -> list[str]:
     """
     The print name of each vertex: comma-joined parts or tree text, "e"/"-"
-    empty.  Each distinct vertex is rendered once: equal compositions share
-    one label, and tree nodes shared between vertices one text.
+    empty.  Tree nodes shared between vertices are rendered once.
     """
     if family == "composition":
         from .compositions import composition_label
-        return list(map(cache(composition_label), vertices))
+        return list(map(composition_label, vertices))
     from .trees import trees_to_text
     return trees_to_text(vertices)
 
@@ -365,52 +364,43 @@ def path_count_identity(g1: GradedGraph, g2: GradedGraph, n: int) -> tuple[int, 
 
 # -- export ------------------------------------------------------------------
 
-def _rendered_ranks(g: GradedGraph, max_rank: int, render) -> list[tuple[list, list]]:
+def _up_edges(g: GradedGraph, names: list, n: int) -> Iterator[tuple]:
+    """The up-edges of rank n as (v, u) pairs of rendered vertices, in
+    canonical order, made as rank n's up-table rows are."""
+    above = names[n + 1]
+    return ((v, above[j]) for v, row in zip(names[n], g.up_table(n)) for j in row)
+
+
+def export_dot(g: GradedGraph, max_rank: int) -> Iterator[str]:
     """
-    Per rank up to max_rank: ``render`` of the vertices in canonical order,
-    and the up-edges to the next rank as (v, u) pairs of rendered
-    vertices, in canonical order.  Each vertex is rendered once.
+    Deterministic DOT text in chunks: one rank=same cluster per level,
+    then the edges, directed upwards, a line each as each rank's up-table
+    rows are made; vertices and edges in canonical order.  Every rank's
+    labels are made before the first chunk, so the rank guard raises
+    before any text.
     """
-    rendered = [render(g.vertices_at(n)) for n in range(max_rank + 1)]
-    ranks = []
-    for n, names in enumerate(rendered):
-        edges = []
-        if n < max_rank:
-            above = rendered[n + 1]
-            for name, row in zip(names, g.up_table(n)):
-                edges.extend((name, above[j]) for j in row)
-        ranks.append((names, edges))
-    return ranks
+    names = [[f'"{label}"' for label in vertex_labels(g.family, g.vertices_at(n))] for n in range(max_rank + 1)]
+    head = [f'digraph "{g.name}" {{', "  rankdir=BT;", "  node [shape=box];"]
+    head += [f"  {{ rank=same; {' '.join(name + ';' for name in rank)} }}" for rank in names]
+    edges = (f"  {v} -> {u};\n" for n in range(max_rank) for v, u in _up_edges(g, names, n))
+    return chain(("\n".join(head) + "\n",), edges, ("}\n",))
 
 
-def export_dot(g: GradedGraph, max_rank: int) -> str:
-    """
-    Deterministic DOT text: one rank=same cluster per level, vertices and
-    edges in canonical order, edges directed upwards.
-    """
-    lines = [f'digraph "{g.name}" {{', "  rankdir=BT;", "  node [shape=box];"]
-    ranks = _rendered_ranks(g, max_rank, lambda vs: [f'"{label}"' for label in vertex_labels(g.family, vs)])
-    for names, _ in ranks:
-        lines.append(f"  {{ rank=same; {' '.join(name + ';' for name in names)} }}")
-    for _, edges in ranks:
-        lines.extend(f"  {v} -> {u};" for v, u in edges)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def export_json(g: GradedGraph, max_rank: int) -> Iterator[str]:
+    """Rank-by-rank JSON in chunks: vertices plus the edges to the next
+    rank, each rank written as its up-table rows are made.  Every rank's
+    vertices are made before the first chunk, as in :func:`export_dot`."""
+    from .jsontext import iterdumps, streamed_list  # here, so that the checks never load it
+
+    names = [vertex_json(g.family, g.vertices_at(n)) for n in range(max_rank + 1)]
+    ranks = (
+        {"n": n, "vertices": vertices, "edges": [[v, u] for v, u in _up_edges(g, names, n)] if n < max_rank else []}
+        for n, vertices in enumerate(names)
+    )
+    return chain(iterdumps({"name": g.name, "max_rank": max_rank, "ranks": streamed_list(ranks)}), ("\n",))
 
 
-def export_json(g: GradedGraph, max_rank: int) -> str:
-    """Rank-by-rank JSON: vertices plus the edges to the next rank."""
-    from .jsontext import dumps  # here, so that the checks never load it
-
-    render = partial(vertex_json, g.family)
-    ranks = [
-        {"n": n, "vertices": vertices, "edges": [[v, u] for v, u in edges]}
-        for n, (vertices, edges) in enumerate(_rendered_ranks(g, max_rank, render))
-    ]
-    return dumps({"name": g.name, "max_rank": max_rank, "ranks": ranks}) + "\n"
-
-
-def export_graph(g: GradedGraph, max_rank: int, fmt: str) -> str:
+def export_graph(g: GradedGraph, max_rank: int, fmt: str) -> Iterator[str]:
     if fmt == "dot":
         return export_dot(g, max_rank)
     if fmt == "json":

@@ -2,9 +2,10 @@
 JSON text equal byte for byte to ``json.dumps(obj, indent=2)``, for
 values built from dict (with str keys), list, tuple, str, int, bool and
 None; anything else raises TypeError.  The top-level object, or a value
-of its dict, may be a ``_Rendered`` (a labeled tree, a growth grid),
-whose own writer yields its text part by part; every other value's text
-is made whole, with strings escaped by the C function ``json`` uses.
+of its dict, may be a ``_Rendered`` (a labeled tree, a growth grid, a
+graph's ranks), whose own writer yields its text part by part; every
+other value's text is made whole, with strings escaped by the C function
+``json`` uses.
 """
 from __future__ import annotations
 
@@ -91,19 +92,25 @@ def _parts(obj) -> Iterator[Iterable[str]]:
     yield ("\n}",)
 
 
-def dumps(obj) -> str:
-    """
-    ``json.dumps(obj, indent=2)``.
+def streamed_list(items: Iterable) -> _Rendered:
+    """A list, as a value of the top-level dict, whose items are made and
+    written one at a time, each item's text a part."""
 
-    >>> dumps({"a": [1, 2], "b": [[], {}], "c": None})
-    '{\\n  "a": [\\n    1,\\n    2\\n  ],\\n  "b": [\\n    [],\\n    {}\\n  ],\\n  "c": null\\n}'
-    """
-    return "".join(chain.from_iterable(_parts(obj)))
+    def render(depth: int) -> Iterator[str]:
+        newline = "\n" + _INDENT * (depth + 1)
+        lead = "[" + newline
+        for item in items:
+            # a cache per item: the ids of an earlier item's lists may be reused
+            yield lead + _text(item, depth + 1, {})
+            lead = "," + newline
+        yield "\n" + _INDENT * depth + "]" if lead[0] == "," else "[]"
+
+    return _Rendered(render)
 
 
 def iterdumps(obj) -> Iterator[str]:
     """
-    The text of :func:`dumps` in pieces of whole parts: every piece but
+    ``json.dumps(obj, indent=2)`` in pieces of whole parts: every piece but
     the last has at least ``CHUNK_SIZE`` characters, and fewer without
     its last part.  A part is a key of the top-level dict with what goes
     in front of it, a plain value's whole text, a part that a

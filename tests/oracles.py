@@ -12,8 +12,12 @@ shape of the hypoplactic tableaux; the check of a whole growth diagram
 against the reference local rules on vertices; the ASCII grid as the CLI
 drew it from a matrix of cells; and the conversions of a grid's boundary
 vertex chains to (P, Q), against which the tests check the pair that the
-fill's edge labels give.
+fill's edge labels give.  And the graph export written whole from each
+graph's vertices and value-level covers, without its up-tables.
 """
+import json
+
+from growthdiagrams import compositions, trees
 from growthdiagrams.compositions import composition_to_word, increment_last
 from growthdiagrams.growth import _pair
 from growthdiagrams.growthcheck import local_rule_composition, local_rule_tree
@@ -391,3 +395,47 @@ def set_binword_table(n):
             covers.add(spread + (1 << p) - top)
         rows.append(tuple(sorted(covers)))
     return tuple(rows)
+
+
+# the value-level cover function of each graph
+VALUE_COVERS = {
+    "lifted-binary-tree": compositions.lifted_covers,
+    "binword": compositions.binword_covers,
+    "tree-lattice": trees.lattice_covers,
+    "reflected-bracket-tree": trees.reflected_bracket_covers,
+}
+
+
+def _vertex_label(family, v):
+    """The print name of a vertex, by one call per tree node."""
+    if family == "composition":
+        return ",".join(map(str, v)) if v else "e"
+    return "-" if v is None else f"({_vertex_label(family, v[0])},{_vertex_label(family, v[1])})"
+
+
+def export_text(g, max_rank, fmt):
+    """The DOT or JSON export of g, whole, from ``g.vertices_at`` and the
+    value-level covers: each vertex's edges ordered by the cover's index
+    in ``g.vertices_at(n + 1)``, and the JSON text by ``json.dumps``."""
+    ranks = [g.vertices_at(n) for n in range(max_rank + 1)]
+    edges = []
+    for below, above in zip(ranks, ranks[1:]):
+        index = {u: i for i, u in enumerate(above)}
+        edges.append([(v, u) for v in below for u in sorted(VALUE_COVERS[g.name](v), key=index.__getitem__)])
+    edges.append([])
+    label = lambda v: _vertex_label(g.family, v)  # noqa: E731
+    if fmt == "dot":
+        lines = [f'digraph "{g.name}" {{', "  rankdir=BT;", "  node [shape=box];"]
+        lines += ["  { rank=same; " + " ".join(f'"{label(v)}";' for v in rank) + " }" for rank in ranks]
+        lines += [f'  "{label(v)}" -> "{label(u)}";' for up in edges for v, u in up]
+        return "\n".join([*lines, "}"]) + "\n"
+    form = list if g.family == "composition" else label
+    payload = {
+        "name": g.name,
+        "max_rank": max_rank,
+        "ranks": [
+            {"n": n, "vertices": [form(v) for v in rank], "edges": [[form(v), form(u)] for v, u in up]}
+            for n, (rank, up) in enumerate(zip(ranks, edges))
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"

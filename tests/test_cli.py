@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from growthdiagrams import cli, compositions, graphs, growth, growthcheck, jsontext, ribbons, trees
+from growthdiagrams import cli, compositions, graphs, growth, growthcheck, jsontext, ribbons
 from growthdiagrams.cli import main
 from growthdiagrams.permutations import all_permutations
-from oracles import boundary_chains, chain_pair
+from oracles import boundary_chains, chain_pair, export_text
 from test_growth import _patch_pair, flat_bst_insert
 from test_walks import plant_unsorted_insertion, plant_wrong_recording_step, plant_wrong_recording_tree
 
@@ -314,6 +314,30 @@ def test_unwritable_out_is_reported_before_any_work(monkeypatch, tmp_path, capsy
     assert out == ""
     assert err.startswith(f"error: cannot write --out {target}: ")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("graph", "tree-lattice", "--max-rank", "11"), "rank 11 exceeds the supported maximum 10 for tree graphs"),
+        (
+            ("graph", "binword", "--max-rank", "13", "--format", "json"),
+            "rank 13 exceeds the supported maximum 12 for composition graphs",
+        ),
+    ],
+    ids=["tree-lattice", "binword-json"],
+)
+def test_graph_rank_guard_leaves_out_alone(tmp_path, capsys, argv, message):
+    # the guard is raised before --out is opened for writing
+    existing = tmp_path / "existing.txt"
+    existing.write_bytes(b"earlier output\n")
+    assert run(capsys, *argv, "--out", str(existing)) == (2, "", f"error: {message}\n")
+    assert existing.read_bytes() == b"earlier output\n"
+
+
+def test_graph_rank_guard_names_the_first_rank_over_it(capsys):
+    message = "error: rank 11 exceeds the supported maximum 10 for tree graphs\n"
+    assert run(capsys, "graph", "tree-lattice", "--max-rank", "15") == (2, "", message)
 
 
 def test_out_is_left_alone_when_the_command_fails(tmp_path, capsys):
@@ -676,55 +700,12 @@ def test_insert_json_is_written_in_bounded_pieces(monkeypatch):
     assert "".join(out.pieces[-2:]).endswith("\n}\n")
 
 
-VALUE_COVERS = {
-    "lifted-binary-tree": compositions.lifted_covers,
-    "binword": compositions.binword_covers,
-    "tree-lattice": trees.lattice_covers,
-    "reflected-bracket-tree": trees.reflected_bracket_covers,
-}
-
-
-def _value_level_up_edges(g, n):
-    """(v, u) for every cover u of every rank-n vertex v, from the
-    value-level cover function, in canonical order of v and then of u."""
-    position = {u: i for i, u in enumerate(g.vertices_at(n + 1))}
-    return [
-        (v, u)
-        for v in g.vertices_at(n)
-        for u in sorted(VALUE_COVERS[g.name](v), key=position.__getitem__)
-    ]
-
-
 @pytest.mark.parametrize("name", graphs.GRAPH_NAMES)
 def test_graph_json_bytes(capsys, name):
     g = graphs.make_graph(name)
-    serialize = list if g.family == "composition" else _oracle_tree_text
-    max_rank = 6
-    ranks = [
-        {
-            "n": n,
-            "vertices": [serialize(v) for v in g.vertices_at(n)],
-            "edges": [
-                [serialize(v), serialize(u)]
-                for v, u in (_value_level_up_edges(g, n) if n < max_rank else ())
-            ],
-        }
-        for n in range(max_rank + 1)
-    ]
-    payload = {"name": name, "max_rank": max_rank, "ranks": ranks}
-    argv = ("graph", name, "--max-rank", str(max_rank), "--format", "json")
-    _assert_output(run(capsys, *argv), json.dumps(payload, indent=2) + "\n")
-    # the dot text as it was before each vertex was labeled once
-    label = lambda v: _oracle_label(g.family, v)
-    lines = [f'digraph "{name}" {{', "  rankdir=BT;", "  node [shape=box];"]
-    for n in range(max_rank + 1):
-        names = " ".join(f'"{label(v)}";' for v in g.vertices_at(n))
-        lines.append(f"  {{ rank=same; {names} }}")
-    for n in range(max_rank):
-        lines += [f'  "{label(v)}" -> "{label(u)}";' for v, u in _value_level_up_edges(g, n)]
-    lines.append("}")
-    argv = ("graph", name, "--max-rank", str(max_rank), "--format", "dot")
-    _assert_output(run(capsys, *argv), "\n".join(lines) + "\n")
+    for fmt in ("json", "dot"):
+        argv = ("graph", name, "--max-rank", "6", "--format", fmt)
+        _assert_output(run(capsys, *argv), export_text(g, 6, fmt))
 
 
 def test_no_output_goes_through_json_dumps(monkeypatch, capsys):
@@ -740,7 +721,7 @@ def test_no_output_goes_through_json_dumps(monkeypatch, capsys):
     ):
         assert run(capsys, *argv)[0] == 0
     grid = growth.build_growth_diagram((2, 1), "composition")
-    jsontext.dumps({"n": grid.n, "grid": [[list(v) for v in row] for row in grid.vertices]})
+    "".join(jsontext.iterdumps({"n": grid.n, "grid": [[list(v) for v in row] for row in grid.vertices]}))
 
 
 @pytest.mark.parametrize("fmt", ["json", "ascii"])

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from growthdiagrams import compositions, graphs, trees
+from growthdiagrams import compositions, graphs
 from growthdiagrams.graphs import (
     DUAL_PAIRS,
     GRAPH_NAMES,
@@ -23,7 +23,7 @@ from growthdiagrams.graphs import (
     path_count_identity,
     vertex_labels,
 )
-from oracles import set_binword_table
+from oracles import VALUE_COVERS, export_text, set_binword_table
 
 # edge sets of the two composition graphs up to rank 4, straight from the
 # drawings (compositions written as digit strings)
@@ -229,14 +229,6 @@ def test_duality_matches_matrix_oracle(family, top_rank):
 
 
 # -- the up-tables against the value-level cover functions -------------------
-
-VALUE_COVERS = {
-    "lifted-binary-tree": compositions.lifted_covers,
-    "binword": compositions.binword_covers,
-    "tree-lattice": trees.lattice_covers,
-    "reflected-bracket-tree": trees.reflected_bracket_covers,
-}
-
 
 @pytest.mark.parametrize("name", GRAPH_NAMES)
 def test_up_tables_match_value_level_covers(name):
@@ -532,16 +524,16 @@ def test_export_dot_lifted_rank2():
         '  "1" -> "1,1";\n'
         "}\n"
     )
-    assert export_dot(make_graph("lifted-binary-tree"), 2) == expected
+    assert "".join(export_dot(make_graph("lifted-binary-tree"), 2)) == expected
 
 
 def test_export_dot_rank0():
-    text = export_dot(make_graph("tree-lattice"), 0)
+    text = "".join(export_dot(make_graph("tree-lattice"), 0))
     assert '"-"' in text and "->" not in text
 
 
 def test_export_json_counts():
-    payload = json.loads(export_json(make_graph("reflected-bracket-tree"), 4))
+    payload = json.loads("".join(export_json(make_graph("reflected-bracket-tree"), 4)))
     assert [len(level["vertices"]) for level in payload["ranks"]] == [1, 1, 2, 5, 14]
     assert payload["ranks"][-1]["edges"] == []
     # every vertex of rank n+1 has exactly one incoming edge
@@ -553,10 +545,19 @@ def test_export_json_counts():
 
 
 def test_export_is_deterministic():
-    a = export_json(make_graph("binword"), 4)
-    b = export_json(make_graph("binword"), 4)
+    a = "".join(export_json(make_graph("binword"), 4))
+    b = "".join(export_json(make_graph("binword"), 4))
     assert a == b
-    assert export_dot(make_graph("tree-lattice"), 3) == export_dot(make_graph("tree-lattice"), 3)
+    assert "".join(export_dot(make_graph("tree-lattice"), 3)) == "".join(export_dot(make_graph("tree-lattice"), 3))
+
+
+@pytest.mark.parametrize("name", GRAPH_NAMES)
+def test_export_chunks_join_to_the_value_level_oracle(name):
+    g = make_graph(name)
+    for max_rank in range(7):
+        for fmt, export in (("dot", export_dot), ("json", export_json)):
+            assert "".join(export(g, max_rank)) == export_text(g, max_rank, fmt), (max_rank, fmt)
+            assert "".join(export_graph(g, max_rank, fmt)) == export_text(g, max_rank, fmt), (max_rank, fmt)
 
 
 def test_rank_guard():
@@ -574,6 +575,11 @@ def test_rank_guard():
     # the guard caps the duality check as well
     with pytest.raises(RankGuardError):
         check_duality(make_graph("tree-lattice"), make_graph("reflected-bracket-tree"), 10)
+    # and the export, on the call and not at a later chunk, at the first rank over it
+    for name, fmt in itertools.product(("binword", "tree-lattice"), ("dot", "json")):
+        top = graphs.MAX_RANK[make_graph(name).family]
+        with pytest.raises(RankGuardError, match=f"rank {top + 1} exceeds"):
+            export_graph(make_graph(name), top + 3, fmt)
 
 
 def _recursive_label(family, v):

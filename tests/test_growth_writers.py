@@ -1,7 +1,7 @@
 """
 The two writers of ``growthdiag growth`` against their references: the
 JSON text, whose grid rows the CLI joins straight from the fill's vertex
-texts, against ``jsontext.dumps`` of a payload built from the grid's
+texts, against ``jsontext.iterdumps`` of a payload built from the grid's
 vertices, which the local rules rebuild; and the ASCII text, which the
 CLI writes a line at a time, against the renderer that built the whole
 cell matrix (``render_grid`` in ``oracles``).
@@ -30,7 +30,7 @@ def growth_output(capsys, family, p, fmt):
 
 def reference_json(grid):
     """The payload built from the grid's vertices and pair, as
-    ``jsontext.dumps`` writes it: a tree as its text, made afresh, and a
+    ``jsontext.iterdumps`` writes it: a tree as its text, made afresh, and a
     composition as its list of parts."""
     k = grid.n + 1
     if grid.family == "composition":
@@ -48,7 +48,7 @@ def reference_json(grid):
         "Q": q,
         "check": "MATCH",
     }
-    return jsontext.dumps(payload) + "\n"
+    return "".join(jsontext.iterdumps(payload)) + "\n"
 
 
 def reference_ascii(grid):

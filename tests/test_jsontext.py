@@ -11,9 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthdiagrams import jsontext
-from growthdiagrams.jsontext import CHUNK_SIZE, dumps, iterdumps
+from growthdiagrams.jsontext import CHUNK_SIZE, iterdumps, streamed_list
 from growthdiagrams.bst import bst_insert, labeled_tree_json_parts, labeled_tree_to_text
 from growthdiagrams.trees import labeled_tree_to_json_obj, trees_to_text
+
+
+def dumps(value) -> str:
+    return "".join(iterdumps(value))
+
 
 # every code point but lone surrogates, so control characters and
 # non-ASCII text come up in both keys and values
@@ -34,7 +39,6 @@ values = st.recursive(
 @given(values)
 def test_dumps_equals_json_dumps_indent_2(value):
     assert dumps(value) == json.dumps(value, indent=2)
-    assert "".join(iterdumps(value)) == dumps(value)
 
 
 @settings(max_examples=100, deadline=None)
@@ -62,7 +66,6 @@ def test_a_str_shared_at_several_depths_is_escaped_for_each(value, shared, other
         (shared,), sub, [sub, shared], [[[shared]]], other, shared,
     ]
     assert dumps(payload) == json.dumps(payload, indent=2)
-    assert "".join(iterdumps(payload)) == dumps(payload)
 
 
 def test_one_str_object_at_several_depths():
@@ -136,6 +139,47 @@ def test_pieces_are_whole_parts_and_end_once_chunk_size_is_reached(value, chunk_
         pieces = list(iterdumps(value))
     assert "".join(parts) == json.dumps(value, indent=2)
     _assert_pieces(pieces, parts, chunk_size)
+
+
+def _streamed_parts(items) -> list[str]:
+    """The parts of the text of {"n": 1, "ranks": items, "m": [2]} with
+    ranks streamed: each item with what goes in front of it, then the
+    list's end."""
+    item_parts = [
+        ("[" if i == 0 else ",") + "\n    " + json.dumps(item, indent=2).replace("\n", "\n    ")
+        for i, item in enumerate(items)
+    ]
+    return ['{\n  "n": ', "1", ',\n  "ranks": ', *item_parts, "\n  ]" if items else "[]", ',\n  "m": ', "[\n    2\n  ]", "\n}"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(values, max_size=6), st.integers(1, 300))
+def test_a_streamed_list_is_written_an_item_at_a_time(items, chunk_size):
+    parts = _streamed_parts(items)
+    assert "".join(parts) == json.dumps({"n": 1, "ranks": items, "m": [2]}, indent=2)
+    made = []
+
+    def each():
+        for item in items:
+            made.append(item)
+            yield item
+
+    with mock.patch.object(jsontext, "CHUNK_SIZE", chunk_size):
+        pieces = list(iterdumps({"n": 1, "ranks": streamed_list(each()), "m": [2]}))
+    _assert_pieces(pieces, parts, chunk_size)
+    # one part per piece: item k is made just before its part, not earlier
+    made.clear()
+    with mock.patch.object(jsontext, "CHUNK_SIZE", 1):
+        counts = [len(made) for _ in iterdumps({"n": 1, "ranks": streamed_list(each()), "m": [2]})]
+    assert counts == [0, 0, 0, *range(1, len(items) + 1), len(items), len(items), len(items), len(items)]
+
+
+def test_a_streamed_list_of_fresh_lists_writes_each_item_as_its_own():
+    # each item is freed before the next is made, so a new list may take
+    # the id of an earlier one, whose text must not be reused
+    items = ([[k, k + 1], [k]] for k in range(300))
+    expected = json.dumps({"ranks": [[[k, k + 1], [k]] for k in range(300)]}, indent=2)
+    _same_text(dumps({"ranks": streamed_list(items)}), expected)
 
 
 def _bad_key(key, first: bool):
