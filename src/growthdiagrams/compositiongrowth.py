@@ -59,13 +59,11 @@ def _text_row(below: tuple[list, list], c: int, vertical: list, horizontal: list
 
 
 def _json_cells(texts: list[str], cell_break: str) -> str:
-    """The JSON lists of parts of a row's texts, ``cell_break`` apart: the
-    texts joined by "|", which none holds, then a line break after each
-    comma, "],[" between cells and "[]" for "e", each on the whole row."""
+    """The JSON lists of parts of a row's texts, ``cell_break`` apart: "[]"
+    for "e", else the text in brackets with a line break after each comma."""
     part_break = "," + cell_break + "  "
     start, end = "[" + part_break[1:], cell_break + "]"
-    between, empty = end + "," + cell_break + start, start + "e" + end
-    return (start + "|".join(texts).replace(",", part_break).replace("|", between) + end).replace(empty, "[]")
+    return ("," + cell_break).join("[]" if text == "e" else start + text.replace(",", part_break) + end for text in texts)
 
 
 def _quasi_ribbon_forms(letters) -> tuple[list[int], tuple[int, ...]]:

@@ -62,8 +62,8 @@ def word_to_composition(w: BinaryWord) -> Composition:
 @lru_cache(maxsize=None)
 def compositions_of(n: int) -> tuple[Composition, ...]:
     """
-    All 2^(n-1) compositions of n, ordered lexicographically by their word
-    encoding (the order the graphs are drawn in).
+    All 2^(n-1) compositions of n, ordered by their word read as a binary
+    number, from 2^(n-1) up (the order the graphs are drawn in).
 
     >>> compositions_of(3)
     ((3,), (2, 1), (1, 2), (1, 1, 1))
@@ -72,11 +72,7 @@ def compositions_of(n: int) -> tuple[Composition, ...]:
         raise ValueError("rank must be >= 0")
     if n == 0:
         return ((),)
-    out = []
-    for i in range(1 << (n - 1)):
-        suffix = format(i, f"0{n - 1}b") if n > 1 else ""
-        out.append(word_to_composition("1" + suffix))
-    return tuple(out)
+    return tuple(word_to_composition(format(w, "b")) for w in range(1 << (n - 1), 1 << n))
 
 
 def composition_label(c: Composition) -> str:

@@ -78,8 +78,7 @@ def vertex_json(family: str, vertices) -> list:
     a composition's list of parts, a tree's text."""
     if family == "composition":
         return list(map(list, vertices))
-    from .trees import trees_to_text
-    return trees_to_text(vertices)
+    return vertex_labels(family, vertices)
 
 
 def _vertices_at(family: str, n: int) -> tuple:

@@ -114,28 +114,15 @@ def insert_rightmost(t: Tree, depth: int) -> Tree:
 def reflected_bracket_covers(t: Tree) -> frozenset[Tree]:
     """
     Up-neighbours in the reflected bracket tree: every tree whose rightmost
-    deletion gives back t.  A new node is inserted at one of the positions
-    along the right spine, taking the subtree it displaces (a right-spine
-    suffix) as its left subtree.
+    deletion gives back t: :func:`insert_rightmost` at each depth from 0
+    to ``right_spine_length(t)``.
 
     >>> reflected_bracket_covers(None) == frozenset({(None, None)})
     True
     >>> reflected_bracket_covers((None, None)) == frozenset(trees_of(2))
     True
     """
-    spine = []
-    cur = t
-    while cur is not None:
-        spine.append(cur)
-        cur = cur[1]
-    covers = []
-    for k in range(len(spine) + 1):
-        displaced = spine[k] if k < len(spine) else None
-        z: Tree = (displaced, None)
-        for j in range(k - 1, -1, -1):
-            z = (spine[j][0], z)
-        covers.append(z)
-    return frozenset(covers)
+    return frozenset(insert_rightmost(t, k) for k in range(right_spine_length(t) + 1))
 
 
 def is_reflected_bracket_cover(t: Tree, u: Tree) -> bool:

@@ -83,6 +83,9 @@ def test_canonical_order_is_word_lexicographic():
     for n in range(8):
         words = [composition_to_word(c) for c in compositions_of(n)]
         assert words == sorted(words)
+    # the index a graph gives a composition of n is its word value - 2^(n-1)
+    for n in range(1, 11):
+        assert [comp.word_value(c) for c in compositions_of(n)] == list(range(1 << (n - 1), 1 << n))
 
 
 def test_lifted_covers_examples():
