@@ -21,10 +21,10 @@ and ``jsontext`` for JSON;
 only to enumerate or name vertices; and ``verify`` loads its runners,
 ``verify``, which load what each check runs.
 
-A JSON payload is one dict for ``jsontext.iterdumps``, whose long values,
-a BST insertion's trees, the growth grid and a graph's ranks, are
-``_Rendered`` values under its top level that write their own text part
-by part; ``graph`` writes DOT a line at a time.
+A JSON payload is one dict for ``jsontext.iterdumps``, whose long values
+are written part by part: a BST insertion's trees and the growth grid as
+``_Rendered`` values, a graph's ranks and edges as generators, each edge
+made as it is written; ``graph`` writes DOT a line at a time.
 
 ``growth`` writes its grid as the text fill makes it, a row at a time,
 and every grown vertex is checked as its row is made; so in JSON, where

@@ -387,16 +387,16 @@ def export_dot(g: GradedGraph, max_rank: int) -> Iterator[str]:
 
 def export_json(g: GradedGraph, max_rank: int) -> Iterator[str]:
     """Rank-by-rank JSON in chunks: vertices plus the edges to the next
-    rank, each rank written as its up-table rows are made.  Every rank's
+    rank, each edge written as its up-table row is made.  Every rank's
     vertices are made before the first chunk, as in :func:`export_dot`."""
-    from .jsontext import iterdumps, streamed_list  # here, so that the checks never load it
+    from .jsontext import iterdumps  # here, so that the checks never load it
 
     names = [vertex_json(g.family, g.vertices_at(n)) for n in range(max_rank + 1)]
     ranks = (
-        {"n": n, "vertices": vertices, "edges": [[v, u] for v, u in _up_edges(g, names, n)] if n < max_rank else []}
+        {"n": n, "vertices": vertices, "edges": _up_edges(g, names, n) if n < max_rank else []}
         for n, vertices in enumerate(names)
     )
-    return chain(iterdumps({"name": g.name, "max_rank": max_rank, "ranks": streamed_list(ranks)}), ("\n",))
+    return chain(iterdumps({"name": g.name, "max_rank": max_rank, "ranks": ranks}), ("\n",))
 
 
 def export_graph(g: GradedGraph, max_rank: int, fmt: str) -> Iterator[str]:

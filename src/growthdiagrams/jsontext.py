@@ -1,11 +1,11 @@
 """
 JSON text equal byte for byte to ``json.dumps(obj, indent=2)``, for
 values built from dict (with str keys), list, tuple, str, int, bool and
-None; anything else raises TypeError.  The top-level object, or a value
-of its dict, may be a ``_Rendered`` (a labeled tree, a growth grid, a
-graph's ranks), whose own writer yields its text part by part; every
-other value's text is made whole, with strings escaped by the C function
-``json`` uses.
+None; anything else raises TypeError.  At every depth a dict is written
+item by item, and so is an iterator, as a list whose items are made one
+at a time; a ``_Rendered`` (a labeled tree, a growth grid) yields its own
+text part by part; every other value's text is made whole, with strings
+escaped by the C function ``json`` uses.
 """
 from __future__ import annotations
 
@@ -45,24 +45,26 @@ def _join(bracket: str, texts: Iterable[str], depth: int) -> str:
 
 
 def _text(value, depth: int, ints: dict) -> str:
-    """The text of a value at ``depth``.  ``ints`` holds the text of each
-    list of ints by (id, depth), looked up before an item's own call: a
-    graph's edges share their ends' compositions."""
+    """The text of a value at ``depth``.  ``ints`` maps (id, depth) of each
+    list of ints to that list and its text, looked up before an item's own
+    call: a graph's edges share their ends' compositions, and a list held
+    there keeps its id from going to a later list."""
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         kinds = set(map(type, value))
         if kinds == {int}:
-            text = ints[id(value), depth] = _join("[]", map(int.__repr__, value), depth)
+            text = _join("[]", map(int.__repr__, value), depth)
+            ints[id(value), depth] = value, text
             return text
         if kinds == {str}:
             return _join("[]", map(_string, value), depth)
         inner = depth + 1
-        return _join("[]", [ints.get((id(item), inner)) or _text(item, inner, ints) for item in value], depth)
+        texts = [hit[1] if (hit := ints.get((id(item), inner))) else _text(item, inner, ints) for item in value]
+        return _join("[]", texts, depth)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        return _join("{}", [_key(key) + _text(item, depth + 1, ints) for key, item in value.items()], depth)
+        texts = [_key(key) + _text(item, depth + 1, ints) for key, item in value.items()]
+        return _join("{}", texts, depth) if texts else "{}"
     if value is None:
         return "null"
     if value is True:
@@ -77,45 +79,42 @@ def _text(value, depth: int, ints: dict) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _parts(obj) -> Iterator[Iterable[str]]:
-    """The parts of obj's text that :func:`iterdumps` defines, in groups:
-    the whole value, or a key of the top-level dict, then its value."""
-    if not isinstance(obj, dict) or not obj:
-        yield obj.render(0) if obj.__class__ is _Rendered else (_text(obj, 0, {}),)
+def _streamed(value) -> bool:
+    """A dict, an iterator or a ``_Rendered``: a value written part by part."""
+    return isinstance(value, dict) or hasattr(value, "__next__") or value.__class__ is _Rendered
+
+
+def _parts(value, depth: int, ints: dict) -> Iterator[Iterable[str]]:
+    """The parts of the text at ``depth`` of a :func:`_streamed` value, in groups."""
+    if value.__class__ is _Rendered:
+        yield value.render(depth)
         return
-    ints: dict = {}
-    lead = "{\n" + _INDENT
-    for key, value in obj.items():
-        yield (lead + _key(key),)
-        yield value.render(1) if value.__class__ is _Rendered else (_text(value, 1, ints),)
-        lead = ",\n" + _INDENT
-    yield ("\n}",)
-
-
-def streamed_list(items: Iterable) -> _Rendered:
-    """A list, as a value of the top-level dict, whose items are made and
-    written one at a time, each item's text a part."""
-
-    def render(depth: int) -> Iterator[str]:
-        newline = "\n" + _INDENT * (depth + 1)
-        lead = "[" + newline
-        for item in items:
-            # a cache per item: the ids of an earlier item's lists may be reused
-            yield lead + _text(item, depth + 1, {})
-            lead = "," + newline
-        yield "\n" + _INDENT * depth + "]" if lead[0] == "," else "[]"
-
-    return _Rendered(render)
+    if isinstance(value, dict):
+        brackets, items = "{}", ((_key(key), item) for key, item in value.items())
+    else:
+        brackets, items = "[]", (("", item) for item in value)
+    newline = "\n" + _INDENT * (depth + 1)
+    lead = brackets[0] + newline
+    for key, item in items:
+        if _streamed(item):
+            yield (lead + key,)
+            yield from _parts(item, depth + 1, ints)
+        else:
+            yield (lead + key + _text(item, depth + 1, ints),)
+        lead = "," + newline
+    yield ("\n" + _INDENT * depth + brackets[1] if lead[0] == "," else brackets,)
 
 
 def iterdumps(obj) -> Iterator[str]:
     """
     ``json.dumps(obj, indent=2)`` in pieces of whole parts: every piece but
     the last has at least ``CHUNK_SIZE`` characters, and fewer without
-    its last part.  A part is a key of the top-level dict with what goes
-    in front of it, a plain value's whole text, a part that a
-    ``_Rendered`` yields, or the closing brace; so the text of a deep
-    tree, which grows as the square of its depth, is never whole.
+    its last part.  A part is what goes in front of an item of a dict or
+    an iterator (bracket or comma, indentation, key), with the item's
+    whole text if that is made whole; a part that a ``_Rendered`` yields;
+    a closing bracket; or the whole text of any other top-level value.
+    So the text of a deep tree, which grows as the square of its depth,
+    and of a graph's edges, is never whole.
 
     >>> list(iterdumps({"a": [1, [2]]}))
     ['{\\n  "a": [\\n    1,\\n    [\\n      2\\n    ]\\n  ]\\n}']
@@ -123,7 +122,7 @@ def iterdumps(obj) -> Iterator[str]:
     limit = CHUNK_SIZE
     parts: list[str] = []
     size = 0  # characters in parts
-    for part in chain.from_iterable(_parts(obj)):
+    for part in chain.from_iterable(_parts(obj, 0, {}) if _streamed(obj) else [(_text(obj, 0, {}),)]):
         parts.append(part)
         size += len(part)
         if size >= limit:

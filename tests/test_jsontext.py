@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthdiagrams import jsontext
-from growthdiagrams.jsontext import CHUNK_SIZE, iterdumps, streamed_list
+from growthdiagrams.jsontext import CHUNK_SIZE, iterdumps
 from growthdiagrams.bst import bst_insert, labeled_tree_json_parts, labeled_tree_to_text
 from growthdiagrams.trees import labeled_tree_to_json_obj, trees_to_text
 
@@ -107,16 +107,42 @@ def _nest(inner, levels):
 deep_values = st.builds(_nest, values, st.lists(wrappers, max_size=150))
 
 
-def _parts(value) -> list[str]:
-    """The parts of the text of a plain value as iterdumps defines them:
-    for a non-empty dict, each key with what goes in front of it and its
-    value's whole text, then the closing brace; else the whole text."""
-    if not isinstance(value, dict) or not value:
-        return [json.dumps(value, indent=2)]
+class Stream(list):
+    """A list that :func:`_live` makes an iterator of, written an item at
+    a time; json.dumps writes it as the list it is."""
+
+
+def _live(value):
+    """value for iterdumps: each Stream an iterator whose items are made
+    as it is read, under dicts and Streams."""
+    if isinstance(value, Stream):
+        return (_live(item) for item in value)
+    if isinstance(value, dict):
+        return {key: _live(item) for key, item in value.items()}
+    return value
+
+
+def _parts(value, depth: int = 0) -> list[str]:
+    """The parts of the text of a value at ``depth`` as iterdumps defines
+    them.  A dict or Stream is written an item at a time: what goes in
+    front of each item, with its key in a dict, then the item's parts if
+    it is a dict or Stream itself, else in the same part its whole text;
+    then the closing bracket, or the whole "{}" or "[]" if it is empty.
+    Any other value is one part, its whole text."""
+    if isinstance(value, dict):
+        brackets, items = "{}", [(json.dumps(key) + ": ", item) for key, item in value.items()]
+    elif isinstance(value, Stream):
+        brackets, items = "[]", [("", item) for item in value]
+    else:
+        return [_at_depth(json.dumps(value, indent=2), depth)]
     parts = []
-    for i, (key, item) in enumerate(value.items()):
-        parts += [f"{',' if i else '{'}\n  {json.dumps(key)}: ", json.dumps(item, indent=2).replace("\n", "\n  ")]
-    return [*parts, "\n}"]
+    for i, (key, item) in enumerate(items):
+        lead = ("," if i else brackets[0]) + "\n" + "  " * (depth + 1) + key
+        if isinstance(item, (dict, Stream)):
+            parts += [lead, *_parts(item, depth + 1)]
+        else:
+            parts.append(lead + _at_depth(json.dumps(item, indent=2), depth + 1))
+    return [*parts, "\n" + "  " * depth + brackets[1]] if parts else [brackets]
 
 
 def _assert_pieces(pieces: list[str], parts: list[str], chunk_size: int) -> None:
@@ -141,22 +167,12 @@ def test_pieces_are_whole_parts_and_end_once_chunk_size_is_reached(value, chunk_
     _assert_pieces(pieces, parts, chunk_size)
 
 
-def _streamed_parts(items) -> list[str]:
-    """The parts of the text of {"n": 1, "ranks": items, "m": [2]} with
-    ranks streamed: each item with what goes in front of it, then the
-    list's end."""
-    item_parts = [
-        ("[" if i == 0 else ",") + "\n    " + json.dumps(item, indent=2).replace("\n", "\n    ")
-        for i, item in enumerate(items)
-    ]
-    return ['{\n  "n": ', "1", ',\n  "ranks": ', *item_parts, "\n  ]" if items else "[]", ',\n  "m": ', "[\n    2\n  ]", "\n}"]
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.lists(values, max_size=6), st.integers(1, 300))
 def test_a_streamed_list_is_written_an_item_at_a_time(items, chunk_size):
-    parts = _streamed_parts(items)
-    assert "".join(parts) == json.dumps({"n": 1, "ranks": items, "m": [2]}, indent=2)
+    model = {"n": 1, "ranks": Stream(items), "m": [2]}
+    parts = _parts(model)
+    assert "".join(parts) == json.dumps(model, indent=2)
     made = []
 
     def each():
@@ -165,21 +181,55 @@ def test_a_streamed_list_is_written_an_item_at_a_time(items, chunk_size):
             yield item
 
     with mock.patch.object(jsontext, "CHUNK_SIZE", chunk_size):
-        pieces = list(iterdumps({"n": 1, "ranks": streamed_list(each()), "m": [2]}))
+        pieces = list(iterdumps({"n": 1, "ranks": each(), "m": [2]}))
     _assert_pieces(pieces, parts, chunk_size)
-    # one part per piece: item k is made just before its part, not earlier
+    # one part per piece: item k is made just before its first part, not earlier
     made.clear()
     with mock.patch.object(jsontext, "CHUNK_SIZE", 1):
-        counts = [len(made) for _ in iterdumps({"n": 1, "ranks": streamed_list(each()), "m": [2]})]
-    assert counts == [0, 0, 0, *range(1, len(items) + 1), len(items), len(items), len(items), len(items)]
+        counts = [len(made) for _ in iterdumps({"n": 1, "ranks": each(), "m": [2]})]
+    # each item has as many parts as a list of it alone, but for its end
+    item_counts = [k + 1 for k, item in enumerate(items) for _ in _parts(Stream([item]))[:-1]]
+    assert counts == [0, 0, *item_counts, len(items), len(items), len(items)]
+
+
+def _fresh_items():
+    """Items of fresh lists, each freed before the next is made."""
+    return ([[k, k + 1], [k]] for k in range(300))
 
 
 def test_a_streamed_list_of_fresh_lists_writes_each_item_as_its_own():
-    # each item is freed before the next is made, so a new list may take
-    # the id of an earlier one, whose text must not be reused
-    items = ([[k, k + 1], [k]] for k in range(300))
-    expected = json.dumps({"ranks": [[[k, k + 1], [k]] for k in range(300)]}, indent=2)
-    _same_text(dumps({"ranks": streamed_list(items)}), expected)
+    # a new list may take the id of an earlier, freed one, whose text
+    # must not be reused
+    assert len({id(item[0]) for item in _fresh_items()}) < 300
+    expected = json.dumps({"ranks": list(_fresh_items())}, indent=2)
+    _same_text(dumps({"ranks": _fresh_items()}), expected)
+    # and so in a streamed list under a dict in another
+    nested = ({"edges": _fresh_items()} for _ in range(3))
+    expected = json.dumps({"ranks": [{"edges": list(_fresh_items())}] * 3}, indent=2)
+    _same_text(dumps({"ranks": nested}), expected)
+
+
+int_lists = st.lists(st.lists(st.integers(), max_size=3), min_size=1, max_size=6, unique_by=tuple)
+edge_ends = st.tuples(st.integers(0, 5), st.integers(0, 5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_lists, st.lists(st.lists(edge_ends, max_size=12), max_size=4))
+def test_a_graph_shaped_stream_equals_json_dumps_of_its_lists(vertices, ranks):
+    """Ranks made one at a time, each a dict whose edges are made one at a
+    time: a fresh list of a vertex and a fresh copy of one, which may take
+    the id of an earlier edge's copy once that edge is freed."""
+
+    def edge(i, j):
+        return [vertices[i % len(vertices)], list(vertices[j % len(vertices)])]
+
+    def made():
+        for n, edges in enumerate(ranks):
+            yield {"n": n, "vertices": vertices, "edges": (edge(*ends) for ends in edges)}
+
+    expected = [{"n": n, "vertices": vertices, "edges": [edge(*ends) for ends in edges]} for n, edges in enumerate(ranks)]
+    assert dumps({"name": "g", "ranks": made()}) == json.dumps({"name": "g", "ranks": expected}, indent=2)
+    assert dumps(made()) == json.dumps(expected, indent=2)
 
 
 def _bad_key(key, first: bool):
@@ -307,7 +357,7 @@ def test_tree_parts_equal_the_text_of_the_dict_tree():
 @pytest.mark.parametrize("chunk_size", [1, 7, 60, 400])
 def test_pieces_of_a_written_tree_end_at_its_parts(chunk_size):
     t = bst_insert(_zigzag(90))[0]
-    parts = ['{\n  "n": ', "[\n    1,\n    2\n  ]", ',\n  "P": ', *labeled_tree_json_parts(t, 1), "\n}"]
+    parts = ['{\n  "n": [\n    1,\n    2\n  ]', ',\n  "P": ', *labeled_tree_json_parts(t, 1), "\n}"]
     with mock.patch.object(jsontext, "CHUNK_SIZE", chunk_size):
         pieces = list(iterdumps({"n": [1, 2], "P": _rendered(t)}))
     assert "".join(parts) == dumps({"n": [1, 2], "P": labeled_tree_to_json_obj(t)})
@@ -362,13 +412,32 @@ def test_deep_comb_streams_from_its_tuples_in_less_memory_than_its_dicts():
         [_rendered(None)],
         (1, _rendered(None)),
         {"P": [_rendered(None)]},
-        {"P": {"Q": _rendered(None)}},
         {"n": 1, "P": [[1], {"Q": _rendered((1, None, None))}]},
+        {"P": iter([[_rendered(None)]])},
+        iter([(1, {"Q": _rendered(None)})]),
     ],
 )
-def test_a_rendered_value_below_the_top_level_raises_type_error(value):
+def test_a_rendered_value_in_a_list_or_tuple_raises_type_error(value):
     with pytest.raises(TypeError, match="Object of type _Rendered is not JSON serializable"):
         list(iterdumps(value))
+
+
+def test_a_rendered_value_under_a_nested_dict_or_in_a_streamed_list_writes_its_parts():
+    t = bst_insert(_zigzag(12))[0]
+    obj = labeled_tree_to_json_obj(t)
+    cases = [
+        # the value around a tree, and the depth of each tree in it
+        (lambda tree: {"P": {"Q": tree}}, [2]),
+        (lambda tree: {"n": 1, "P": Stream([tree, {"Q": tree}, [1]])}, [2, 3]),
+        (lambda tree: Stream([Stream([tree]), {"P": {"Q": Stream([tree])}}]), [2, 4]),
+    ]
+    for make, depths in cases:
+        with mock.patch.object(jsontext, "CHUNK_SIZE", 1):
+            pieces = list(iterdumps(_live(make(_rendered(t)))))
+        assert "".join(pieces) == json.dumps(make(obj), indent=2)
+        for depth in depths:
+            tree_parts = list(labeled_tree_json_parts(t, depth))
+            assert any(pieces[i : i + len(tree_parts)] == tree_parts for i in range(len(pieces))), depth
 
 
 @pytest.mark.parametrize("key", [1, None, True, ("P",)])
