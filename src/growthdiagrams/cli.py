@@ -17,14 +17,15 @@ so that a profiler can wrap it, or ``ribbons`` for the hypoplactic one,
 and ``jsontext`` for JSON;
 ``growth`` loads ``growth`` and its family's module, ``treegrowth`` with
 ``bst`` or ``compositiongrowth`` with ``compositions`` and ``ribbons``;
-``graph`` loads ``graphs``, which loads ``compositions`` or ``trees``
-only to enumerate or name vertices; and ``verify`` loads its runners,
+``graph`` loads ``graphs``, which names every vertex by its index, and
+``jsontext`` for JSON; and ``verify`` loads its runners,
 ``verify``, which load what each check runs.
 
 A JSON payload is one dict for ``jsontext.iterdumps``, whose long values
 are written part by part: a BST insertion's trees and the growth grid as
-``_Rendered`` values, a graph's ranks and edges as generators, each edge
-made as it is written; ``graph`` writes DOT a line at a time.
+``_Rendered`` values, a graph's ranks as a generator and each rank's
+vertices and edges as ``_Rendered`` values, each edge made as it is
+written; ``graph`` writes DOT a line at a time.
 
 ``growth`` writes its grid as the text fill makes it, a row at a time,
 and every grown vertex is checked as its row is made; so in JSON, where
@@ -207,7 +208,7 @@ def cmd_growth(args) -> int:
 def cmd_graph(args) -> int:
     from . import graphs
 
-    # every rank's vertices are made, and the rank guard checked, before --out is opened
+    # every rank's names are made, and the rank guard checked, before --out is opened
     _emit(args, graphs.export_graph(graphs.make_graph(args.name), args.max_rank, args.format))
     return 0
 

@@ -75,17 +75,6 @@ def compositions_of(n: int) -> tuple[Composition, ...]:
     return tuple(word_to_composition(format(w, "b")) for w in range(1 << (n - 1), 1 << n))
 
 
-def composition_label(c: Composition) -> str:
-    """
-    The print name of a composition: its parts joined by commas, "e" for
-    the empty one.
-
-    >>> composition_label((2, 1)), composition_label(())
-    ('2,1', 'e')
-    """
-    return ",".join(map(str, c)) if c else "e"
-
-
 def increment_last(c: Composition) -> Composition:
     """Last part + 1; on the empty composition this yields (1,)."""
     return (1,) if not c else c[:-1] + (c[-1] + 1,)

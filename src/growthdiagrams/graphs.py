@@ -26,8 +26,11 @@ through that rule, and use the top rank they read as its rows are made.
 Only two kinds of rank are kept whole, in one cache: the smaller tree
 tables that a larger one is built from, and the ranks of g1 below the top
 of a duality check, which reads each again as the rank below the next.
-No vertex is hashed or compared on those paths, and ``compositions`` and
-``trees`` load only to enumerate or name vertices.  The value-level cover
+No vertex is hashed or compared on those paths, nor built: the names
+that the export and a duality counterexample print are made by index too,
+a composition's from its word and a tree's from the names of the ranks
+below.  So ``compositions`` and ``trees`` load only for
+``GradedGraph.vertices_at``.  The value-level cover
 functions (``lifted_covers`` and the others) stay in those modules as an
 independent coding of the same graphs.
 
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import cache
+from functools import cache, partial
 from itertools import chain, count
 from operator import mul
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -59,26 +62,6 @@ def _check_rank(family: str, n: int) -> None:
         raise RankGuardError(
             f"rank {n} exceeds the supported maximum {MAX_RANK[family]} for {family} graphs"
         )
-
-
-def vertex_labels(family: str, vertices) -> list[str]:
-    """
-    The print name of each vertex: comma-joined parts or tree text, "e"/"-"
-    empty.  Tree nodes shared between vertices are rendered once.
-    """
-    if family == "composition":
-        from .compositions import composition_label
-        return list(map(composition_label, vertices))
-    from .trees import trees_to_text
-    return trees_to_text(vertices)
-
-
-def vertex_json(family: str, vertices) -> list:
-    """The JSON form of each vertex of one rank, which the edges reuse:
-    a composition's list of parts, a tree's text."""
-    if family == "composition":
-        return list(map(list, vertices))
-    return vertex_labels(family, vertices)
 
 
 def _vertices_at(family: str, n: int) -> tuple:
@@ -112,6 +95,34 @@ def _tree_bases(n: int) -> tuple[int, ...]:
     for k in range(n - 2, -1, -1):
         bases[k] = bases[k + 1] + _catalan(k + 1) * _catalan(n - 2 - k)
     return tuple(bases)
+
+
+@cache
+def _names(family: str, n: int) -> tuple[str, ...]:
+    """
+    The print names of rank n by canonical index: a composition's parts
+    joined by commas, "e" for the empty one, read off its word; a tree's
+    text, "-" for the empty one and "(L,R)" for a node, made from the
+    names of the ranks below in the order of the tree indices.
+
+    >>> _names("composition", 3), _names("tree", 2)
+    (('3', '2,1', '1,2', '1,1,1'), ('((-,-),-)', '(-,(-,-))'))
+    """
+    _check_rank(family, n)
+    if n == 0:
+        return ("e",) if family == "composition" else ("-",)
+    if family == "tree":
+        return tuple(
+            f"({left},{right})"
+            for k in range(n - 1, -1, -1)
+            for left in _names(family, k)
+            for right in _names(family, n - 1 - k)
+        )
+    # past its leading 1 the word splits at each 1 into the other cells of each part
+    return tuple(
+        ",".join([str(len(cells) + 1) for cells in format(word, "b")[1:].split("1")])
+        for word in range(1 << (n - 1), 1 << n)
+    )
 
 
 @cache
@@ -271,8 +282,8 @@ def check_duality(g1: GradedGraph, g2: GradedGraph, max_rank: int) -> DualityRep
     An index names a vertex only within one family's order, and the graphs
     of one family share every rank's vertices, so the two graphs must be
     of one family; that check runs first, and the rank guard is raised
-    before any table is built.  Vertex values are enumerated only for the
-    labels of a counterexample.
+    before any table is built.  No vertex is enumerated: a
+    counterexample's labels are its rank's names, read by index.
 
     >>> check_duality(make_graph("lifted-binary-tree"), make_graph("binword"), 4).is_dual
     True
@@ -309,12 +320,11 @@ def check_duality(g1: GradedGraph, g2: GradedGraph, max_rank: int) -> DualityRep
         if bad and counterexample is None:
             i, j, d = min(bad)
             expected = 1 if i == j else 0
-            vertices = g1.vertices_at(n)
-            row_label, col_label = vertex_labels(g1.family, (vertices[i], vertices[j]))
+            names = _names(g1.family, n)
             counterexample = DualityCounterexample(
                 rank=n,
-                row_label=row_label,
-                col_label=col_label,
+                row_label=names[i],
+                col_label=names[j],
                 got=d + expected,
                 expected=expected,
             )
@@ -363,11 +373,11 @@ def path_count_identity(g1: GradedGraph, g2: GradedGraph, n: int) -> tuple[int, 
 
 # -- export ------------------------------------------------------------------
 
-def _up_edges(g: GradedGraph, names: list, n: int) -> Iterator[tuple]:
-    """The up-edges of rank n as (v, u) pairs of rendered vertices, in
-    canonical order, made as rank n's up-table rows are."""
-    above = names[n + 1]
-    return ((v, above[j]) for v, row in zip(names[n], g.up_table(n)) for j in row)
+def _up_edges(g: GradedGraph, n: int, below: list, above: list) -> Iterator[tuple]:
+    """The up-edges of rank n as (v, u) pairs of the texts that ``below``
+    and ``above`` give rank n and rank n+1 by index, in canonical order,
+    made as rank n's up-table rows are."""
+    return ((v, above[j]) for v, row in zip(below, g.up_table(n)) for j in row)
 
 
 def export_dot(g: GradedGraph, max_rank: int) -> Iterator[str]:
@@ -375,26 +385,54 @@ def export_dot(g: GradedGraph, max_rank: int) -> Iterator[str]:
     Deterministic DOT text in chunks: one rank=same cluster per level,
     then the edges, directed upwards, a line each as each rank's up-table
     rows are made; vertices and edges in canonical order.  Every rank's
-    labels are made before the first chunk, so the rank guard raises
+    names are made before the first chunk, so the rank guard raises
     before any text.
     """
-    names = [[f'"{label}"' for label in vertex_labels(g.family, g.vertices_at(n))] for n in range(max_rank + 1)]
+    names = [[f'"{name}"' for name in _names(g.family, n)] for n in range(max_rank + 1)]
     head = [f'digraph "{g.name}" {{', "  rankdir=BT;", "  node [shape=box];"]
     head += [f"  {{ rank=same; {' '.join(name + ';' for name in rank)} }}" for rank in names]
-    edges = (f"  {v} -> {u};\n" for n in range(max_rank) for v, u in _up_edges(g, names, n))
+    edges = (f"  {v} -> {u};\n" for n in range(max_rank) for v, u in _up_edges(g, n, names[n], names[n + 1]))
     return chain(("\n".join(head) + "\n",), edges, ("}\n",))
 
 
 def export_json(g: GradedGraph, max_rank: int) -> Iterator[str]:
     """Rank-by-rank JSON in chunks: vertices plus the edges to the next
-    rank, each edge written as its up-table row is made.  Every rank's
-    vertices are made before the first chunk, as in :func:`export_dot`."""
-    from .jsontext import iterdumps  # here, so that the checks never load it
+    rank.  Each rank's vertex texts are made once at each depth where they
+    appear, and its edges are one ``_Rendered`` that writes an edge a
+    part as its up-table row is made.  Every rank's names are made before
+    the first chunk, as in :func:`export_dot`."""
+    from .jsontext import _join, _Rendered, iterdumps  # here, so that the checks never load it
 
-    names = [vertex_json(g.family, g.vertices_at(n)) for n in range(max_rank + 1)]
+    names = [_names(g.family, n) for n in range(max_rank + 1)]
+
+    def texts(n: int, depth: int) -> list[str]:
+        """Rank n's vertices at ``depth``: a tree's name as a string, which
+        needs no escaping, and a composition's parts as a list."""
+        if g.family == "tree":
+            return [f'"{name}"' for name in names[n]]
+        return ["[]" if name == "e" else _join("[]", name.split(","), depth) for name in names[n]]
+
+    def vertices(n: int, depth: int) -> Iterator[str]:
+        yield _join("[]", texts(n, depth + 1), depth)
+
+    def edges(n: int, depth: int) -> Iterator[str]:
+        item_break = "\n" + "  " * (depth + 1)
+        end_break = item_break + "  "
+        below = [f"[{end_break}{v}," for v in texts(n, depth + 2)]
+        above = [f"{end_break}{u}{item_break}]" for u in texts(n + 1, depth + 2)]
+        lead = "[" + item_break
+        for v, u in _up_edges(g, n, below, above):
+            yield f"{lead}{v}{u}"
+            lead = "," + item_break
+        yield "\n" + "  " * depth + "]"
+
     ranks = (
-        {"n": n, "vertices": vertices, "edges": _up_edges(g, names, n) if n < max_rank else []}
-        for n, vertices in enumerate(names)
+        {
+            "n": n,
+            "vertices": _Rendered(partial(vertices, n)),
+            "edges": _Rendered(partial(edges, n)) if n < max_rank else [],
+        }
+        for n in range(max_rank + 1)
     )
     return chain(iterdumps({"name": g.name, "max_rank": max_rank, "ranks": ranks}), ("\n",))
 

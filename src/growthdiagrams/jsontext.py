@@ -44,26 +44,19 @@ def _join(bracket: str, texts: Iterable[str], depth: int) -> str:
     return bracket[0] + newline + ("," + newline).join(texts) + "\n" + _INDENT * depth + bracket[1]
 
 
-def _text(value, depth: int, ints: dict) -> str:
-    """The text of a value at ``depth``.  ``ints`` maps (id, depth) of each
-    list of ints to that list and its text, looked up before an item's own
-    call: a graph's edges share their ends' compositions, and a list held
-    there keeps its id from going to a later list."""
+def _text(value, depth: int) -> str:
+    """The text of a value at ``depth``."""
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         kinds = set(map(type, value))
         if kinds == {int}:
-            text = _join("[]", map(int.__repr__, value), depth)
-            ints[id(value), depth] = value, text
-            return text
+            return _join("[]", map(int.__repr__, value), depth)
         if kinds == {str}:
             return _join("[]", map(_string, value), depth)
-        inner = depth + 1
-        texts = [hit[1] if (hit := ints.get((id(item), inner))) else _text(item, inner, ints) for item in value]
-        return _join("[]", texts, depth)
+        return _join("[]", [_text(item, depth + 1) for item in value], depth)
     if isinstance(value, dict):
-        texts = [_key(key) + _text(item, depth + 1, ints) for key, item in value.items()]
+        texts = [_key(key) + _text(item, depth + 1) for key, item in value.items()]
         return _join("{}", texts, depth) if texts else "{}"
     if value is None:
         return "null"
@@ -84,7 +77,7 @@ def _streamed(value) -> bool:
     return isinstance(value, dict) or hasattr(value, "__next__") or value.__class__ is _Rendered
 
 
-def _parts(value, depth: int, ints: dict) -> Iterator[Iterable[str]]:
+def _parts(value, depth: int) -> Iterator[Iterable[str]]:
     """The parts of the text at ``depth`` of a :func:`_streamed` value, in groups."""
     if value.__class__ is _Rendered:
         yield value.render(depth)
@@ -98,9 +91,9 @@ def _parts(value, depth: int, ints: dict) -> Iterator[Iterable[str]]:
     for key, item in items:
         if _streamed(item):
             yield (lead + key,)
-            yield from _parts(item, depth + 1, ints)
+            yield from _parts(item, depth + 1)
         else:
-            yield (lead + key + _text(item, depth + 1, ints),)
+            yield (lead + key + _text(item, depth + 1),)
         lead = "," + newline
     yield ("\n" + _INDENT * depth + brackets[1] if lead[0] == "," else brackets,)
 
@@ -122,7 +115,7 @@ def iterdumps(obj) -> Iterator[str]:
     limit = CHUNK_SIZE
     parts: list[str] = []
     size = 0  # characters in parts
-    for part in chain.from_iterable(_parts(obj, 0, {}) if _streamed(obj) else [(_text(obj, 0, {}),)]):
+    for part in chain.from_iterable(_parts(obj, 0) if _streamed(obj) else [(_text(obj, 0),)]):
         parts.append(part)
         size += len(part)
         if size >= limit:

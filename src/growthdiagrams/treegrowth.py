@@ -54,8 +54,9 @@ def _text_row(below: tuple[list, list, list], c: int, vertical: list, horizontal
             leaf = start
         else:
             leaf = below_leaves[j]
-            # y[end] is ")" or past y, never a "-", so >= end is > end
-            leaf += (leaf >= start) + 3 * (leaf >= end)
+            # y[end:] is the k closing brackets of the spine, so the leaf,
+            # a "-" of y, is before end, and past start it moves by the "("
+            leaf += leaf >= start
         if x[leaf : leaf + 1] != "-" or z != f"{x[:leaf]}(-,-){x[leaf + 1:]}":
             raise GrowthRuleError(f"z={z} does not cover x={x}")
         texts[j], spines[j], leaves[j] = z, spine[:k] + (start,), leaf

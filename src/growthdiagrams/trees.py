@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import count
-from typing import Iterable, Optional
+from typing import Optional
 
 Tree = Optional[tuple]          # None | (Tree, Tree)
 LabeledTree = Optional[tuple]   # None | (int, Tree, Tree)
@@ -157,39 +157,7 @@ def is_lattice_cover(t: Tree, u: Tree) -> bool:
     return u == (None, None)
 
 
-# -- text and JSON forms ---------------------------------------------------
-
-def trees_to_text(trees: Iterable[Tree]) -> list[str]:
-    """
-    The text of each tree, "-" for the empty tree and "(L,R)" for a node,
-    built bottom up without recursion.  Trees built from one another share
-    subtrees, so the text of each node object is built once and reused
-    wherever it recurs.
-
-    >>> leaf = (None, None)
-    >>> trees_to_text([None, leaf, (leaf, leaf)])
-    ['-', '(-,-)', '((-,-),(-,-))']
-    """
-    trees = list(trees)  # keeps every node alive while its id keys the memo
-    memo = {id(None): "-"}
-    for t in trees:
-        # a node is pushed only while its text is missing, and a stack is
-        # one root-to-node path, so no node is on it twice
-        stack = [] if id(t) in memo else [t]
-        while stack:
-            left, right = node = stack[-1]
-            left_text = memo.get(id(left))
-            if left_text is None:
-                stack.append(left)
-                continue
-            right_text = memo.get(id(right))
-            if right_text is None:
-                stack.append(right)
-                continue
-            stack.pop()
-            memo[id(node)] = f"({left_text},{right_text})"
-    return [memo[id(t)] for t in trees]
-
+# -- JSON form -------------------------------------------------------------
 
 def labeled_tree_to_json_obj(t: LabeledTree):
     """

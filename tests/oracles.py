@@ -5,8 +5,11 @@ shadow-line routes built on them.  Each returns plain rows and raises
 exactly what the library raised before the one-pass checks, so a test can
 compare acceptance, result, exception type and message.
 
-Also here: recursive tree predicates and parsers that only tests call.
-They recurse once per level, so they serve small trees only.  And the
+Also here: the texts of many trees, built bottom up, and the print name
+of one composition or tree, the references for the names that the
+package makes from indices and texts alone; and recursive tree
+predicates and parsers that only tests call.  They recurse once per
+level, so they serve small trees only.  And the
 descent statistics of a permutation, against which the tests check the
 shape of the hypoplactic tableaux; the check of a whole growth diagram
 against the reference local rules on vertices; the ASCII grid as the CLI
@@ -126,8 +129,36 @@ def shadow_line_rows(p):
 
 # -- trees ---------------------------------------------------------------------
 
+def trees_to_text(trees):
+    """
+    The text of each tree, "-" for the empty tree and "(L,R)" for a node,
+    built bottom up without recursion.  Trees built from one another share
+    subtrees, so the text of each node object is built once and reused
+    wherever it recurs.
+    """
+    trees = list(trees)  # keeps every node alive while its id keys the memo
+    memo = {id(None): "-"}
+    for t in trees:
+        # a node is pushed only while its text is missing, and a stack is
+        # one root-to-node path, so no node is on it twice
+        stack = [] if id(t) in memo else [t]
+        while stack:
+            left, right = node = stack[-1]
+            left_text = memo.get(id(left))
+            if left_text is None:
+                stack.append(left)
+                continue
+            right_text = memo.get(id(right))
+            if right_text is None:
+                stack.append(right)
+                continue
+            stack.pop()
+            memo[id(node)] = f"({left_text},{right_text})"
+    return [memo[id(t)] for t in trees]
+
+
 def tree_from_text(s: str):
-    """Parse a tree text, as ``growthdiagrams.trees.trees_to_text`` makes it."""
+    """Parse a tree text, as :func:`trees_to_text` makes it."""
     pos = 0
 
     def parse():
@@ -406,11 +437,17 @@ VALUE_COVERS = {
 }
 
 
-def _vertex_label(family, v):
+def composition_label(c):
+    """The print name of a composition: its parts joined by commas, "e"
+    for the empty one."""
+    return ",".join(map(str, c)) if c else "e"
+
+
+def vertex_label(family, v):
     """The print name of a vertex, by one call per tree node."""
     if family == "composition":
-        return ",".join(map(str, v)) if v else "e"
-    return "-" if v is None else f"({_vertex_label(family, v[0])},{_vertex_label(family, v[1])})"
+        return composition_label(v)
+    return "-" if v is None else f"({vertex_label(family, v[0])},{vertex_label(family, v[1])})"
 
 
 def export_text(g, max_rank, fmt):
@@ -423,7 +460,7 @@ def export_text(g, max_rank, fmt):
         index = {u: i for i, u in enumerate(above)}
         edges.append([(v, u) for v in below for u in sorted(VALUE_COVERS[g.name](v), key=index.__getitem__)])
     edges.append([])
-    label = lambda v: _vertex_label(g.family, v)  # noqa: E731
+    label = lambda v: vertex_label(g.family, v)  # noqa: E731
     if fmt == "dot":
         lines = [f'digraph "{g.name}" {{', "  rankdir=BT;", "  node [shape=box];"]
         lines += ["  { rank=same; " + " ".join(f'"{label(v)}";' for v in rank) + " }" for rank in ranks]

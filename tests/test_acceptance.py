@@ -6,7 +6,7 @@ import json
 import math
 import time
 
-from oracles import recoils_composition
+from oracles import recoils_composition, trees_to_text
 
 from growthdiagrams.cli import main
 from growthdiagrams.compositions import (
@@ -24,7 +24,6 @@ from growthdiagrams.trees import (
     reflected_bracket_covers,
     tree_to_bracketed_expression,
     trees_of,
-    trees_to_text,
 )
 
 P_415362 = {"shape": [2, 1, 3], "rows": [[1, 2], [3], [4, 5, 6]]}

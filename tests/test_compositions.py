@@ -13,7 +13,6 @@ from growthdiagrams.compositions import (
     WordEncodingError,
     binword_covers,
     composition_to_word,
-    composition_label,
     compositions_of,
     increment_last,
     is_binword_cover,
@@ -21,6 +20,7 @@ from growthdiagrams.compositions import (
     lifted_covers,
     word_to_composition,
 )
+from oracles import composition_label
 
 compositions = st.lists(st.integers(1, 5), max_size=6).map(tuple)
 

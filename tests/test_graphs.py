@@ -21,9 +21,8 @@ from growthdiagrams.graphs import (
     export_json,
     make_graph,
     path_count_identity,
-    vertex_labels,
 )
-from oracles import VALUE_COVERS, export_text, set_binword_table
+from oracles import VALUE_COVERS, export_text, set_binword_table, vertex_label
 
 # edge sets of the two composition graphs up to rank 4, straight from the
 # drawings (compositions written as digit strings)
@@ -54,7 +53,7 @@ def up_edges(g, n):
 
 def edge_set(graph_name, max_rank):
     g = make_graph(graph_name)
-    label = lambda v: _recursive_label(g.family, v).replace(",", "")
+    label = lambda v: vertex_label(g.family, v).replace(",", "")
     return {(label(v), label(u)) for n in range(max_rank) for v, u in up_edges(g, n)}
 
 
@@ -155,8 +154,8 @@ def oracle_check_duality(g1, g2, max_rank):
             expected = 1 if i == j else 0
             counterexample = DualityCounterexample(
                 rank=n,
-                row_label=_recursive_label(g1.family, lhs.row_vertices[i]),
-                col_label=_recursive_label(g1.family, lhs.col_vertices[j]),
+                row_label=vertex_label(g1.family, lhs.row_vertices[i]),
+                col_label=vertex_label(g1.family, lhs.col_vertices[j]),
                 got=diff[(i, j)] + expected,
                 expected=expected,
             )
@@ -390,6 +389,25 @@ def test_duality_enumerates_no_vertex_of_a_dual_pair(monkeypatch, pair, max_rank
     assert check_duality(lifted, lifted, 3).counterexample.rank == 2
 
 
+def test_export_and_counterexample_build_no_vertex(monkeypatch):
+    # the names are made by index, so only the oracles enumerate vertices
+    expected = {
+        (name, n, fmt): export_text(make_graph(name), n, fmt)
+        for name in GRAPH_NAMES for n in range(7) for fmt in ("dot", "json")
+    }
+    lifted = make_graph("lifted-binary-tree")
+    counterexample = oracle_check_duality(lifted, lifted, 3).counterexample
+
+    def no_vertices(family, n):
+        raise AssertionError(f"rank {n} vertices enumerated")
+
+    monkeypatch.setattr(graphs, "_vertices_at", no_vertices)
+    graphs._names.cache_clear()
+    for (name, n, fmt), text in expected.items():
+        assert "".join(export_graph(make_graph(name), n, fmt)) == text, (name, n, fmt)
+    assert check_duality(lifted, lifted, 3).counterexample == counterexample
+
+
 @pytest.mark.parametrize("family", ["composition", "tree"])
 def test_rank_sizes_are_the_vertex_counts(family):
     top = graphs.MAX_RANK[family]
@@ -606,16 +624,12 @@ def test_rank_guard():
             export_graph(make_graph(name), top + 3, fmt)
 
 
-def _recursive_label(family, v):
-    if family == "composition":
-        return ",".join(map(str, v)) if v else "e"
-    if v is None:
-        return "-"
-    return f"({_recursive_label(family, v[0])},{_recursive_label(family, v[1])})"
-
-
 @pytest.mark.parametrize("family", ["composition", "tree"])
 def test_vertex_labels_render_each_vertex(family):
-    vertices = [v for n in range(7) for v in graphs._vertices_at(family, n)]
-    vertices += vertices[::-1]
-    assert vertex_labels(family, vertices) == [_recursive_label(family, v) for v in vertices]
+    """The names made by index are the print names of the enumerated
+    vertices, rank by rank up to the guard, which the names keep too."""
+    top = graphs.MAX_RANK[family]
+    for n in range(top + 1):
+        assert list(graphs._names(family, n)) == [vertex_label(family, v) for v in graphs._vertices_at(family, n)], n
+    with pytest.raises(RankGuardError, match=f"rank {top + 1} exceeds"):
+        graphs._names(family, top + 1)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthdiagrams import cli, compositiongrowth, graphs, growth, growthcheck, treegrowth
+from growthdiagrams import cli, compositiongrowth, growth, growthcheck, treegrowth
 from growthdiagrams.bst import bst_insert
 from growthdiagrams.compositions import binword_covers, increment_last, lifted_covers
 from growthdiagrams.growth import GrowthRuleError, build_growth_diagram
@@ -20,7 +20,6 @@ from growthdiagrams.trees import (
     lattice_covers,
     reflected_bracket_covers,
     right_spine_length,
-    trees_to_text,
 )
 from oracles import (
     boundary_chains,
@@ -29,6 +28,8 @@ from oracles import (
     chain_to_increasing_tree,
     chain_to_quasi_ribbon,
     chain_to_ribbon,
+    composition_label,
+    trees_to_text,
     validate_grid,
 )
 from test_trees import shape
@@ -123,7 +124,7 @@ def test_local_rule_tree_rejects_bad_squares():
 def test_growth_grid_415362():
     grid = build_growth_diagram((4, 1, 5, 3, 6, 2), "composition")
     assert grid.vertices == GRID_415362
-    assert list(grid.rows()) == [graphs.vertex_labels("composition", row) for row in GRID_415362]
+    assert list(grid.rows()) == [list(map(composition_label, row)) for row in GRID_415362]
     top, right = boundary_chains(grid)
     assert right == ((), (1,), (2,), (2, 1), (2, 1, 1), (2, 1, 2), (2, 1, 3))
     assert top == ((), (1,), (1, 1), (1, 2), (2, 2), (2, 3), (2, 1, 3))
@@ -442,10 +443,11 @@ def test_composition_grid_json_is_the_rows_lists_of_parts():
 # -- vertex texts ---------------------------------------------------------------
 
 def label_rows(family, vertices):
-    """The print name (``graphs.vertex_labels``) of each vertex of a grid,
-    rendered at once, so that trees share the texts of shared nodes."""
+    """The print name of each vertex of a grid, the trees' rendered at
+    once, so that they share the texts of shared nodes."""
     k = len(vertices)
-    labels = graphs.vertex_labels(family, [v for row in vertices for v in row])
+    cells = [v for row in vertices for v in row]
+    labels = trees_to_text(cells) if family == "tree" else list(map(composition_label, cells))
     return [labels[i : i + k] for i in range(0, len(labels), k)]
 
 

@@ -12,8 +12,8 @@ import pytest
 
 from growthdiagrams import cli, growth, jsontext
 from growthdiagrams.permutations import GrowthRuleError, all_permutations
-from growthdiagrams.trees import labeled_tree_to_json_obj, trees_to_text
-from oracles import render_grid
+from growthdiagrams.trees import labeled_tree_to_json_obj
+from oracles import render_grid, trees_to_text
 from test_cli import _inputs
 from test_growth import _patch_pair
 

@@ -66,7 +66,7 @@ def bare_interpreter() -> set[str]:
 # the package's modules that each command loads besides permutations,
 # which cli imports (cli itself runs as __main__); JSON output loads
 # jsontext, which the checks never load
-GRAPHS = {"graphs"}  # compositions or trees only to enumerate or name vertices
+GRAPHS = {"graphs"}  # compositions or trees only through vertices_at, verify paths' guard
 # a fill loads its own family's code only
 TREE_GROWTH = {"growth", "treegrowth", "bst"}
 COMPOSITION_GROWTH = {"growth", "compositiongrowth", "compositions", "ribbons"}
@@ -92,9 +92,9 @@ LOADS = {
     ("verify", "shadow", "--max-n", "3"): {*VERIFY, "ribbons"},
     ("verify", "paths", "--n", "3"): {*VERIFY, *GRAPHS, "compositions"},
     ("verify", "paths", "--pair", "trees", "--n", "3"): {*VERIFY, *GRAPHS, "trees"},
-    ("graph", "binword", "--max-rank", "2"): {*GRAPHS, "compositions"},
-    ("graph", "binword", "--max-rank", "2", "--format", "json"): {*GRAPHS, "compositions", "jsontext"},
-    ("graph", "tree-lattice", "--max-rank", "2"): {*GRAPHS, "trees"},
+    ("graph", "binword", "--max-rank", "2"): GRAPHS,
+    ("graph", "binword", "--max-rank", "2", "--format", "json"): {*GRAPHS, "jsontext"},
+    ("graph", "tree-lattice", "--max-rank", "2"): GRAPHS,
 }
 
 
@@ -186,7 +186,7 @@ def test_star_import_binds_every_export():
         "insert_letter", "restrict_prefix", "restrict_values", "node_count", "extend_right_spine",
         "push_down_rightmost", "vertex_label", "BoundaryChains", "chain_to_bst",
         "chain_to_increasing_tree", "chain_to_quasi_ribbon", "chain_to_ribbon", "convert_chains",
-        "tree_to_text",
+        "tree_to_text", "trees_to_text", "composition_label", "vertex_labels", "vertex_json",
     ],
 )
 def test_unknown_names_raise_attribute_error(name):

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from growthdiagrams import jsontext
 from growthdiagrams.jsontext import CHUNK_SIZE, iterdumps
 from growthdiagrams.bst import bst_insert, labeled_tree_json_parts, labeled_tree_to_text
-from growthdiagrams.trees import labeled_tree_to_json_obj, trees_to_text
+from growthdiagrams.trees import labeled_tree_to_json_obj
+from oracles import trees_to_text
 
 
 def dumps(value) -> str:

@@ -18,7 +18,6 @@ from growthdiagrams.trees import (
     right_spine_length,
     tree_to_bracketed_expression,
     trees_of,
-    trees_to_text,
 )
 from oracles import (
     is_decreasing_tree,
@@ -26,6 +25,7 @@ from oracles import (
     is_search_tree,
     labeled_tree_from_json_obj,
     tree_from_text,
+    trees_to_text,
 )
 
 B1 = (None, None)
