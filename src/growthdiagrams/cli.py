@@ -307,13 +307,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         if not args.out:
             sys.stdout.flush()  # a stdout that takes no more text fails here at the latest
         return code
-    except OSError as exc:
-        # --out failures are OutputError, so this is stdout's: full, or
-        # closed by its reader.  Let the interpreter's last flush of the
+    except (OSError, KeyboardInterrupt) as exc:
+        # --out failures are OutputError, so an OSError is stdout's: full,
+        # or closed by its reader.  Let the interpreter's last flush of the
         # text still buffered go nowhere instead of failing again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        if sys.stdout is not None:  # None when fd 1 was closed at start
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if isinstance(exc, KeyboardInterrupt):
+            print("error: interrupted", file=sys.stderr)
+            return 130
         print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except (PermutationParseError, RankGuardError, OutputError) as exc:

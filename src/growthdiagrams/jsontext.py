@@ -49,11 +49,8 @@ def _text(value, depth: int) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        kinds = set(map(type, value))
-        if kinds == {int}:
+        if set(map(type, value)) == {int}:
             return _join("[]", map(int.__repr__, value), depth)
-        if kinds == {str}:
-            return _join("[]", map(_string, value), depth)
         return _join("[]", [_text(item, depth + 1) for item in value], depth)
     if isinstance(value, dict):
         texts = [_key(key) + _text(item, depth + 1) for key, item in value.items()]

@@ -18,68 +18,51 @@ entry this appends a to the last row; when no entry is <= a, a becomes a
 one-cell first row above the rest.  The recording tableau Q puts the step
 number at the reading position a took.
 
-So a tableau is checked in one pass over its reading word and its row
-ends (Krob-Thibon): a quasi-ribbon tableau is a strictly increasing
-reading word cut into rows, and a ribbon tableau a word of distinct
-letters that rises inside each row and falls at each row end.  Every
-tableau built here is made from its reading word and row ends, checked
-that way, and cut into rows only when they are asked for; the
-row-by-row check runs only to explain a rejection.
+So a tableau is known by its reading word and its row ends (Krob-Thibon):
+a quasi-ribbon tableau is a strictly increasing reading word cut into
+rows, and a ribbon tableau a word of distinct letters that rises inside
+each row and falls at each row end.  The exhaustive walks compare those
+two forms and build no tableau; every tableau built here is cut from
+them into its rows, which are all it stores, and checked row by row.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate, chain, compress, islice, permutations
-from operator import gt, lt
+from itertools import chain, compress, islice, permutations
+from operator import gt
 from typing import Iterable, Sequence
 
 from .permutations import Permutation, inverse, validate_permutation
 
 Composition = tuple[int, ...]
 
-_INT = frozenset((int,))
-
 
 class RibbonShapedTableau:
     """
     Common layout and checks; use the two concrete subclasses.  A tableau
-    is an immutable value, stored as its reading word and, for each cell
-    but the last, whether a row ends there, and validated on
-    construction; its rows are tuples cut from the reading word when first
-    asked for.  Two tableaux are equal when they are of the same kind and
-    have the same rows.
+    is an immutable value, stored as its rows, each a tuple of labels, and
+    validated on construction.  Two tableaux are equal when they are of
+    the same kind and have the same rows.
     """
 
-    __slots__ = ("_reading", "_ends", "_rows")
+    __slots__ = ("rows",)
 
     #: True when the overlap column must increase downwards (quasi-ribbon).
     increases_down_columns = True
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        rows = tuple(tuple(row) for row in rows)
-        reading = tuple(chain.from_iterable(rows))
-        cuts = set(accumulate(map(len, rows)))
-        object.__setattr__(self, "_reading", reading)
-        object.__setattr__(self, "_ends", tuple(map(cuts.__contains__, range(1, len(reading)))))
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "rows", tuple(tuple(row) for row in rows))
         self.validate()
 
     @classmethod
     def _from_reading(cls, reading: Iterable[int], ends: Iterable[bool]):
         """
         The tableau with this reading word, where a row ends after cell i
-        exactly when ends[i] is true, for each cell but the last.  The
-        flags are kept for equality and hashing, so each must be a bool or
-        0 or 1.  Checked like :meth:`validate`.
+        exactly when ends[i] is true, for each cell but the last.
         """
-        reading, ends = tuple(reading), tuple(ends)
-        t = object.__new__(cls)
-        object.__setattr__(t, "_reading", reading)
-        object.__setattr__(t, "_ends", ends)
-        object.__setattr__(t, "_rows", None)
-        if not t._accepts(reading, ends):
-            t._check_rows()
-        return t
+        reading = tuple(reading)
+        cuts = [*compress(range(1, len(reading)), ends), len(reading)] if reading else []
+        return cls(map(reading.__getitem__, map(slice, [0, *cuts], cuts)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -88,13 +71,12 @@ class RibbonShapedTableau:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other):
-        # rows are non-empty, so equal readings cut alike are equal rows
         if other.__class__ is self.__class__:
-            return self._reading == other._reading and self._ends == other._ends
+            return self.rows == other.rows
         return NotImplemented
 
     def __hash__(self):
-        return hash((self._reading, self._ends))
+        return hash(self.rows)
 
     def __repr__(self):
         return f"{type(self).__name__}(rows={self.rows!r})"
@@ -103,23 +85,12 @@ class RibbonShapedTableau:
         return type(self), (self.rows,)
 
     @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The rows, top to bottom, each a tuple of labels."""
-        rows = self._rows
-        if rows is None:
-            reading = self._reading
-            cuts = [*compress(range(1, len(reading)), self._ends), len(reading)] if reading else []
-            rows = tuple(map(reading.__getitem__, map(slice, [0, *cuts], cuts)))
-            object.__setattr__(self, "_rows", rows)
-        return rows
-
-    @property
     def shape(self) -> Composition:
         return tuple(len(row) for row in self.rows)
 
     def reading(self) -> tuple[int, ...]:
         """Labels left to right, top to bottom."""
-        return self._reading
+        return tuple(chain.from_iterable(self.rows))
 
     def column_offsets(self) -> tuple[int, ...]:
         offsets = [0]
@@ -128,35 +99,7 @@ class RibbonShapedTableau:
         return tuple(offsets) if self.rows else ()
 
     def validate(self) -> None:
-        if not (all(self.rows) and self._accepts(self._reading, self._ends)):
-            self._check_rows()
-
-    @classmethod
-    def _accepts(cls, reading: Sequence[int], ends: tuple) -> bool:
-        """
-        Whether non-empty rows with this reading word, ending where
-        ``ends`` says, form a valid tableau, in one pass of C-level calls.
-        Labels must be positive ints.  A quasi-ribbon's reading word
-        increases strictly; a ribbon's letters are distinct, and its
-        reading word falls exactly where a row ends.  False only means
-        that :meth:`_check_rows` must look.
-        """
-        if not _INT.issuperset(map(type, reading)):
-            return False
-        rest = islice(reading, 1, None)
-        if cls.increases_down_columns:
-            return all(map(lt, reading, rest)) and (not reading or reading[0] > 0)
-        n = len(reading)
-        return (
-            (not n or min(reading) > 0)
-            and len(set(reading)) == n
-            and tuple(map(gt, reading, rest)) == ends
-        )
-
-    def _check_rows(self) -> None:
-        """Raise for the first fault, row by row; some rows that
-        :meth:`_accepts` declines are valid (labels True or of an int
-        subclass), and pass."""
+        """Raise for the first fault, row by row."""
         seen = set()
         for row in self.rows:
             if not row:
@@ -194,9 +137,9 @@ class RibbonTableau(RibbonShapedTableau):
 def _insertion_forms(word: Sequence[int]) -> tuple[list[int], tuple[bool, ...], list[int]]:
     """
     The hypoplactic insertion of a word of distinct letters, as the
-    module docstring gives it, in the forms equality reads: P's reading
-    word, not yet relabeled, the row-end flags of P and Q, and Q's
-    reading word.  Each letter takes its sorted position k in P's
+    module docstring gives it, in the forms its tableaux are cut from:
+    P's reading word, not yet relabeled, the row-end flags of P and Q,
+    and Q's reading word.  Each letter takes its sorted position k in P's
     reading word, a row ends right after it and no longer right before
     it, and Q's reading word takes the step number at position k.
     """
@@ -215,12 +158,12 @@ def _insertion_forms(word: Sequence[int]) -> tuple[list[int], tuple[bool, ...], 
 
 def _hypoplactic_leaf(p: Permutation, p_forms: tuple, q_forms: tuple) -> bool:
     """
-    Whether a (P, Q) pair in the forms equality reads, each tableau's
-    reading word (a list) and row ends, equals the hypoplactic insertion
-    of the permutation p, P not relabeled, and Q is a ribbon tableau.
-    Both walks give P the reading word 1..n, and the insertion gives Q
-    the steps 1..n once each, which pass the rest of both kinds' checks;
-    so only Q's descents are read against its row ends.
+    Whether a (P, Q) pair, each tableau given by its reading word (a
+    list) and row ends, which fix its rows, equals the hypoplactic
+    insertion of the permutation p, P not relabeled, and Q is a ribbon
+    tableau.  Both walks give P the reading word 1..n, and the insertion
+    gives Q the steps 1..n once each, which pass the rest of both kinds'
+    checks; so only Q's descents are read against its row ends.
     """
     reading, ends, q = _insertion_forms(p)
     return p_forms == (reading, ends) and q_forms == (q, ends) and tuple(map(gt, q, islice(q, 1, None))) == ends

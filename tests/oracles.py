@@ -1,9 +1,9 @@
 """
-Reference implementations kept for the tests: the row-by-row checks that
-the one-pass checks in ``growthdiagrams`` replaced, and the insertion and
-shadow-line routes built on them.  Each returns plain rows and raises
-exactly what the library raised before the one-pass checks, so a test can
-compare acceptance, result, exception type and message.
+Reference implementations kept for the tests: a row-by-row tableau check
+and a value-by-value permutation check, and the insertion and shadow-line
+routes built on them.  Each returns plain rows and raises exactly what
+the library raises, so a test can compare acceptance, result, exception
+type and message.
 
 Also here: the texts of many trees, built bottom up, and the print name
 of one composition or tree, the references for the names that the

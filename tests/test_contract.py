@@ -2,11 +2,16 @@
 The command line's three-outcome contract: any argv the parser's grammar
 can spell ends in a result (exit 0), or in exit 1 or 2 with one error
 line closing stderr, after argparse's usage lines if any, and never in a
-traceback, also when stdout cannot take the text.  Commands run in
-process, on sizes that keep each one short.
+traceback, also when stdout cannot take the text or the user interrupts
+the command.  Commands run in process, on sizes that keep each one
+short; the interrupt goes to a child process.
 """
 import os
 import re
+import signal
+import subprocess
+import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -193,3 +198,22 @@ def test_a_cover_break_mid_grid_is_one_error_line(monkeypatch):
         assert err.startswith("invariant violated: z=") and err.count("\n") == 1, err
         assert out.startswith(written) and '"marks"' not in out
         assert len(out) >= (CHUNK_SIZE if fmt == "json" else 0)
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["stdout", "closed-stdout"])
+def test_an_interrupt_is_one_error_line(tmp_path, closed):
+    # the walks up to n = 9 take seconds, and print only when all are done;
+    # with fd 1 closed at start, the result goes to --out
+    argv = ["verify", "shadow", "--max-n", "9"]
+    if closed:
+        argv += ["--out", str(tmp_path / "out.txt")]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        ["sh", "-c", f'exec "$@" {">&-" if closed else ""}', "sh", sys.executable, "-m", "growthdiagrams.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    time.sleep(1)
+    assert proc.poll() is None
+    proc.send_signal(signal.SIGINT)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")

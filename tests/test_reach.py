@@ -54,9 +54,6 @@ ALLOWED = {
     "trees.tree_to_bracketed_expression": "acceptance criterion 10 checks the paper's lemma with it",
     "trees.tree_to_bracketed_expression.<locals>.go": "the recursion of tree_to_bracketed_expression",
     "permutations.all_permutations": "library API: every permutation of a size",
-    "ribbons.RibbonShapedTableau.__init__": "library API: a tableau from its rows",
-    "ribbons.RibbonShapedTableau.validate": "library API: checks a tableau's rows",
-    "ribbons.RibbonShapedTableau._check_rows": "names the broken row of a rejected tableau; no valid fill makes one",
     "ribbons.RibbonShapedTableau.reading": "library API: a tableau's reading word",
     "ribbons.RibbonShapedTableau.__repr__": "library API: a tableau is a value with a repr that rebuilds it",
     "ribbons.RibbonShapedTableau.__hash__": "library API: a tableau is a hashable value",

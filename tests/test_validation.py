@@ -1,6 +1,6 @@
 """
-The one-pass checks against the row-by-row and value-by-value checks they
-replaced (tests/oracles.py): on seeded random inputs, every entry point
+The library's checks against the row-by-row and value-by-value reference
+checks (tests/oracles.py): on seeded random inputs, every entry point
 accepts the same inputs with the same result, and rejects the others with
 the same exception type and message.
 """
@@ -80,7 +80,7 @@ def random_rows(rng, word):
     return rows
 
 
-def test_one_pass_checks_match_the_row_by_row_checks():
+def test_both_tableau_constructors_match_the_row_by_row_oracle():
     rng = random.Random(20070101)
     for _ in range(4000):
         word = random_word(rng, 9)

@@ -7,7 +7,7 @@ depth-first walk over the prefixes of inverse(p).  On every size the
 walk counts every permutation, and the permutations it reports include
 every one where the public functions differ or reject a result.  Checked
 on the code as it is for n <= 7, and with faults planted in the step
-rules, conversions and checks that both share.
+rules and conversions that both share.
 """
 import math
 
@@ -84,18 +84,6 @@ def plant_unsorted_insertion(monkeypatch):
     """Every letter appended: P's reading word is unsorted from n = 2 on,
     which only the check of P can notice."""
     monkeypatch.setattr(ribbons, "bisect_right", lambda reading, a: len(reading))
-
-
-def plant_declining_ribbon_check(monkeypatch):
-    """The one-pass check declines every ribbon tableau; the row-by-row
-    check then passes each valid one, so every result stands."""
-    monkeypatch.setattr(ribbons.RibbonTableau, "_accepts", classmethod(lambda cls, reading, ends: False))
-
-
-def plant_declining_quasi_ribbon_check(monkeypatch):
-    """The same for quasi-ribbon tableaux, whose check only the public
-    functions run: the walks' P has the reading word 1..n."""
-    monkeypatch.setattr(ribbons.QuasiRibbonTableau, "_accepts", classmethod(lambda cls, reading, ends: False))
 
 
 def plant_wrong_ribbon_conversion(monkeypatch):
@@ -177,13 +165,9 @@ def test_the_leaf_reads_the_descents_of_a_common_recording_tableau(monkeypatch):
     [
         ("shadow", plant_wrong_recording_step),
         ("shadow", plant_unsorted_insertion),
-        ("shadow", plant_declining_ribbon_check),
-        ("shadow", plant_declining_quasi_ribbon_check),
         ("shadow", plant_wrong_shadow_ends),
         ("composition", plant_wrong_recording_step),
         ("composition", plant_unsorted_insertion),
-        ("composition", plant_declining_ribbon_check),
-        ("composition", plant_declining_quasi_ribbon_check),
         ("composition", plant_wrong_ribbon_conversion),
         ("composition", plant_same_misordered_recording),
         ("tree", plant_wrong_recording_tree),
@@ -200,5 +184,5 @@ def test_walks_report_every_permutation_the_public_functions_fail(monkeypatch, c
         failing = [p for p in all_permutations(n) if fails(first, second, p)]
         assert sorted(p for p in suspects if fails(first, second, p)) == failing
         failed += len(failing)
-    # the plant breaks a result, except where every result stands
-    assert (failed == 0) == (plant in (plant_declining_ribbon_check, plant_declining_quasi_ribbon_check))
+    # every plant breaks a result
+    assert failed > 0
