@@ -15,10 +15,8 @@ _MODULE_EXPORTS = {
         "binword_covers", "composition_to_word", "compositions_of", "is_binword_cover",
         "is_lifted_cover", "lifted_covers", "word_to_composition",
     ),
-    "graphs": (
-        "DualityReport", "GradedGraph", "check_duality", "export_dot", "export_json",
-        "make_graph", "path_count_identity",
-    ),
+    "graphexport": ("export_dot", "export_json"),
+    "graphs": ("DualityReport", "GradedGraph", "check_duality", "make_graph", "path_count_identity"),
     "growth": ("GrowthGrid", "build_growth_diagram"),
     "growthcheck": ("growth_insert", "local_rule_composition", "local_rule_tree"),
     "permutations": (

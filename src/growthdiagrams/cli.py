@@ -17,9 +17,9 @@ so that a profiler can wrap it, or ``ribbons`` for the hypoplactic one,
 and ``jsontext`` for JSON;
 ``growth`` loads ``growth`` and its family's module, ``treegrowth`` with
 ``bst`` or ``compositiongrowth`` with ``compositions`` and ``ribbons``;
-``graph`` loads ``graphs``, which names every vertex by its index, and
-``jsontext`` for JSON; and ``verify`` loads its runners,
-``verify``, which load what each check runs.
+``graph`` loads ``graphs``, which names every vertex by its index, its
+writers ``graphexport``, and ``jsontext`` for JSON; and ``verify`` loads
+its runners, ``verify``, which load what each check runs.
 
 A JSON payload is one dict for ``jsontext.iterdumps``, whose long values
 are written part by part: a BST insertion's trees and the growth grid as
@@ -30,7 +30,9 @@ written; ``graph`` writes DOT a line at a time.
 ``growth`` writes its grid as the text fill makes it, a row at a time,
 and every grown vertex is checked as its row is made; so in JSON, where
 rows are written bottom first as they are made, a vertex that fails its
-check ends the command with part of the grid already written.
+check ends the command with part of the grid already written.  ``verify``
+writes and flushes each line of its report as it is made, so an interrupt
+or a broken invariant leaves the lines of the sizes already checked.
 """
 from __future__ import annotations
 
@@ -39,6 +41,7 @@ import errno
 import os
 import sys
 from functools import partial
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from .permutations import (
@@ -67,10 +70,19 @@ class OutputError(Exception):
     """The --out file cannot be written."""
 
 
-def _write_out(path: str, mode: str, chunks: Iterable[str]) -> None:
+def _write(fh, chunks: Iterable[str], flush: bool) -> None:
+    if not flush:
+        fh.writelines(chunks)  # lets go of each chunk once written, unlike a loop
+        return
+    for chunk in chunks:
+        fh.write(chunk)
+        fh.flush()
+
+
+def _write_out(path: str, mode: str, chunks: Iterable[str], flush: bool = False) -> None:
     try:
         with open(path, mode, encoding="utf-8") as fh:
-            fh.writelines(chunks)
+            _write(fh, chunks, flush)
     except OSError as exc:
         raise OutputError(f"cannot write --out {path}: {exc.strerror or exc}") from None
 
@@ -93,13 +105,18 @@ def _stdout():
     return sys.stdout
 
 
-def _emit(args, chunks: Iterable[str]) -> None:
+def _emit(args, chunks: Iterable[str], flush: bool = False) -> None:
     """Write a text given in chunks to --out or stdout as they come, so a
-    long text is never held whole."""
+    long text is never held whole; with flush, each chunk is flushed as it
+    is written.  --out is opened at the first chunk, so a command that
+    fails before it leaves the file as it was, or makes none."""
+    chunks = _ended(chunks)
+    # chain keeps its arguments to the end: an iterator, unlike a tuple, lets go of the first chunk
+    chunks = chain(iter((next(chunks),)), chunks)
     if args.out:
-        _write_out(args.out, "w", _ended(chunks))
+        _write_out(args.out, "w", chunks, flush)
     else:
-        sys.stdout.writelines(_ended(chunks))
+        _write(sys.stdout, chunks, flush)
 
 
 # -- insert -------------------------------------------------------------------
@@ -189,8 +206,6 @@ def cmd_growth(args) -> int:
             payload["check"] = verdict
         _emit(args, iterdumps(payload))
     else:
-        from itertools import chain
-
         labels = list(grid.rows())
         tail = [
             "\ntop chain:   " + " -> ".join(labels[grid.n]),
@@ -206,21 +221,25 @@ def cmd_growth(args) -> int:
 # -- graph --------------------------------------------------------------------
 
 def cmd_graph(args) -> int:
-    from . import graphs
+    from .graphexport import export_graph
+    from .graphs import make_graph
 
-    # every rank's names are made, and the rank guard checked, before --out is opened
-    _emit(args, graphs.export_graph(graphs.make_graph(args.name), args.max_rank, args.format))
+    _emit(args, export_graph(make_graph(args.name), args.max_rank, args.format))
     return 0
 
 
 # -- verify -------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    from .verify import run
+    from . import verify
 
-    ok, lines = run(args)
-    _emit(args, ("\n".join(lines),))
-    return 0 if ok else 1
+    passed = []  # the runner's verdict, which comes with its last line
+
+    def report() -> Iterator[str]:
+        passed.append((yield from getattr(verify, args.mode)(args)))
+
+    _emit(args, report(), flush=True)
+    return 0 if passed[0] else 1
 
 
 # -- parser -------------------------------------------------------------------
@@ -299,8 +318,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)  # --help writes and exits here
         # fail before any work
         if args.out:
-            # appending nothing leaves an existing file as it is
+            # appending nothing leaves an existing file as it is; a new one goes again
+            made = not os.path.lexists(args.out)
             _write_out(args.out, "a", ())
+            if made:
+                os.remove(args.out)
         else:
             _stdout()
         code = args.func(args)

@@ -8,7 +8,7 @@ from __future__ import annotations
 from .compositions import is_binword_value_cover
 from .growth import DualPair
 from .permutations import GrowthRuleError
-from .ribbons import QuasiRibbonTableau, RibbonTableau
+from .ribbons import QuasiRibbonTableau, RibbonTableau, _hypoplactic_leaf, hypoplactic_insert
 
 
 def _mark_labels_composition(rank: int, spine: int) -> tuple[int, int]:
@@ -99,4 +99,6 @@ PAIR = DualPair(
     start=("e", 0), step=_text_row, json_cells=_json_cells,
     p_from_labels=lambda letters: QuasiRibbonTableau._from_reading(*_quasi_ribbon_forms(letters)),
     q_from_labels=lambda labels: RibbonTableau._from_reading(*_ribbon_forms(labels)),
+    direct=hypoplactic_insert,  # the leaf reads the forms that the labels encode
+    leaf=lambda dual, p, letters, labels: _hypoplactic_leaf(p, _quasi_ribbon_forms(letters), _ribbon_forms(labels)),
 )

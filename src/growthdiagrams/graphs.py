@@ -1,7 +1,8 @@
 """
 Generic graded-graph machinery: per-rank vertex enumeration, the duality
-check DU - UD = rI, saturated-chain counting, and deterministic DOT/JSON
-export.
+check DU - UD = rI and saturated-chain counting.  The deterministic
+DOT/JSON export, which reads the same up-tables and names, is in
+:mod:`growthdiagrams.graphexport`.
 
 Each of the four graphs is given by one rule for its up-tables on
 canonical indices: ``up_table(n)`` yields, vertex by vertex of rank n, the
@@ -45,8 +46,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import cache, partial
-from itertools import chain, count
+from functools import cache
+from itertools import count
 from operator import mul
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -369,77 +370,3 @@ def path_count_identity(g1: GradedGraph, g2: GradedGraph, n: int) -> tuple[int, 
         raise ValueError(f"{g1.name} and {g2.name} do not share the rank-{n} vertex set")
     lhs = sum(map(mul, chain_counts(g1, n), chain_counts(g2, n)))
     return lhs, math.factorial(n)
-
-
-# -- export ------------------------------------------------------------------
-
-def _up_edges(g: GradedGraph, n: int, below: list, above: list) -> Iterator[tuple]:
-    """The up-edges of rank n as (v, u) pairs of the texts that ``below``
-    and ``above`` give rank n and rank n+1 by index, in canonical order,
-    made as rank n's up-table rows are."""
-    return ((v, above[j]) for v, row in zip(below, g.up_table(n)) for j in row)
-
-
-def export_dot(g: GradedGraph, max_rank: int) -> Iterator[str]:
-    """
-    Deterministic DOT text in chunks: one rank=same cluster per level,
-    then the edges, directed upwards, a line each as each rank's up-table
-    rows are made; vertices and edges in canonical order.  Every rank's
-    names are made before the first chunk, so the rank guard raises
-    before any text.
-    """
-    names = [[f'"{name}"' for name in _names(g.family, n)] for n in range(max_rank + 1)]
-    head = [f'digraph "{g.name}" {{', "  rankdir=BT;", "  node [shape=box];"]
-    head += [f"  {{ rank=same; {' '.join(name + ';' for name in rank)} }}" for rank in names]
-    edges = (f"  {v} -> {u};\n" for n in range(max_rank) for v, u in _up_edges(g, n, names[n], names[n + 1]))
-    return chain(("\n".join(head) + "\n",), edges, ("}\n",))
-
-
-def export_json(g: GradedGraph, max_rank: int) -> Iterator[str]:
-    """Rank-by-rank JSON in chunks: vertices plus the edges to the next
-    rank.  Each rank's vertex texts are made once at each depth where they
-    appear, and its edges are one ``_Rendered`` that writes an edge a
-    part as its up-table row is made.  Every rank's names are made before
-    the first chunk, as in :func:`export_dot`."""
-    from .jsontext import _join, _Rendered, iterdumps  # here, so that the checks never load it
-
-    names = [_names(g.family, n) for n in range(max_rank + 1)]
-
-    def texts(n: int, depth: int) -> list[str]:
-        """Rank n's vertices at ``depth``: a tree's name as a string, which
-        needs no escaping, and a composition's parts as a list."""
-        if g.family == "tree":
-            return [f'"{name}"' for name in names[n]]
-        return ["[]" if name == "e" else _join("[]", name.split(","), depth) for name in names[n]]
-
-    def vertices(n: int, depth: int) -> Iterator[str]:
-        yield _join("[]", texts(n, depth + 1), depth)
-
-    def edges(n: int, depth: int) -> Iterator[str]:
-        item_break = "\n" + "  " * (depth + 1)
-        end_break = item_break + "  "
-        below = [f"[{end_break}{v}," for v in texts(n, depth + 2)]
-        above = [f"{end_break}{u}{item_break}]" for u in texts(n + 1, depth + 2)]
-        lead = "[" + item_break
-        for v, u in _up_edges(g, n, below, above):
-            yield f"{lead}{v}{u}"
-            lead = "," + item_break
-        yield "\n" + "  " * depth + "]"
-
-    ranks = (
-        {
-            "n": n,
-            "vertices": _Rendered(partial(vertices, n)),
-            "edges": _Rendered(partial(edges, n)) if n < max_rank else [],
-        }
-        for n in range(max_rank + 1)
-    )
-    return chain(iterdumps({"name": g.name, "max_rank": max_rank, "ranks": ranks}), ("\n",))
-
-
-def export_graph(g: GradedGraph, max_rank: int, fmt: str) -> Iterator[str]:
-    if fmt == "dot":
-        return export_dot(g, max_rank)
-    if fmt == "json":
-        return export_json(g, max_rank)
-    raise ValueError(f"unknown graph export format {fmt!r}")

@@ -74,7 +74,9 @@ What the fill carries, and where each check lives:
 The fill and the checks are written once.  Everything in which the two
 families differ is one :class:`DualPair` record, ``PAIR`` in the module
 ``compositiongrowth`` or ``treegrowth``, which :func:`_pair` loads on
-the family's first use.  So a fill compiles its own family's code only:
+the family's first use; for the checks, it also holds the direct
+insertion that the family's diagrams reproduce and the leaf test of
+``equivalence_walk``.  So a fill compiles its own family's code only:
 with bytecode writing off (``PYTHONDONTWRITEBYTECODE``) each command
 compiles every module it loads from source.
 """
@@ -107,6 +109,9 @@ class DualPair(NamedTuple):
     json_cells: Callable  # (a row's texts, the break before each cell) -> its cells' JSON
     p_from_labels: Callable  # the right column's vertical labels -> P
     q_from_labels: Callable  # the top row's horizontal labels -> Q
+    direct: Callable  # p -> the (P, Q) of the insertion that the diagrams reproduce
+    # (this record, p, the right column's and the top row's labels) -> whether they
+    leaf: Callable  # convert to direct(p), and a hypoplactic Q is a ribbon tableau
 
 
 class GrowthGrid(NamedTuple):

@@ -154,27 +154,14 @@ def equivalence_walk(n: int, family: Family) -> tuple[int, list[Permutation]]:
     only on the first i entries of inverse(p), the columns of the marks
     in rows 1..i (Fomin 1995), so a depth-first walk over those prefixes
     fills each row once per prefix.  At a leaf, the labels of the right
-    column and of the top row are compared with the direct insertion of
-    p = inverse(path): by the hypoplactic leaf test of
-    :mod:`growthdiagrams.ribbons` on the forms they encode, or as the
-    nested tuples of BST insertion.  Return the number of permutations
-    and those where the two differ or their common hypoplactic Q is not
-    a ribbon tableau, for the public functions to judge; they come in
-    the order of inverse(p), not of p.
+    column and of the top row go to the family's leaf test with
+    p = inverse(path).  Return the number of permutations and those where
+    the test saw the labels differ from the direct insertion of p or give
+    a hypoplactic Q that is not a ribbon tableau, for the public
+    functions to judge; they come in the order of inverse(p), not of p.
     """
     dual = _pair(family)
-    if family == "composition":
-        from .compositiongrowth import _quasi_ribbon_forms, _ribbon_forms
-        from .ribbons import _hypoplactic_leaf
-
-        def agrees(p: Permutation, letters, labels) -> bool:
-            return _hypoplactic_leaf(p, _quasi_ribbon_forms(letters), _ribbon_forms(labels))
-    else:
-        from .bst import bst_insert
-
-        def agrees(p: Permutation, depths, slots) -> bool:
-            return (dual.p_from_labels(depths), dual.q_from_labels(slots)) == bst_insert(p)
-
+    leaf = dual.leaf
     count = 0
     suspects: list[Permutation] = []
 
@@ -183,7 +170,7 @@ def equivalence_walk(n: int, family: Family) -> tuple[int, list[Permutation]]:
         if not free:
             count += 1
             p = inverse(path)
-            if not agrees(p, right, below[1:]):
+            if not leaf(dual, p, right, below[1:]):
                 suspects.append(p)
             return
         i = len(path) + 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .bst import labeled_tree
+from .bst import bst_insert, labeled_tree
 from .growth import DualPair
 from .permutations import GrowthRuleError
 
@@ -111,4 +111,6 @@ PAIR = DualPair(
     # a text holds only "(", ")", "," and "-", so it needs no escaping
     json_cells=lambda texts, cell_break: '"' + ('",' + cell_break + '"').join(texts) + '"',
     p_from_labels=_bst_from_depths, q_from_labels=_increasing_tree_from_slots,
+    direct=bst_insert,  # the leaf reads all three from the record it is given
+    leaf=lambda dual, p, depths, slots: (dual.p_from_labels(depths), dual.q_from_labels(slots)) == dual.direct(p),
 )

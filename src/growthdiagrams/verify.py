@@ -1,5 +1,8 @@
 """
-The runners of ``growthdiag verify``, which only that command loads.
+The runners of ``growthdiag verify``, which only that command loads:
+each mode is the function of its name.  A runner is a generator: it
+yields the lines of its report, a size's line as soon as that size is
+checked, and returns whether the check passed.
 
 ``verify shadow`` and ``verify equivalence`` compare two routes to the
 same (P, Q) pair on every permutation of each size up to ``--max-n``,
@@ -13,35 +16,30 @@ failing permutation of the first failing size.
 from __future__ import annotations
 
 from functools import partial
+from typing import Generator
 
 from .permutations import DUAL_PAIRS, MAX_N, RankGuardError
 
 
-def _verify_duality(args, lines: list[str]) -> bool:
+def duality(args) -> Generator[str, None, bool]:
     from . import graphs
 
     g1, g2 = (graphs.make_graph(name) for name in DUAL_PAIRS[args.pair])
     report = graphs.check_duality(g1, g2, args.max_rank)
     for n, ok in enumerate(report.rank_verdicts):
-        lines.append(f"rank {n}: {'PASS' if ok else 'FAIL'}")
+        yield f"rank {n}: {'PASS' if ok else 'FAIL'}\n"
     if report.is_dual:
-        lines.append(f"{report.pair} dual with r=1 up to rank {report.max_rank}")
+        yield f"{report.pair} dual with r=1 up to rank {report.max_rank}\n"
         return True
     ce = report.counterexample
-    lines.append(
+    yield (
         f"counterexample at rank {ce.rank}: (DU-UD)[{ce.row_label}, {ce.col_label}]"
-        f" = {ce.got}, expected {ce.expected}"
+        f" = {ce.got}, expected {ce.expected}\n"
     )
     return False
 
 
-def _exhaustive_sizes(max_n: int) -> range:
-    if max_n > MAX_N:
-        raise RankGuardError(f"--max-n {max_n} exceeds the supported maximum {MAX_N} for exhaustive checks")
-    return range(max_n + 1)
-
-
-def _verify_routes(args, lines: list[str], walk, first, second, where: str, claim: str) -> bool:
+def _verify_routes(args, walk, first, second, where: str, claim: str) -> Generator[str, None, bool]:
     """
     Compare two routes to the same (P, Q) pair on every permutation of
     each size up to --max-n, guarded before any walk.  ``walk(n)`` runs
@@ -53,63 +51,46 @@ def _verify_routes(args, lines: list[str], walk, first, second, where: str, clai
     permutation in order would stop at.  ``where`` ends a mismatch line
     and ``claim`` states what the check showed.
     """
-    for n in _exhaustive_sizes(args.max_n):
+    if args.max_n > MAX_N:
+        raise RankGuardError(f"--max-n {args.max_n} exceeds the supported maximum {MAX_N} for exhaustive checks")
+    for n in range(args.max_n + 1):
         count, suspects = walk(n)
         for p in sorted(suspects):
             if first(p) != second(p):
-                lines.append(f"MISMATCH at permutation {p}{where}")
+                yield f"MISMATCH at permutation {p}{where}\n"
                 return False
-        lines.append(f"n={n}: {count}/{count} PASS")
-    lines.append(f"{claim} for all n <= {args.max_n}")
+        yield f"n={n}: {count}/{count} PASS\n"
+    yield f"{claim} for all n <= {args.max_n}\n"
     return True
 
 
-def _verify_equivalence(args, lines: list[str]) -> bool:
+def equivalence(args) -> Generator[str, None, bool]:
     from . import growthcheck
+    from .growth import _pair
 
     family = args.family
-    # the direct insertion that the family's growth diagrams reproduce
-    if family == "composition":
-        from .ribbons import hypoplactic_insert as direct
-    else:
-        from .bst import bst_insert as direct
     return _verify_routes(
-        args, lines, partial(growthcheck.equivalence_walk, family=family),
-        direct, partial(growthcheck.growth_insert, family=family),
+        args, partial(growthcheck.equivalence_walk, family=family),
+        _pair(family).direct, partial(growthcheck.growth_insert, family=family),
         f" (family {family})", f"growth diagrams match direct {family} insertion",
     )
 
 
-def _verify_shadow(args, lines: list[str]) -> bool:
+def shadow(args) -> Generator[str, None, bool]:
     from . import ribbons
 
     return _verify_routes(
-        args, lines, ribbons.shadow_walk, ribbons.shadow_lines, ribbons.hypoplactic_insert,
+        args, ribbons.shadow_walk, ribbons.shadow_lines, ribbons.hypoplactic_insert,
         "", "shadow lines match hypoplactic insertion",
     )
 
 
-def _verify_paths(args, lines: list[str]) -> bool:
+def paths(args) -> Generator[str, None, bool]:
     from . import graphs
 
     g1, g2 = (graphs.make_graph(name) for name in DUAL_PAIRS[args.pair])
     lhs, rhs = graphs.path_count_identity(g1, g2, args.n)
     ok = lhs == rhs
-    lines.append(f"n={args.n}: chain-pair count {lhs}, n! = {rhs}: {'PASS' if ok else 'FAIL'}")
+    yield f"n={args.n}: chain-pair count {lhs}, n! = {rhs}: {'PASS' if ok else 'FAIL'}\n"
     return ok
 
-
-_RUNNERS = {
-    "duality": _verify_duality,
-    "equivalence": _verify_equivalence,
-    "shadow": _verify_shadow,
-    "paths": _verify_paths,
-}
-
-
-def run(args) -> tuple[bool, list[str]]:
-    """Run the verification that ``args.mode`` names: whether it passed,
-    and the lines of its report."""
-    lines: list[str] = []
-    ok = _RUNNERS[args.mode](args, lines)
-    return ok, lines

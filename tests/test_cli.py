@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from growthdiagrams import cli, compositions, graphs, growth, growthcheck, jsontext, ribbons
+from growthdiagrams import cli, compositions, graphexport, graphs, growth, growthcheck, jsontext, ribbons
 from growthdiagrams.cli import main
 from growthdiagrams.permutations import all_permutations
 from oracles import boundary_chains, chain_pair, export_text
@@ -300,7 +300,11 @@ def _fail_if_reached(*args, **kwargs):
         ),
         (["verify", "duality", "--pair", "trees", "--max-rank", "9"], graphs, "check_duality"),
         (["verify", "paths", "--pair", "trees", "--n", "9"], graphs, "path_count_identity"),
-        (["graph", "binword", "--max-rank", "8"], graphs, "export_graph"),
+        # and this one the id it had when the export was in graphs
+        pytest.param(
+            ["graph", "binword", "--max-rank", "8"], graphexport, "export_graph",
+            id="argv4-growthdiagrams.graphs-export_graph",
+        ),
         (["insert", "hypoplactic", "312"], cli, "parse_permutation"),
         (["growth", "tree", "312"], cli, "parse_permutation"),
     ],
@@ -346,11 +350,11 @@ def test_out_is_left_alone_when_the_command_fails(tmp_path, capsys):
     code, _, _ = run(capsys, "insert", "hypoplactic", "1,1", "--out", str(existing))
     assert code == 2
     assert existing.read_text() == "earlier output\n"
-    # a file that did not exist is created by the up-front check and stays empty
+    # a file that did not exist is not left behind by the up-front check
     fresh = tmp_path / "fresh.txt"
     code, _, _ = run(capsys, "insert", "hypoplactic", "1,1", "--out", str(fresh))
     assert code == 2
-    assert fresh.read_text() == ""
+    assert not fresh.exists()
     code, _, _ = run(capsys, "insert", "hypoplactic", "312", "--out", str(existing))
     assert code == 0
     assert existing.read_text() == "P (quasi-ribbon):\n1 2\n  3\nQ (ribbon):\n2 3\n  1\n"
@@ -429,9 +433,12 @@ def test_exhaustive_mismatch_is_reported(monkeypatch, capsys, argv, plant, line)
     ids=["shadow", "equivalence-composition"],
 )
 def test_exhaustive_invalid_tableau_is_an_invariant_breach(monkeypatch, capsys, argv):
+    # the report keeps the lines of the sizes checked before the breach
     plant_unsorted_insertion(monkeypatch)
     code, out, err = run(capsys, *argv, "--max-n", "3")
-    assert (code, out, err) == (1, "", "invariant violated: row (2, 1) is not strictly increasing\n")
+    assert (code, out, err) == (
+        1, "n=0: 1/1 PASS\nn=1: 1/1 PASS\n", "invariant violated: row (2, 1) is not strictly increasing\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -446,7 +453,7 @@ def test_exhaustive_broken_label_rule_is_an_invariant_breach(monkeypatch, capsys
     # the walk's label fill raises as growth_insert's does
     _patch_pair(monkeypatch, family, **fields)
     code, out, err = run(capsys, "verify", "equivalence", "--family", family, "--max-n", "5")
-    assert (code, out, err) == (1, "", f"invariant violated: {message}\n")
+    assert (code, out, err) == (1, "n=0: 1/1 PASS\nn=1: 1/1 PASS\n", f"invariant violated: {message}\n")
 
 
 # -- output bytes against json.dumps and the recursive renderers --------------

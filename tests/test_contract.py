@@ -6,6 +6,7 @@ traceback, also when stdout cannot take the text or the user interrupts
 the command.  Commands run in process, on sizes that keep each one
 short; the interrupt goes to a child process.
 """
+import math
 import os
 import re
 import signal
@@ -200,20 +201,71 @@ def test_a_cover_break_mid_grid_is_one_error_line(monkeypatch):
         assert len(out) >= (CHUNK_SIZE if fmt == "json" else 0)
 
 
-@pytest.mark.parametrize("closed", [False, True], ids=["stdout", "closed-stdout"])
-def test_an_interrupt_is_one_error_line(tmp_path, closed):
-    # the walks up to n = 9 take seconds, and print only when all are done;
-    # with fd 1 closed at start, the result goes to --out
-    argv = ["verify", "shadow", "--max-n", "9"]
-    if closed:
-        argv += ["--out", str(tmp_path / "out.txt")]
+# the report of verify shadow --max-n 9, a line per size
+SHADOW_LINES = [f"n={n}: {math.factorial(n)}/{math.factorial(n)} PASS\n" for n in range(10)]
+
+
+def _shadow_child(closed: bool = False, out: str = "") -> subprocess.Popen:
+    """A child running verify shadow --max-n 9, whose walk at n = 9 takes
+    seconds, with stdout a pipe (block-buffered) or, when closed, fd 1
+    closed at start; never unbuffered by the environment."""
+    argv = ["verify", "shadow", "--max-n", "9", *(["--out", out] if out else [])]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.Popen(
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen(
         ["sh", "-c", f'exec "$@" {">&-" if closed else ""}', "sh", sys.executable, "-m", "growthdiagrams.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
     )
-    time.sleep(1)
+
+
+def test_verify_writes_each_line_as_its_size_is_checked():
+    proc = _shadow_child()
+    try:
+        assert proc.stdout.readline() == SHADOW_LINES[0]
+        assert proc.poll() is None
+    finally:
+        proc.kill()
+        proc.communicate()
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["stdout", "closed-stdout"])
+def test_an_interrupt_is_one_error_line(tmp_path, closed):
+    # interrupted in the walk at n = 9, the command has written the lines
+    # of n <= 8 and no more; with fd 1 closed at start, they go to --out
+    out_file = tmp_path / "out.txt"
+    proc = _shadow_child(closed, str(out_file) if closed else "")
+    written = ""
+    if closed:
+        deadline = time.monotonic() + 60
+        while not written.endswith(SHADOW_LINES[8]) and time.monotonic() < deadline:
+            time.sleep(0.01)
+            written = out_file.read_text() if out_file.exists() else ""
+    else:
+        for line in proc.stdout:
+            written += line
+            if line == SHADOW_LINES[8]:
+                break
     assert proc.poll() is None
     proc.send_signal(signal.SIGINT)
     out, err = proc.communicate(timeout=120)
-    assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
+    if closed:
+        assert out == ""  # fd 1 is closed
+        out = out_file.read_text()
+    else:
+        out = written + out
+    assert (proc.returncode, out, err) == (130, "".join(SHADOW_LINES[:9]), "error: interrupted\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["growth", "tree", "1,x"], ["verify", "shadow", "--max-n", "99"]], ids=["parse", "guard"]
+)
+def test_a_usage_error_leaves_out_as_it_was(tmp_path, argv):
+    # the writability check makes no file, and the command opens --out
+    # only when its text begins
+    new, existing = tmp_path / "new.txt", tmp_path / "existing.txt"
+    existing.write_text("earlier output\n")
+    for path in (new, existing):
+        code, out, err = _run([*argv, "--out", str(path)])
+        assert (code, out) == (2, "") and ERROR_LINE.match(err), err
+    assert not new.exists()
+    assert existing.read_text() == "earlier output\n"

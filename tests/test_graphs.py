@@ -16,12 +16,10 @@ from growthdiagrams.graphs import (
     RankGuardError,
     chain_counts,
     check_duality,
-    export_dot,
-    export_graph,
-    export_json,
     make_graph,
     path_count_identity,
 )
+from growthdiagrams.graphexport import export_dot, export_graph, export_json
 from oracles import VALUE_COVERS, export_text, set_binword_table, vertex_label
 
 # edge sets of the two composition graphs up to rank 4, straight from the

@@ -21,9 +21,10 @@ EXPORTS = {
         "binword_covers", "composition_to_word", "compositions_of", "is_binword_cover",
         "is_lifted_cover", "lifted_covers", "word_to_composition",
     ),
+    "graphexport": ("export_dot", "export_json"),
     "graphs": (
         "DUAL_PAIRS", "GRAPH_NAMES", "DualityReport", "GradedGraph", "check_duality",
-        "export_dot", "export_json", "make_graph", "path_count_identity",
+        "make_graph", "path_count_identity",
     ),
     "growth": ("GrowthGrid", "GrowthRuleError", "build_growth_diagram"),
     "growthcheck": ("growth_insert", "local_rule_composition", "local_rule_tree"),
@@ -67,6 +68,7 @@ def bare_interpreter() -> set[str]:
 # which cli imports (cli itself runs as __main__); JSON output loads
 # jsontext, which the checks never load
 GRAPHS = {"graphs"}  # compositions or trees only through vertices_at, verify paths' guard
+GRAPH_EXPORT = {*GRAPHS, "graphexport"}  # the writers, which only graph loads
 # a fill loads its own family's code only
 TREE_GROWTH = {"growth", "treegrowth", "bst"}
 COMPOSITION_GROWTH = {"growth", "compositiongrowth", "compositions", "ribbons"}
@@ -92,9 +94,9 @@ LOADS = {
     ("verify", "shadow", "--max-n", "3"): {*VERIFY, "ribbons"},
     ("verify", "paths", "--n", "3"): {*VERIFY, *GRAPHS, "compositions"},
     ("verify", "paths", "--pair", "trees", "--n", "3"): {*VERIFY, *GRAPHS, "trees"},
-    ("graph", "binword", "--max-rank", "2"): GRAPHS,
-    ("graph", "binword", "--max-rank", "2", "--format", "json"): {*GRAPHS, "jsontext"},
-    ("graph", "tree-lattice", "--max-rank", "2"): GRAPHS,
+    ("graph", "binword", "--max-rank", "2"): GRAPH_EXPORT,
+    ("graph", "binword", "--max-rank", "2", "--format", "json"): {*GRAPH_EXPORT, "jsontext"},
+    ("graph", "tree-lattice", "--max-rank", "2"): GRAPH_EXPORT,
 }
 
 
@@ -110,7 +112,8 @@ def test_cold_start_imports(bare_interpreter, argv):
 # the pairs of modules that a lazy import joins, directly or through
 # verify, importer first
 LAZY = [
-    ("cli", "bst"), ("cli", "verify"), ("cli", "growthcheck"), ("verify", "growthcheck"),
+    ("cli", "bst"), ("cli", "verify"), ("cli", "growthcheck"), ("verify", "growthcheck"), ("verify", "growth"),
+    ("cli", "graphexport"), ("graphexport", "jsontext"),
     ("graphs", "compositions"), ("graphs", "trees"),
     ("growth", "compositiongrowth"), ("growth", "treegrowth"), ("growth", "growthcheck"),
     ("growthcheck", "compositiongrowth"), ("growthcheck", "compositions"), ("growthcheck", "trees"),

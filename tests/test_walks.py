@@ -14,6 +14,7 @@ import math
 import pytest
 
 from growthdiagrams import bst, compositiongrowth, growth, growthcheck, ribbons
+from growthdiagrams.cli import main
 from growthdiagrams.permutations import all_permutations
 from test_growth import _patch_pair
 
@@ -186,3 +187,58 @@ def test_walks_report_every_permutation_the_public_functions_fail(monkeypatch, c
         failed += len(failing)
     # every plant breaks a result
     assert failed > 0
+
+
+# -- the record's direct insertion and leaf test, as verify equivalence reads them
+
+PLANTED = (2, 1, 3)
+
+
+def plant_wrong_direct(monkeypatch, family):
+    """The record's direct insertion gives 213 the (P, Q) pair of 312."""
+    direct = growth._pair(family).direct
+    _patch_pair(monkeypatch, family, direct=lambda p: direct((3, 1, 2) if tuple(p) == PLANTED else p))
+
+
+def plant_leaf_failing_213(monkeypatch, family):
+    """The record's leaf test fails 213 whatever its labels."""
+    leaf = growth._pair(family).leaf
+    _patch_pair(monkeypatch, family, leaf=lambda dual, p, *labels: p != PLANTED and leaf(dual, p, *labels))
+
+
+def _verify_equivalence(capsys, family) -> tuple[int, str, str]:
+    code = main(["verify", "equivalence", "--family", family, "--max-n", "4"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _passed(*sizes: int) -> str:
+    return "".join(f"n={n}: {math.factorial(n)}/{math.factorial(n)} PASS\n" for n in sizes)
+
+
+@pytest.mark.parametrize(
+    "family, plants",
+    [
+        # the tree leaf compares the labels with the record's direct insertion
+        ("tree", [plant_wrong_direct]),
+        # the composition leaf reads the forms of hypoplactic insertion, so
+        # the record's leaf must report 213 for its direct insertion to judge it
+        ("composition", [plant_wrong_direct, plant_leaf_failing_213]),
+        ("tree", [plant_wrong_direct, plant_leaf_failing_213]),
+    ],
+    ids=["tree-direct", "composition-direct-and-leaf", "tree-direct-and-leaf"],
+)
+def test_verify_equivalence_judges_by_the_records_direct_insertion_and_leaf(monkeypatch, capsys, family, plants):
+    for plant in plants:
+        plant(monkeypatch, family)
+    mismatch = f"MISMATCH at permutation {PLANTED} (family {family})\n"
+    assert _verify_equivalence(capsys, family) == (1, _passed(0, 1, 2) + mismatch, "")
+
+
+@pytest.mark.parametrize("family", ["composition", "tree"])
+def test_a_leaf_that_fails_a_permutation_by_itself_is_overruled(monkeypatch, capsys, family):
+    # the walk reports 213, and the public functions find it agrees
+    plant_leaf_failing_213(monkeypatch, family)
+    assert growthcheck.equivalence_walk(3, family) == (6, [PLANTED])
+    claim = f"growth diagrams match direct {family} insertion for all n <= 4\n"
+    assert _verify_equivalence(capsys, family) == (0, _passed(0, 1, 2, 3, 4) + claim, "")
