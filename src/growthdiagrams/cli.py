@@ -4,8 +4,9 @@ export the four graded graphs, and re-run the library's verification
 suites from the shell.
 
 Exit codes: 0 success, 1 verification failure, mismatch or a broken
-internal invariant, 2 usage, parse and output errors.  Identical
-invocations produce byte-identical output.
+internal invariant, 2 usage, parse, input and output errors.  Identical
+invocations produce byte-identical output.  ``insert`` and ``growth``
+read the permutation ``-`` from stdin.
 
 Each process runs one command, so start-up is part of every command's
 cost, and with bytecode writing off (``PYTHONDONTWRITEBYTECODE``) it
@@ -21,11 +22,12 @@ and ``jsontext`` for JSON;
 writers ``graphexport``, and ``jsontext`` for JSON; and ``verify`` loads
 its runners, ``verify``, which load what each check runs.
 
-A JSON payload is one dict for ``jsontext.iterdumps``, whose long values
-are written part by part: a BST insertion's trees and the growth grid as
-``_Rendered`` values, a graph's ranks as a generator and each rank's
-vertices and edges as ``_Rendered`` values, each edge made as it is
-written; ``graph`` writes DOT a line at a time.
+Each command ends its own text with a newline.  A JSON payload is one
+dict for ``jsontext.iterdumps``, whose long values are written part by
+part: a BST insertion's trees and the growth grid as ``_Rendered``
+values, a graph's ranks as a generator and each rank's vertices and
+edges as ``_Rendered`` values, each edge made as it is written; ``graph``
+calls ``graphexport.export_json`` or ``export_dot``, a line at a time.
 
 ``growth`` writes its grid as the text fill makes it, a row at a time,
 and every grown vertex is checked as its row is made; so in JSON, where
@@ -66,8 +68,8 @@ _ALGORITHMS = tuple(_PAIR_KINDS)
 _FAMILY_ALGORITHMS = {"composition": "hypoplactic", "tree": "bst-left"}
 
 
-class OutputError(Exception):
-    """The --out file cannot be written."""
+class StreamError(Exception):
+    """The --out file, stdout or stdin cannot be used."""
 
 
 def _write(fh, chunks: Iterable[str], flush: bool) -> None:
@@ -84,24 +86,14 @@ def _write_out(path: str, mode: str, chunks: Iterable[str], flush: bool = False)
         with open(path, mode, encoding="utf-8") as fh:
             _write(fh, chunks, flush)
     except OSError as exc:
-        raise OutputError(f"cannot write --out {path}: {exc.strerror or exc}") from None
-
-
-def _ended(chunks: Iterable[str]) -> Iterator[str]:
-    """The chunks, then a newline unless their text ends with one."""
-    last = ""
-    for chunk in chunks:
-        yield chunk
-        last = chunk or last
-    if not last.endswith("\n"):
-        yield "\n"
+        raise StreamError(f"cannot write --out {path}: {exc.strerror or exc}") from None
 
 
 def _stdout():
     """sys.stdout; where fd 1 was closed when the interpreter started it is
     None, and this raises the error that writing to it ends in."""
     if sys.stdout is None:
-        raise OutputError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
+        raise StreamError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
     return sys.stdout
 
 
@@ -110,13 +102,27 @@ def _emit(args, chunks: Iterable[str], flush: bool = False) -> None:
     long text is never held whole; with flush, each chunk is flushed as it
     is written.  --out is opened at the first chunk, so a command that
     fails before it leaves the file as it was, or makes none."""
-    chunks = _ended(chunks)
+    chunks = iter(chunks)
     # chain keeps its arguments to the end: an iterator, unlike a tuple, lets go of the first chunk
     chunks = chain(iter((next(chunks),)), chunks)
-    if args.out:
+    if args.out is not None:
         _write_out(args.out, "w", chunks, flush)
     else:
         _write(sys.stdout, chunks, flush)
+
+
+def _permutation(text: str):
+    """The permutation that an argument gives: its text, or for "-" the
+    text on stdin, decoded as the interpreter decodes an argument, so that
+    bytes that are no UTF-8 get the same message."""
+    if text == "-":
+        if sys.stdin is None:  # fd 0 was closed when the interpreter started
+            raise StreamError(f"cannot read stdin: {os.strerror(errno.EBADF)}")
+        try:
+            text = os.fsdecode(sys.stdin.buffer.read())
+        except OSError as exc:
+            raise StreamError(f"cannot read stdin: {exc.strerror or exc}") from None
+    return parse_permutation(text)
 
 
 # -- insert -------------------------------------------------------------------
@@ -159,11 +165,11 @@ def _pair_json(algorithm: str, p, q) -> tuple:
 
 
 def cmd_insert(args) -> int:
-    p = parse_permutation(args.permutation)
+    p = _permutation(args.permutation)
     algorithm = args.algorithm
     pair = _insertion(algorithm)(p)
     if args.format == "ascii":
-        _emit(args, _pair_text(algorithm, *pair))
+        _emit(args, (*_pair_text(algorithm, *pair), "\n"))
         return 0
     from .jsontext import iterdumps
     p_obj, q_obj = _pair_json(algorithm, *pair)
@@ -173,7 +179,7 @@ def cmd_insert(args) -> int:
         "P": p_obj,
         "Q": q_obj,
     }
-    _emit(args, iterdumps(payload))
+    _emit(args, chain(iterdumps(payload), ("\n",)))
     return 0
 
 
@@ -182,7 +188,7 @@ def cmd_insert(args) -> int:
 def cmd_growth(args) -> int:
     from . import growth
 
-    p = parse_permutation(args.permutation)
+    p = _permutation(args.permutation)
     # the writer below makes and checks the rows as it writes them
     grid = growth.build_growth_diagram(p, args.family)
     pair = grid.pair()
@@ -204,7 +210,7 @@ def cmd_growth(args) -> int:
         }
         if matched is not None:
             payload["check"] = verdict
-        _emit(args, iterdumps(payload))
+        _emit(args, chain(iterdumps(payload), ("\n",)))
     else:
         labels = list(grid.rows())
         tail = [
@@ -214,17 +220,18 @@ def cmd_growth(args) -> int:
         ]
         if matched is not None:
             tail.append("\ncheck against direct insertion: " + verdict)
-        _emit(args, chain(grid.lines(labels), tail))
+        _emit(args, chain(grid.lines(labels), tail, ("\n",)))
     return 0 if matched in (None, True) else 1
 
 
 # -- graph --------------------------------------------------------------------
 
 def cmd_graph(args) -> int:
-    from .graphexport import export_graph
+    from .graphexport import export_dot, export_json
     from .graphs import make_graph
 
-    _emit(args, export_graph(make_graph(args.name), args.max_rank, args.format))
+    export = export_dot if args.format == "dot" else export_json
+    _emit(args, export(make_graph(args.name), args.max_rank))
     return 0
 
 
@@ -279,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_insert = sub.add_parser("insert", help="run an insertion algorithm on a permutation")
     p_insert.add_argument("algorithm", choices=_ALGORITHMS)
-    p_insert.add_argument("permutation", help="digits (n <= 9) or comma-separated values")
+    p_insert.add_argument("permutation", help="digits (n <= 9) or comma-separated values; - reads stdin")
     p_insert.add_argument("--format", choices=("ascii", "json"), default="ascii")
     p_insert.add_argument("--out", default=None, help="write output to a file instead of stdout")
     p_insert.set_defaults(func=cmd_insert)
@@ -317,7 +324,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)  # --help writes and exits here
         # fail before any work
-        if args.out:
+        if args.out is not None:
             # appending nothing leaves an existing file as it is; a new one goes again
             made = not os.path.lexists(args.out)
             _write_out(args.out, "a", ())
@@ -326,11 +333,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             _stdout()
         code = args.func(args)
-        if not args.out:
+        if args.out is None:
             sys.stdout.flush()  # a stdout that takes no more text fails here at the latest
         return code
     except (OSError, KeyboardInterrupt) as exc:
-        # --out failures are OutputError, so an OSError is stdout's: full,
+        # --out and stdin failures are StreamError, so an OSError is stdout's: full,
         # or closed by its reader.  Let the interpreter's last flush of the
         # text still buffered go nowhere instead of failing again
         if sys.stdout is not None:  # None when fd 1 was closed at start
@@ -342,7 +349,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 130
         print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
         return 2
-    except (PermutationParseError, RankGuardError, OutputError) as exc:
+    except (PermutationParseError, RankGuardError, StreamError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GrowthRuleError, ValueError) as exc:

@@ -58,12 +58,10 @@ def _text_row(below: tuple[list, list], c: int, vertical: list, horizontal: list
     return texts, values
 
 
-def _json_cells(texts: list[str], cell_break: str) -> str:
-    """The JSON lists of parts of a row's texts, ``cell_break`` apart: "[]"
-    for "e", else the text in brackets with a line break after each comma."""
-    part_break = "," + cell_break + "  "
-    start, end = "[" + part_break[1:], cell_break + "]"
-    return ("," + cell_break).join("[]" if text == "e" else start + text.replace(",", part_break) + end for text in texts)
+def _json_cells(texts: list[str], depth: int) -> str:
+    """A row's cells at ``depth``, each the JSON list of its parts."""
+    from .jsontext import composition_texts  # here, so that ASCII never loads it
+    return (",\n" + "  " * depth).join(composition_texts(texts, depth))
 
 
 def _quasi_ribbon_forms(letters) -> tuple[list[int], tuple[int, ...]]:

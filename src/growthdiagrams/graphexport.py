@@ -1,14 +1,16 @@
 """
 The DOT and JSON export of a graded graph (:mod:`growthdiagrams.graphs`),
-which only ``growthdiag graph`` loads.  Both write every vertex by its
-rank's names, made by index, and every edge as its rank's up-table row is
-made, so no vertex is built and the text is written in chunks.
+which only ``growthdiag graph`` loads and calls by its format.  Both
+write every vertex by its rank's names, made by index, and every edge as
+its rank's up-table row is made, so no vertex is built and the text is
+written in chunks.  In JSON a composition is the list of its parts, in
+the form ``jsontext.composition_texts`` gives ``growth`` as well.
 """
 from __future__ import annotations
 
 from functools import partial
 from itertools import chain
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .graphs import GradedGraph, _names
 
@@ -41,16 +43,16 @@ def export_json(g: GradedGraph, max_rank: int) -> Iterator[str]:
     appear, and its edges are one ``_Rendered`` that writes an edge a
     part as its up-table row is made.  Every rank's names are made before
     the first chunk, as in :func:`export_dot`."""
-    from .jsontext import _join, _Rendered, iterdumps  # here, so that DOT never loads it
+    from .jsontext import _join, _Rendered, composition_texts, iterdumps  # here, so that DOT never loads it
 
     names = [_names(g.family, n) for n in range(max_rank + 1)]
 
-    def texts(n: int, depth: int) -> list[str]:
+    def texts(n: int, depth: int) -> Iterable[str]:
         """Rank n's vertices at ``depth``: a tree's name as a string, which
         needs no escaping, and a composition's parts as a list."""
         if g.family == "tree":
             return [f'"{name}"' for name in names[n]]
-        return ["[]" if name == "e" else _join("[]", name.split(","), depth) for name in names[n]]
+        return composition_texts(names[n], depth)
 
     def vertices(n: int, depth: int) -> Iterator[str]:
         yield _join("[]", texts(n, depth + 1), depth)
@@ -75,11 +77,3 @@ def export_json(g: GradedGraph, max_rank: int) -> Iterator[str]:
         for n in range(max_rank + 1)
     )
     return chain(iterdumps({"name": g.name, "max_rank": max_rank, "ranks": ranks}), ("\n",))
-
-
-def export_graph(g: GradedGraph, max_rank: int, fmt: str) -> Iterator[str]:
-    if fmt == "dot":
-        return export_dot(g, max_rank)
-    if fmt == "json":
-        return export_json(g, max_rank)
-    raise ValueError(f"unknown graph export format {fmt!r}")

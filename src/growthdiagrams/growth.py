@@ -106,7 +106,7 @@ class DualPair(NamedTuple):
     # column c, the vertical and the horizontal labels of row i) -> the
     # same of row i, each grown vertex checked to cover the one to its left
     step: Callable
-    json_cells: Callable  # (a row's texts, the break before each cell) -> its cells' JSON
+    json_cells: Callable  # (a row's texts, their depth) -> its cells' JSON, comma-separated
     p_from_labels: Callable  # the right column's vertical labels -> P
     q_from_labels: Callable  # the top row's horizontal labels -> Q
     direct: Callable  # p -> the (P, Q) of the insertion that the diagrams reproduce
@@ -195,7 +195,7 @@ class GrowthGrid(NamedTuple):
         cell_break = row_break + "  "
         sep = "["
         for texts in self.rows():
-            yield f"{sep}{row_break}[{cell_break}{json_cells(texts, cell_break)}{row_break}]"
+            yield f"{sep}{row_break}[{cell_break}{json_cells(texts, depth + 2)}{row_break}]"
             sep = ","
         yield "\n" + "  " * depth + "]"
 

@@ -5,7 +5,8 @@ None; anything else raises TypeError.  At every depth a dict is written
 item by item, and so is an iterator, as a list whose items are made one
 at a time; a ``_Rendered`` (a labeled tree, a growth grid) yields its own
 text part by part; every other value's text is made whole, with strings
-escaped by the C function ``json`` uses.
+escaped by the C function ``json`` uses.  ``growth`` and ``graph`` write
+a composition vertex in one form, :func:`composition_texts`.
 """
 from __future__ import annotations
 
@@ -42,6 +43,15 @@ def _join(bracket: str, texts: Iterable[str], depth: int) -> str:
     """The text of a non-empty container at ``depth`` from its items' texts."""
     newline = "\n" + _INDENT * (depth + 1)
     return bracket[0] + newline + ("," + newline).join(texts) + "\n" + _INDENT * depth + bracket[1]
+
+
+def composition_texts(names: Iterable[str], depth: int) -> Iterator[str]:
+    """The texts at ``depth`` of compositions given by their print names:
+    "e" is ``[]``, and "2,1" the list of its parts, one ``str.replace`` each."""
+    newline = "\n" + _INDENT * depth
+    part_break = "," + newline + _INDENT
+    start, end = "[" + part_break[1:], newline + "]"
+    return ("[]" if name == "e" else start + name.replace(",", part_break) + end for name in names)
 
 
 def _text(value, depth: int) -> str:

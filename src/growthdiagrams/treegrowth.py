@@ -109,7 +109,7 @@ PAIR = DualPair(
     fits=lambda k, s, rank, spine: 0 <= k <= spine and 0 <= s <= rank, spined=True,
     start=("-", (), 0), step=_text_row,
     # a text holds only "(", ")", "," and "-", so it needs no escaping
-    json_cells=lambda texts, cell_break: '"' + ('",' + cell_break + '"').join(texts) + '"',
+    json_cells=lambda texts, depth: '"' + ('",\n' + "  " * depth + '"').join(texts) + '"',
     p_from_labels=_bst_from_depths, q_from_labels=_increasing_tree_from_slots,
     direct=bst_insert,  # the leaf reads all three from the record it is given
     leaf=lambda dual, p, depths, slots: (dual.p_from_labels(depths), dual.q_from_labels(slots)) == dual.direct(p),

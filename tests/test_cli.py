@@ -300,9 +300,10 @@ def _fail_if_reached(*args, **kwargs):
         ),
         (["verify", "duality", "--pair", "trees", "--max-rank", "9"], graphs, "check_duality"),
         (["verify", "paths", "--pair", "trees", "--n", "9"], graphs, "path_count_identity"),
-        # and this one the id it had when the export was in graphs
+        # and this one the id it had when the export was in graphs and
+        # cmd_graph called it through a format dispatcher
         pytest.param(
-            ["graph", "binword", "--max-rank", "8"], graphexport, "export_graph",
+            ["graph", "binword", "--max-rank", "8"], graphexport, "export_dot",
             id="argv4-growthdiagrams.graphs-export_graph",
         ),
         (["insert", "hypoplactic", "312"], cli, "parse_permutation"),

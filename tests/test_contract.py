@@ -4,7 +4,8 @@ can spell ends in a result (exit 0), or in exit 1 or 2 with one error
 line closing stderr, after argparse's usage lines if any, and never in a
 traceback, also when stdout cannot take the text or the user interrupts
 the command.  Commands run in process, on sizes that keep each one
-short; the interrupt goes to a child process.
+short, with an empty stdin for the permutation "-"; the interrupt, and
+the commands that read a real stdin, go to a child process.
 """
 import math
 import os
@@ -14,7 +15,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from io import StringIO
+from io import BytesIO, StringIO, TextIOWrapper
 from pathlib import Path
 from random import Random
 
@@ -136,7 +137,9 @@ argvs = st.one_of(insert, growth, graph, duality, paths, exhaustive).map(lambda 
 
 
 def _main(argv: list[str], out, err) -> int:
-    with redirect_stdout(out), redirect_stderr(err):
+    stdin = TextIOWrapper(BytesIO())  # what "-" reads, whatever stdin the tests run with
+    with redirect_stdout(out), redirect_stderr(err), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "stdin", stdin)
         try:
             return cli.main(argv)
         except SystemExit as exc:  # argparse rejects argv
@@ -269,3 +272,72 @@ def test_a_usage_error_leaves_out_as_it_was(tmp_path, argv):
         assert (code, out) == (2, "") and ERROR_LINE.match(err), err
     assert not new.exists()
     assert existing.read_text() == "earlier output\n"
+
+
+# one command of each kind, format and mode
+ONE_OF_EACH = [
+    *(["insert", algorithm, "415362", "--format", fmt] for algorithm in ALGORITHMS for fmt in ("ascii", "json")),
+    *(["growth", family, "351426", "--check", "--format", fmt] for family in FAMILIES for fmt in ("ascii", "json")),
+    *(["graph", name, "--max-rank", "3", "--format", fmt] for name in GRAPH_NAMES for fmt in ("dot", "json")),
+    *(["verify", mode, "--max-rank", "3"] for mode in ("duality", "paths")),
+    *(["verify", mode, "--max-n", "3"] for mode in ("equivalence", "shadow")),
+]
+
+
+@pytest.mark.parametrize("argv", ONE_OF_EACH, ids=" ".join)
+def test_every_text_ends_in_one_newline(tmp_path, argv):
+    code, out, err = _run(argv)
+    assert (code, err) == (0, "")
+    assert out.endswith("\n") and not out.endswith("\n\n"), out[-20:]
+    path = tmp_path / "out.txt"
+    assert _run([*argv, "--out", str(path)]) == (0, "", "")
+    assert path.read_text() == out
+
+
+def test_an_empty_out_is_a_usage_error():
+    code, out, err = _run(["insert", "sylvester", "21", "--out", ""])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write --out : ") and err.count("\n") == 1, err
+
+
+def _cli(argv: list[str], stdin=None, closed_stdin: bool = False) -> subprocess.CompletedProcess:
+    """A child running the command line, fed ``stdin`` (bytes), or with fd 0
+    closed at start."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run(
+        ["sh", "-c", f'exec "$@" {"<&-" if closed_stdin else ""}', "sh", sys.executable, "-m", "growthdiagrams.cli", *argv],
+        input=stdin, capture_output=True, env=env, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv", [["insert", algorithm] for algorithm in ALGORITHMS] + [["growth", family, "--check"] for family in FAMILIES],
+    ids=" ".join,
+)
+def test_a_permutation_from_stdin_writes_what_the_argument_does(argv):
+    p = list(range(1, 41))
+    Random(40).shuffle(p)
+    text = _text(p, commas=True)
+    command, name, *options = argv
+    expected = _cli([command, name, text, *options, "--format", "json"])
+    assert (expected.returncode, expected.stderr) == (0, b"")
+    # a trailing newline, as echo and seq write, is whitespace the parser strips
+    got = _cli([command, name, "-", *options, "--format", "json"], stdin=text.encode() + b"\n")
+    assert (got.returncode, got.stdout, got.stderr) == (0, expected.stdout, b"")
+
+
+@pytest.mark.parametrize(
+    "stdin, message",
+    [
+        (b"1,x", "error: invalid token 'x'\n"),
+        (b"21\xff", "error: invalid character '\\udcff' (use commas for values > 9)\n"),
+        (None, "error: cannot read stdin: Bad file descriptor\n"),
+    ],
+    ids=["bad-text", "invalid-utf-8", "closed-stdin"],
+)
+def test_a_bad_stdin_is_one_error_line(stdin, message):
+    got = _cli(["insert", "bst-left", "-"], stdin=stdin, closed_stdin=stdin is None)
+    assert (got.returncode, got.stdout, got.stderr.decode()) == (2, b"", message)
+    if stdin is not None:  # the same bytes as an argument get the same message
+        argument = _cli(["insert", "bst-left", os.fsdecode(stdin)])
+        assert (argument.returncode, argument.stderr.decode()) == (2, message)

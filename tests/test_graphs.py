@@ -19,7 +19,7 @@ from growthdiagrams.graphs import (
     make_graph,
     path_count_identity,
 )
-from growthdiagrams.graphexport import export_dot, export_graph, export_json
+from growthdiagrams.graphexport import export_dot, export_json
 from oracles import VALUE_COVERS, export_text, set_binword_table, vertex_label
 
 # edge sets of the two composition graphs up to rank 4, straight from the
@@ -402,7 +402,8 @@ def test_export_and_counterexample_build_no_vertex(monkeypatch):
     monkeypatch.setattr(graphs, "_vertices_at", no_vertices)
     graphs._names.cache_clear()
     for (name, n, fmt), text in expected.items():
-        assert "".join(export_graph(make_graph(name), n, fmt)) == text, (name, n, fmt)
+        export = export_dot if fmt == "dot" else export_json
+        assert "".join(export(make_graph(name), n)) == text, (name, n, fmt)
     assert check_duality(lifted, lifted, 3).counterexample == counterexample
 
 
@@ -556,8 +557,6 @@ def test_export_json_counts():
     for level in payload["ranks"][:-1]:
         targets = [edge[1] for edge in level["edges"]]
         assert sorted(targets) == sorted(set(targets))
-    with pytest.raises(ValueError):
-        export_graph(make_graph("binword"), 2, "svg")
 
 
 def test_export_is_deterministic():
@@ -597,7 +596,6 @@ def test_export_chunks_join_to_the_value_level_oracle(name):
     for max_rank in range(7):
         for fmt, export in (("dot", export_dot), ("json", export_json)):
             assert "".join(export(g, max_rank)) == export_text(g, max_rank, fmt), (max_rank, fmt)
-            assert "".join(export_graph(g, max_rank, fmt)) == export_text(g, max_rank, fmt), (max_rank, fmt)
 
 
 def test_rank_guard():
@@ -616,10 +614,10 @@ def test_rank_guard():
     with pytest.raises(RankGuardError):
         check_duality(make_graph("tree-lattice"), make_graph("reflected-bracket-tree"), 10)
     # and the export, on the call and not at a later chunk, at the first rank over it
-    for name, fmt in itertools.product(("binword", "tree-lattice"), ("dot", "json")):
+    for name, export in itertools.product(("binword", "tree-lattice"), (export_dot, export_json)):
         top = graphs.MAX_RANK[make_graph(name).family]
         with pytest.raises(RankGuardError, match=f"rank {top + 1} exceeds"):
-            export_graph(make_graph(name), top + 3, fmt)
+            export(make_graph(name), top + 3)
 
 
 @pytest.mark.parametrize("family", ["composition", "tree"])

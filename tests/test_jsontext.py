@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tracemalloc
 import sys
 from functools import partial
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthdiagrams import jsontext
+from growthdiagrams import cli, jsontext
+from growthdiagrams.compositions import compositions_of
 from growthdiagrams.jsontext import CHUNK_SIZE, iterdumps
 from growthdiagrams.bst import bst_insert, labeled_tree_json_parts, labeled_tree_to_text
 from growthdiagrams.trees import labeled_tree_to_json_obj
@@ -446,3 +448,33 @@ def test_a_key_of_the_top_level_dict_other_than_str_raises_type_error(key):
     for value in ({key: 1}, {"n": 1, key: _rendered(None)}):
         with pytest.raises(TypeError, match=f"keys must be str, not {type(key).__name__}"):
             list(iterdumps(value))
+
+
+def _items(text: str, depth: int) -> list[str]:
+    """The item texts of a non-empty list whose items are at ``depth``."""
+    indent = "  " * depth
+    assert text.startswith("[\n" + indent) and text.endswith("\n" + "  " * (depth - 1) + "]"), text
+    body = text[len(indent) + 2 : -len(indent)]
+    return re.split(f",\n{indent}(?! )", body)
+
+
+def test_growth_and_graph_write_a_composition_in_one_form(capsys):
+    """Every composition of rank <= 6 has one text: its vertex in ``graph
+    binword`` (depth 4) is its cell in ``growth composition`` (depth 3)
+    indented one level deeper, and ``json.dumps(parts, indent=2)``
+    indented to depth 4."""
+    assert cli.main(["graph", "binword", "--max-rank", "6", "--format", "json"]) == 0
+    graph = {}
+    for vertices in re.findall(r'"vertices": (\[.*?\n {6}\])', capsys.readouterr().out, re.DOTALL):
+        for text in _items(vertices, 4):
+            graph[tuple(json.loads(text))] = text
+    growth = {}
+    for p in permutations(range(1, 7)):
+        assert cli.main(["growth", "composition", ",".join(map(str, p)), "--format", "json"]) == 0
+        grid = re.search(r'"grid": (\[.*?\n  \])', capsys.readouterr().out, re.DOTALL).group(1)
+        for row in _items(grid, 2):
+            for text in _items(row, 3):
+                growth[tuple(json.loads(text))] = text.replace("\n", "\n  ")
+    assert sorted(graph) == sorted(growth) == sorted(c for n in range(7) for c in compositions_of(n))
+    for parts, text in graph.items():
+        assert text == growth[parts] == json.dumps(list(parts), indent=2).replace("\n", "\n" + "  " * 4), parts
